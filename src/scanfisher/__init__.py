@@ -24,7 +24,6 @@ from .events import (
 )
 from .fisher import (
     FisherMetric,
-    digamma,
     fisher_metric,
     fisher_score,
     gram_matrix,

@@ -9,13 +9,13 @@ byte-identical files.
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from . import __version__
 from .corpus import (
     CorpusError,
     NormStats,
-    compute_features,
     load_frequency_table,
     load_texts,
     save_frequency_table,
@@ -27,12 +27,14 @@ from .evaluate import (
     PipelineConfig,
     ReadingDataset,
     binary_comprehension_eval,
+    build_instances,
+    feature_map,
     loto_cv,
     summarize_report,
     write_report_csv,
     write_report_json,
 )
-from .events import EventBatch, ScanpathError, extract_events, load_scanpaths, save_scanpaths
+from .events import EventBatch, ScanpathError, load_scanpaths, save_scanpaths
 from .fisher import (
     MetricError,
     default_ridge,
@@ -157,35 +159,15 @@ def cmd_synth(args) -> int:
     return 0
 
 
-def _build_instances(dataset: ReadingDataset, stats: NormStats, amp_floor: float):
-    """Sorted per-line instances: (descriptor, EventBatch) pairs."""
-    feats, _ = compute_features([dataset.texts[t] for t in dataset.text_ids()], dataset.freq, stats)
-    featmap = {f.text_id: f for f in feats}
-    instances = []
-    for sp in sorted(dataset.scanpaths, key=lambda s: (s.text_id, s.reader_id, s.line_id)):
-        events = extract_events(sp, dataset.texts[sp.text_id], featmap[sp.text_id], amp_floor=amp_floor)
-        desc = {
-            "reader_id": sp.reader_id,
-            "text_id": sp.text_id,
-            "line_id": sp.line_id,
-            "label": sp.label,
-        }
-        instances.append((desc, EventBatch.from_events(events, num_features=stats.num_features)))
-    return instances
-
-
 def cmd_fit(args) -> int:
     dataset = _load_dataset(args)
-    texts = [dataset.texts[t] for t in dataset.text_ids()]
-    feats, stats = compute_features(texts, dataset.freq)
-    featmap = {f.text_id: f for f in feats}
-    all_events = []
-    for sp in sorted(dataset.scanpaths, key=lambda s: (s.text_id, s.reader_id, s.line_id)):
-        all_events.extend(
-            extract_events(sp, dataset.texts[sp.text_id], featmap[sp.text_id], amp_floor=args.amp_floor)
-        )
+    featmap, stats = feature_map(dataset, dataset.text_ids())
+    instances = build_instances(dataset, dataset.scanpaths, featmap, stats.num_features, args.amp_floor)
+    if not instances:
+        raise FitError("cannot fit a model from an empty event set")
     config = FitConfig(lam=args.reg_lambda, tol=args.tol, max_iter=args.max_iter)
-    outcome = fit_model_detailed(all_events, config, threads=resolve_threads(args.threads))
+    outcome = fit_model_detailed(EventBatch.concat([inst.batch for inst in instances]), config,
+                                 threads=resolve_threads(args.threads))
     params = ModelParams(
         pi=outcome.params.pi,
         alpha=outcome.params.alpha,
@@ -203,23 +185,7 @@ def cmd_fit(args) -> int:
         seed=None,
     )
     write_json(args.out, payload)
-    log = {
-        "groups": [
-            {
-                "kind": g.kind,
-                "u": g.u,
-                "n_events": g.n_events,
-                "bias_only": g.bias_only,
-                "initial_objective": g.initial_objective,
-                "final_objective": g.final_objective,
-                "n_iterations": g.n_iterations,
-                "grad_norm": g.grad_norm,
-                "objective_trace": g.objective_trace,
-            }
-            for g in outcome.groups
-        ],
-    }
-    write_json(str(args.out) + ".log.json", log)
+    write_json(str(args.out) + ".log.json", {"groups": [asdict(g) for g in outcome.groups]})
     print(f"wrote {args.out} (fit log: {args.out}.log.json)")
     return 0
 
@@ -230,14 +196,18 @@ def cmd_score(args) -> int:
     stats = NormStats.from_dict(payload["norm_stats"])
     amp_floor = float(payload.get("amp_floor", 0.5))
     dataset = _load_dataset(args)
-    instances = _build_instances(dataset, stats, amp_floor)
-    scores = score_matrix([batch for _, batch in instances], params)
+    featmap, _ = feature_map(dataset, dataset.text_ids(), stats)
+    instances = build_instances(dataset, dataset.scanpaths, featmap, stats.num_features, amp_floor)
+    scores = score_matrix([inst.batch for inst in instances], params)
     write_scores(args.out, scores)
     meta_path = args.meta or str(args.out) + ".meta.json"
     write_json(
         meta_path,
         {
-            "instances": [desc for desc, _ in instances],
+            "instances": [
+                {"reader_id": i.reader_id, "text_id": i.text_id, "line_id": i.line_id, "label": i.label}
+                for i in instances
+            ],
             "_provenance": _provenance(
                 args,
                 {"model": args.model, "texts": args.texts, "freq": args.freq, "scanpaths": args.scanpaths},

@@ -10,13 +10,13 @@ training data; this is asserted programmatically.
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .corpus import FrequencyTable, NormStats, Text, compute_features
+from .corpus import FrequencyTable, NormStats, Text, TextFeatures, compute_features
 from .events import EventBatch, Scanpath, extract_events
 from .fisher import (
     default_ridge,
@@ -256,21 +256,6 @@ class PipelineConfig:
     amp_floor: float = 0.5
     threads: int = 1
 
-    def to_dict(self) -> dict:
-        return {
-            "lambda_grid": list(self.lambda_grid),
-            "c_grid": list(self.c_grid),
-            "ridge_scales": list(self.ridge_scales),
-            "inner_folds": self.inner_folds,
-            "feature_elimination": self.feature_elimination,
-            "run_generative_baseline": self.run_generative_baseline,
-            "svm_tol": self.svm_tol,
-            "fit_tol": self.fit_tol,
-            "fit_max_iter": self.fit_max_iter,
-            "amp_floor": self.amp_floor,
-            "threads": self.threads,
-        }
-
 
 @dataclass
 class FoldResult:
@@ -285,17 +270,7 @@ class FoldResult:
     majority_accuracy: float | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "fold_id": self.fold_id,
-            "accuracy": self.accuracy,
-            "accuracy_by_lines": self.accuracy_by_lines,
-            "n_test_groups": self.n_test_groups,
-            "chosen": self.chosen,
-            "baseline_accuracy": self.baseline_accuracy,
-            "baseline_by_lines": self.baseline_by_lines,
-            "auc": self.auc,
-            "majority_accuracy": self.majority_accuracy,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -313,19 +288,7 @@ class EvalReport:
     pairwise_p: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "mode": self.mode,
-            "folds": [f.to_dict() for f in self.folds],
-            "mean_accuracy": self.mean_accuracy,
-            "stderr_accuracy": self.stderr_accuracy,
-            "accuracy_vs_lines": self.accuracy_vs_lines,
-            "baseline_mean_accuracy": self.baseline_mean_accuracy,
-            "baseline_vs_lines": self.baseline_vs_lines,
-            "mean_auc": self.mean_auc,
-            "stderr_auc": self.stderr_auc,
-            "majority_mean_accuracy": self.majority_mean_accuracy,
-            "pairwise_p": self.pairwise_p,
-        }
+        return asdict(self)
 
 
 def _stderr(values: Sequence[float]) -> float:
@@ -345,10 +308,12 @@ def _aggregate_curves(curves: Sequence[Sequence[float]]) -> list[float]:
 
 
 # ---------------------------------------------------------------------------
-# fold machinery
+# per-line instances
 
 @dataclass
-class _Instance:
+class LineInstance:
+    """One scanpath line: who read which line of which text, and its events."""
+
     reader_id: str
     text_id: str
     line_id: int
@@ -356,13 +321,58 @@ class _Instance:
     batch: EventBatch
 
 
+def feature_map(
+    dataset: ReadingDataset,
+    text_ids: Sequence[str],
+    stats: NormStats | None = None,
+) -> tuple[dict[str, TextFeatures], NormStats]:
+    """Word features of the given texts by text id, and the statistics used.
+
+    `stats=None` computes the statistics from these texts (training side).
+    """
+    feats, stats = compute_features([dataset.texts[t] for t in sorted(text_ids)], dataset.freq, stats)
+    return {f.text_id: f for f in feats}, stats
+
+
+def build_instances(
+    dataset: ReadingDataset,
+    scanpaths: Sequence[Scanpath],
+    featmap: Mapping[str, TextFeatures],
+    num_features: int,
+    amp_floor: float,
+    label_of=lambda sp: sp.label,
+) -> list[LineInstance]:
+    """One instance per scanpath, sorted by (text, reader, line).
+
+    Every scanpath's text must be in `featmap`; `label_of` maps a scanpath
+    to the instance's class label.
+    """
+    out = []
+    for sp in sorted(scanpaths, key=lambda s: (s.text_id, s.reader_id, s.line_id)):
+        events = extract_events(sp, dataset.texts[sp.text_id], featmap[sp.text_id],
+                                amp_floor=amp_floor)
+        out.append(
+            LineInstance(
+                reader_id=sp.reader_id,
+                text_id=sp.text_id,
+                line_id=sp.line_id,
+                label=label_of(sp),
+                batch=EventBatch.from_events(events, num_features=num_features),
+            )
+        )
+    return out
+
+
+# ---------------------------------------------------------------------------
+# fold machinery
+
 @dataclass
 class _Context:
     """Training instances plus test groups built under leak-free statistics."""
 
     stats: NormStats
-    train: list[_Instance]
-    groups: dict[tuple, list[_Instance]]   # (label_key, text_id) -> line instances
+    train: list[LineInstance]
+    groups: dict[tuple, list[LineInstance]]   # (label_key, text_id) -> line instances
     test_text_ids: frozenset[str]
 
 
@@ -383,41 +393,21 @@ def _build_context(
     config: PipelineConfig,
     label_of,
 ) -> _Context:
-    train_text_objs = [dataset.texts[t] for t in sorted(train_texts)]
-    feats_train, stats = compute_features(train_text_objs, dataset.freq)
-    featmap = {f.text_id: f for f in feats_train}
-    if test_texts:
-        test_text_objs = [dataset.texts[t] for t in sorted(test_texts)]
-        feats_test, _ = compute_features(test_text_objs, dataset.freq, stats)
-        featmap.update({f.text_id: f for f in feats_test})
+    featmap, stats = feature_map(dataset, train_texts)
+    featmap.update(feature_map(dataset, test_texts, stats)[0])
 
-    m = stats.num_features
+    def instances(sps):
+        return build_instances(dataset, sps, featmap, stats.num_features, config.amp_floor, label_of)
 
-    def make_instances(sps):
-        out = []
-        for sp in sorted(sps, key=lambda s: (s.text_id, s.reader_id, s.line_id)):
-            events = extract_events(sp, dataset.texts[sp.text_id], featmap[sp.text_id],
-                                    amp_floor=config.amp_floor)
-            out.append(
-                _Instance(
-                    reader_id=sp.reader_id,
-                    text_id=sp.text_id,
-                    line_id=sp.line_id,
-                    label=label_of(sp),
-                    batch=EventBatch.from_events(events, num_features=m),
-                )
-            )
-        return out
-
-    groups: dict[tuple, list[_Instance]] = {}
-    for inst in make_instances(test_sps):
+    groups: dict[tuple, list[LineInstance]] = {}
+    for inst in instances(test_sps):
         groups.setdefault((inst.label, inst.text_id), []).append(inst)
     for insts in groups.values():
         insts.sort(key=lambda i: i.line_id)
 
     return _Context(
         stats=stats,
-        train=make_instances(train_sps),
+        train=instances(train_sps),
         groups={k: groups[k] for k in sorted(groups)},
         test_text_ids=frozenset(test_texts),
     )
@@ -477,8 +467,7 @@ def _identification_curves(
     C: float,
 ) -> dict[tuple, list]:
     """Per test group, the predicted class for every line prefix 1..L."""
-    mc = train_multiclass(kernels.gram, stage.labels, C, tol=config.svm_tol,
-                          threads=config.threads)
+    mc = train_multiclass(kernels.gram, stage.labels, C, tol=config.svm_tol)
     out = {}
     for key, rows in kernels.group_rows.items():
         curve = prefix_decision_curve(mc, rows)
@@ -517,44 +506,45 @@ class _Tuned:
         }
 
 
-def _grid_search(contexts: list[_Context], config: PipelineConfig, keep: tuple[int, ...]):
-    """Best (accuracy, lam, ridge_scale, C) for one feature subset.
+def _tune(contexts: list[_Context], config: PipelineConfig, m: int, accuracy_of) -> _Tuned:
+    """Grid search over (lambda, ridge scale, C) with greedy feature elimination.
 
-    Deterministic: combos are scanned in grid order and only a strictly
-    better accuracy replaces the incumbent.
+    `accuracy_of(stage, kernels, C)` is one inner context's accuracy; a grid
+    point scores the mean over `contexts`.  Deterministic: grid points are
+    scanned in grid order, feature drops in index order, and only a strictly
+    better accuracy replaces the incumbent.  The bias is never dropped.
+    Without inner contexts the first grid point is taken, with accuracy nan.
     """
-    best = None
-    for lam in config.lambda_grid:
-        stages = [_fit_stage(ctx, config, lam, keep) for ctx in contexts]
-        for ridge_scale in config.ridge_scales:
-            kernels = [_kernel_stage(stage, ridge_scale) for stage in stages]
-            for C in config.c_grid:
-                accs = []
-                for stage, kern in zip(stages, kernels):
-                    curves = _identification_curves(stage, kern, config, C)
-                    acc, _ = _accuracy_from_curves(curves)
-                    accs.append(acc)
-                mean_acc = float(np.mean(accs))
-                if best is None or mean_acc > best[0]:
-                    best = (mean_acc, lam, ridge_scale, C)
-    return best
-
-
-def _tune_identification(contexts: list[_Context], config: PipelineConfig, m: int) -> _Tuned:
     keep = tuple(range(m))
-    acc, lam, ridge_scale, C = _grid_search(contexts, config, keep)
-    if config.feature_elimination and m > 1:
-        while len(keep) > 1:
-            best_candidate = None
-            for drop in keep[1:]:  # bias is never removable
-                cand = tuple(i for i in keep if i != drop)
-                result = _grid_search(contexts, config, cand)
-                if best_candidate is None or result[0] > best_candidate[0][0]:
-                    best_candidate = (result, cand)
-            if best_candidate is None or best_candidate[0][0] <= acc:
-                break
-            (acc, lam, ridge_scale, C), keep = best_candidate
-            logger.debug("eliminated features down to %s (inner acc %.3f)", keep, acc)
+    if not contexts:
+        return _Tuned(lam=config.lambda_grid[0], ridge_scale=config.ridge_scales[0],
+                      C=config.c_grid[0], keep=keep, inner_accuracy=float("nan"))
+
+    def grid(keep):
+        best = None
+        for lam in config.lambda_grid:
+            stages = [_fit_stage(ctx, config, lam, keep) for ctx in contexts]
+            for ridge_scale in config.ridge_scales:
+                kernels = [_kernel_stage(stage, ridge_scale) for stage in stages]
+                for C in config.c_grid:
+                    acc = float(np.mean([accuracy_of(stage, kern, C)
+                                         for stage, kern in zip(stages, kernels)]))
+                    if best is None or acc > best[0]:
+                        best = (acc, lam, ridge_scale, C)
+        return best
+
+    acc, lam, ridge_scale, C = grid(keep)
+    while config.feature_elimination and len(keep) > 1:
+        best = None
+        for drop in keep[1:]:
+            cand = tuple(i for i in keep if i != drop)
+            result = grid(cand)
+            if best is None or result[0] > best[0][0]:
+                best = (result, cand)
+        if best[0][0] <= acc:
+            break
+        (acc, lam, ridge_scale, C), keep = best
+        logger.debug("eliminated features down to %s (inner acc %.3f)", keep, acc)
     return _Tuned(lam=lam, ridge_scale=ridge_scale, C=C, keep=keep, inner_accuracy=acc)
 
 
@@ -631,18 +621,10 @@ def _run_identification_fold(dataset: ReadingDataset, fold: SplitPlan, config: P
 
     ctx = _build_context(dataset, train_texts, sorted(fold.test_texts), train_sps, test_sps,
                          config, label_of)
-    m = ctx.stats.num_features
-
-    if inner_contexts:
-        tuned = _tune_identification(inner_contexts, config, m)
-    else:
-        tuned = _Tuned(
-            lam=config.lambda_grid[0],
-            ridge_scale=config.ridge_scales[0],
-            C=config.c_grid[0],
-            keep=tuple(range(m)),
-            inner_accuracy=float("nan"),
-        )
+    tuned = _tune(
+        inner_contexts, config, ctx.stats.num_features,
+        lambda stage, kern, C: _accuracy_from_curves(_identification_curves(stage, kern, config, C))[0],
+    )
 
     stage = _fit_stage(ctx, config, tuned.lam, tuned.keep)
     kernels = _kernel_stage(stage, tuned.ridge_scale)
@@ -673,6 +655,9 @@ def _run_identification_fold(dataset: ReadingDataset, fold: SplitPlan, config: P
 def loto_cv(dataset: ReadingDataset, config: PipelineConfig | None = None) -> EvalReport:
     """Leave-one-text-out reader identification with nested tuning."""
     config = config or PipelineConfig()
+    unread = sorted(set(dataset.text_ids()) - {sp.text_id for sp in dataset.scanpaths})
+    if unread:
+        raise EvalError(f"texts {unread} have no scanpaths to test on")
     folds = loto_folds(dataset.text_ids())
     results = parallel_map(
         lambda fold: _run_identification_fold(dataset, fold, config),
@@ -754,9 +739,12 @@ def binary_comprehension_eval(dataset: ReadingDataset, config: PipelineConfig | 
 
         ctx = _build_context(dataset, sorted(split.train_texts), sorted(split.test_texts),
                              train_sps, test_sps, config, label_of)
-        m = ctx.stats.num_features
-
-        tuned = _tune_comprehension(dataset, split, train_sps, config, label_of, positive, m)
+        tuned = _tune(
+            _comprehension_inner_contexts(dataset, split, train_sps, config, label_of),
+            config, ctx.stats.num_features,
+            lambda stage, kern, C: _binary_accuracy(
+                *_binary_decisions(stage, kern, config, C, positive), positive),
+        )
 
         stage = _fit_stage(ctx, config, tuned.lam, tuned.keep)
         kernels = _kernel_stage(stage, tuned.ridge_scale)
@@ -800,54 +788,19 @@ def binary_comprehension_eval(dataset: ReadingDataset, config: PipelineConfig | 
     )
 
 
-def _tune_comprehension(dataset, split, train_sps, config, label_of, positive, m) -> _Tuned:
-    """One inner context from re-halving the training readers and texts."""
+def _comprehension_inner_contexts(dataset, split, train_sps, config, label_of) -> list[_Context]:
+    """The one inner context from re-halving the training readers and texts, if it has both labels."""
     tr_readers = sorted(split.train_readers)
     tr_texts = sorted(split.train_texts)
-    inner = None
-    if len(tr_readers) >= 2 and len(tr_texts) >= 2:
-        r_in, r_out = tr_readers[:len(tr_readers) // 2], tr_readers[len(tr_readers) // 2:]
-        t_in, t_out = tr_texts[:len(tr_texts) // 2], tr_texts[len(tr_texts) // 2:]
-        inner_train = [sp for sp in train_sps if sp.reader_id in r_in and sp.text_id in t_in]
-        inner_test = [sp for sp in train_sps if sp.reader_id in r_out and sp.text_id in t_out]
-        if (
-            inner_train and inner_test
-            and len({sp.label for sp in inner_train}) == 2
-        ):
-            inner = _build_context(dataset, t_in, t_out, inner_train, inner_test, config, label_of)
-
-    keep_full = tuple(range(m))
-    if inner is None:
-        return _Tuned(config.lambda_grid[0], config.ridge_scales[0], config.c_grid[0],
-                      keep_full, float("nan"))
-
-    def grid(keep):
-        best = None
-        for lam in config.lambda_grid:
-            stage = _fit_stage(inner, config, lam, keep)
-            for ridge_scale in config.ridge_scales:
-                kernels = _kernel_stage(stage, ridge_scale)
-                for C in config.c_grid:
-                    keys, decisions = _binary_decisions(stage, kernels, config, C, positive)
-                    acc = _binary_accuracy(keys, decisions, positive)
-                    if best is None or acc > best[0]:
-                        best = (acc, lam, ridge_scale, C)
-        return best
-
-    acc, lam, ridge_scale, C = grid(keep_full)
-    keep = keep_full
-    if config.feature_elimination and m > 1:
-        while len(keep) > 1:
-            best_candidate = None
-            for drop in keep[1:]:
-                cand = tuple(i for i in keep if i != drop)
-                result = grid(cand)
-                if best_candidate is None or result[0] > best_candidate[0][0]:
-                    best_candidate = (result, cand)
-            if best_candidate is None or best_candidate[0][0] <= acc:
-                break
-            (acc, lam, ridge_scale, C), keep = best_candidate
-    return _Tuned(lam=lam, ridge_scale=ridge_scale, C=C, keep=keep, inner_accuracy=acc)
+    if len(tr_readers) < 2 or len(tr_texts) < 2:
+        return []
+    r_in, r_out = tr_readers[:len(tr_readers) // 2], tr_readers[len(tr_readers) // 2:]
+    t_in, t_out = tr_texts[:len(tr_texts) // 2], tr_texts[len(tr_texts) // 2:]
+    inner_train = [sp for sp in train_sps if sp.reader_id in r_in and sp.text_id in t_in]
+    inner_test = [sp for sp in train_sps if sp.reader_id in r_out and sp.text_id in t_out]
+    if not inner_test or len({sp.label for sp in inner_train}) < 2:
+        return []
+    return [_build_context(dataset, t_in, t_out, inner_train, inner_test, config, label_of)]
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,7 @@ from typing import Sequence
 
 import numpy as np
 from scipy.linalg import solve_triangular
+from scipy.special import digamma
 
 from .events import NUM_SACCADE_TYPES, as_batch
 from .model import ModelParams, link_many
@@ -30,46 +31,6 @@ from .model import ModelParams, link_many
 
 class MetricError(ValueError):
     """Fisher information metric could not be factorized."""
-
-
-# Asymptotic expansion coefficients of psi(x) - ln x + 1/(2x): B_2n / (2n).
-_DIGAMMA_SERIES = (
-    1.0 / 12.0,
-    -1.0 / 120.0,
-    1.0 / 252.0,
-    -1.0 / 240.0,
-    1.0 / 132.0,
-    -691.0 / 32760.0,
-)
-_DIGAMMA_SHIFT = 6.0
-
-
-def digamma(x):
-    """Digamma function psi(x) for x > 0 (scalar or array), abs err < 1e-10.
-
-    Uses the recurrence psi(x) = psi(x+1) - 1/x to push the argument to
-    x >= 6, then the asymptotic series in 1/x^2.
-    """
-    scalar = np.isscalar(x)
-    y = np.asarray(x, dtype=float).copy()
-    if np.any(y <= 0) or not np.all(np.isfinite(y)):
-        raise ValueError("digamma requires finite x > 0")
-    acc = np.zeros_like(y)
-    # after k steps every element is >= k, so 6 steps always suffice
-    for _ in range(int(_DIGAMMA_SHIFT)):
-        mask = y < _DIGAMMA_SHIFT
-        if not mask.any():
-            break
-        acc[mask] -= 1.0 / y[mask]
-        y[mask] += 1.0
-    inv2 = 1.0 / (y * y)
-    series = np.zeros_like(y)
-    power = inv2.copy()
-    for coeff in _DIGAMMA_SERIES:
-        series -= coeff * power
-        power *= inv2
-    result = acc + np.log(y) - 0.5 / y + series
-    return float(result) if scalar else result
 
 
 def score_dimension(num_features: int) -> int:

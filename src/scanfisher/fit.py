@@ -16,10 +16,9 @@ import logging
 from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import minimize
-from scipy.special import gammaln
+from scipy.special import digamma, gammaln
 
 from .events import NUM_SACCADE_TYPES, EventBatch, as_batch
-from .fisher import digamma
 from .model import ModelParams, _LOG_LINK_MAX, _LOG_LINK_MIN
 from .util import parallel_map
 

@@ -151,38 +151,12 @@ def event_loglik(event: SaccadeEvent, params: ModelParams) -> float:
 
 
 def batch_loglik(events, params: ModelParams) -> float:
-    """Total log-likelihood of a collection of events (vectorized)."""
-    batch = as_batch(events, num_features=params.num_features)
-    if batch.n == 0:
-        return 0.0
-    total = 0.0
-    for u in range(1, NUM_SACCADE_TYPES + 1):
-        mask = batch.u == u
-        k_u = int(mask.sum())
-        if k_u == 0:
-            continue
-        total += k_u * math.log(params.pi[u - 1])
-        w_l = batch.w_launch[mask]
-        w_d = batch.w_land[mask]
-        total += float(
-            _gamma_logpdf_vec(
-                batch.amp[mask],
-                link_many(w_l, params.alpha[u - 1]),
-                link_many(w_l, params.beta[u - 1]),
-            ).sum()
-        )
-        total += float(
-            _gamma_logpdf_vec(
-                batch.dur[mask],
-                link_many(w_d, params.gamma[u - 1]),
-                link_many(w_d, params.delta[u - 1]),
-            ).sum()
-        )
-    return total
+    """Total log-likelihood of a collection of events: the sum of :func:`loglik_parts`."""
+    return sum(loglik_parts(events, params))
 
 
 def loglik_parts(events, params: ModelParams) -> tuple[float, float, float]:
-    """(type, amplitude, duration) log-likelihood terms, computed independently."""
+    """(type, amplitude, duration) log-likelihood terms of a collection of events."""
     batch = as_batch(events, num_features=params.num_features)
     counts = batch.type_counts()
     type_term = float(np.sum(counts[counts > 0] * np.log(params.pi[counts > 0])))

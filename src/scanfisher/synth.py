@@ -7,7 +7,7 @@ and numpy version, and per-reader streams are independent.
 """
 
 import string
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -56,21 +56,7 @@ class SynthConfig:
         return 4 + self.num_flags
 
     def to_dict(self) -> dict:
-        return {
-            "num_readers": self.num_readers,
-            "num_texts": self.num_texts,
-            "lines_per_text": self.lines_per_text,
-            "words_per_line": self.words_per_line,
-            "num_flags": self.num_flags,
-            "sigma_reader": self.sigma_reader,
-            "pi_concentration": self.pi_concentration,
-            "min_fixations": self.min_fixations,
-            "max_fixations": self.max_fixations,
-            "vocab_size": self.vocab_size,
-            "zipf_exponent": self.zipf_exponent,
-            "flag_probability": self.flag_probability,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
 
 def _rng(config: SynthConfig, key: int, *extra: int) -> np.random.Generator:

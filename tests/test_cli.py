@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -6,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import scanfisher
 from scanfisher.cli import main
 from scanfisher.fisher import read_scores
 from scanfisher.util import read_json, sha256_file
@@ -229,9 +231,12 @@ def test_fit_failure_exit_code(synth_dir, tmp_path):
 
 
 def test_cli_entry_point_via_module():
+    # the child imports the same package as this process, installed or not
+    src = str(Path(scanfisher.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run(
         [sys.executable, "-m", "scanfisher", "--version"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=env,
     )
     assert proc.returncode == 0
     assert "scanfisher" in proc.stdout

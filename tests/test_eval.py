@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -6,8 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from scanfisher import evaluate
 from scanfisher.corpus import compute_features
 from scanfisher.evaluate import (
+    WILCOXON_EXACT_MAX_N,
     EvalError,
     EvalReport,
     FoldResult,
@@ -99,6 +102,20 @@ def test_wilcoxon_matches_enumeration_oracle():
             got = wilcoxon_signed_rank(x, y).p_value
             want = _wilcoxon_oracle(list(d))
             assert got == pytest.approx(want, abs=1e-12)
+
+
+def test_wilcoxon_exact_matches_scipy():
+    from scipy.stats import wilcoxon as scipy_wilcoxon
+
+    rng = np.random.default_rng(4)
+    for n in range(5, WILCOXON_EXACT_MAX_N + 1):
+        for _ in range(4):
+            x = rng.normal(0.3, 1, n)
+            y = rng.normal(0.0, 1, n)
+            d = np.abs(x - y)
+            assert np.all(d > 0) and len(np.unique(d)) == n  # tie-free, zero-free
+            want = scipy_wilcoxon(x, y, method="exact").pvalue
+            assert wilcoxon_signed_rank(x, y).p_value == pytest.approx(want, abs=1e-12)
 
 
 def test_wilcoxon_large_n_approximation():
@@ -284,12 +301,38 @@ def test_missing_reader_in_training_fold_errors(small_dataset):
         loto_cv(pruned, QUICK)
 
 
+def test_loto_rejects_text_without_scanpaths(small_dataset):
+    pruned = ReadingDataset(
+        texts=small_dataset.texts,
+        freq=small_dataset.freq,
+        scanpaths=[sp for sp in small_dataset.scanpaths if sp.text_id != "t02"],
+    )
+    with pytest.raises(EvalError, match="t02"):
+        loto_cv(pruned, QUICK)
+
+
+def test_loto_parallelizes_folds_only(small_dataset, monkeypatch):
+    # folds run on config.threads workers; each fold's one-vs-rest SVM runs
+    # serially, so at most config.threads threads work at once
+    seen = []
+    real = evaluate.train_multiclass
+
+    def recording(*args, **kwargs):
+        seen.append(kwargs.get("threads", 1))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(evaluate, "train_multiclass", recording)
+    report = loto_cv(small_dataset, dataclasses.replace(QUICK, threads=2))
+    assert seen and set(seen) == {1}
+    assert report.to_dict() == loto_cv(small_dataset, QUICK).to_dict()
+
+
 # ---------------------------------------------------------------------------
 # comprehension pipeline
 
 
-def _comprehension_dataset(seed=11):
-    cfg = SynthConfig(num_readers=4, num_texts=4, lines_per_text=2, words_per_line=10,
+def _comprehension_dataset(seed=11, num_readers=4):
+    cfg = SynthConfig(num_readers=num_readers, num_texts=4, lines_per_text=2, words_per_line=10,
                       sigma_reader=0.5, min_fixations=6, max_fixations=10, seed=seed)
     ds = gen_dataset(cfg)
     dataset = ReadingDataset.from_synth(ds)
@@ -321,6 +364,44 @@ def test_comprehension_eval_structure():
 def test_comprehension_requires_binary_labels(small_dataset):
     with pytest.raises(EvalError, match="2 scanpath labels"):
         binary_comprehension_eval(small_dataset, QUICK)
+
+
+# ---------------------------------------------------------------------------
+# feature elimination
+
+
+ELIMINATION = PipelineConfig(
+    lambda_grid=(1e-2,),
+    c_grid=(0.1, 1.0),
+    ridge_scales=(1e-6,),
+    inner_folds=1,
+    feature_elimination=True,
+    run_generative_baseline=False,
+)
+
+
+def _chosen(kept, inner_accuracy):
+    return {"lambda": 0.01, "ridge_scale": 1e-06, "C": 0.1, "kept_features": kept,
+            "inner_accuracy": inner_accuracy}
+
+
+def test_feature_elimination_choices_are_pinned(small_dataset):
+    # Recorded before the identification and comprehension tuners were merged
+    # into one grid-and-elimination loop; C ties keep the first grid value.
+    report = loto_cv(small_dataset, ELIMINATION)
+    assert [(f.fold_id, f.accuracy, f.chosen) for f in report.folds] == [
+        ("t00", 1.0, _chosen([0, 1, 3], 2 / 3)),
+        ("t01", 1 / 3, _chosen([0, 1, 3], 2 / 3)),
+        ("t02", 1 / 3, _chosen([0, 1, 2, 3], 1 / 3)),
+        ("t03", 2 / 3, _chosen([0, 1, 2], 1.0)),
+    ]
+    report = binary_comprehension_eval(_comprehension_dataset(seed=101, num_readers=8), ELIMINATION)
+    assert [(f.fold_id, f.accuracy, f.auc, f.chosen) for f in report.folds] == [
+        ("s0", 0.5, 0.5, _chosen([0, 2], 1.0)),
+        ("s1", 0.75, 0.5, _chosen([0, 2, 3], 1.0)),
+        ("s2", 0.25, 0.25, _chosen([0, 2, 3], 1.0)),
+        ("s3", 0.75, 0.5, _chosen([0, 1, 2, 3], 0.5)),
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,6 @@ from scipy.special import gammaln
 from scanfisher.events import EventBatch, SaccadeEvent
 from scanfisher.fisher import (
     MetricError,
-    digamma,
     empirical_information,
     fisher_metric,
     fisher_score,
@@ -42,54 +41,6 @@ def _random_batch(rng, params, n, m):
     W_l = np.column_stack([np.ones(n), rng.normal(0, 1, (n, m - 1))]) if m > 1 else np.ones((n, 1))
     W_d = np.column_stack([np.ones(n), rng.normal(0, 1, (n, m - 1))]) if m > 1 else np.ones((n, 1))
     return sample_events(params, W_l, W_d, rng)
-
-
-# ---------------------------------------------------------------------------
-# digamma
-
-
-def test_digamma_at_one():
-    assert digamma(1.0) == pytest.approx(-_euler_mascheroni(), abs=1e-10)
-
-
-def test_digamma_recurrence():
-    assert digamma(2.0) == pytest.approx(digamma(1.0) + 1.0, abs=1e-12)
-    for x in (0.3, 1.7, 4.2, 9.9):
-        assert digamma(x + 1.0) == pytest.approx(digamma(x) + 1.0 / x, abs=1e-10)
-
-
-def test_digamma_at_half():
-    # psi(1/2) = -gamma_E - 2 ln 2
-    assert digamma(0.5) == pytest.approx(-_euler_mascheroni() - 2 * math.log(2.0), abs=1e-10)
-
-
-def test_digamma_matches_lgamma_derivative():
-    for x in (0.5, 1.0, 2.5, 7.0, 31.0):
-        h = 1e-5
-        fd = (math.lgamma(x + h) - math.lgamma(x - h)) / (2 * h)
-        assert digamma(x) == pytest.approx(fd, abs=1e-8)
-
-
-def test_digamma_vectorized_and_scalar():
-    xs = np.array([0.1, 1.0, 5.5, 100.0])
-    vec = digamma(xs)
-    assert vec.shape == xs.shape
-    for x, v in zip(xs, vec):
-        assert digamma(float(x)) == v
-
-
-def test_digamma_rejects_nonpositive():
-    with pytest.raises(ValueError):
-        digamma(0.0)
-    with pytest.raises(ValueError):
-        digamma(np.array([1.0, -2.0]))
-
-
-def test_digamma_against_scipy_grid():
-    from scipy.special import digamma as sp_digamma
-
-    xs = np.concatenate([np.linspace(1e-6, 1, 101)[1:], np.linspace(1, 200, 200)])
-    assert np.max(np.abs(digamma(xs) - sp_digamma(xs))) < 1e-10
 
 
 # ---------------------------------------------------------------------------
