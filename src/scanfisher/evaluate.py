@@ -27,7 +27,7 @@ from .fisher import (
 )
 from .fit import FitConfig, fit_model
 from .model import ModelParams, batch_loglik
-from .svm import KernelProblem, prefix_decision_curve, solve_dual, train_multiclass
+from .svm import KernelProblem, MulticlassSvm, SvmModel, prefix_decision_curve, solve_dual, train_multiclass
 from .synth import SynthDataset
 from .util import parallel_map
 
@@ -460,14 +460,8 @@ def _kernel_stage(stage: _FisherStage, ridge_scale: float) -> _KernelStage:
     )
 
 
-def _identification_curves(
-    stage: _FisherStage,
-    kernels: _KernelStage,
-    config: PipelineConfig,
-    C: float,
-) -> dict[tuple, list]:
+def _identification_curves(mc: MulticlassSvm, kernels: _KernelStage) -> dict[tuple, list]:
     """Per test group, the predicted class for every line prefix 1..L."""
-    mc = train_multiclass(kernels.gram, stage.labels, C, tol=config.svm_tol)
     out = {}
     for key, rows in kernels.group_rows.items():
         curve = prefix_decision_curve(mc, rows)
@@ -506,29 +500,39 @@ class _Tuned:
         }
 
 
-def _tune(contexts: list[_Context], config: PipelineConfig, m: int, accuracy_of) -> _Tuned:
+def _tune(contexts: list[_Context], config: PipelineConfig, m: int, train, accuracy_of) -> _Tuned:
     """Grid search over (lambda, ridge scale, C) with greedy feature elimination.
 
-    `accuracy_of(stage, kernels, C)` is one inner context's accuracy; a grid
-    point scores the mean over `contexts`.  Deterministic: grid points are
-    scanned in grid order, feature drops in index order, and only a strictly
-    better accuracy replaces the incumbent.  The bias is never dropped.
-    Without inner contexts the first grid point is taken, with accuracy nan.
+    `train(stage, kernels, C, previous)` fits one inner context's model and
+    `accuracy_of(kernels, model)` scores it; a grid point scores the
+    mean over `contexts`.  Each (stage, kernels) pair is trained along the C
+    grid in ascending order, handing each fit the model of the next smaller
+    C so that solves whose answer is already known are reused.
+    Deterministic: grid points are scanned in grid order, feature drops in
+    index order, and only a strictly better accuracy replaces the incumbent.
+    The bias is never dropped.  Without inner contexts the first grid point
+    is taken, with accuracy nan.
     """
     keep = tuple(range(m))
     if not contexts:
         return _Tuned(lam=config.lambda_grid[0], ridge_scale=config.ridge_scales[0],
                       C=config.c_grid[0], keep=keep, inner_accuracy=float("nan"))
 
+    def accuracies(stage, kernels):
+        by_c, model = {}, None
+        for C in sorted(set(config.c_grid)):
+            model = train(stage, kernels, C, model)
+            by_c[C] = accuracy_of(kernels, model)
+        return [by_c[C] for C in config.c_grid]
+
     def grid(keep):
         best = None
         for lam in config.lambda_grid:
             stages = [_fit_stage(ctx, config, lam, keep) for ctx in contexts]
             for ridge_scale in config.ridge_scales:
-                kernels = [_kernel_stage(stage, ridge_scale) for stage in stages]
-                for C in config.c_grid:
-                    acc = float(np.mean([accuracy_of(stage, kern, C)
-                                         for stage, kern in zip(stages, kernels)]))
+                per_context = [accuracies(stage, _kernel_stage(stage, ridge_scale)) for stage in stages]
+                for C, accs in zip(config.c_grid, zip(*per_context)):
+                    acc = float(np.mean(accs))
                     if best is None or acc > best[0]:
                         best = (acc, lam, ridge_scale, C)
         return best
@@ -621,14 +625,18 @@ def _run_identification_fold(dataset: ReadingDataset, fold: SplitPlan, config: P
 
     ctx = _build_context(dataset, train_texts, sorted(fold.test_texts), train_sps, test_sps,
                          config, label_of)
+
+    def train(stage, kern, C, previous):
+        return train_multiclass(kern.gram, stage.labels, C, tol=config.svm_tol, previous=previous)
+
     tuned = _tune(
-        inner_contexts, config, ctx.stats.num_features,
-        lambda stage, kern, C: _accuracy_from_curves(_identification_curves(stage, kern, config, C))[0],
+        inner_contexts, config, ctx.stats.num_features, train,
+        lambda kern, mc: _accuracy_from_curves(_identification_curves(mc, kern))[0],
     )
 
     stage = _fit_stage(ctx, config, tuned.lam, tuned.keep)
     kernels = _kernel_stage(stage, tuned.ridge_scale)
-    curves = _identification_curves(stage, kernels, config, tuned.C)
+    curves = _identification_curves(train(stage, kernels, tuned.C, None), kernels)
     accuracy, by_lines = _accuracy_from_curves(curves)
 
     baseline_acc = None
@@ -688,17 +696,24 @@ def loto_cv(dataset: ReadingDataset, config: PipelineConfig | None = None) -> Ev
 # ---------------------------------------------------------------------------
 # binary comprehension evaluation
 
-def _binary_decisions(
+def _train_binary(
     stage: _FisherStage,
     kernels: _KernelStage,
     config: PipelineConfig,
     C: float,
     positive,
-) -> tuple[list, np.ndarray]:
+    previous: SvmModel | None,
+) -> SvmModel:
+    model = previous.reused_at(C) if previous is not None else None
+    if model is not None:
+        return model
     y = np.where(np.array(stage.labels, dtype=object) == positive, 1.0, -1.0)
     if len(set(y.tolist())) < 2:
         raise EvalError("single-class training split")
-    model = solve_dual(KernelProblem(gram=kernels.gram, labels=y, C=C), tol=config.svm_tol)
+    return solve_dual(KernelProblem(gram=kernels.gram, labels=y, C=C), tol=config.svm_tol)
+
+
+def _binary_decisions(model: SvmModel, kernels: _KernelStage) -> tuple[list, np.ndarray]:
     keys = sorted(kernels.group_rows)
     decisions = np.array([
         float(model.decision_values(kernels.group_rows[key]).mean()) for key in keys
@@ -739,16 +754,19 @@ def binary_comprehension_eval(dataset: ReadingDataset, config: PipelineConfig | 
 
         ctx = _build_context(dataset, sorted(split.train_texts), sorted(split.test_texts),
                              train_sps, test_sps, config, label_of)
+
+        def train(stage, kern, C, previous):
+            return _train_binary(stage, kern, config, C, positive, previous)
+
         tuned = _tune(
             _comprehension_inner_contexts(dataset, split, train_sps, config, label_of),
-            config, ctx.stats.num_features,
-            lambda stage, kern, C: _binary_accuracy(
-                *_binary_decisions(stage, kern, config, C, positive), positive),
+            config, ctx.stats.num_features, train,
+            lambda kern, model: _binary_accuracy(*_binary_decisions(model, kern), positive),
         )
 
         stage = _fit_stage(ctx, config, tuned.lam, tuned.keep)
         kernels = _kernel_stage(stage, tuned.ridge_scale)
-        keys, decisions = _binary_decisions(stage, kernels, config, tuned.C, positive)
+        keys, decisions = _binary_decisions(train(stage, kernels, tuned.C, None), kernels)
         accuracy = _binary_accuracy(keys, decisions, positive)
         group_labels = [k[0] for k in keys]
         auc = auc_score(group_labels, decisions) if len(set(group_labels)) == 2 else None

@@ -1,0 +1,166 @@
+"""Reference SMO solver and scalar decision value, kept as test oracles.
+
+`reference_solve_dual` is the straightforward per-step solver that
+`scanfisher.svm.solve_dual` replaced: it recomputes -y * grad, both index
+sets, the pair curvatures and the PSD check on every step.  The fast solver
+must match it bit for bit.  `reference_decision_value` is the scalar
+decision function for one kernel row.
+"""
+
+import logging
+
+import numpy as np
+
+from scanfisher.svm import _TAU, SUPPORT_EPS, KernelProblem, SvmError, SvmModel
+
+logger = logging.getLogger("scanfisher.svm")
+
+
+def reference_decision_value(model: SvmModel, k_row: np.ndarray) -> float:
+    """sum_i alpha_i y_i k_row[i] + b for one test instance's kernel row."""
+    k_row = np.asarray(k_row, dtype=float)
+    if k_row.shape != model.alpha.shape:
+        raise SvmError(f"kernel row length {k_row.shape} != training size {model.alpha.shape}")
+    sv = model.support
+    return float((model.alpha[sv] * model.y[sv]) @ k_row[sv] + model.bias)
+
+
+def _dual_objective(alpha: np.ndarray, grad: np.ndarray) -> float:
+    # grad = Q alpha - 1, so alpha^T Q alpha = alpha . (grad + 1)
+    return float(alpha.sum() - 0.5 * (alpha @ (grad + 1.0)))
+
+
+def reference_solve_dual(
+    problem: KernelProblem,
+    tol: float = 1e-3,
+    max_iter: int | None = None,
+    record_objective: bool = False,
+) -> SvmModel:
+    """SMO solver for the dual problem on a precomputed kernel.
+
+    Selection follows the maximal-violating-pair rule; convergence is declared
+    when the violation gap m(alpha) - M(alpha) < tol, which bounds every KKT
+    violation by tol once the bias is set from the free support vectors.
+    """
+    K = problem.gram
+    y = problem.labels
+    C = problem.C
+    n = problem.n
+    if max_iter is None:
+        max_iter = max(100_000, 200 * n)
+
+    alpha = np.zeros(n)
+    grad = -np.ones(n)  # d/da of 1/2 a^T Q a - sum a at a = 0
+    diag = np.diag(K).copy()
+    diag_abs_max = float(np.abs(diag).max(initial=0.0))
+    pos = y > 0
+    neg = ~pos
+    trace: list[float] | None = [] if record_objective else None
+
+    it = 0
+    m_val = M_val = 0.0
+    while True:
+        minus_y_grad = -y * grad
+        up = (pos & (alpha < C)) | (neg & (alpha > 0))
+        low = (pos & (alpha > 0)) | (neg & (alpha < C))
+        if not up.any() or not low.any():
+            m_val = M_val = 0.0
+            break
+        i = int(np.flatnonzero(up)[np.argmax(minus_y_grad[up])])
+        m_val = float(minus_y_grad[i])
+        M_val = float(minus_y_grad[low].min())
+        if m_val - M_val < tol:
+            break
+        if it >= max_iter:
+            logger.warning(
+                "SMO stopped at max_iter=%d with violation %.3g (tol %.3g)",
+                max_iter, m_val - M_val, tol,
+            )
+            break
+
+        # second-order selection of j: maximal analytic gain among violators
+        quad_all = diag[i] + diag - 2.0 * K[:, i]
+        if float(quad_all.min()) < -1e-8 * (abs(diag[i]) + diag_abs_max + 1.0):
+            raise SvmError(
+                "gram matrix is not positive semidefinite along a working pair; "
+                "increase the Fisher metric ridge"
+            )
+        np.maximum(quad_all, _TAU, out=quad_all)
+        gain = m_val - minus_y_grad
+        np.multiply(gain, gain, out=gain)
+        gain /= quad_all
+        gain[~low | (minus_y_grad >= m_val)] = -np.inf
+        j = int(np.argmax(gain))
+        if not np.isfinite(gain[j]):
+            break
+
+        quad = float(quad_all[j])
+        old_i, old_j = alpha[i], alpha[j]
+        if y[i] != y[j]:
+            delta = (-grad[i] - grad[j]) / quad
+            diff = old_i - old_j
+            ai = old_i + delta
+            aj = old_j + delta
+            if diff > 0:
+                if aj < 0:
+                    aj = 0.0
+                    ai = diff
+            else:
+                if ai < 0:
+                    ai = 0.0
+                    aj = -diff
+            if diff > 0:
+                if ai > C:
+                    ai = C
+                    aj = C - diff
+            else:
+                if aj > C:
+                    aj = C
+                    ai = C + diff
+        else:
+            delta = (grad[i] - grad[j]) / quad
+            total = old_i + old_j
+            ai = old_i - delta
+            aj = old_j + delta
+            if total > C:
+                if ai > C:
+                    ai = C
+                    aj = total - C
+                if aj > C:
+                    aj = C
+                    ai = total - C
+            else:
+                if aj < 0:
+                    aj = 0.0
+                    ai = total
+                if ai < 0:
+                    ai = 0.0
+                    aj = total
+        alpha[i], alpha[j] = ai, aj
+        d_i = ai - old_i
+        d_j = aj - old_j
+        # grad_k += Q_ki d_i + Q_kj d_j with Q_kl = y_k y_l K_kl
+        grad += y * (d_i * y[i] * K[:, i] + d_j * y[j] * K[:, j])
+        if trace is not None:
+            trace.append(_dual_objective(alpha, grad))
+        it += 1
+
+    # bias: average over free support vectors, else midpoint of the bounds
+    free = (alpha > SUPPORT_EPS) & (alpha < C - SUPPORT_EPS)
+    minus_y_grad = -y * grad
+    if free.any():
+        bias = float(minus_y_grad[free].mean())
+    else:
+        bias = 0.5 * (m_val + M_val)
+
+    support = np.flatnonzero(alpha > SUPPORT_EPS)
+    return SvmModel(
+        alpha=alpha,
+        y=y,
+        bias=bias,
+        C=C,
+        support=support,
+        kkt_violation=max(m_val - M_val, 0.0),
+        n_iterations=it,
+        objective_trace=trace,
+    )

@@ -405,6 +405,51 @@ def test_feature_elimination_choices_are_pinned(small_dataset):
 
 
 # ---------------------------------------------------------------------------
+# reuse along the C grid
+
+
+C_PATH = dataclasses.replace(QUICK, c_grid=(10.0, 0.1, 1.0), run_generative_baseline=False)
+
+
+def _same_svm(a, b):
+    return all(
+        np.array_equal(x, y) if isinstance(x, np.ndarray) else x == y
+        for x, y in ((getattr(a, f.name), getattr(b, f.name)) for f in dataclasses.fields(a))
+    )
+
+
+def test_c_grid_reuse_matches_fresh_training_in_both_tuners(small_dataset, monkeypatch):
+    # Both tuners train the C grid in ascending order and hand each fit the
+    # previous model; every model so obtained must equal a fresh fit at its C.
+    carried = []
+    real_multiclass = evaluate.train_multiclass
+    real_binary = evaluate._train_binary
+
+    def checked_multiclass(gram, labels, C, tol=1e-3, threads=1, previous=None):
+        mc = real_multiclass(gram, labels, C, tol=tol, threads=threads, previous=previous)
+        fresh = real_multiclass(gram, labels, C, tol=tol, threads=threads)
+        assert mc.classes == fresh.classes and mc.C == fresh.C
+        assert all(_same_svm(a, b) for a, b in zip(mc.models, fresh.models))
+        if previous is not None:
+            carried.extend(m.alpha is old.alpha for m, old in zip(mc.models, previous.models))
+        return mc
+
+    def checked_binary(stage, kernels, config, C, positive, previous):
+        model = real_binary(stage, kernels, config, C, positive, previous)
+        assert _same_svm(model, real_binary(stage, kernels, config, C, positive, None))
+        carried.append(previous is not None and model.alpha is previous.alpha)
+        return model
+
+    monkeypatch.setattr(evaluate, "train_multiclass", checked_multiclass)
+    loto_cv(small_dataset, C_PATH)
+    assert any(carried)
+    carried.clear()
+    monkeypatch.setattr(evaluate, "_train_binary", checked_binary)
+    binary_comprehension_eval(_comprehension_dataset(seed=101, num_readers=8), C_PATH)
+    assert any(carried)
+
+
+# ---------------------------------------------------------------------------
 # report output
 
 

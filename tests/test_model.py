@@ -127,6 +127,9 @@ def test_event_loglik_unit_composition():
 
 
 def test_event_loglik_is_sum_of_parts():
+    # each term against its own per-event sum: ln pi_u for the type, and
+    # scipy's gamma log-density with the model's shape and scale links for
+    # the amplitude (launch features) and duration (landing features)
     rng = np.random.default_rng(2)
     params = _random_params(rng, 3)
     batch = sample_events(
@@ -135,9 +138,20 @@ def test_event_loglik_is_sum_of_parts():
         np.column_stack([np.ones(40), rng.normal(0, 1, (40, 2))]),
         rng,
     )
+    type_oracle = amp_oracle = dur_oracle = 0.0
+    for t in range(batch.n):
+        k = int(batch.u[t]) - 1
+        w_l, w_d = batch.w_launch[t], batch.w_land[t]
+        type_oracle += math.log(params.pi[k])
+        amp_oracle += stats.gamma.logpdf(
+            batch.amp[t], a=link(params.alpha[k], w_l), scale=link(params.beta[k], w_l))
+        dur_oracle += stats.gamma.logpdf(
+            batch.dur[t], a=link(params.gamma[k], w_d), scale=link(params.delta[k], w_d))
+    assert len(set(batch.u.tolist())) > 1
     type_term, amp_term, dur_term = loglik_parts(batch, params)
-    total = batch_loglik(batch, params)
-    assert total == pytest.approx(type_term + amp_term + dur_term, abs=1e-10)
+    assert type_term == pytest.approx(type_oracle, rel=1e-12)
+    assert amp_term == pytest.approx(amp_oracle, rel=1e-10)
+    assert dur_term == pytest.approx(dur_oracle, rel=1e-10)
 
 
 def test_batch_loglik_matches_per_event_sum():

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from scanfisher.svm import (
     solve_dual,
     train_multiclass,
 )
+from svm_reference import reference_decision_value, reference_solve_dual
 
 
 def _linear_gram(X):
@@ -37,8 +40,8 @@ def test_two_point_analytic_solution():
     model = solve_dual(problem)
     np.testing.assert_array_equal(model.alpha, [1.0, 1.0])
     assert model.bias == 0.0
-    assert model.decision_value(np.array([1.0, 0.0])) == pytest.approx(1.0)
-    assert model.decision_value(np.array([0.0, 1.0])) == pytest.approx(-1.0)
+    assert reference_decision_value(model, np.array([1.0, 0.0])) == pytest.approx(1.0)
+    assert reference_decision_value(model, np.array([0.0, 1.0])) == pytest.approx(-1.0)
 
 
 def test_separable_problem_perfect_training_accuracy():
@@ -106,7 +109,8 @@ def test_decision_value_empty_expansion():
         alpha=np.zeros(3), y=np.ones(3), bias=0.3, C=1.0,
         support=np.array([], dtype=int), kkt_violation=0.0, n_iterations=0,
     )
-    assert model.decision_value(np.ones(3)) == 0.3
+    assert model.decision_values(np.ones(3)).tolist() == [0.3]
+    assert reference_decision_value(model, np.ones(3)) == 0.3
 
 
 def test_decision_value_length_mismatch():
@@ -114,8 +118,10 @@ def test_decision_value_length_mismatch():
         alpha=np.zeros(3), y=np.ones(3), bias=0.0, C=1.0,
         support=np.array([], dtype=int), kkt_violation=0.0, n_iterations=0,
     )
-    with pytest.raises(SvmError):
-        model.decision_value(np.ones(4))
+    with pytest.raises(SvmError, match="row length"):
+        model.decision_values(np.ones(4))
+    with pytest.raises(SvmError, match="row length"):
+        model.decision_values(np.ones((2, 2)))
 
 
 def test_model_serialization_round_trip():
@@ -263,3 +269,202 @@ def test_prefix_decision_curve_is_cumulative_mean():
     values = mc.decision_matrix(rows)
     for ell in range(1, 5):
         np.testing.assert_allclose(curve[ell - 1], values[:ell].mean(axis=0), rtol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# the fast solver against the reference solver, bit for bit
+
+
+def _assert_same_model(fast, ref):
+    assert np.array_equal(fast.alpha, ref.alpha)
+    assert np.array_equal(fast.y, ref.y)
+    assert fast.bias == ref.bias
+    assert fast.C == ref.C
+    assert np.array_equal(fast.support, ref.support)
+    assert fast.kkt_violation == ref.kkt_violation
+    assert fast.n_iterations == ref.n_iterations
+    assert fast.objective_trace == ref.objective_trace
+
+
+def _low_rank_gram(rng, classes, rank):
+    # clustered points in `rank` dimensions: K = Z Z^T has rank < N, as the
+    # Fisher kernel does.  The tiny asymmetric part passes KernelProblem's
+    # 1e-8 symmetry check, so rows of K are not its columns.
+    n = len(classes)
+    centers = rng.normal(0, 1.0, (classes.max() + 1, rank))
+    Z = (centers[classes] + rng.normal(0, 0.5, (n, rank))) / np.sqrt(rank)
+    return Z @ Z.T + rng.normal(0, 1e-13, (n, n))
+
+
+def test_solver_matches_reference_on_low_rank_grams():
+    rng = np.random.default_rng(13)
+    solves = at_box = 0
+    for n, rank in ((24, 5), (40, 12), (70, 20), (110, 85)):
+        classes = rng.integers(0, 3, n)
+        gram = _low_rank_gram(rng, classes, rank)
+        for cls in range(3):
+            y = np.where(classes == cls, 1.0, -1.0)
+            for C in (0.01, 0.1, 1.0, 10.0):
+                problem = KernelProblem(gram=gram, labels=y, C=C)
+                fast = solve_dual(problem, record_objective=True)
+                _assert_same_model(fast, reference_solve_dual(problem, record_objective=True))
+                solves += 1
+                at_box += bool((fast.alpha >= C - 1e-12).any())
+    assert solves == 48
+    assert 0 < at_box < solves
+
+
+def test_solver_matches_reference_on_two_point_problem():
+    for C in (0.5, 1.0, 10.0):
+        problem = KernelProblem(gram=np.eye(2), labels=np.array([1.0, -1.0]), C=C)
+        _assert_same_model(solve_dual(problem, record_objective=True),
+                           reference_solve_dual(problem, record_objective=True))
+
+
+def test_solver_raises_on_non_psd_exactly_when_reference_does():
+    # A separable problem plus one pair of points with negative curvature
+    # between them (K_aa + K_bb - 2 K_ab < 0).  The fast solver flags such
+    # rows up front but must raise only once one is selected, as the
+    # per-step check does: never when the pair stays out of the working set.
+    rng = np.random.default_rng(14)
+    outcomes = set()
+    for trial in range(12):
+        n = 14
+        X = rng.normal(0, 1, (n, 3))
+        y = np.where(X[:, 0] > 0, 1.0, -1.0)
+        X[:, 0] += 2 * y
+        gram = np.zeros((n + 2, n + 2))
+        gram[:n, :n] = X @ X.T
+        s = rng.uniform(2.0, 20.0)
+        gram[n:, n:] = s
+        gram[n, n + 1] = gram[n + 1, n] = s + rng.uniform(0.1, 1.0)
+        pair_labels = [-1.0, -1.0] if trial % 2 == 0 else [1.0, -1.0]
+        problem = KernelProblem(gram=gram, labels=np.concatenate([y, pair_labels]), C=1.0)
+        try:
+            ref = reference_solve_dual(problem)
+        except SvmError as err:
+            with pytest.raises(SvmError, match="ridge") as fast_err:
+                solve_dual(problem)
+            assert str(fast_err.value) == str(err)
+            outcomes.add("raised")
+        else:
+            _assert_same_model(solve_dual(problem), ref)
+            outcomes.add("solved")
+    assert outcomes == {"raised", "solved"}
+
+
+def test_max_iter_exit_is_logged_with_problem_size(caplog):
+    rng = np.random.default_rng(15)
+    problem, _ = _separable_problem(rng, n_per_class=12, gap=0.5, C=5.0)
+    with caplog.at_level("WARNING", logger="scanfisher.svm"):
+        model = solve_dual(problem, tol=1e-3, max_iter=3)
+    assert model.n_iterations == 3
+    assert model.kkt_violation >= 1e-3
+    messages = [r.getMessage() for r in caplog.records if r.name == "scanfisher.svm"]
+    assert len(messages) == 1
+    assert "max_iter=3" in messages[0] and "N=24" in messages[0] and "C=5" in messages[0]
+    ref = reference_solve_dual(problem, tol=1e-3, max_iter=3)
+    assert np.array_equal(model.alpha, ref.alpha)
+    assert model.reused_at(10.0) is None
+
+
+# ---------------------------------------------------------------------------
+# reuse along the C grid
+
+
+def test_reused_models_equal_fresh_solves_in_every_field():
+    rng = np.random.default_rng(16)
+    reused = resolved = 0
+    for n, rank in ((30, 6), (60, 15), (110, 85)):
+        classes = rng.integers(0, 3, n)
+        gram = _low_rank_gram(rng, classes, rank)
+        for cls in range(3):
+            y = np.where(classes == cls, 1.0, -1.0)
+            previous = None
+            for C in (0.01, 0.1, 1.0, 10.0, 100.0):
+                fresh = solve_dual(KernelProblem(gram=gram, labels=y, C=C), record_objective=True)
+                carried = previous.reused_at(C) if previous is not None else None
+                if carried is not None:
+                    for f in dataclasses.fields(SvmModel):
+                        a, b = getattr(carried, f.name), getattr(fresh, f.name)
+                        assert np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b, f.name
+                    reused += 1
+                elif previous is not None:
+                    resolved += 1
+                previous = fresh
+    assert reused > 0 and resolved > 0
+
+
+def test_free_alphas_alone_do_not_make_a_solve_reusable():
+    # Every final alpha is free, but a value compared against C reached it on
+    # the way.  Such a solve is never reused, and at a larger C it can take
+    # other branches and end elsewhere.
+    rng = np.random.default_rng(20)
+    differs = 0
+    for trial in range(8):
+        classes = rng.integers(0, 3, 110)
+        gram = _low_rank_gram(rng, classes, 85)
+        y = np.where(classes == 0, 1.0, -1.0)
+        model = solve_dual(KernelProblem(gram=gram, labels=y, C=1.0))
+        if (model.alpha < 1.0 - 1e-12).all() and model.box_reach >= 1.0:
+            assert model.reused_at(10.0) is None
+            larger = solve_dual(KernelProblem(gram=gram, labels=y, C=10.0))
+            differs += not np.array_equal(larger.alpha, model.alpha)
+    assert differs > 0
+
+
+def test_solve_that_touches_the_box_is_not_reused():
+    rng = np.random.default_rng(17)
+    problem, _ = _separable_problem(rng, n_per_class=10, gap=0.5, C=0.01)
+    small = solve_dual(problem)
+    assert (small.alpha >= 0.01 - 1e-12).any()
+    assert small.box_reach >= 0.01
+    assert small.reused_at(1.0) is None
+    larger = solve_dual(KernelProblem(gram=problem.gram, labels=problem.labels, C=1.0))
+    assert not np.array_equal(larger.alpha, small.alpha)
+
+
+def test_reuse_needs_a_larger_c():
+    rng = np.random.default_rng(18)
+    problem, _ = _separable_problem(rng, C=100.0)
+    model = solve_dual(problem)
+    assert model.box_reach < model.C
+    assert model.reused_at(100.0) is None
+    assert model.reused_at(50.0) is None
+    assert model.reused_at(200.0).C == 200.0
+    assert SvmModel.from_dict(model.to_dict()).reused_at(200.0) is None
+
+
+def test_train_multiclass_reuses_qualifying_classes(monkeypatch):
+    import scanfisher.svm as svm_module
+
+    rng = np.random.default_rng(19)
+    X, labels = _clustered_scores(rng, 4, 10, gap=3.0)
+    gram = _linear_gram(X)
+    solved = []
+    real_solve = svm_module.solve_dual
+
+    def counting(problem, tol=1e-3, **kwargs):
+        solved.append(problem.C)
+        return real_solve(problem, tol=tol, **kwargs)
+
+    monkeypatch.setattr(svm_module, "solve_dual", counting)
+    previous = None
+    for C in (0.01, 1.0, 10.0, 100.0):
+        solved.clear()
+        mc = train_multiclass(gram, labels, C, previous=previous)
+        fresh = [real_solve(KernelProblem(gram=gram, labels=m.y, C=C)) for m in mc.models]
+        for model, ref in zip(mc.models, fresh):
+            _assert_same_model(model, ref)
+        expected = len(mc.classes) if previous is None else sum(
+            m.reused_at(C) is None for m in previous.models)
+        assert len(solved) == expected
+        previous = mc
+    assert len(solved) < len(mc.classes)
+
+
+def test_train_multiclass_rejects_previous_with_other_classes():
+    gram = np.eye(4)
+    previous = train_multiclass(gram, ["a", "a", "b", "b"], C=1.0)
+    with pytest.raises(SvmError, match="previous classes"):
+        train_multiclass(gram, ["a", "a", "c", "c"], C=10.0, previous=previous)
