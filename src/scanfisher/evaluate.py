@@ -427,17 +427,15 @@ class _FisherStage:
 
 def _fit_stage(ctx: _Context, config: PipelineConfig, lam: float, keep: tuple[int, ...]) -> _FisherStage:
     _assert_no_leakage(ctx.stats, ctx.test_text_ids)
-    batches = [inst.batch.select_features(keep) for inst in ctx.train]
-    pooled = EventBatch.concat(batches)
     params = fit_model(
-        pooled,
+        EventBatch.concat([inst.batch for inst in ctx.train]).select_features(keep),
         FitConfig(lam=lam, tol=config.fit_tol, max_iter=config.fit_max_iter),
     )
-    s_train = score_matrix(batches, params)
-    s_groups = {
-        key: score_matrix([i.batch.select_features(keep) for i in insts], params)
-        for key, insts in ctx.groups.items()
-    }
+    s_train = score_matrix([inst.batch.select_features(keep) for inst in ctx.train], params)
+    test_lines = [inst for insts in ctx.groups.values() for inst in insts]
+    s_test = score_matrix([inst.batch.select_features(keep) for inst in test_lines], params)
+    bounds = np.cumsum([len(insts) for insts in ctx.groups.values()])[:-1]
+    s_groups = dict(zip(ctx.groups, np.split(s_test, bounds)))
     labels = [inst.label for inst in ctx.train]
     return _FisherStage(params=params, s_train=s_train, s_groups=s_groups, labels=labels)
 

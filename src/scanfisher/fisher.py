@@ -13,7 +13,16 @@ rows of the type's events, x the amplitudes (launch features) or durations
     shape:  W^T ( e ⊙ (ln x - psi(e) - W b) )   with e = exp(W a)
     scale:  W^T ( x ⊙ exp(-W b) - e )
 
-The kernel between two scores is g_i^T (I + ridge*Id)^{-1} g_j with
+Scores are computed by one segmented kernel: the instances' events are
+pooled with each event's owning instance recorded, every type's terms are
+evaluated once over all of that type's pooled events, and the per-event
+rows [W ⊙ shape, W ⊙ scale] are summed per instance with np.add.reduceat.
+score_matrix is that kernel; fisher_score is the one-instance case and
+score_contributions the case of one event per instance.  Sums run in event
+order rather than through a matrix product, so results can differ from a
+per-instance W^T v in the last digits.
+
+The Fisher kernel between two scores is g_i^T (I + ridge*Id)^{-1} g_j with
 I = (1/N) sum g g^T, applied through a Cholesky factor and triangular solves.
 """
 
@@ -25,8 +34,8 @@ import numpy as np
 from scipy.linalg import solve_triangular
 from scipy.special import digamma
 
-from .events import NUM_SACCADE_TYPES, as_batch
-from .model import ModelParams, link_many
+from .events import NUM_SACCADE_TYPES, EventBatch, as_batch
+from .model import ModelError, ModelParams, link_many
 
 
 class MetricError(ValueError):
@@ -55,60 +64,67 @@ def _block_terms(x, W, shape_w, scale_w):
     return shape_term, scale_term
 
 
+def _segment_scores(batch: EventBatch, owner: np.ndarray, n: int, params: ModelParams) -> np.ndarray:
+    """Fisher scores of n event segments, (n, D); row s sums the events owned by s.
+
+    `owner` gives each event's segment in 0..n-1 and must be non-decreasing,
+    so every type's events of one segment are contiguous after masking.
+    """
+    m = params.num_features
+    width = 1 + 4 * m
+    out = np.zeros((n, score_dimension(m)))
+    for u in range(1, NUM_SACCADE_TYPES + 1):
+        base = (u - 1) * width
+        idx = np.flatnonzero(batch.u == u)
+        owners = owner[idx]
+        out[:, base] = np.bincount(owners, minlength=n) / params.pi[u - 1]
+        if idx.size == 0:
+            continue
+        w_l = batch.w_launch[idx]
+        w_d = batch.w_land[idx]
+        amp_shape, amp_scale = _block_terms(batch.amp[idx], w_l, params.alpha[u - 1], params.beta[u - 1])
+        dur_shape, dur_scale = _block_terms(batch.dur[idx], w_d, params.gamma[u - 1], params.delta[u - 1])
+        block = np.concatenate(
+            [w_l * amp_shape[:, None], w_l * amp_scale[:, None],
+             w_d * dur_shape[:, None], w_d * dur_scale[:, None]],
+            axis=1,
+        )
+        starts = np.flatnonzero(np.concatenate(([True], owners[1:] != owners[:-1])))
+        out[owners[starts], base + 1:base + width] = np.add.reduceat(block, starts, axis=0)
+    return out
+
+
+def _checked_batch(events, index: int, params: ModelParams) -> EventBatch:
+    batch = as_batch(events, num_features=params.num_features)
+    if batch.num_features != params.num_features:
+        raise ModelError(
+            f"instance {index} carries M={batch.num_features} features "
+            f"but the model has M={params.num_features}"
+        )
+    return batch
+
+
+def score_matrix(instances: Sequence, params: ModelParams) -> np.ndarray:
+    """Fisher scores of a sequence of event collections, (N, D), in one pass per type."""
+    batches = [_checked_batch(inst, i, params) for i, inst in enumerate(instances)]
+    if not batches:
+        return np.zeros((0, score_dimension(params.num_features)))
+    owner = np.repeat(np.arange(len(batches)), [b.n for b in batches])
+    return _segment_scores(EventBatch.concat(batches), owner, len(batches), params)
+
+
 def fisher_score(events, params: ModelParams) -> np.ndarray:
     """Gradient of the unregularized log-likelihood at `params`.
 
     An empty event collection yields the zero vector of dimension D.
     """
-    batch = as_batch(events, num_features=params.num_features)
-    m = params.num_features
-    out = np.zeros(score_dimension(m))
-    width = 1 + 4 * m
-    for u in range(1, NUM_SACCADE_TYPES + 1):
-        base = (u - 1) * width
-        mask = batch.u == u
-        k_u = int(mask.sum())
-        out[base] = k_u / params.pi[u - 1]
-        if k_u == 0:
-            continue
-        w_l = batch.w_launch[mask]
-        w_d = batch.w_land[mask]
-        amp_shape, amp_scale = _block_terms(batch.amp[mask], w_l, params.alpha[u - 1], params.beta[u - 1])
-        dur_shape, dur_scale = _block_terms(batch.dur[mask], w_d, params.gamma[u - 1], params.delta[u - 1])
-        out[base + 1:base + 1 + m] = w_l.T @ amp_shape
-        out[base + 1 + m:base + 1 + 2 * m] = w_l.T @ amp_scale
-        out[base + 1 + 2 * m:base + 1 + 3 * m] = w_d.T @ dur_shape
-        out[base + 1 + 3 * m:base + 1 + 4 * m] = w_d.T @ dur_scale
-    return out
+    return score_matrix([events], params)[0]
 
 
 def score_contributions(events, params: ModelParams) -> np.ndarray:
     """Per-event Fisher score rows, (N, D); their sum equals fisher_score."""
-    batch = as_batch(events, num_features=params.num_features)
-    m = params.num_features
-    width = 1 + 4 * m
-    out = np.zeros((batch.n, score_dimension(m)))
-    for u in range(1, NUM_SACCADE_TYPES + 1):
-        mask = batch.u == u
-        if not mask.any():
-            continue
-        base = (u - 1) * width
-        idx = np.flatnonzero(mask)
-        w_l = batch.w_launch[idx]
-        w_d = batch.w_land[idx]
-        amp_shape, amp_scale = _block_terms(batch.amp[idx], w_l, params.alpha[u - 1], params.beta[u - 1])
-        dur_shape, dur_scale = _block_terms(batch.dur[idx], w_d, params.gamma[u - 1], params.delta[u - 1])
-        out[idx, base] = 1.0 / params.pi[u - 1]
-        out[np.ix_(idx, range(base + 1, base + 1 + m))] = w_l * amp_shape[:, None]
-        out[np.ix_(idx, range(base + 1 + m, base + 1 + 2 * m))] = w_l * amp_scale[:, None]
-        out[np.ix_(idx, range(base + 1 + 2 * m, base + 1 + 3 * m))] = w_d * dur_shape[:, None]
-        out[np.ix_(idx, range(base + 1 + 3 * m, base + 1 + 4 * m))] = w_d * dur_scale[:, None]
-    return out
-
-
-def score_matrix(instances: Sequence, params: ModelParams) -> np.ndarray:
-    """Stack fisher_score over a sequence of event collections, (N, D)."""
-    return np.array([fisher_score(inst, params) for inst in instances])
+    batch = _checked_batch(events, 0, params)
+    return _segment_scores(batch, np.arange(batch.n), batch.n, params)
 
 
 @dataclass(frozen=True)

@@ -124,6 +124,7 @@ class GroupFit:
     final_objective: float
     n_iterations: int
     grad_norm: float
+    converged: bool
     objective_trace: list[float] = field(default_factory=list)
 
 
@@ -147,7 +148,7 @@ def _fit_group(
     scale_w = np.zeros(m_full)
     if n == 0:
         logger.warning("no %s events of type %d; keeping zero weights", kind, u)
-        info = GroupFit(kind, u, 0, True, 0.0, 0.0, 0, 0.0)
+        info = GroupFit(kind, u, 0, True, 0.0, 0.0, 0, 0.0, True)
         return shape_w, scale_w, info
 
     bias_only = n < 2 * m_full
@@ -180,6 +181,11 @@ def _fit_group(
         callback=callback,
         options={"maxiter": config.max_iter, "gtol": config.tol, "ftol": 1e-12},
     )
+    if not result.success:
+        logger.warning(
+            "L-BFGS did not converge for %s events of type %d (n_events=%d, nit=%d): %s",
+            kind, u, n, result.nit, result.message,
+        )
     theta = result.x
     shape_w[0] = theta[0]
     scale_w[0] = theta[m]
@@ -195,6 +201,7 @@ def _fit_group(
         final_objective=float(result.fun),
         n_iterations=int(result.nit),
         grad_norm=float(np.max(np.abs(result.jac))),
+        converged=bool(result.success),
         objective_trace=trace,
     )
     return shape_w, scale_w, info

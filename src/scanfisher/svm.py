@@ -52,6 +52,8 @@ class KernelProblem:
             raise SvmError("labels must be -1 or +1")
         if not self.C > 0:
             raise SvmError("C must be > 0")
+        if not np.isfinite(self.gram).all():
+            raise SvmError("gram matrix contains non-finite values")
         scale = 1.0 + float(np.abs(self.gram).max(initial=0.0))
         if float(np.abs(self.gram - self.gram.T).max(initial=0.0)) > 1e-8 * scale:
             raise SvmError("gram matrix is not symmetric")

@@ -80,6 +80,7 @@ def test_fit_emits_valid_model_and_log(fitted_model):
     assert len(log["groups"]) == 10
     for group in log["groups"]:
         assert group["final_objective"] <= group["initial_objective"] + 1e-9
+        assert isinstance(group["converged"], bool)
 
 
 def test_fit_lambda_changes_weights(synth_dir, tmp_path):

@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from fisher_reference import reference_fisher_score
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.special import gammaln
 
 from scanfisher.events import EventBatch, SaccadeEvent
@@ -19,7 +22,7 @@ from scanfisher.fisher import (
     score_matrix,
     write_scores,
 )
-from scanfisher.model import ModelParams, sample_events
+from scanfisher.model import ModelError, ModelParams, sample_events
 
 
 def _euler_mascheroni():
@@ -166,6 +169,63 @@ def test_score_contributions_sum_to_score():
     contrib = score_contributions(batch, params)
     assert contrib.shape == (50, score_dimension(3))
     np.testing.assert_allclose(contrib.sum(axis=0), fisher_score(batch, params), rtol=1e-9, atol=1e-9)
+
+
+def _typed_batch(rng, types, m):
+    """Events of the given types with random features, amplitudes and durations."""
+    n = len(types)
+    def features():
+        return np.column_stack([np.ones(n), rng.normal(0, 1, (n, m - 1))])
+    return EventBatch(
+        u=np.array(types, dtype=np.int64),
+        amp=rng.gamma(2.0, 3.0, n) + 0.5,
+        dur=rng.gamma(5.0, 40.0, n),
+        w_launch=features(),
+        w_land=features(),
+    )
+
+
+@given(
+    m=st.integers(1, 3),
+    seed=st.integers(0, 2**32 - 1),
+    instance_types=st.lists(st.lists(st.integers(1, 5), max_size=9), max_size=12),
+)
+@settings(max_examples=80, deadline=None)
+@example(m=2, seed=0, instance_types=[])                        # zero instances
+@example(m=2, seed=1, instance_types=[[], [], []])              # only empty instances
+@example(m=3, seed=2, instance_types=[[3], [], [5], [1]])       # single events, gaps
+@example(m=1, seed=3, instance_types=[[4, 4, 4, 4], [2, 2]])    # one type per instance
+@example(m=3, seed=4, instance_types=[[1, 3, 3], [], [5, 2, 5, 4, 1], [2]])
+def test_segmented_scores_match_per_instance_reference(m, seed, instance_types):
+    rng = np.random.default_rng(seed)
+    params = _random_params(rng, m)
+    batches = [_typed_batch(rng, types, m) for types in instance_types]
+    d = score_dimension(m)
+    ref = np.array([reference_fisher_score(b, params) for b in batches]).reshape(len(batches), d)
+    atol = 1e-12 * np.abs(ref).max(initial=0.0)
+
+    got = score_matrix(batches, params)
+    assert got.shape == (len(batches), d)
+    np.testing.assert_allclose(got, ref, rtol=1e-12, atol=atol)
+    for batch, row in zip(batches, ref):
+        np.testing.assert_allclose(fisher_score(batch, params), row, rtol=1e-12, atol=atol)
+        contrib = score_contributions(batch, params)
+        assert contrib.shape == (batch.n, d)
+        np.testing.assert_allclose(contrib.sum(axis=0), row, rtol=1e-12, atol=atol)
+
+
+def test_feature_count_mismatch_names_instance_and_both_counts():
+    rng = np.random.default_rng(21)
+    params = _random_params(rng, 2)
+    good = _typed_batch(rng, [1, 3], 2)
+    bad = _typed_batch(rng, [2, 4, 5], 3)
+    with pytest.raises(ModelError, match=r"instance 1 carries M=3 features but the model has M=2"):
+        score_matrix([good, bad, good], params)
+    with pytest.raises(ModelError, match=r"instance 0 carries M=3 features but the model has M=2"):
+        fisher_score(bad, params)
+    empty = _typed_batch(rng, [], 1)
+    with pytest.raises(ModelError, match=r"instance 2 carries M=1 features but the model has M=2"):
+        score_matrix([good, good, empty], params)
 
 
 # ---------------------------------------------------------------------------

@@ -235,6 +235,23 @@ def test_fit_model_bias_only_fallback(caplog):
     np.testing.assert_array_equal(params.delta[4, 1:], 0.0)
 
 
+def test_fit_model_reports_lbfgs_non_convergence(caplog):
+    rng = np.random.default_rng(10)
+    batch = _mixed_batch(rng, 300, 2)
+    with caplog.at_level(logging.WARNING, logger="scanfisher.fit"):
+        outcome = fit_model_detailed(batch, FitConfig(lam=0.01, max_iter=1))
+    stopped = [g for g in outcome.groups if not g.converged]
+    assert stopped
+    messages = [r.getMessage() for r in caplog.records if "did not converge" in r.getMessage()]
+    assert len(messages) == len(stopped)
+    for group, message in zip(stopped, messages):
+        assert group.n_iterations == 1
+        assert (f"{group.kind} events of type {group.u} "
+                f"(n_events={group.n_events}, nit=1)") in message
+        assert "ITERATIONS REACHED LIMIT" in message.upper()
+    assert all(g.converged for g in fit_model_detailed(batch, FitConfig(lam=0.01)).groups)
+
+
 def test_fit_model_large_lambda_still_descends():
     rng = np.random.default_rng(8)
     batch = _mixed_batch(rng, 300, 2)

@@ -147,6 +147,14 @@ def test_asymmetric_gram_rejected():
         KernelProblem(gram=gram, labels=np.array([1.0, -1.0]), C=1.0)
 
 
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_non_finite_gram_rejected(bad):
+    labels = np.array([1.0, -1.0])
+    for gram in ([[bad, 0.0], [0.0, 1.0]], [[1.0, bad], [bad, 1.0]]):
+        with pytest.raises(SvmError, match="non-finite"):
+            KernelProblem(gram=np.array(gram), labels=labels, C=1.0)
+
+
 def test_invalid_labels_rejected():
     with pytest.raises(SvmError, match="labels"):
         KernelProblem(gram=np.eye(2), labels=np.array([1.0, 2.0]), C=1.0)
