@@ -49,13 +49,7 @@ from .fit import FitConfig, FitError, fit_model_detailed
 from .model import ModelError, ModelParams
 from .svm import SvmError, train_multiclass
 from .synth import SynthConfig, gen_dataset
-from .util import (
-    canonical_json,
-    read_json,
-    resolve_threads,
-    sha256_file,
-    write_json,
-)
+from .util import canonical_json, read_json, sha256_file, write_json
 
 PARSE_ERROR = 2
 RUN_ERROR = 3
@@ -114,7 +108,6 @@ def _pipeline_config(args) -> PipelineConfig:
         fit_tol=args.tol,
         fit_max_iter=args.max_iter,
         amp_floor=args.amp_floor,
-        threads=resolve_threads(args.threads),
     )
 
 
@@ -166,8 +159,7 @@ def cmd_fit(args) -> int:
     if not instances:
         raise FitError("cannot fit a model from an empty event set")
     config = FitConfig(lam=args.reg_lambda, tol=args.tol, max_iter=args.max_iter)
-    outcome = fit_model_detailed(EventBatch.concat([inst.batch for inst in instances]), config,
-                                 threads=resolve_threads(args.threads))
+    outcome = fit_model_detailed(EventBatch.concat([inst.batch for inst in instances]), config)
     params = ModelParams(
         pi=outcome.params.pi,
         alpha=outcome.params.alpha,
@@ -251,8 +243,7 @@ def cmd_train_svm(args) -> int:
     info = empirical_information(scores)
     metric = fisher_metric(scores, max(default_ridge(info, args.ridge_scale), 1e-12))
     gram = gram_matrix(metric, scores)
-    mc = train_multiclass(gram, labels, C=args.C, tol=args.svm_tol,
-                          threads=resolve_threads(args.threads))
+    mc = train_multiclass(gram, labels, C=args.C, tol=args.svm_tol)
     references = {"scores": sha256_file(args.scores), "meta": sha256_file(args.meta)}
     if args.model:
         references["model"] = sha256_file(args.model)
@@ -316,7 +307,6 @@ def _add_pipeline_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--tol", type=float, default=1e-6)
     p.add_argument("--max-iter", type=int, default=500)
     p.add_argument("--amp-floor", type=float, default=0.5)
-    p.add_argument("--threads", type=int, default=None)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -344,7 +334,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=float, default=1e-6)
     p.add_argument("--max-iter", type=int, default=500)
     p.add_argument("--amp-floor", type=float, default=0.5)
-    p.add_argument("--threads", type=int, default=None)
     p.set_defaults(func=cmd_fit)
 
     p = sub.add_parser("score", help="emit per-line Fisher scores for a fitted model")
@@ -369,7 +358,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--C", type=float, default=1.0)
     p.add_argument("--ridge-scale", type=float, default=1e-6)
     p.add_argument("--svm-tol", type=float, default=1e-3)
-    p.add_argument("--threads", type=int, default=None)
     p.set_defaults(func=cmd_train_svm)
 
     p = sub.add_parser("identify", help="leave-one-text-out reader identification")

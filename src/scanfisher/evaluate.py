@@ -29,7 +29,6 @@ from .fit import FitConfig, fit_model
 from .model import ModelParams, batch_loglik
 from .svm import KernelProblem, MulticlassSvm, SvmModel, prefix_decision_curve, solve_dual, train_multiclass
 from .synth import SynthDataset
-from .util import parallel_map
 
 logger = logging.getLogger(__name__)
 
@@ -254,7 +253,6 @@ class PipelineConfig:
     fit_tol: float = 1e-6
     fit_max_iter: int = 500
     amp_floor: float = 0.5
-    threads: int = 1
 
 
 @dataclass
@@ -664,12 +662,7 @@ def loto_cv(dataset: ReadingDataset, config: PipelineConfig | None = None) -> Ev
     unread = sorted(set(dataset.text_ids()) - {sp.text_id for sp in dataset.scanpaths})
     if unread:
         raise EvalError(f"texts {unread} have no scanpaths to test on")
-    folds = loto_folds(dataset.text_ids())
-    results = parallel_map(
-        lambda fold: _run_identification_fold(dataset, fold, config),
-        folds,
-        threads=config.threads,
-    )
+    results = [_run_identification_fold(dataset, fold, config) for fold in loto_folds(dataset.text_ids())]
 
     accs = [r.accuracy for r in results]
     report = EvalReport(
@@ -736,9 +729,19 @@ def binary_comprehension_eval(dataset: ReadingDataset, config: PipelineConfig | 
     classes = sorted(labels)
     positive = classes[1]
     label_of = lambda sp: sp.label
+    splits = comprehension_splits(dataset.reader_ids(), dataset.text_ids())
+    read_pairs = {(sp.reader_id, sp.text_id) for sp in dataset.scanpaths}
+    for split in splits:
+        for role, readers, texts in (("training", split.train_readers, split.train_texts),
+                                     ("test", split.test_readers, split.test_texts)):
+            if not any((r, t) in read_pairs for r in readers for t in texts):
+                raise EvalError(
+                    f"split {split.fold_id}: the {role} block of readers {sorted(readers)} "
+                    f"x texts {sorted(texts)} has no scanpaths"
+                )
 
     results = []
-    for split in comprehension_splits(dataset.reader_ids(), dataset.text_ids()):
+    for split in splits:
         train_sps = [
             sp for sp in dataset.scanpaths
             if sp.text_id in split.train_texts and sp.reader_id in split.train_readers

@@ -155,7 +155,7 @@ def empirical_information(scores: np.ndarray) -> np.ndarray:
     scores = np.atleast_2d(np.asarray(scores, dtype=float))
     n = scores.shape[0]
     if n < 1:
-        raise ValueError("need at least one score")
+        raise MetricError("empirical Fisher information needs at least one score row")
     info = scores.T @ scores / n
     return 0.5 * (info + info.T)
 

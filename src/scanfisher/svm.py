@@ -368,7 +368,6 @@ def train_multiclass(
     labels: Sequence,
     C: float,
     tol: float = 1e-3,
-    threads: int = 1,
     previous: MulticlassSvm | None = None,
 ) -> MulticlassSvm:
     """Train one binary SVM per class (class vs. rest) on a shared Gram matrix.
@@ -377,8 +376,6 @@ def train_multiclass(
     `tol` at a smaller C.  Each class whose model carries over to C
     (:meth:`SvmModel.reused_at`) is taken from it without a new solve.
     """
-    from .util import parallel_map
-
     labels = list(labels)
     classes = sorted(set(labels))
     if len(classes) < 2:
@@ -386,17 +383,13 @@ def train_multiclass(
     if previous is not None and previous.classes != classes:
         raise SvmError(f"previous classes {previous.classes!r} != {classes!r}")
     label_arr = np.array(labels, dtype=object)
-
-    def _train(k):
-        reused = previous.models[k].reused_at(C) if previous is not None else None
-        if reused is not None:
-            return reused
-        y = np.where(label_arr == classes[k], 1.0, -1.0)
-        if not (y == 1.0).any():
-            raise SvmError(f"class {classes[k]!r} has no training instances")
-        return solve_dual(KernelProblem(gram=gram, labels=y, C=C), tol=tol)
-
-    models = parallel_map(_train, range(len(classes)), threads=threads)
+    models = []
+    for k, cls in enumerate(classes):
+        model = previous.models[k].reused_at(C) if previous is not None else None
+        if model is None:
+            y = np.where(label_arr == cls, 1.0, -1.0)
+            model = solve_dual(KernelProblem(gram=gram, labels=y, C=C), tol=tol)
+        models.append(model)
     return MulticlassSvm(classes=classes, models=models, C=C)
 
 

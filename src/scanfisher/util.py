@@ -1,16 +1,8 @@
-"""Shared plumbing: hashing, canonical JSON, thread-pool helpers."""
+"""Shared plumbing: hashing and canonical JSON."""
 
 import hashlib
 import json
-import os
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
-from typing import Callable, Sequence, TypeVar
-
-T = TypeVar("T")
-R = TypeVar("R")
-
-THREADS_ENV_VAR = "SCANPATH_THREADS"
 
 
 def canonical_json(obj) -> str:
@@ -32,30 +24,3 @@ def sha256_bytes(data: bytes) -> str:
 
 def sha256_file(path) -> str:
     return sha256_bytes(Path(path).read_bytes())
-
-
-def resolve_threads(requested: int | None = None) -> int:
-    """Thread budget: SCANPATH_THREADS env var overrides any explicit request."""
-    env = os.environ.get(THREADS_ENV_VAR)
-    if env is not None:
-        try:
-            value = int(env)
-        except ValueError:
-            raise ValueError(f"{THREADS_ENV_VAR} must be an integer, got {env!r}")
-        return max(1, value)
-    if requested is not None:
-        return max(1, int(requested))
-    return os.cpu_count() or 1
-
-
-def parallel_map(fn: Callable[[T], R], items: Sequence[T], threads: int = 1) -> list[R]:
-    """Order-preserving map, optionally over a thread pool.
-
-    Results are assembled by input index, so the output does not depend on
-    scheduling order.
-    """
-    items = list(items)
-    if threads <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=min(threads, len(items))) as pool:
-        return list(pool.map(fn, items))

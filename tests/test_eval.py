@@ -311,22 +311,6 @@ def test_loto_rejects_text_without_scanpaths(small_dataset):
         loto_cv(pruned, QUICK)
 
 
-def test_loto_parallelizes_folds_only(small_dataset, monkeypatch):
-    # folds run on config.threads workers; each fold's one-vs-rest SVM runs
-    # serially, so at most config.threads threads work at once
-    seen = []
-    real = evaluate.train_multiclass
-
-    def recording(*args, **kwargs):
-        seen.append(kwargs.get("threads", 1))
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(evaluate, "train_multiclass", recording)
-    report = loto_cv(small_dataset, dataclasses.replace(QUICK, threads=2))
-    assert seen and set(seen) == {1}
-    assert report.to_dict() == loto_cv(small_dataset, QUICK).to_dict()
-
-
 # ---------------------------------------------------------------------------
 # comprehension pipeline
 
@@ -364,6 +348,27 @@ def test_comprehension_eval_structure():
 def test_comprehension_requires_binary_labels(small_dataset):
     with pytest.raises(EvalError, match="2 scanpath labels"):
         binary_comprehension_eval(small_dataset, QUICK)
+
+
+@pytest.mark.parametrize("half, role", [(0, "training"), (1, "test")])
+def test_comprehension_rejects_empty_block(half, role):
+    # Readers and texts are each cut in two halves; the four crossed blocks
+    # are the splits' training and test sets. Split s0 trains on the first
+    # halves and tests on the second ones.
+    dataset = _comprehension_dataset()
+    readers = dataset.reader_ids()[2 * half:2 * half + 2]
+    texts = dataset.text_ids()[2 * half:2 * half + 2]
+    pruned = ReadingDataset(
+        texts=dataset.texts,
+        freq=dataset.freq,
+        scanpaths=[sp for sp in dataset.scanpaths
+                   if sp.reader_id not in readers or sp.text_id not in texts],
+    )
+    with pytest.raises(EvalError) as err:
+        binary_comprehension_eval(pruned, QUICK)
+    message = str(err.value)
+    assert message.startswith(f"split s0: the {role} block")
+    assert str(readers) in message and str(texts) in message
 
 
 # ---------------------------------------------------------------------------
@@ -425,9 +430,9 @@ def test_c_grid_reuse_matches_fresh_training_in_both_tuners(small_dataset, monke
     real_multiclass = evaluate.train_multiclass
     real_binary = evaluate._train_binary
 
-    def checked_multiclass(gram, labels, C, tol=1e-3, threads=1, previous=None):
-        mc = real_multiclass(gram, labels, C, tol=tol, threads=threads, previous=previous)
-        fresh = real_multiclass(gram, labels, C, tol=tol, threads=threads)
+    def checked_multiclass(gram, labels, C, tol=1e-3, previous=None):
+        mc = real_multiclass(gram, labels, C, tol=tol, previous=previous)
+        fresh = real_multiclass(gram, labels, C, tol=tol)
         assert mc.classes == fresh.classes and mc.C == fresh.C
         assert all(_same_svm(a, b) for a, b in zip(mc.models, fresh.models))
         if previous is not None:

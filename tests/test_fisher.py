@@ -260,6 +260,16 @@ def test_metric_failure_suggests_ridge():
         fisher_metric(scores, ridge=0.0)
 
 
+def test_empirical_information_rejects_zero_score_rows():
+    # MetricError, not a bare ValueError; it stays a ValueError subclass
+    for scores in (np.zeros((0, 4)), np.zeros((0, 0))):
+        with pytest.raises(MetricError, match="at least one score row"):
+            empirical_information(scores)
+        with pytest.raises(MetricError, match="at least one score row"):
+            fisher_metric(scores, ridge=1.0)
+    assert issubclass(MetricError, ValueError)
+
+
 def test_kernel_with_identity_metric_is_dot_product():
     rng = np.random.default_rng(17)
     metric = fisher_metric(np.zeros((5, 4)), ridge=1.0)  # I = 0, ridge 1 -> identity

@@ -1,12 +1,4 @@
-import pytest
-
-from scanfisher.util import (
-    canonical_json,
-    parallel_map,
-    resolve_threads,
-    sha256_bytes,
-    sha256_file,
-)
+from scanfisher.util import canonical_json, sha256_bytes, sha256_file
 
 
 def test_canonical_json_is_sorted_and_compact():
@@ -18,20 +10,3 @@ def test_sha256_file_matches_bytes(tmp_path):
     path.write_bytes(b"hello")
     assert sha256_file(path) == sha256_bytes(b"hello")
     assert sha256_file(path).startswith("sha256:")
-
-
-def test_parallel_map_preserves_order():
-    items = list(range(20))
-    assert parallel_map(lambda x: x * x, items, threads=1) == [x * x for x in items]
-    assert parallel_map(lambda x: x * x, items, threads=4) == [x * x for x in items]
-
-
-def test_resolve_threads_env_overrides_flag(monkeypatch):
-    monkeypatch.setenv("SCANPATH_THREADS", "3")
-    assert resolve_threads(8) == 3
-    monkeypatch.delenv("SCANPATH_THREADS")
-    assert resolve_threads(8) == 8
-    assert resolve_threads(None) >= 1
-    monkeypatch.setenv("SCANPATH_THREADS", "zero")
-    with pytest.raises(ValueError):
-        resolve_threads(1)
