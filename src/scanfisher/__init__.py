@@ -27,20 +27,17 @@ from .fisher import (
     fisher_metric,
     fisher_score,
     gram_matrix,
-    kernel,
     score_matrix,
 )
 from .fit import FitConfig, fit_model, fit_pi
 from .model import (
     ModelParams,
     batch_loglik,
-    event_loglik,
-    gamma_logpdf,
     link,
     sample_events,
     sample_scanpath,
 )
-from .svm import KernelProblem, MulticlassSvm, SvmModel, predict_text, solve_dual, train_multiclass
+from .svm import KernelProblem, MulticlassSvm, SvmModel, solve_dual, train_multiclass
 from .synth import SynthConfig, gen_corpus, gen_dataset, gen_readers
 from .evaluate import (
     EvalReport,
@@ -48,7 +45,6 @@ from .evaluate import (
     ReadingDataset,
     auc_score,
     binary_comprehension_eval,
-    generative_classify,
     loto_cv,
     wilcoxon_signed_rank,
 )

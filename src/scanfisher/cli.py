@@ -213,7 +213,7 @@ def cmd_score(args) -> int:
 def cmd_kernel(args) -> int:
     scores = read_scores(args.scores)
     info = empirical_information(scores)
-    ridge = max(default_ridge(info, args.ridge_scale), 1e-12)
+    ridge = default_ridge(info, args.ridge_scale)
     metric = fisher_metric(scores, ridge)
     gram = gram_matrix(metric, scores)
     provenance = _provenance(args, {"scores": args.scores})
@@ -241,7 +241,7 @@ def cmd_train_svm(args) -> int:
     labels = [inst["label"] if inst["label"] is not None else inst["reader_id"]
               for inst in meta["instances"]]
     info = empirical_information(scores)
-    metric = fisher_metric(scores, max(default_ridge(info, args.ridge_scale), 1e-12))
+    metric = fisher_metric(scores, default_ridge(info, args.ridge_scale))
     gram = gram_matrix(metric, scores)
     mc = train_multiclass(gram, labels, C=args.C, tol=args.svm_tol)
     references = {"scores": sha256_file(args.scores), "meta": sha256_file(args.meta)}

@@ -278,9 +278,6 @@ class TextFeatures:
     text_id: str
     lines: tuple[np.ndarray, ...]
 
-    def row(self, line_id: int, word_idx: int) -> np.ndarray:
-        return self.lines[line_id][word_idx]
-
 
 def raw_feature_matrix(text: Text, freq: FrequencyTable, layout: Sequence[str]) -> np.ndarray:
     """Unnormalized feature rows for all words of `text`, in reading order."""

@@ -227,18 +227,6 @@ def comprehension_splits(reader_ids: Sequence[str], text_ids: Sequence[str]) -> 
 
 
 # ---------------------------------------------------------------------------
-# generative baseline
-
-def generative_classify(events, class_params: Mapping) -> object:
-    """argmax_y of the event-sum log-likelihood; ties break to the lowest id."""
-    keys = sorted(class_params)
-    if not keys:
-        raise EvalError("no class models given")
-    lls = np.array([batch_loglik(events, class_params[k]) for k in keys])
-    return keys[int(lls.argmax())]
-
-
-# ---------------------------------------------------------------------------
 # pipeline configuration and reporting
 
 @dataclass(frozen=True)
@@ -253,6 +241,20 @@ class PipelineConfig:
     fit_tol: float = 1e-6
     fit_max_iter: int = 500
     amp_floor: float = 0.5
+
+    def __post_init__(self):
+        # NaN fails every comparison, so it is rejected too
+        for name, in_range, bound in (
+            ("lambda_grid", lambda v: v >= 0, ">= 0"),
+            ("c_grid", lambda v: v > 0, "> 0"),
+            ("ridge_scales", lambda v: v >= 0, ">= 0"),
+        ):
+            values = getattr(self, name)
+            if not len(values):
+                raise EvalError(f"{name} must not be empty")
+            bad = [v for v in values if not in_range(v)]
+            if bad:
+                raise EvalError(f"{name} values must be {bound}, got {bad}")
 
 
 @dataclass
@@ -411,10 +413,6 @@ def _build_context(
     )
 
 
-def _ridge_from_scale(info: np.ndarray, scale: float) -> float:
-    return max(default_ridge(info, scale), 1e-12)
-
-
 @dataclass
 class _FisherStage:
     params: ModelParams
@@ -446,7 +444,7 @@ class _KernelStage:
 
 def _kernel_stage(stage: _FisherStage, ridge_scale: float) -> _KernelStage:
     info = empirical_information(stage.s_train)
-    metric = fisher_metric(stage.s_train, _ridge_from_scale(info, ridge_scale))
+    metric = fisher_metric(stage.s_train, default_ridge(info, ridge_scale))
     return _KernelStage(
         gram=gram_matrix(metric, stage.s_train),
         group_rows={
@@ -457,7 +455,11 @@ def _kernel_stage(stage: _FisherStage, ridge_scale: float) -> _KernelStage:
 
 
 def _identification_curves(mc: MulticlassSvm, kernels: _KernelStage) -> dict[tuple, list]:
-    """Per test group, the predicted class for every line prefix 1..L."""
+    """Per test group, the predicted class for every line prefix 1..L.
+
+    The last entry is the whole-text prediction.  Ties break toward the lowest
+    class id: argmax takes the first maximum and `mc.classes` is sorted.
+    """
     out = {}
     for key, rows in kernels.group_rows.items():
         curve = prefix_decision_curve(mc, rows)
@@ -574,6 +576,13 @@ def _baseline_curves(ctx: _Context, config: PipelineConfig, lam: float) -> dict[
 
 
 def _tune_baseline(contexts: list[_Context], config: PipelineConfig) -> float:
+    """The lambda whose per-reader models classify the inner contexts best.
+
+    Without inner contexts, or with one lambda, that choice is fixed and no
+    model is fitted.
+    """
+    if not contexts or len(config.lambda_grid) == 1:
+        return config.lambda_grid[0]
     best = None
     for lam in config.lambda_grid:
         accs = []
@@ -638,11 +647,7 @@ def _run_identification_fold(dataset: ReadingDataset, fold: SplitPlan, config: P
     baseline_acc = None
     baseline_by_lines = None
     if config.run_generative_baseline:
-        if inner_contexts:
-            base_lam = _tune_baseline(inner_contexts, config)
-        else:
-            base_lam = config.lambda_grid[0]
-        base_curves = _baseline_curves(ctx, config, base_lam)
+        base_curves = _baseline_curves(ctx, config, _tune_baseline(inner_contexts, config))
         baseline_acc, baseline_by_lines = _accuracy_from_curves(base_curves)
 
     return FoldResult(

@@ -135,10 +135,6 @@ class FisherMetric:
     ridge: float
     chol: np.ndarray
 
-    @property
-    def dim(self) -> int:
-        return self.information.shape[0]
-
     def whiten(self, scores: np.ndarray) -> np.ndarray:
         """Map scores g to z = L^{-1} g so that kernel values are plain dots."""
         scores = np.atleast_2d(np.asarray(scores, dtype=float))
@@ -146,9 +142,9 @@ class FisherMetric:
 
 
 def default_ridge(information: np.ndarray, scale: float = 1e-6) -> float:
-    """Ridge heuristic: scale * trace(I) / D (N < D makes I singular)."""
+    """Ridge heuristic: scale * trace(I) / D (N < D makes I singular), at least 1e-12."""
     d = information.shape[0]
-    return scale * float(np.trace(information)) / d
+    return max(scale * float(np.trace(information)) / d, 1e-12)
 
 
 def empirical_information(scores: np.ndarray) -> np.ndarray:
@@ -174,12 +170,6 @@ def fisher_metric(scores: np.ndarray, ridge: float) -> FisherMetric:
             "increase the ridge"
         ) from None
     return FisherMetric(information=info, ridge=float(ridge), chol=chol)
-
-
-def kernel(g_i: np.ndarray, g_j: np.ndarray, metric: FisherMetric) -> float:
-    """Fisher kernel value g_i^T (I + ridge*Id)^{-1} g_j via triangular solves."""
-    z = metric.whiten(np.stack([g_i, g_j]))
-    return float(z[0] @ z[1])
 
 
 def gram_matrix(metric: FisherMetric, scores: np.ndarray, other: np.ndarray | None = None) -> np.ndarray:

@@ -26,7 +26,6 @@ from .model import ModelParams, _LOG_LINK_MAX, _LOG_LINK_MIN
 logger = logging.getLogger(__name__)
 
 PI_SMOOTHING = 1e-6
-LAMBDA_GRID = (0.0, 1e-4, 1e-2, 1.0)
 
 
 class FitError(ValueError):
@@ -90,20 +89,6 @@ def _objective(theta: np.ndarray, x: np.ndarray, W: np.ndarray, lam: float):
     grad_shape = -(W.T @ (shape * (log_x - digamma(shape) - eta_scale))) + lam * reg_shape
     grad_scale = -(W.T @ (x_over_scale - shape)) + lam * reg_scale
     return value, np.concatenate([grad_shape, grad_scale])
-
-
-def neg_loglik_and_grad_amplitude(alpha_u, beta_u, events, lam: float):
-    """Regularized negative log-likelihood of type-u amplitudes, with gradient."""
-    batch = as_batch(events)
-    theta = np.concatenate([np.asarray(alpha_u, float), np.asarray(beta_u, float)])
-    return _objective(theta, batch.amp, batch.w_launch, lam)
-
-
-def neg_loglik_and_grad_duration(gamma_u, delta_u, events, lam: float):
-    """Mirror of the amplitude objective for durations and landing features."""
-    batch = as_batch(events)
-    theta = np.concatenate([np.asarray(gamma_u, float), np.asarray(delta_u, float)])
-    return _objective(theta, batch.dur, batch.w_land, lam)
 
 
 def _moment_init(x: np.ndarray, m: int) -> np.ndarray:

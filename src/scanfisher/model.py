@@ -19,17 +19,7 @@ import numpy as np
 from scipy.special import gammaln
 
 from .corpus import Text, TextFeatures
-from .events import (
-    BACKWARD_TYPES,
-    DEFAULT_AMP_FLOOR,
-    NUM_SACCADE_TYPES,
-    EventBatch,
-    SaccadeEvent,
-    Scanpath,
-    as_batch,
-    extract_events,
-    word_at,
-)
+from .events import BACKWARD_TYPES, NUM_SACCADE_TYPES, EventBatch, Scanpath, as_batch, word_at
 
 LINK_MIN = 1e-8
 LINK_MAX = 1e8
@@ -56,16 +46,8 @@ def link_many(W: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return np.clip(np.exp(np.minimum(W @ weights, 709.0)), LINK_MIN, LINK_MAX)
 
 
-def gamma_logpdf(x: float, shape: float, scale: float) -> float:
-    """Log density of the gamma distribution with the shape/scale convention."""
-    if not x > 0:
-        raise ModelError(f"gamma_logpdf requires x > 0, got {x!r}")
-    if not (shape > 0 and scale > 0):
-        raise ModelError(f"gamma parameters must be positive, got shape={shape}, scale={scale}")
-    return (shape - 1.0) * math.log(x) - x / scale - float(gammaln(shape)) - shape * math.log(scale)
-
-
-def _gamma_logpdf_vec(x: np.ndarray, shape: np.ndarray, scale: np.ndarray) -> np.ndarray:
+def _log_gamma_density(x: np.ndarray, shape: np.ndarray, scale: np.ndarray) -> np.ndarray:
+    """Element-wise gamma log density with the shape/scale convention."""
     return (shape - 1.0) * np.log(x) - x / scale - gammaln(shape) - shape * np.log(scale)
 
 
@@ -104,10 +86,6 @@ class ModelParams:
     def num_features(self) -> int:
         return self.alpha.shape[1]
 
-    def weights(self, kind: str, u: int) -> np.ndarray:
-        """Weight vector of one block for saccade type u in 1..5."""
-        return getattr(self, kind)[u - 1]
-
     def to_dict(self) -> dict:
         out = {
             "M": self.num_features,
@@ -133,23 +111,6 @@ class ModelParams:
         )
 
 
-def event_loglik(event: SaccadeEvent, params: ModelParams) -> float:
-    """Log-likelihood contribution of a single saccade event."""
-    u = event.u
-    lp = math.log(params.pi[u - 1])
-    lp += gamma_logpdf(
-        abs(event.a),
-        link(params.alpha[u - 1], event.w_launch),
-        link(params.beta[u - 1], event.w_launch),
-    )
-    lp += gamma_logpdf(
-        event.d,
-        link(params.gamma[u - 1], event.w_land),
-        link(params.delta[u - 1], event.w_land),
-    )
-    return lp
-
-
 def batch_loglik(events, params: ModelParams) -> float:
     """Total log-likelihood of a collection of events: the sum of :func:`loglik_parts`."""
     return sum(loglik_parts(events, params))
@@ -169,14 +130,14 @@ def loglik_parts(events, params: ModelParams) -> tuple[float, float, float]:
         w_l = batch.w_launch[mask]
         w_d = batch.w_land[mask]
         amp_term += float(
-            _gamma_logpdf_vec(
+            _log_gamma_density(
                 batch.amp[mask],
                 link_many(w_l, params.alpha[u - 1]),
                 link_many(w_l, params.beta[u - 1]),
             ).sum()
         )
         dur_term += float(
-            _gamma_logpdf_vec(
+            _log_gamma_density(
                 batch.dur[mask],
                 link_many(w_d, params.gamma[u - 1]),
                 link_many(w_d, params.delta[u - 1]),
@@ -196,17 +157,16 @@ def _reflect(pos: float, hi: float) -> float:
 
 @dataclass
 class SampledScanpath:
-    """A sampled scanpath plus its realized events and latent type draws.
+    """A sampled scanpath plus its latent type draws.
 
-    `events` is exactly what :func:`extract_events` returns for the scanpath,
-    so extraction round-trips sampling.  `drawn_types` are the latent
-    multinomial draws that selected the gamma distributions; a drawn type can
-    differ from the realized event type when reflection at a line boundary or
-    the untruncated gamma tail moves the landing position elsewhere.
+    `drawn_types` are the latent multinomial draws that selected the gamma
+    distributions; a drawn type can differ from the type that
+    :func:`extract_events` assigns to the realized saccade when reflection at
+    a line boundary or the untruncated gamma tail moves the landing position
+    elsewhere.
     """
 
     scanpath: Scanpath
-    events: list[SaccadeEvent]
     drawn_types: np.ndarray
 
 
@@ -220,7 +180,6 @@ def sample_scanpath(
     rng: np.random.Generator,
     reader_id: str = "",
     label: object = None,
-    amp_floor: float = DEFAULT_AMP_FLOOR,
 ) -> SampledScanpath:
     """Draw a scanpath of `n_fixations` fixations from the generative model.
 
@@ -263,8 +222,7 @@ def sample_scanpath(
         fixations=tuple(fixations),
         label=label,
     )
-    events = extract_events(scanpath, text, features, amp_floor=amp_floor)
-    return SampledScanpath(scanpath=scanpath, events=events, drawn_types=drawn)
+    return SampledScanpath(scanpath=scanpath, drawn_types=drawn)
 
 
 def sample_events(

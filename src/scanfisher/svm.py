@@ -8,8 +8,9 @@ The solver maximizes the standard dual
 by SMO-style pairwise updates on the maximal violating pair, with the
 second-order (WSS2) choice of its partner, stopping when the largest KKT
 violation falls below `tol`.  One-vs-rest reduction handles multiclass reader
-identification over a single shared Gram matrix; text-level predictions
-average per-line decision values.
+identification over a single shared Gram matrix; `prefix_decision_curve`
+averages per-line decision values over line prefixes, and its last row is the
+whole-text decision.
 
 Along a grid of C values a solve need not be repeated: when no value the
 solve at C1 compared against C1 reached it, the solve at any C2 > C1 takes
@@ -311,24 +312,6 @@ def solve_dual(
     )
 
 
-def kkt_violations(model: SvmModel, problem: KernelProblem, tol_alpha: float = SUPPORT_EPS) -> np.ndarray:
-    """Per-instance violation of the KKT optimality conditions."""
-    f = model.decision_values(problem.gram)
-    margin = problem.labels * f
-    v = np.zeros(problem.n)
-    at_zero = model.alpha <= tol_alpha
-    at_c = model.alpha >= model.C - tol_alpha
-    free = ~at_zero & ~at_c
-    v[at_zero] = np.maximum(0.0, 1.0 - margin[at_zero])
-    v[at_c] = np.maximum(0.0, margin[at_c] - 1.0)
-    v[free] = np.abs(margin[free] - 1.0)
-    return v
-
-
-def max_kkt_violation(model: SvmModel, problem: KernelProblem) -> float:
-    return float(kkt_violations(model, problem).max(initial=0.0))
-
-
 @dataclass
 class MulticlassSvm:
     """One-vs-rest model set over a shared Gram matrix."""
@@ -341,10 +324,6 @@ class MulticlassSvm:
         """(n_instances, n_classes) decision values."""
         k_rows = np.atleast_2d(np.asarray(k_rows, dtype=float))
         return np.column_stack([m.decision_values(k_rows) for m in self.models])
-
-    def predict_lines(self, k_rows: np.ndarray) -> list:
-        values = self.decision_matrix(k_rows)
-        return [self.classes[idx] for idx in values.argmax(axis=1)]
 
     def to_dict(self, references: Mapping[str, str] | None = None) -> dict:
         return {
@@ -391,19 +370,6 @@ def train_multiclass(
             model = solve_dual(KernelProblem(gram=gram, labels=y, C=C), tol=tol)
         models.append(model)
     return MulticlassSvm(classes=classes, models=models, C=C)
-
-
-def predict_text(model: MulticlassSvm, k_rows: np.ndarray) -> tuple[object, np.ndarray]:
-    """Whole-text prediction: average per-line decisions, argmax over classes.
-
-    Ties break deterministically toward the lowest class id (argmax returns
-    the first maximum and `classes` is sorted).
-    """
-    k_rows = np.atleast_2d(np.asarray(k_rows, dtype=float))
-    if k_rows.shape[0] == 0:
-        raise SvmError("predict_text requires at least one line")
-    means = model.decision_matrix(k_rows).mean(axis=0)
-    return model.classes[int(means.argmax())], means
 
 
 def prefix_decision_curve(model: MulticlassSvm, k_rows: np.ndarray) -> np.ndarray:

@@ -12,7 +12,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .corpus import FrequencyTable, Text, Word, compute_features, estimate_syllables
-from .events import NUM_SACCADE_TYPES, SaccadeEvent, Scanpath
+from .events import NUM_SACCADE_TYPES, Scanpath
 from .model import ModelParams, sample_scanpath
 
 _CORPUS_KEY = 0
@@ -193,7 +193,6 @@ class SynthDataset:
     reader_ids: list[str]
     reader_params: list[ModelParams]
     scanpaths: list[Scanpath]
-    true_events: list[list[SaccadeEvent]]
 
 
 def gen_dataset(config: SynthConfig, base: ModelParams | None = None) -> SynthDataset:
@@ -207,7 +206,6 @@ def gen_dataset(config: SynthConfig, base: ModelParams | None = None) -> SynthDa
     features = {f.text_id: f for f in feature_list}
 
     scanpaths = []
-    true_events = []
     for r, (rid, params) in enumerate(zip(reader_ids, readers)):
         rng = _rng(config, _SCANPATHS_KEY, r)
         for text in texts:
@@ -228,7 +226,6 @@ def gen_dataset(config: SynthConfig, base: ModelParams | None = None) -> SynthDa
                     label=rid,
                 )
                 scanpaths.append(sampled.scanpath)
-                true_events.append(sampled.events)
     return SynthDataset(
         config=config,
         texts=texts,
@@ -236,5 +233,4 @@ def gen_dataset(config: SynthConfig, base: ModelParams | None = None) -> SynthDa
         reader_ids=reader_ids,
         reader_params=readers,
         scanpaths=scanpaths,
-        true_events=true_events,
     )

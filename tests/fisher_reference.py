@@ -1,14 +1,16 @@
-"""Reference per-instance Fisher score, kept as a test oracle.
+"""Reference per-instance Fisher score and scalar kernel, kept as test oracles.
 
 `reference_fisher_score` is the straightforward per-instance score that the
 segmented kernel of `scanfisher.fisher` replaced: one masked pass per saccade
 type over one instance's events.  The kernel must match it to rounding.
+`kernel` is the Fisher kernel value of one pair of scores; every entry of
+`scanfisher.fisher.gram_matrix` must match it.
 """
 
 import numpy as np
 
 from scanfisher.events import NUM_SACCADE_TYPES, as_batch
-from scanfisher.fisher import _block_terms, score_dimension
+from scanfisher.fisher import FisherMetric, _block_terms, score_dimension
 from scanfisher.model import ModelParams
 
 
@@ -37,3 +39,9 @@ def reference_fisher_score(events, params: ModelParams) -> np.ndarray:
         out[base + 1 + 2 * m:base + 1 + 3 * m] = w_d.T @ dur_shape
         out[base + 1 + 3 * m:base + 1 + 4 * m] = w_d.T @ dur_scale
     return out
+
+
+def kernel(g_i: np.ndarray, g_j: np.ndarray, metric: FisherMetric) -> float:
+    """Fisher kernel value g_i^T (I + ridge*Id)^{-1} g_j via triangular solves."""
+    z = metric.whiten(np.stack([g_i, g_j]))
+    return float(z[0] @ z[1])

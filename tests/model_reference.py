@@ -1,0 +1,53 @@
+"""Scalar log-likelihood and generative classifier, kept as test oracles.
+
+`gamma_logpdf` and `event_loglik` score one event at a time with the scalar
+`scanfisher.model.link`; the vectorized `batch_loglik` must match their sum.
+`generative_classify` picks the class whose model gives a whole event
+collection the highest log-likelihood; the generative baseline's full-group
+prediction must equal it.
+"""
+
+import math
+from typing import Mapping
+
+import numpy as np
+from scipy.special import gammaln
+
+from scanfisher.evaluate import EvalError
+from scanfisher.events import SaccadeEvent
+from scanfisher.model import ModelError, ModelParams, batch_loglik, link
+
+
+def gamma_logpdf(x: float, shape: float, scale: float) -> float:
+    """Log density of the gamma distribution with the shape/scale convention."""
+    if not x > 0:
+        raise ModelError(f"gamma_logpdf requires x > 0, got {x!r}")
+    if not (shape > 0 and scale > 0):
+        raise ModelError(f"gamma parameters must be positive, got shape={shape}, scale={scale}")
+    return (shape - 1.0) * math.log(x) - x / scale - float(gammaln(shape)) - shape * math.log(scale)
+
+
+def event_loglik(event: SaccadeEvent, params: ModelParams) -> float:
+    """Log-likelihood contribution of a single saccade event."""
+    u = event.u
+    lp = math.log(params.pi[u - 1])
+    lp += gamma_logpdf(
+        abs(event.a),
+        link(params.alpha[u - 1], event.w_launch),
+        link(params.beta[u - 1], event.w_launch),
+    )
+    lp += gamma_logpdf(
+        event.d,
+        link(params.gamma[u - 1], event.w_land),
+        link(params.delta[u - 1], event.w_land),
+    )
+    return lp
+
+
+def generative_classify(events, class_params: Mapping) -> object:
+    """argmax_y of the event-sum log-likelihood; ties break to the lowest id."""
+    keys = sorted(class_params)
+    if not keys:
+        raise EvalError("no class models given")
+    lls = np.array([batch_loglik(events, class_params[k]) for k in keys])
+    return keys[int(lls.argmax())]

@@ -4,7 +4,9 @@
 `scanfisher.svm.solve_dual` replaced: it recomputes -y * grad, both index
 sets, the pair curvatures and the PSD check on every step.  The fast solver
 must match it bit for bit.  `reference_decision_value` is the scalar
-decision function for one kernel row.
+decision function for one kernel row.  `kkt_violations` and
+`max_kkt_violation` measure how far a solved model is from the dual's
+optimality conditions.
 """
 
 import logging
@@ -164,3 +166,21 @@ def reference_solve_dual(
         n_iterations=it,
         objective_trace=trace,
     )
+
+
+def kkt_violations(model: SvmModel, problem: KernelProblem, tol_alpha: float = SUPPORT_EPS) -> np.ndarray:
+    """Per-instance violation of the KKT optimality conditions."""
+    f = model.decision_values(problem.gram)
+    margin = problem.labels * f
+    v = np.zeros(problem.n)
+    at_zero = model.alpha <= tol_alpha
+    at_c = model.alpha >= model.C - tol_alpha
+    free = ~at_zero & ~at_c
+    v[at_zero] = np.maximum(0.0, 1.0 - margin[at_zero])
+    v[at_c] = np.maximum(0.0, margin[at_c] - 1.0)
+    v[free] = np.abs(margin[free] - 1.0)
+    return v
+
+
+def max_kkt_violation(model: SvmModel, problem: KernelProblem) -> float:
+    return float(kkt_violations(model, problem).max(initial=0.0))

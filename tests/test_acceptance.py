@@ -35,20 +35,12 @@ from scanfisher.fisher import (
     score_dimension,
     score_matrix,
 )
-from scanfisher.fit import (
-    FitConfig,
-    fit_model,
-    neg_loglik_and_grad_amplitude,
-    neg_loglik_and_grad_duration,
-)
+from scanfisher.fit import FitConfig, fit_model
 from scanfisher.model import ModelParams, batch_loglik, sample_events
-from scanfisher.svm import (
-    KernelProblem,
-    max_kkt_violation,
-    solve_dual,
-    train_multiclass,
-)
+from scanfisher.svm import KernelProblem, solve_dual, train_multiclass
 from scanfisher.synth import SynthConfig, gen_dataset
+from fit_reference import neg_loglik_and_grad_amplitude, neg_loglik_and_grad_duration
+from svm_reference import max_kkt_violation
 
 
 @contextmanager

@@ -231,6 +231,31 @@ def test_fit_failure_exit_code(synth_dir, tmp_path):
     assert code == 3
 
 
+@pytest.mark.parametrize("option, value, field", [
+    ("--c-grid", "", "c_grid"),
+    ("--lambda-grid", "", "lambda_grid"),
+    ("--ridge-grid", "", "ridge_scales"),
+    ("--c-grid", "0", "c_grid"),
+    ("--lambda-grid", "-0.01", "lambda_grid"),
+    ("--ridge-grid", "-1", "ridge_scales"),
+])
+def test_identify_rejects_bad_grid_before_fitting(synth_dir, tmp_path, capsys, monkeypatch, option, value, field):
+    def no_fit(*args, **kwargs):
+        raise AssertionError("a model was fitted before the configuration was checked")
+
+    monkeypatch.setattr("scanfisher.evaluate.fit_model", no_fit)
+    grids = {"--lambda-grid": "0.01", "--c-grid": "1", "--ridge-grid": "1e-6", option: value}
+    code = run_cli(
+        "identify",
+        "--texts", synth_dir / "texts.json", "--freq", synth_dir / "freq.tsv",
+        "--scanpaths", synth_dir / "scanpaths.jsonl", "--out", tmp_path / "report",
+        *[tok for pair in grids.items() for tok in pair],
+    )
+    assert code == 3
+    assert capsys.readouterr().err.startswith(f"error: {field} ")
+    assert not (tmp_path / "report").exists()
+
+
 def test_cli_entry_point_via_module():
     # the child imports the same package as this process, installed or not
     src = str(Path(scanfisher.__file__).resolve().parents[1])
@@ -241,3 +266,21 @@ def test_cli_entry_point_via_module():
     )
     assert proc.returncode == 0
     assert "scanfisher" in proc.stdout
+
+
+def test_package_import_loads_no_scipy_stats_and_no_test_module():
+    # importing scipy.stats costs about 0.5 s and 22 MB of start-up; the test
+    # oracles live under tests/ and must stay out of the package's imports
+    src = str(Path(scanfisher.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = (
+        "import sys, scanfisher, scanfisher.cli\n"
+        "print('\\n'.join(sorted(sys.modules)))"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    modules = proc.stdout.split()
+    assert "scanfisher.evaluate" in modules
+    assert not [m for m in modules if m == "scipy.stats" or m.startswith("scipy.stats.")]
+    assert not [m for m in modules
+                if m.split(".")[0] in ("tests", "conftest") or m.endswith("_reference")]

@@ -21,7 +21,6 @@ from scanfisher.evaluate import (
     auc_score,
     binary_comprehension_eval,
     comprehension_splits,
-    generative_classify,
     loto_cv,
     loto_folds,
     shuffle_reader_labels,
@@ -30,10 +29,12 @@ from scanfisher.evaluate import (
     write_report_csv,
     write_report_json,
 )
+from scanfisher.events import EventBatch
 from scanfisher.fit import FitConfig, fit_model
 from scanfisher.model import sample_events
 from scanfisher.synth import SynthConfig, gen_dataset, gen_readers
 from scanfisher.util import read_json
+from model_reference import generative_classify
 
 
 QUICK = PipelineConfig(
@@ -44,6 +45,29 @@ QUICK = PipelineConfig(
     feature_elimination=False,
     run_generative_baseline=True,
 )
+
+
+# ---------------------------------------------------------------------------
+# pipeline configuration
+
+
+@pytest.mark.parametrize("field", ["lambda_grid", "c_grid", "ridge_scales"])
+def test_config_rejects_empty_grid(field):
+    with pytest.raises(EvalError, match=f"^{field} must not be empty"):
+        PipelineConfig(**{field: ()})
+
+
+@pytest.mark.parametrize("field, values", [
+    ("c_grid", (1.0, 0.0)),
+    ("c_grid", (-1.0,)),
+    ("c_grid", (math.nan,)),
+    ("lambda_grid", (0.0, -1e-4)),
+    ("lambda_grid", (math.nan,)),
+    ("ridge_scales", (1e-6, -1.0)),
+])
+def test_config_rejects_out_of_range_grid_values(field, values):
+    with pytest.raises(EvalError, match=f"^{field} values must be"):
+        PipelineConfig(**{field: values})
 
 
 # ---------------------------------------------------------------------------
@@ -195,8 +219,6 @@ def test_generative_classify_tie_breaks_to_lowest_id():
 
 def test_generative_classify_empty_events():
     readers = gen_readers(SynthConfig(num_readers=2, sigma_reader=0.3, seed=6))
-    from scanfisher.events import EventBatch
-
     empty = EventBatch.from_events([], num_features=readers[0].num_features)
     assert generative_classify(empty, {"r0": readers[0], "r1": readers[1]}) == "r0"
 
@@ -309,6 +331,71 @@ def test_loto_rejects_text_without_scanpaths(small_dataset):
     )
     with pytest.raises(EvalError, match="t02"):
         loto_cv(pruned, QUICK)
+
+
+def test_baseline_full_group_prediction_equals_generative_classify(small_dataset):
+    # every test group's last prefix prediction is the generative classifier
+    # applied to the group's pooled events, under per-reader models fitted
+    # as the baseline fits them
+    lam = QUICK.lambda_grid[0]
+    fit_config = FitConfig(lam=lam, tol=QUICK.fit_tol, max_iter=QUICK.fit_max_iter)
+    texts = small_dataset.text_ids()
+    n_groups = 0
+    for held_out in texts:
+        ctx = evaluate._build_context(
+            small_dataset,
+            [t for t in texts if t != held_out],
+            [held_out],
+            [sp for sp in small_dataset.scanpaths if sp.text_id != held_out],
+            [sp for sp in small_dataset.scanpaths if sp.text_id == held_out],
+            QUICK,
+            lambda sp: sp.reader_id,
+        )
+        curves = evaluate._baseline_curves(ctx, QUICK, lam)
+        class_params = {
+            reader: fit_model(
+                EventBatch.concat([inst.batch for inst in ctx.train if inst.label == reader]),
+                fit_config,
+            )
+            for reader in small_dataset.reader_ids()
+        }
+        assert list(curves) == list(ctx.groups)
+        for key, insts in ctx.groups.items():
+            pooled = EventBatch.concat([inst.batch for inst in insts])
+            assert curves[key][-1] == generative_classify(pooled, class_params)
+            n_groups += 1
+    assert n_groups == len(texts) * len(small_dataset.reader_ids())
+
+
+def _tune_baseline_by_search(contexts, config):
+    """The baseline's lambda search, run even when the grid leaves no choice."""
+    best = None
+    for lam in config.lambda_grid:
+        accs = [evaluate._accuracy_from_curves(evaluate._baseline_curves(ctx, config, lam))[0]
+                for ctx in contexts]
+        if best is None or float(np.mean(accs)) > best[0]:
+            best = (float(np.mean(accs)), lam)
+    return best[1]
+
+
+def test_single_lambda_baseline_skips_tuning_fits(monkeypatch):
+    dataset = ReadingDataset.from_synth(gen_dataset(SynthConfig(
+        num_readers=3, num_texts=3, lines_per_text=3, words_per_line=12, seed=7)))
+    calls = []
+    real_fit_model = evaluate.fit_model
+
+    def counted(events, config):
+        calls.append(config.lam)
+        return real_fit_model(events, config)
+
+    monkeypatch.setattr(evaluate, "fit_model", counted)
+    report = loto_cv(dataset, QUICK)
+    assert len(calls) == 15
+    calls.clear()
+    monkeypatch.setattr(evaluate, "_tune_baseline", _tune_baseline_by_search)
+    searched = loto_cv(dataset, QUICK)
+    assert len(calls) == 24
+    assert report.to_dict() == searched.to_dict()
 
 
 # ---------------------------------------------------------------------------

@@ -201,27 +201,3 @@ def test_event_batch_round_trip_and_select():
 
     merged = EventBatch.concat([batch, sub if False else batch])
     assert merged.n == 4
-
-
-def test_sampler_round_trip_recovers_events_exactly():
-    """Extraction of a sampled scanpath reproduces the sampler's events."""
-    from scanfisher.model import sample_scanpath
-    from scanfisher.synth import default_base_params
-
-    text = _line_text([(i * 6, i * 6 + 5) for i in range(10)])
-    feats = _features(text)
-    params = default_base_params(feats.lines[0].shape[1])
-    rng = np.random.default_rng(123)
-    for trial in range(20):
-        sampled = sample_scanpath(
-            params, text, feats, line_id=0, start=(3.0, 200.0),
-            n_fixations=int(rng.integers(2, 15)), rng=rng,
-        )
-        extracted = extract_events(sampled.scanpath, text, feats)
-        assert len(extracted) == len(sampled.events)
-        for got, want in zip(extracted, sampled.events):
-            assert got.u == want.u
-            assert got.a == want.a
-            assert got.d == want.d
-            np.testing.assert_array_equal(got.w_launch, want.w_launch)
-            np.testing.assert_array_equal(got.w_land, want.w_land)

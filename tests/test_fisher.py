@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from fisher_reference import reference_fisher_score
+from fisher_reference import kernel, reference_fisher_score
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import gammaln
@@ -10,11 +10,11 @@ from scipy.special import gammaln
 from scanfisher.events import EventBatch, SaccadeEvent
 from scanfisher.fisher import (
     MetricError,
+    default_ridge,
     empirical_information,
     fisher_metric,
     fisher_score,
     gram_matrix,
-    kernel,
     read_scores,
     score_contributions,
     score_dimension,
@@ -278,6 +278,24 @@ def test_kernel_with_identity_metric_is_dot_product():
         b = rng.normal(0, 1, 4)
         assert kernel(a, b, metric) == pytest.approx(a @ b, rel=1e-12)
         assert kernel(a, a, metric) >= 0
+
+
+def test_gram_entries_match_pairwise_kernel_oracle():
+    rng = np.random.default_rng(21)
+    scores = rng.normal(0, 2, (12, 6))
+    other = rng.normal(0, 2, (3, 6))
+    metric = fisher_metric(scores, default_ridge(empirical_information(scores), 1e-3))
+    for left, gram in ((scores, gram_matrix(metric, scores)),
+                       (other, gram_matrix(metric, scores, other=other))):
+        oracle = [[kernel(a, b, metric) for b in scores] for a in left]
+        np.testing.assert_allclose(gram, oracle, rtol=1e-10, atol=1e-10)
+
+
+def test_default_ridge_scales_trace_with_floor():
+    info = np.diag([2.0, 4.0, 6.0])
+    assert default_ridge(info, 1e-3) == pytest.approx(1e-3 * 12.0 / 3)
+    assert default_ridge(np.zeros((3, 3)), 1e-3) == 1e-12
+    assert default_ridge(info, 0.0) == 1e-12
 
 
 def test_kernel_matches_dense_inverse_oracle():

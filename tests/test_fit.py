@@ -5,17 +5,10 @@ import numpy as np
 import pytest
 
 from scanfisher.events import EventBatch, SaccadeEvent
-from scanfisher.fit import (
-    FitConfig,
-    FitError,
-    fit_model,
-    fit_model_detailed,
-    fit_pi,
-    neg_loglik_and_grad_amplitude,
-    neg_loglik_and_grad_duration,
-)
+from scanfisher.fit import FitConfig, FitError, fit_model, fit_model_detailed, fit_pi
 from scanfisher.model import ModelParams, sample_events
 from scanfisher.synth import default_base_params
+from fit_reference import neg_loglik_and_grad_amplitude, neg_loglik_and_grad_duration
 
 
 def _event(u, a, d, w):

@@ -5,13 +5,11 @@ import pytest
 from scipy import integrate, stats
 
 from scanfisher.corpus import FrequencyTable, Text, Word, compute_features
-from scanfisher.events import EventBatch, SaccadeEvent
+from scanfisher.events import EventBatch, SaccadeEvent, Scanpath, extract_events
 from scanfisher.model import (
     ModelError,
     ModelParams,
     batch_loglik,
-    event_loglik,
-    gamma_logpdf,
     link,
     link_many,
     loglik_parts,
@@ -19,6 +17,7 @@ from scanfisher.model import (
     sample_scanpath,
 )
 from scanfisher.synth import default_base_params
+from model_reference import event_loglik, gamma_logpdf
 
 
 def _uniform_params(m=1, pi=None):
@@ -198,8 +197,6 @@ def test_loglik_finite_for_extracted_events():
     feats, _ = compute_features([text], FrequencyTable(counts={}, total=100))
     rng = np.random.default_rng(4)
     params = _random_params(rng, feats[0].lines[0].shape[1])
-    from scanfisher.events import Scanpath, extract_events
-
     qs = rng.uniform(0, text.line_extent(0) - 1e-6, size=30)
     sp = Scanpath("r", "t0", 0, tuple((float(q), 100.0) for q in qs))
     for e in extract_events(sp, text, feats[0]):
@@ -271,7 +268,7 @@ def test_sample_scanpath_degenerate_pi_draws_only_type_3():
                               n_fixations=40, rng=np.random.default_rng(8))
     assert np.all(sampled.drawn_types == 3)
     # realized amplitudes can flip sign only through boundary reflection
-    assert all(abs(e.a) >= 0.5 for e in sampled.events)
+    assert all(abs(e.a) >= 0.5 for e in extract_events(sampled.scanpath, text, feats))
 
 
 def test_sample_scanpath_positions_stay_on_line():

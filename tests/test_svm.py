@@ -3,19 +3,17 @@ import dataclasses
 import numpy as np
 import pytest
 
+from scanfisher.evaluate import _identification_curves, _KernelStage
 from scanfisher.svm import (
     KernelProblem,
     MulticlassSvm,
     SvmError,
     SvmModel,
-    kkt_violations,
-    max_kkt_violation,
-    predict_text,
     prefix_decision_curve,
     solve_dual,
     train_multiclass,
 )
-from svm_reference import reference_decision_value, reference_solve_dual
+from svm_reference import max_kkt_violation, reference_decision_value, reference_solve_dual
 
 
 def _linear_gram(X):
@@ -184,12 +182,16 @@ def test_two_class_decisions_negate_up_to_bias():
     assert np.std(total) == pytest.approx(0.0, abs=1e-2)
 
 
+def _line_predictions(mc, k_rows):
+    return [mc.classes[i] for i in mc.decision_matrix(k_rows).argmax(axis=1)]
+
+
 def test_multiclass_predicts_separable_training_set():
     rng = np.random.default_rng(7)
     X, labels = _clustered_scores(rng, 4, 10)
     gram = _linear_gram(X)
     mc = train_multiclass(gram, labels, C=10.0)
-    assert mc.predict_lines(gram) == labels
+    assert _line_predictions(mc, gram) == labels
 
 
 def test_multiclass_needs_two_classes():
@@ -204,7 +206,7 @@ def test_multiclass_paper_scale_62_readers():
     gram = _linear_gram(X)
     mc = train_multiclass(gram, labels, C=1.0)
     assert len(mc.models) == 62
-    preds = mc.predict_lines(gram)
+    preds = _line_predictions(mc, gram)
     assert np.mean([p == t for p, t in zip(preds, labels)]) > 0.95
 
 
@@ -230,43 +232,39 @@ def _toy_multiclass():
     return mc, X
 
 
+def _text_predictions(mc, rows):
+    """Per-prefix predictions of one test group, as the identification pipeline makes them."""
+    kernels = _KernelStage(gram=np.zeros((0, 0)), group_rows={("g", "t"): rows})
+    return _identification_curves(mc, kernels)[("g", "t")]
+
+
 def test_predict_text_single_line_equals_line_prediction():
     mc, X = _toy_multiclass()
     row = (X[0] + 0.1)[None, :] @ X.T
-    cls, means = predict_text(mc, row)
-    assert cls == mc.classes[int(mc.decision_matrix(row)[0].argmax())]
+    assert _text_predictions(mc, row) == _line_predictions(mc, row)
 
 
 def test_predict_text_tie_breaks_to_lowest_class_id():
-    model_a = SvmModel(alpha=np.zeros(1), y=np.ones(1), bias=0.5, C=1.0,
-                       support=np.array([], dtype=int), kkt_violation=0.0, n_iterations=0)
-    model_b = SvmModel(alpha=np.zeros(1), y=np.ones(1), bias=0.5, C=1.0,
-                       support=np.array([], dtype=int), kkt_violation=0.0, n_iterations=0)
-    mc = MulticlassSvm(classes=["A", "B"], models=[model_a, model_b], C=1.0)
-    # two lines with per-class values (1, 0) and (0, 1): exact tie -> "A"
-    mc.models[0].bias = 0.0
+    models = [
+        SvmModel(alpha=np.zeros(1), y=np.ones(1), bias=0.5, C=1.0,
+                 support=np.array([], dtype=int), kkt_violation=0.0, n_iterations=0)
+        for _ in range(2)
+    ]
+    mc = MulticlassSvm(classes=["A", "B"], models=models, C=1.0)
     rows = np.zeros((2, 1))
-    matrix = mc.decision_matrix(rows)
-    mc.models[0].bias = 0.5
-    cls, means = predict_text(mc, rows)
-    assert means[0] == means[1]
-    assert cls == "A"
+    curve = prefix_decision_curve(mc, rows)
+    np.testing.assert_array_equal(curve[:, 0], curve[:, 1])
+    assert _text_predictions(mc, rows) == ["A", "A"]
 
 
 def test_predict_text_invariant_to_line_order():
     mc, X = _toy_multiclass()
     rng = np.random.default_rng(11)
-    rows = rng.normal(0, 1, (5, 2)) @ np.zeros((2, X.shape[0])) + rng.normal(0, 1, (5, X.shape[0]))
-    cls1, means1 = predict_text(mc, rows)
-    cls2, means2 = predict_text(mc, rows[::-1])
-    assert cls1 == cls2
-    np.testing.assert_allclose(means1, means2, rtol=1e-12)
-
-
-def test_predict_text_empty_group_errors():
-    mc, X = _toy_multiclass()
-    with pytest.raises(SvmError, match="at least one line"):
-        predict_text(mc, np.zeros((0, X.shape[0])))
+    rows = rng.normal(0, 1, (5, X.shape[0]))
+    np.testing.assert_allclose(
+        prefix_decision_curve(mc, rows)[-1], prefix_decision_curve(mc, rows[::-1])[-1], rtol=1e-12
+    )
+    assert _text_predictions(mc, rows)[-1] == _text_predictions(mc, rows[::-1])[-1]
 
 
 def test_prefix_decision_curve_is_cumulative_mean():

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from scanfisher.corpus import compute_features
-from scanfisher.events import extract_events
 from scanfisher.synth import (
     SynthConfig,
     SynthError,
@@ -96,7 +95,6 @@ def test_reader_separation_grows_with_sigma():
 def test_dataset_row_count_is_cartesian_product():
     ds = gen_dataset(SMALL)
     assert len(ds.scanpaths) == 3 * 4 * 2
-    assert len(ds.true_events) == len(ds.scanpaths)
     assert ds.reader_ids == ["r00", "r01", "r02"]
     labels = {sp.label for sp in ds.scanpaths}
     assert labels == set(ds.reader_ids)
@@ -106,19 +104,6 @@ def test_dataset_deterministic_under_seed():
     a = gen_dataset(SMALL)
     b = gen_dataset(SMALL)
     assert a.scanpaths == b.scanpaths
-
-
-def test_dataset_round_trips_through_extraction():
-    """Ground-truth events equal extraction output on every scanpath."""
-    ds = gen_dataset(SMALL)
-    feats, _ = compute_features(ds.texts, ds.freq)
-    fm = {f.text_id: f for f in feats}
-    texts = {t.text_id: t for t in ds.texts}
-    for sp, want in zip(ds.scanpaths, ds.true_events):
-        got = extract_events(sp, texts[sp.text_id], fm[sp.text_id])
-        assert len(got) == len(want) == len(sp) - 1
-        for g, w in zip(got, want):
-            assert (g.u, g.a, g.d) == (w.u, w.a, w.d)
 
 
 def test_dataset_with_flag_features():
