@@ -10,12 +10,10 @@ from .corpus import (
     Word,
     compute_features,
     load_frequency_table,
-    load_text,
     load_texts,
 )
 from .events import (
     EventBatch,
-    SaccadeEvent,
     Scanpath,
     classify_saccade,
     extract_events,

@@ -155,7 +155,7 @@ def cmd_synth(args) -> int:
 def cmd_fit(args) -> int:
     dataset = _load_dataset(args)
     featmap, stats = feature_map(dataset, dataset.text_ids())
-    instances = build_instances(dataset, dataset.scanpaths, featmap, stats.num_features, args.amp_floor)
+    instances = build_instances(dataset, dataset.scanpaths, featmap, args.amp_floor)
     if not instances:
         raise FitError("cannot fit a model from an empty event set")
     config = FitConfig(lam=args.reg_lambda, tol=args.tol, max_iter=args.max_iter)
@@ -189,7 +189,7 @@ def cmd_score(args) -> int:
     amp_floor = float(payload.get("amp_floor", 0.5))
     dataset = _load_dataset(args)
     featmap, _ = feature_map(dataset, dataset.text_ids(), stats)
-    instances = build_instances(dataset, dataset.scanpaths, featmap, stats.num_features, amp_floor)
+    instances = build_instances(dataset, dataset.scanpaths, featmap, amp_floor)
     scores = score_matrix([inst.batch for inst in instances], params)
     write_scores(args.out, scores)
     meta_path = args.meta or str(args.out) + ".meta.json"

@@ -163,13 +163,6 @@ def load_texts(path) -> list[Text]:
     return [text_from_dict(obj) for obj in payload]
 
 
-def load_text(path) -> Text:
-    texts = load_texts(path)
-    if len(texts) != 1:
-        raise CorpusError(f"{path}: expected exactly one text, found {len(texts)}")
-    return texts[0]
-
-
 def save_texts(path, texts: Sequence[Text]) -> None:
     Path(path).write_text(
         json.dumps([text_to_dict(t) for t in texts], sort_keys=True) + "\n",

@@ -338,7 +338,6 @@ def build_instances(
     dataset: ReadingDataset,
     scanpaths: Sequence[Scanpath],
     featmap: Mapping[str, TextFeatures],
-    num_features: int,
     amp_floor: float,
     label_of=lambda sp: sp.label,
 ) -> list[LineInstance]:
@@ -347,20 +346,17 @@ def build_instances(
     Every scanpath's text must be in `featmap`; `label_of` maps a scanpath
     to the instance's class label.
     """
-    out = []
-    for sp in sorted(scanpaths, key=lambda s: (s.text_id, s.reader_id, s.line_id)):
-        events = extract_events(sp, dataset.texts[sp.text_id], featmap[sp.text_id],
-                                amp_floor=amp_floor)
-        out.append(
-            LineInstance(
-                reader_id=sp.reader_id,
-                text_id=sp.text_id,
-                line_id=sp.line_id,
-                label=label_of(sp),
-                batch=EventBatch.from_events(events, num_features=num_features),
-            )
+    return [
+        LineInstance(
+            reader_id=sp.reader_id,
+            text_id=sp.text_id,
+            line_id=sp.line_id,
+            label=label_of(sp),
+            batch=extract_events(sp, dataset.texts[sp.text_id], featmap[sp.text_id],
+                                 amp_floor=amp_floor),
         )
-    return out
+        for sp in sorted(scanpaths, key=lambda s: (s.text_id, s.reader_id, s.line_id))
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -397,7 +393,7 @@ def _build_context(
     featmap.update(feature_map(dataset, test_texts, stats)[0])
 
     def instances(sps):
-        return build_instances(dataset, sps, featmap, stats.num_features, config.amp_floor, label_of)
+        return build_instances(dataset, sps, featmap, config.amp_floor, label_of)
 
     groups: dict[tuple, list[LineInstance]] = {}
     for inst in instances(test_sps):
@@ -486,7 +482,7 @@ class _Tuned:
     ridge_scale: float
     C: float
     keep: tuple[int, ...]
-    inner_accuracy: float
+    inner_accuracy: float | None
 
     def to_dict(self) -> dict:
         return {
@@ -509,12 +505,12 @@ def _tune(contexts: list[_Context], config: PipelineConfig, m: int, train, accur
     Deterministic: grid points are scanned in grid order, feature drops in
     index order, and only a strictly better accuracy replaces the incumbent.
     The bias is never dropped.  Without inner contexts the first grid point
-    is taken, with accuracy nan.
+    is taken, with accuracy None.
     """
     keep = tuple(range(m))
     if not contexts:
         return _Tuned(lam=config.lambda_grid[0], ridge_scale=config.ridge_scales[0],
-                      C=config.c_grid[0], keep=keep, inner_accuracy=float("nan"))
+                      C=config.c_grid[0], keep=keep, inner_accuracy=None)
 
     def accuracies(stage, kernels):
         by_c, model = {}, None

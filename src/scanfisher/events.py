@@ -9,8 +9,9 @@ consecutive fixation pairs become saccade events typed as
     4 forward skip          (two or more words ahead)
     5 regression            (any earlier word)
 
-carrying the signed amplitude in characters, the landing fixation duration,
-and the launch/landing word feature vectors.
+carrying the amplitude magnitude in characters, the landing fixation
+duration, and the launch/landing word feature vectors.  Events are held
+columnwise in an `EventBatch`.
 """
 
 import json
@@ -27,7 +28,6 @@ from .corpus import Text, TextFeatures
 logger = logging.getLogger(__name__)
 
 NUM_SACCADE_TYPES = 5
-FORWARD_TYPES = (2, 3, 4)
 BACKWARD_TYPES = (1, 5)
 DEFAULT_AMP_FLOOR = 0.5
 
@@ -53,15 +53,6 @@ class Scanpath:
 
     def __len__(self) -> int:
         return len(self.fixations)
-
-
-@dataclass(eq=False)
-class SaccadeEvent:
-    u: int
-    a: float
-    d: float
-    w_launch: np.ndarray
-    w_land: np.ndarray
 
 
 def scanpath_from_dict(obj: dict) -> Scanpath:
@@ -144,74 +135,15 @@ def classify_saccade(text: Text, line_id: int, q_from: float, q_to: float) -> in
     return 5
 
 
-def extract_events(
-    scanpath: Scanpath,
-    text: Text,
-    features: TextFeatures,
-    amp_floor: float = DEFAULT_AMP_FLOOR,
-) -> list[SaccadeEvent]:
-    """Saccade events for every consecutive fixation pair.
-
-    The initial fixation (q_1, d_1) contributes no event.  Amplitudes with
-    magnitude below `amp_floor` are clamped to the floor, signed by type, so
-    the gamma densities stay finite.
-    """
-    if len(scanpath) < 2:
-        logger.warning(
-            "scanpath %s/%s/line%d has %d fixation(s); no events extracted",
-            scanpath.reader_id, scanpath.text_id, scanpath.line_id, len(scanpath),
-        )
-        return []
-    line_id = scanpath.line_id
-    rows = features.lines[line_id]
-    events = []
-    for (q0, _), (q1, d1) in zip(scanpath.fixations, scanpath.fixations[1:]):
-        u = classify_saccade(text, line_id, q0, q1)
-        a = q1 - q0
-        if abs(a) < amp_floor:
-            a = amp_floor if u in FORWARD_TYPES else -amp_floor
-        events.append(
-            SaccadeEvent(
-                u=u,
-                a=a,
-                d=d1,
-                w_launch=rows[word_at(text, line_id, q0)],
-                w_land=rows[word_at(text, line_id, q1)],
-            )
-        )
-    return events
-
-
 @dataclass
 class EventBatch:
-    """Columnar view of a list of saccade events for vectorized math."""
+    """Saccade events as columns: one row per event."""
 
     u: np.ndarray        # (N,) int, values 1..5
     amp: np.ndarray      # (N,) |a|
     dur: np.ndarray      # (N,)
     w_launch: np.ndarray  # (N, M)
     w_land: np.ndarray    # (N, M)
-
-    @classmethod
-    def from_events(cls, events: Sequence[SaccadeEvent], num_features: int | None = None) -> "EventBatch":
-        if not events:
-            if num_features is None:
-                raise ValueError("num_features is required for an empty event list")
-            m = num_features
-            return cls(
-                u=np.zeros(0, dtype=np.int64),
-                amp=np.zeros(0),
-                dur=np.zeros(0),
-                w_launch=np.zeros((0, m)),
-                w_land=np.zeros((0, m)),
-            )
-        return cls(
-            u=np.array([e.u for e in events], dtype=np.int64),
-            amp=np.array([abs(e.a) for e in events], dtype=float),
-            dur=np.array([e.d for e in events], dtype=float),
-            w_launch=np.array([e.w_launch for e in events], dtype=float),
-            w_land=np.array([e.w_land for e in events], dtype=float),
-        )
 
     @staticmethod
     def concat(batches: Sequence["EventBatch"]) -> "EventBatch":
@@ -239,6 +171,9 @@ class EventBatch:
     def n(self) -> int:
         return len(self.u)
 
+    def __len__(self) -> int:
+        return self.n
+
     @property
     def num_features(self) -> int:
         return self.w_launch.shape[1]
@@ -247,7 +182,34 @@ class EventBatch:
         return np.bincount(self.u, minlength=NUM_SACCADE_TYPES + 1)[1:].astype(float)
 
 
-def as_batch(events, num_features: int | None = None) -> EventBatch:
-    if isinstance(events, EventBatch):
-        return events
-    return EventBatch.from_events(list(events), num_features=num_features)
+def extract_events(
+    scanpath: Scanpath,
+    text: Text,
+    features: TextFeatures,
+    amp_floor: float = DEFAULT_AMP_FLOOR,
+) -> EventBatch:
+    """Saccade events for every consecutive fixation pair, as one batch.
+
+    The initial fixation (q_1, d_1) contributes no event.  Amplitudes with
+    magnitude below `amp_floor` are clamped to the floor so the gamma
+    densities stay finite.
+    """
+    if len(scanpath) < 2:
+        logger.warning(
+            "scanpath %s/%s/line%d has %d fixation(s); no events extracted",
+            scanpath.reader_id, scanpath.text_id, scanpath.line_id, len(scanpath),
+        )
+    line_id = scanpath.line_id
+    q, d = np.array(scanpath.fixations, dtype=float).reshape(-1, 2).T
+    words = np.array([word_at(text, line_id, x) for x in q], dtype=np.int64)
+    u = [classify_saccade(text, line_id, q0, q1) for q0, q1 in zip(q, q[1:])]
+    amp = np.abs(np.diff(q))
+    amp[amp < amp_floor] = amp_floor
+    rows = features.lines[line_id]
+    return EventBatch(
+        u=np.array(u, dtype=np.int64),
+        amp=amp,
+        dur=d[1:],
+        w_launch=rows[words[:-1]],
+        w_land=rows[words[1:]],
+    )

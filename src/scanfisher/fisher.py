@@ -1,6 +1,6 @@
 """Fisher scores, the empirical Fisher information, and the Fisher kernel.
 
-The Fisher score of an event collection is the gradient of its unregularized
+The Fisher score of an event batch is the gradient of its unregularized
 log-likelihood at fitted parameters, laid out per saccade type u = 1..5 as
 
     [d/d pi_u (1), d/d alpha_u (M), d/d beta_u (M), d/d gamma_u (M), d/d delta_u (M)]
@@ -34,7 +34,7 @@ import numpy as np
 from scipy.linalg import solve_triangular
 from scipy.special import digamma
 
-from .events import NUM_SACCADE_TYPES, EventBatch, as_batch
+from .events import NUM_SACCADE_TYPES, EventBatch
 from .model import ModelError, ModelParams, link_many
 
 
@@ -94,8 +94,7 @@ def _segment_scores(batch: EventBatch, owner: np.ndarray, n: int, params: ModelP
     return out
 
 
-def _checked_batch(events, index: int, params: ModelParams) -> EventBatch:
-    batch = as_batch(events, num_features=params.num_features)
+def _checked_batch(batch: EventBatch, index: int, params: ModelParams) -> EventBatch:
     if batch.num_features != params.num_features:
         raise ModelError(
             f"instance {index} carries M={batch.num_features} features "
@@ -104,8 +103,8 @@ def _checked_batch(events, index: int, params: ModelParams) -> EventBatch:
     return batch
 
 
-def score_matrix(instances: Sequence, params: ModelParams) -> np.ndarray:
-    """Fisher scores of a sequence of event collections, (N, D), in one pass per type."""
+def score_matrix(instances: Sequence[EventBatch], params: ModelParams) -> np.ndarray:
+    """Fisher scores of a sequence of event batches, (N, D), in one pass per type."""
     batches = [_checked_batch(inst, i, params) for i, inst in enumerate(instances)]
     if not batches:
         return np.zeros((0, score_dimension(params.num_features)))
@@ -113,15 +112,15 @@ def score_matrix(instances: Sequence, params: ModelParams) -> np.ndarray:
     return _segment_scores(EventBatch.concat(batches), owner, len(batches), params)
 
 
-def fisher_score(events, params: ModelParams) -> np.ndarray:
+def fisher_score(events: EventBatch, params: ModelParams) -> np.ndarray:
     """Gradient of the unregularized log-likelihood at `params`.
 
-    An empty event collection yields the zero vector of dimension D.
+    An empty event batch yields the zero vector of dimension D.
     """
     return score_matrix([events], params)[0]
 
 
-def score_contributions(events, params: ModelParams) -> np.ndarray:
+def score_contributions(events: EventBatch, params: ModelParams) -> np.ndarray:
     """Per-event Fisher score rows, (N, D); their sum equals fisher_score."""
     batch = _checked_batch(events, 0, params)
     return _segment_scores(batch, np.arange(batch.n), batch.n, params)
@@ -142,7 +141,12 @@ class FisherMetric:
 
 
 def default_ridge(information: np.ndarray, scale: float = 1e-6) -> float:
-    """Ridge heuristic: scale * trace(I) / D (N < D makes I singular), at least 1e-12."""
+    """Ridge heuristic: scale * trace(I) / D (N < D makes I singular), at least 1e-12.
+
+    A negative or NaN scale raises MetricError.
+    """
+    if not scale >= 0:
+        raise MetricError(f"ridge scale must be >= 0, got {scale!r}")
     d = information.shape[0]
     return max(scale * float(np.trace(information)) / d, 1e-12)
 

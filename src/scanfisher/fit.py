@@ -20,7 +20,7 @@ import numpy as np
 from scipy.optimize import minimize
 from scipy.special import digamma, gammaln
 
-from .events import NUM_SACCADE_TYPES, EventBatch, as_batch
+from .events import NUM_SACCADE_TYPES, EventBatch
 from .model import ModelParams, _LOG_LINK_MAX, _LOG_LINK_MIN
 
 logger = logging.getLogger(__name__)
@@ -54,13 +54,8 @@ class FitConfig:
             raise FitError("max_iter must be >= 1")
 
 
-def fit_pi(events) -> np.ndarray:
+def fit_pi(events: EventBatch) -> np.ndarray:
     """Multinomial MLE over saccade types with zero-count smoothing."""
-    if not isinstance(events, EventBatch):
-        events = list(events)
-        if not events:
-            raise FitError("cannot fit pi from an empty event set")
-        events = EventBatch.from_events(events)
     if events.n == 0:
         raise FitError("cannot fit pi from an empty event set")
     pi = events.type_counts() / events.n
@@ -206,7 +201,7 @@ def _fit_group(
 
 
 def fit_model_detailed(
-    events,
+    batch: EventBatch,
     config: FitConfig,
     collect_trace: bool = True,
 ) -> FitOutcome:
@@ -215,11 +210,6 @@ def fit_model_detailed(
     `collect_trace=False` skips the per-iteration objective recomputation
     used for fit logs, roughly halving the cost of each subproblem.
     """
-    if not isinstance(events, EventBatch):
-        events = list(events)
-        if not events:
-            raise FitError("cannot fit a model from an empty event set")
-    batch = as_batch(events)
     if batch.n == 0:
         raise FitError("cannot fit a model from an empty event set")
 
@@ -244,6 +234,6 @@ def fit_model_detailed(
     return FitOutcome(params=params, groups=groups)
 
 
-def fit_model(events, config: FitConfig) -> ModelParams:
-    """Regularized maximum-likelihood parameters for an event collection."""
+def fit_model(events: EventBatch, config: FitConfig) -> ModelParams:
+    """Regularized maximum-likelihood parameters for an event batch."""
     return fit_model_detailed(events, config, collect_trace=False).params

@@ -19,7 +19,7 @@ import numpy as np
 from scipy.special import gammaln
 
 from .corpus import Text, TextFeatures
-from .events import BACKWARD_TYPES, NUM_SACCADE_TYPES, EventBatch, Scanpath, as_batch, word_at
+from .events import BACKWARD_TYPES, NUM_SACCADE_TYPES, EventBatch, Scanpath, word_at
 
 LINK_MIN = 1e-8
 LINK_MAX = 1e8
@@ -111,14 +111,13 @@ class ModelParams:
         )
 
 
-def batch_loglik(events, params: ModelParams) -> float:
-    """Total log-likelihood of a collection of events: the sum of :func:`loglik_parts`."""
-    return sum(loglik_parts(events, params))
+def batch_loglik(batch: EventBatch, params: ModelParams) -> float:
+    """Total log-likelihood of an event batch: the sum of :func:`loglik_parts`."""
+    return sum(loglik_parts(batch, params))
 
 
-def loglik_parts(events, params: ModelParams) -> tuple[float, float, float]:
-    """(type, amplitude, duration) log-likelihood terms of a collection of events."""
-    batch = as_batch(events, num_features=params.num_features)
+def loglik_parts(batch: EventBatch, params: ModelParams) -> tuple[float, float, float]:
+    """(type, amplitude, duration) log-likelihood terms of an event batch."""
     counts = batch.type_counts()
     type_term = float(np.sum(counts[counts > 0] * np.log(params.pi[counts > 0])))
     amp_term = 0.0

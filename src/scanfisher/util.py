@@ -6,8 +6,8 @@ from pathlib import Path
 
 
 def canonical_json(obj) -> str:
-    """Deterministic JSON encoding (sorted keys, fixed separators)."""
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    """Deterministic JSON encoding (sorted keys, fixed separators); non-finite floats raise."""
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False)
 
 
 def write_json(path, obj) -> None:

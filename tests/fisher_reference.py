@@ -9,17 +9,16 @@ type over one instance's events.  The kernel must match it to rounding.
 
 import numpy as np
 
-from scanfisher.events import NUM_SACCADE_TYPES, as_batch
+from scanfisher.events import NUM_SACCADE_TYPES, EventBatch
 from scanfisher.fisher import FisherMetric, _block_terms, score_dimension
 from scanfisher.model import ModelParams
 
 
-def reference_fisher_score(events, params: ModelParams) -> np.ndarray:
+def reference_fisher_score(batch: EventBatch, params: ModelParams) -> np.ndarray:
     """Gradient of the unregularized log-likelihood at `params`.
 
-    An empty event collection yields the zero vector of dimension D.
+    An empty event batch yields the zero vector of dimension D.
     """
-    batch = as_batch(events, num_features=params.num_features)
     m = params.num_features
     out = np.zeros(score_dimension(m))
     width = 1 + 4 * m

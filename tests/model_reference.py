@@ -1,9 +1,9 @@
 """Scalar log-likelihood and generative classifier, kept as test oracles.
 
-`gamma_logpdf` and `event_loglik` score one event at a time with the scalar
-`scanfisher.model.link`; the vectorized `batch_loglik` must match their sum.
-`generative_classify` picks the class whose model gives a whole event
-collection the highest log-likelihood; the generative baseline's full-group
+`gamma_logpdf` and `event_loglik` score one event (one row of an
+`EventBatch`) at a time with the scalar `scanfisher.model.link`; the
+vectorized `batch_loglik` must match their sum.  `generative_classify` picks
+the class whose model gives a whole event batch the highest log-likelihood; the generative baseline's full-group
 prediction must equal it.
 """
 
@@ -14,7 +14,7 @@ import numpy as np
 from scipy.special import gammaln
 
 from scanfisher.evaluate import EvalError
-from scanfisher.events import SaccadeEvent
+from scanfisher.events import EventBatch
 from scanfisher.model import ModelError, ModelParams, batch_loglik, link
 
 
@@ -27,24 +27,25 @@ def gamma_logpdf(x: float, shape: float, scale: float) -> float:
     return (shape - 1.0) * math.log(x) - x / scale - float(gammaln(shape)) - shape * math.log(scale)
 
 
-def event_loglik(event: SaccadeEvent, params: ModelParams) -> float:
-    """Log-likelihood contribution of a single saccade event."""
-    u = event.u
+def event_loglik(batch: EventBatch, t: int, params: ModelParams) -> float:
+    """Log-likelihood contribution of event `t` of `batch`."""
+    u = int(batch.u[t])
+    w_launch, w_land = batch.w_launch[t], batch.w_land[t]
     lp = math.log(params.pi[u - 1])
     lp += gamma_logpdf(
-        abs(event.a),
-        link(params.alpha[u - 1], event.w_launch),
-        link(params.beta[u - 1], event.w_launch),
+        float(batch.amp[t]),
+        link(params.alpha[u - 1], w_launch),
+        link(params.beta[u - 1], w_launch),
     )
     lp += gamma_logpdf(
-        event.d,
-        link(params.gamma[u - 1], event.w_land),
-        link(params.delta[u - 1], event.w_land),
+        float(batch.dur[t]),
+        link(params.gamma[u - 1], w_land),
+        link(params.delta[u - 1], w_land),
     )
     return lp
 
 
-def generative_classify(events, class_params: Mapping) -> object:
+def generative_classify(events: EventBatch, class_params: Mapping) -> object:
     """argmax_y of the event-sum log-likelihood; ties break to the lowest id."""
     keys = sorted(class_params)
     if not keys:

@@ -151,6 +151,17 @@ def test_kernel_and_train_svm(scores_file, tmp_path):
     assert payload["references"]["scores"] == sha256_file(scores_file)
 
 
+@pytest.mark.parametrize("scale", ["-1", "nan"])
+def test_kernel_and_train_svm_reject_bad_ridge_scale(scores_file, tmp_path, capsys, scale):
+    assert run_cli("kernel", "--scores", scores_file, "--out", tmp_path / "gram.csv",
+                   f"--ridge-scale={scale}") == 3
+    assert run_cli("train-svm", "--scores", scores_file, "--meta", str(scores_file) + ".meta.json",
+                   "--out", tmp_path / "svm.json", f"--ridge-scale={scale}") == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2 and all(line.startswith("error: ridge scale must be >= 0") for line in err)
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_identify_pipeline(synth_dir, tmp_path, capsys):
     out = tmp_path / "report"
     code = run_cli(
@@ -166,6 +177,24 @@ def test_identify_pipeline(synth_dir, tmp_path, capsys):
     assert len(payload["folds"]) == 4
     assert (out / "report.csv").exists()
     assert "accuracy" in capsys.readouterr().out
+
+
+def test_identify_without_inner_folds_writes_strict_json(synth_dir, tmp_path):
+    out = tmp_path / "report"
+    code = run_cli(
+        "identify",
+        "--texts", synth_dir / "texts.json", "--freq", synth_dir / "freq.tsv",
+        "--scanpaths", synth_dir / "scanpaths.jsonl", "--out", out,
+        "--lambda-grid", "0.01", "--c-grid", "1", "--ridge-grid", "1e-6",
+        "--inner-folds", "0", "--no-elimination", "--no-baseline",
+    )
+    assert code == 0
+
+    def reject(token):
+        raise ValueError(f"report.json holds the non-standard token {token}")
+
+    payload = json.loads((out / "report.json").read_text(), parse_constant=reject)
+    assert [fold["chosen"]["inner_accuracy"] for fold in payload["folds"]] == [None] * 4
 
 
 def test_report_subcommand(synth_dir, tmp_path, capsys):

@@ -14,7 +14,6 @@ from scanfisher.corpus import (
     compute_features,
     estimate_syllables,
     load_frequency_table,
-    load_text,
     load_texts,
     raw_feature_matrix,
     save_frequency_table,
@@ -39,7 +38,7 @@ MINIMAL = {
 
 
 def test_load_minimal_text(tmp_path):
-    text = load_text(_write_text(tmp_path, MINIMAL))
+    [text] = load_texts(_write_text(tmp_path, MINIMAL))
     assert text.text_id == "t0"
     assert text.num_words == 2
     assert text.lines[0][1].token == "cat"
@@ -55,7 +54,7 @@ def test_overlapping_spans_rejected(tmp_path):
         ]],
     }
     with pytest.raises(CorpusError, match="overlapping word spans"):
-        load_text(_write_text(tmp_path, bad))
+        load_texts(_write_text(tmp_path, bad))
 
 
 def test_error_messages_name_line_and_word(tmp_path):
@@ -67,20 +66,20 @@ def test_error_messages_name_line_and_word(tmp_path):
         ],
     }
     with pytest.raises(CorpusError, match="line 1 word 1"):
-        load_text(_write_text(tmp_path, bad))
+        load_texts(_write_text(tmp_path, bad))
 
 
 def test_empty_line_rejected(tmp_path):
     bad = {"text_id": "t0", "lines": [[]]}
     with pytest.raises(CorpusError, match="empty line"):
-        load_text(_write_text(tmp_path, bad))
+        load_texts(_write_text(tmp_path, bad))
 
 
 def test_malformed_json_rejected(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json")
     with pytest.raises(CorpusError, match="malformed JSON"):
-        load_text(path)
+        load_texts(path)
 
 
 def test_inverted_span_rejected():

@@ -219,7 +219,9 @@ def test_generative_classify_tie_breaks_to_lowest_id():
 
 def test_generative_classify_empty_events():
     readers = gen_readers(SynthConfig(num_readers=2, sigma_reader=0.3, seed=6))
-    empty = EventBatch.from_events([], num_features=readers[0].num_features)
+    w = np.ones((0, readers[0].num_features))
+    empty = sample_events(readers[0], w, w, np.random.default_rng(0))
+    assert empty.n == 0
     assert generative_classify(empty, {"r0": readers[0], "r1": readers[1]}) == "r0"
 
 

@@ -117,48 +117,61 @@ def test_classify_saccade(q_from, q_to, expected):
 def test_extract_two_fixations_yield_one_event():
     feats = _features(TEXT)
     sp = Scanpath("r", "t0", 0, ((0.0, 200.0), (5.0, 180.0)))
-    events = extract_events(sp, TEXT, feats)
-    assert len(events) == 1
-    assert events[0].u == 3
-    assert events[0].a == 5.0
-    assert events[0].d == 180.0
-    np.testing.assert_array_equal(events[0].w_launch, feats.lines[0][0])
-    np.testing.assert_array_equal(events[0].w_land, feats.lines[0][1])
+    batch = extract_events(sp, TEXT, feats)
+    assert len(batch) == 1
+    assert batch.u.tolist() == [3]
+    assert batch.amp.tolist() == [5.0]
+    assert batch.dur.tolist() == [180.0]
+    np.testing.assert_array_equal(batch.w_launch, feats.lines[0][[0]])
+    np.testing.assert_array_equal(batch.w_land, feats.lines[0][[1]])
 
 
 def test_extract_clamps_zero_amplitude():
     feats = _features(TEXT)
     sp = Scanpath("r", "t0", 0, ((5.0, 200.0), (5.0, 150.0)))
-    events = extract_events(sp, TEXT, feats)
-    assert events[0].u == 2
-    assert events[0].a == 0.5
+    batch = extract_events(sp, TEXT, feats)
+    assert batch.u.tolist() == [2]
+    assert batch.amp.tolist() == [0.5]
 
 
 def test_extract_event_count_and_sign_consistency():
+    """Every column equals the per-pair scalar path, exactly."""
     feats = _features(TEXT)
+    rows = feats.lines[0]
     rng = np.random.default_rng(9)
     extent = TEXT.line_extent(0)
     for _ in range(50):
         n = int(rng.integers(2, 12))
         qs = rng.uniform(0, extent - 1e-6, size=n)
+        if rng.random() < 0.5:
+            qs[1] = min(qs[0] + 0.25, extent - 1e-6)  # a sub-floor move
         fixations = tuple((float(q), float(rng.uniform(50, 400))) for q in qs)
         sp = Scanpath("r", "t0", 0, fixations)
-        events = extract_events(sp, TEXT, feats)
-        assert len(events) == n - 1
-        for e in events:
-            assert abs(e.a) >= 0.5
-            if e.u in (2, 3, 4):
-                assert e.a > 0
-            else:
-                assert e.a < 0
+        batch = extract_events(sp, TEXT, feats)
+        assert len(batch) == batch.n == n - 1
+        assert batch.num_features == rows.shape[1]
+        for t, ((q0, _), (q1, d1)) in enumerate(zip(fixations, fixations[1:])):
+            u = classify_saccade(TEXT, 0, q0, q1)
+            a = q1 - q0
+            if abs(a) < 0.5:
+                a = 0.5 if u in (2, 3, 4) else -0.5
+            # forward types move right (or not at all), backward types left
+            assert (a > 0) == (u in (2, 3, 4))
+            assert batch.u[t] == u
+            assert batch.amp[t] == abs(a)
+            assert batch.dur[t] == d1
+            np.testing.assert_array_equal(batch.w_launch[t], rows[word_at(TEXT, 0, q0)])
+            np.testing.assert_array_equal(batch.w_land[t], rows[word_at(TEXT, 0, q1)])
 
 
 def test_short_scanpath_warns_and_returns_empty(caplog):
     feats = _features(TEXT)
     sp = Scanpath("r", "t0", 0, ((1.0, 100.0),))
     with caplog.at_level(logging.WARNING):
-        events = extract_events(sp, TEXT, feats)
-    assert events == []
+        batch = extract_events(sp, TEXT, feats)
+    assert len(batch) == 0
+    assert batch.u.dtype == np.int64
+    assert batch.w_launch.shape == batch.w_land.shape == (0, feats.lines[0].shape[1])
     assert "no events extracted" in caplog.text
 
 
@@ -190,14 +203,13 @@ def test_scanpath_jsonl_error_names_line(tmp_path):
 def test_event_batch_round_trip_and_select():
     feats = _features(TEXT)
     sp = Scanpath("r", "t0", 0, ((0.0, 200.0), (5.0, 180.0), (2.0, 90.0)))
-    events = extract_events(sp, TEXT, feats)
-    batch = EventBatch.from_events(events)
+    batch = extract_events(sp, TEXT, feats)
     assert batch.n == 2
     assert batch.num_features == feats.lines[0].shape[1]
-    np.testing.assert_array_equal(batch.amp, [abs(e.a) for e in events])
+    np.testing.assert_array_equal(batch.amp, [5.0, 3.0])
     sub = batch.select_features([0, 2])
     assert sub.num_features == 2
     np.testing.assert_array_equal(sub.w_launch, batch.w_launch[:, [0, 2]])
 
-    merged = EventBatch.concat([batch, sub if False else batch])
+    merged = EventBatch.concat([batch, batch])
     assert merged.n == 4

@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import gammaln
 
-from scanfisher.events import EventBatch, SaccadeEvent
+from scanfisher.events import EventBatch
 from scanfisher.fisher import (
     MetricError,
     default_ridge,
@@ -52,7 +52,7 @@ def _random_batch(rng, params, n, m):
 
 def test_score_empty_events_is_zero_vector():
     params = _random_params(np.random.default_rng(0), 3)
-    g = fisher_score([], params)
+    g = fisher_score(_typed_batch(np.random.default_rng(1), [], 3), params)
     assert g.shape == (score_dimension(3),)
     np.testing.assert_array_equal(g, 0.0)
 
@@ -73,8 +73,9 @@ def test_score_single_event_hand_values():
         alpha=np.zeros((5, m)), beta=np.zeros((5, m)),
         gamma=np.zeros((5, m)), delta=np.zeros((5, m)),
     )
-    e = SaccadeEvent(u=3, a=1.0, d=1.0, w_launch=np.ones(1), w_land=np.ones(1))
-    g = fisher_score([e], params)
+    e = EventBatch(u=np.array([3]), amp=np.ones(1), dur=np.ones(1),
+                   w_launch=np.ones((1, 1)), w_land=np.ones((1, 1)))
+    g = fisher_score(e, params)
     width = 1 + 4 * m
     base = 2 * width  # type 3 block
     psi_1 = -_euler_mascheroni()
@@ -296,6 +297,9 @@ def test_default_ridge_scales_trace_with_floor():
     assert default_ridge(info, 1e-3) == pytest.approx(1e-3 * 12.0 / 3)
     assert default_ridge(np.zeros((3, 3)), 1e-3) == 1e-12
     assert default_ridge(info, 0.0) == 1e-12
+    for scale in (-1.0, float("nan")):
+        with pytest.raises(MetricError, match="ridge scale must be >= 0"):
+            default_ridge(info, scale)
 
 
 def test_kernel_matches_dense_inverse_oracle():

@@ -4,16 +4,20 @@ import math
 import numpy as np
 import pytest
 
-from scanfisher.events import EventBatch, SaccadeEvent
+from scanfisher.events import EventBatch
 from scanfisher.fit import FitConfig, FitError, fit_model, fit_model_detailed, fit_pi
 from scanfisher.model import ModelParams, sample_events
 from scanfisher.synth import default_base_params
 from fit_reference import neg_loglik_and_grad_amplitude, neg_loglik_and_grad_duration
 
 
-def _event(u, a, d, w):
-    w = np.asarray(w, dtype=float)
-    return SaccadeEvent(u=u, a=a, d=d, w_launch=w, w_land=w)
+def _of_types(types):
+    """Events of the given types with |a| = d = 1 and bias-only features."""
+    n = len(types)
+    return EventBatch(
+        u=np.asarray(types, dtype=np.int64), amp=np.ones(n), dur=np.ones(n),
+        w_launch=np.ones((n, 1)), w_land=np.ones((n, 1)),
+    )
 
 
 def _typed_batch(rng, n, m, u=3):
@@ -33,13 +37,11 @@ def _typed_batch(rng, n, m, u=3):
 
 
 def test_fit_pi_uniform_counts():
-    events = [_event(u, 1.0 if u in (2, 3, 4) else -1.0, 1.0, [1.0]) for u in range(1, 6)]
-    np.testing.assert_allclose(fit_pi(events), np.full(5, 0.2))
+    np.testing.assert_allclose(fit_pi(_of_types(range(1, 6))), np.full(5, 0.2))
 
 
 def test_fit_pi_zero_count_smoothing():
-    events = [_event(3, 1.0, 1.0, [1.0]) for _ in range(10)]
-    pi = fit_pi(events)
+    pi = fit_pi(_of_types([3] * 10))
     eps = 1e-6
     expected = np.array([eps, eps, 1.0, eps, eps])
     expected /= expected.sum()
@@ -49,7 +51,7 @@ def test_fit_pi_zero_count_smoothing():
 
 def test_fit_pi_empty_errors():
     with pytest.raises(FitError):
-        fit_pi([])
+        fit_pi(_of_types([]))
 
 
 def test_fit_pi_recovers_multinomial():
@@ -57,12 +59,7 @@ def test_fit_pi_recovers_multinomial():
     truth = np.array([0.1, 0.2, 0.4, 0.05, 0.25])
     n = 10_000
     counts = rng.multinomial(n, truth)
-    events = [
-        _event(u + 1, 1.0 if u + 1 in (2, 3, 4) else -1.0, 1.0, [1.0])
-        for u in range(5)
-        for _ in range(counts[u])
-    ]
-    pi = fit_pi(events)
+    pi = fit_pi(_of_types(np.repeat(np.arange(1, 6), counts)))
     for u in range(5):
         se = math.sqrt(truth[u] * (1 - truth[u]) / n)
         assert abs(pi[u] - truth[u]) <= 3 * se
@@ -71,16 +68,10 @@ def test_fit_pi_recovers_multinomial():
 def test_fit_pi_permutation_equivariant():
     rng = np.random.default_rng(1)
     us = rng.integers(1, 6, size=200)
-    events = [_event(int(u), 1.0 if u in (2, 3, 4) else -1.0, 1.0, [1.0]) for u in us]
-    pi = fit_pi(events)
+    pi = fit_pi(_of_types(us))
     # relabel types through a permutation: pi permutes the same way
     perm = np.array([2, 0, 4, 1, 3])
-    permuted = [
-        _event(int(perm[e.u - 1]) + 1,
-               1.0 if perm[e.u - 1] + 1 in (2, 3, 4) else -1.0, 1.0, [1.0])
-        for e in events
-    ]
-    pi_perm = fit_pi(permuted)
+    pi_perm = fit_pi(_of_types(perm[us - 1] + 1))
     np.testing.assert_allclose(pi_perm[perm], pi, rtol=1e-12)
 
 
@@ -282,4 +273,4 @@ def test_fit_config_validation():
 
 def test_fit_model_empty_errors():
     with pytest.raises(FitError):
-        fit_model([], FitConfig())
+        fit_model(_of_types([]), FitConfig())

@@ -5,7 +5,7 @@ import pytest
 from scipy import integrate, stats
 
 from scanfisher.corpus import FrequencyTable, Text, Word, compute_features
-from scanfisher.events import EventBatch, SaccadeEvent, Scanpath, extract_events
+from scanfisher.events import EventBatch, Scanpath, extract_events
 from scanfisher.model import (
     ModelError,
     ModelParams,
@@ -114,15 +114,16 @@ def test_gamma_logpdf_matches_scipy():
 
 
 def _unit_event(u=1, m=1):
-    w = np.zeros(m)
-    w[0] = 1.0
-    return SaccadeEvent(u=u, a=1.0 if u in (2, 3, 4) else -1.0, d=1.0, w_launch=w, w_land=w)
+    """One event of type u with |a| = d = 1 and features (1, 0, ..., 0)."""
+    w = np.zeros((1, m))
+    w[0, 0] = 1.0
+    return EventBatch(u=np.array([u]), amp=np.ones(1), dur=np.ones(1), w_launch=w, w_land=w)
 
 
 def test_event_loglik_unit_composition():
     params = _uniform_params()
     e = _unit_event(u=2)
-    assert event_loglik(e, params) == pytest.approx(math.log(0.2) - 1.0 - 1.0)
+    assert event_loglik(e, 0, params) == pytest.approx(math.log(0.2) - 1.0 - 1.0)
 
 
 def test_event_loglik_is_sum_of_parts():
@@ -162,17 +163,7 @@ def test_batch_loglik_matches_per_event_sum():
         np.column_stack([np.ones(30), rng.normal(0, 1, 30)]),
         rng,
     )
-    events = [
-        SaccadeEvent(
-            u=int(batch.u[t]),
-            a=float(batch.amp[t]) if batch.u[t] in (2, 3, 4) else -float(batch.amp[t]),
-            d=float(batch.dur[t]),
-            w_launch=batch.w_launch[t],
-            w_land=batch.w_land[t],
-        )
-        for t in range(batch.n)
-    ]
-    oracle = sum(event_loglik(e, params) for e in events)
+    oracle = sum(event_loglik(batch, t, params) for t in range(batch.n))
     assert batch_loglik(batch, params) == pytest.approx(oracle, rel=1e-10)
 
 
@@ -189,7 +180,7 @@ def test_bias_only_reduces_to_constant_gamma():
         + stats.gamma.logpdf(1.0, a=shape, scale=scale)
         + stats.gamma.logpdf(1.0, a=dshape, scale=dscale)
     )
-    assert event_loglik(e, params) == pytest.approx(expected, rel=1e-10)
+    assert event_loglik(e, 0, params) == pytest.approx(expected, rel=1e-10)
 
 
 def test_loglik_finite_for_extracted_events():
@@ -199,8 +190,10 @@ def test_loglik_finite_for_extracted_events():
     params = _random_params(rng, feats[0].lines[0].shape[1])
     qs = rng.uniform(0, text.line_extent(0) - 1e-6, size=30)
     sp = Scanpath("r", "t0", 0, tuple((float(q), 100.0) for q in qs))
-    for e in extract_events(sp, text, feats[0]):
-        assert np.isfinite(event_loglik(e, params))
+    batch = extract_events(sp, text, feats[0])
+    assert batch.n == 29
+    for t in range(batch.n):
+        assert np.isfinite(event_loglik(batch, t, params))
 
 
 def test_shape_monotone_in_bias_weight():
@@ -268,7 +261,7 @@ def test_sample_scanpath_degenerate_pi_draws_only_type_3():
                               n_fixations=40, rng=np.random.default_rng(8))
     assert np.all(sampled.drawn_types == 3)
     # realized amplitudes can flip sign only through boundary reflection
-    assert all(abs(e.a) >= 0.5 for e in extract_events(sampled.scanpath, text, feats))
+    assert (extract_events(sampled.scanpath, text, feats).amp >= 0.5).all()
 
 
 def test_sample_scanpath_positions_stay_on_line():

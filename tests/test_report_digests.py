@@ -1,0 +1,57 @@
+"""Report bytes of the benchmark workloads at the reference seed.
+
+Each workload's dataset is generated the way `perfbench/run.py` generates it
+(the public writers, parity labels for comprehension, a reload from the
+files), the experiment runs, and the sha256 of the report written by
+`write_report_json` must equal the digest pinned in `perfbench/workloads.py`.
+"""
+
+import dataclasses
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+from scanfisher.corpus import load_frequency_table, load_texts, save_frequency_table, save_texts
+from scanfisher.evaluate import (
+    PipelineConfig,
+    ReadingDataset,
+    binary_comprehension_eval,
+    loto_cv,
+    write_report_json,
+)
+from scanfisher.events import load_scanpaths, save_scanpaths
+from scanfisher.synth import SynthConfig, gen_dataset
+from scanfisher.util import sha256_file
+
+_spec = importlib.util.spec_from_file_location(
+    "perfbench_workloads", Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+)
+workloads = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(workloads)
+
+EXPERIMENTS = {"identification": loto_cv, "comprehension": binary_comprehension_eval}
+
+
+def _generated_dataset(workload: dict, data_dir: Path) -> ReadingDataset:
+    synth = gen_dataset(SynthConfig(seed=workloads.REFERENCE_SEED, **workload["synth"]))
+    scanpaths = synth.scanpaths
+    if workload["mode"] == "comprehension":
+        scanpaths = [dataclasses.replace(sp, label=int(sp.reader_id[1:]) % 2) for sp in scanpaths]
+    save_texts(data_dir / "texts.json", synth.texts)
+    save_frequency_table(data_dir / "freq.tsv", synth.freq)
+    save_scanpaths(data_dir / "scanpaths.jsonl", scanpaths)
+    return ReadingDataset(
+        texts={t.text_id: t for t in load_texts(data_dir / "texts.json")},
+        freq=load_frequency_table(data_dir / "freq.tsv"),
+        scanpaths=load_scanpaths(data_dir / "scanpaths.jsonl"),
+    )
+
+
+@pytest.mark.parametrize("name", sorted(workloads.REFERENCE_DIGESTS))
+def test_report_digest_at_reference_seed(name, tmp_path):
+    workload = workloads.WORKLOADS[name]
+    dataset = _generated_dataset(workload, tmp_path)
+    report = EXPERIMENTS[workload["mode"]](dataset, PipelineConfig(**workload["pipeline"]))
+    write_report_json(tmp_path / "report.json", report)
+    assert sha256_file(tmp_path / "report.json") == workloads.REFERENCE_DIGESTS[name]
