@@ -8,7 +8,9 @@ byte-identical files.
 
 import argparse
 import json
+import logging
 import sys
+from contextlib import contextmanager
 from dataclasses import asdict
 from pathlib import Path
 
@@ -312,6 +314,10 @@ def _add_pipeline_args(p: argparse.ArgumentParser) -> None:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="scanfisher")
     parser.add_argument("--version", action="version", version=f"scanfisher {__version__}")
+    parser.add_argument(
+        "--log-level", choices=("debug", "info", "warning", "error"), default="warning",
+        help="lowest level of scanfisher log records written to stderr (default: warning)",
+    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("synth", help="generate a synthetic corpus and dataset")
@@ -379,17 +385,34 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@contextmanager
+def _log_to_stderr(level: str):
+    """Write `scanfisher.*` records at `level` and above to stderr, named by logger."""
+    logger = logging.getLogger("scanfisher")
+    handler = logging.StreamHandler(sys.stderr)
+    handler.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
+    previous = logger.level
+    logger.setLevel(level.upper())
+    logger.addHandler(handler)
+    try:
+        yield
+    finally:
+        logger.removeHandler(handler)
+        logger.setLevel(previous)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    try:
-        return args.func(args)
-    except _PARSE_EXCEPTIONS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return PARSE_ERROR
-    except _RUN_EXCEPTIONS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return RUN_ERROR
+    with _log_to_stderr(args.log_level):
+        try:
+            return args.func(args)
+        except _PARSE_EXCEPTIONS as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return PARSE_ERROR
+        except _RUN_EXCEPTIONS as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return RUN_ERROR
 
 
 if __name__ == "__main__":

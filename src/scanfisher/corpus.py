@@ -15,6 +15,7 @@ import logging
 import math
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -82,6 +83,11 @@ class Text:
     def line_extent(self, line_id: int) -> int:
         """One past the last valid character position on the line."""
         return self.lines[line_id][-1].end_char
+
+    @cached_property
+    def word_starts(self) -> tuple[np.ndarray, ...]:
+        """Each line's word start positions, built once per text."""
+        return tuple(np.array([w.start_char for w in line], dtype=float) for line in self.lines)
 
     def iter_words(self):
         for line in self.lines:

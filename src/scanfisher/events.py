@@ -16,7 +16,6 @@ columnwise in an `EventBatch`.
 
 import json
 import logging
-from bisect import bisect_right
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -103,36 +102,44 @@ def save_scanpaths(path, scanpaths: Iterable[Scanpath]) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+def _word_indices(text: Text, line_id: int, q: np.ndarray) -> np.ndarray:
+    """Word index of every position in `q` on the line (see `word_at`)."""
+    if not 0 <= line_id < len(text.lines):
+        raise ScanpathError(f"text {text.text_id!r}: no line {line_id}")
+    extent = text.line_extent(line_id)
+    outside = np.flatnonzero(~((q >= 0) & (q < extent)))
+    if outside.size:
+        raise ScanpathError(
+            f"text {text.text_id!r} line {line_id}: position {q[outside[0]]} "
+            f"outside [0, {extent})"
+        )
+    return np.maximum(np.searchsorted(text.word_starts[line_id], q, side="right") - 1, 0)
+
+
 def word_at(text: Text, line_id: int, q: float) -> int:
     """Index of the word whose span contains position `q` on the line.
 
     Positions in inter-word whitespace belong to the preceding word; positions
     before the first word's start clamp to word 0.
     """
-    if not 0 <= line_id < len(text.lines):
-        raise ScanpathError(f"text {text.text_id!r}: no line {line_id}")
-    line = text.lines[line_id]
-    extent = line[-1].end_char
-    if not (0 <= q < extent):
-        raise ScanpathError(
-            f"text {text.text_id!r} line {line_id}: position {q} outside [0, {extent})"
-        )
-    starts = [w.start_char for w in line]
-    idx = bisect_right(starts, q) - 1
-    return max(idx, 0)
+    return int(_word_indices(text, line_id, np.array([q]))[0])
+
+
+def _saccade_types(w_from, w_to, q_from, q_to) -> np.ndarray:
+    """Saccade type of each move from its launch and landing words and positions."""
+    same = w_to == w_from
+    return np.select(
+        [same & (q_to < q_from), same, w_to == w_from + 1, w_to >= w_from + 2],
+        [1, 2, 3, 4],
+        default=5,
+    )
 
 
 def classify_saccade(text: Text, line_id: int, q_from: float, q_to: float) -> int:
     """Saccade type of the move q_from -> q_to (see module docstring)."""
-    w_from = word_at(text, line_id, q_from)
-    w_to = word_at(text, line_id, q_to)
-    if w_to == w_from:
-        return 1 if q_to < q_from else 2
-    if w_to == w_from + 1:
-        return 3
-    if w_to >= w_from + 2:
-        return 4
-    return 5
+    q = np.array([q_from, q_to])
+    w = _word_indices(text, line_id, q)
+    return int(_saccade_types(w[0], w[1], q[0], q[1]))
 
 
 @dataclass
@@ -201,13 +208,13 @@ def extract_events(
         )
     line_id = scanpath.line_id
     q, d = np.array(scanpath.fixations, dtype=float).reshape(-1, 2).T
-    words = np.array([word_at(text, line_id, x) for x in q], dtype=np.int64)
-    u = [classify_saccade(text, line_id, q0, q1) for q0, q1 in zip(q, q[1:])]
+    words = _word_indices(text, line_id, q)
+    u = _saccade_types(words[:-1], words[1:], q[:-1], q[1:]).astype(np.int64)
     amp = np.abs(np.diff(q))
     amp[amp < amp_floor] = amp_floor
     rows = features.lines[line_id]
     return EventBatch(
-        u=np.array(u, dtype=np.int64),
+        u=u,
         amp=amp,
         dur=d[1:],
         w_launch=rows[words[:-1]],

@@ -7,18 +7,32 @@ minimizations of
 
     -sum ln Gamma_pdf(x | exp(W a), exp(W b)) + lambda * sum_m exp(a_m) + exp(b_m)
 
-solved with a quasi-Newton method (L-BFGS-B with analytic gradients).
-Either of scipy's two tests ends a fit: the projected-gradient infinity norm
-drops below the configured tolerance, or the relative objective reduction of
-one step drops below ``ftol = 1e-12``.  In practice the second test ends
-most fits, at a final gradient norm well above the tolerance.
+All ten (kind, u) groups of a batch are solved by one damped Newton loop
+over their pooled events.  Each iteration evaluates the per-event objective,
+gradient and closed-form Hessian terms (trigamma in the shape block) once,
+sums them per group with `np.add.reduceat`, solves the stacked 2M x 2M
+systems in one call and backtracks each group's step until the Armijo
+condition holds.  A group stops when its gradient infinity norm is at most
+`FitConfig.tol` or its Newton decrement g^T H^-1 g is at most
+1e-12 * max(|f|, 1).
+
+The objective is not convex, and small groups can have several local
+minima.  From an iterate whose Hessian is not positive definite, second-order
+steps (those of the expected information too) can leave the basin that
+L-BFGS-B from the same start settles in.  So such a group, like any group
+Newton cannot finish (no Armijo decrease, a non-finite value or `max_iter`
+steps), is refitted from the same moment start by L-BFGS-B with analytic
+gradients, and that result is used as it is.  L-BFGS-B stops on
+scipy's projected-gradient test (|g| <= `tol`) or on its relative-reduction
+test (``ftol = 1e-12``).  No value is shared between groups, so each group's
+fit is the one it would get alone.
 """
 
 import logging
 from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import minimize
-from scipy.special import digamma, gammaln
+from scipy.special import digamma, gammaln, polygamma
 
 from .events import NUM_SACCADE_TYPES, EventBatch
 from .model import ModelParams, _LOG_LINK_MAX, _LOG_LINK_MIN
@@ -26,6 +40,10 @@ from .model import ModelParams, _LOG_LINK_MAX, _LOG_LINK_MIN
 logger = logging.getLogger(__name__)
 
 PI_SMOOTHING = 1e-6
+_ARMIJO = 1e-4          # sufficient-decrease constant of the backtracking search
+_MAX_HALVINGS = 40      # step halvings before the search gives up
+_DECREMENT_RTOL = 1e-12  # Newton decrement stop, relative to max(|f|, 1)
+_PD_RTOL = 1e-12        # a Hessian is positive definite if min eig > this * max eig
 
 
 class FitError(ValueError):
@@ -36,9 +54,11 @@ class FitError(ValueError):
 class FitConfig:
     """Fit settings.
 
-    `tol` is L-BFGS-B's projected-gradient tolerance (scipy's ``gtol``).  It
-    is one of two stopping tests: a fit also ends when one step reduces the
-    objective by less than ``1e-12`` relative, whatever the gradient norm.
+    `tol` bounds the gradient infinity norm at which a Newton group stops; a
+    group also stops when its Newton decrement is at most 1e-12 * max(|f|, 1).
+    `max_iter` caps the Newton steps of a group and, separately, the L-BFGS-B
+    iterations of a fallback fit, where `tol` is scipy's ``gtol`` and a
+    relative reduction below ``1e-12`` (``ftol``) also ends the fit.
     """
 
     lam: float = 1e-2
@@ -103,10 +123,12 @@ def _moment_init(x: np.ndarray, m: int) -> np.ndarray:
 class GroupFit:
     """Diagnostics of one per-type optimization.
 
-    `converged` is scipy's ``success`` flag: false when L-BFGS-B hit
-    `max_iter` or its line search failed.  It does not check that
-    `grad_norm` <= `FitConfig.tol`; a fit ended by the relative-reduction
-    test counts as converged.
+    `solver` is "newton" for a group the pooled Newton loop finished,
+    "lbfgs" for one refitted by L-BFGS-B and "none" for an empty group.  For
+    a Newton group `converged` means the stopping rule was met (|g| <= `tol`
+    or the Newton decrement test) and `objective_trace` holds the accepted
+    objectives.  For an L-BFGS-B group it is scipy's ``success`` flag, which
+    a fit ended by the relative-reduction test also sets.
     """
 
     kind: str           # "amplitude" or "duration"
@@ -119,12 +141,25 @@ class GroupFit:
     grad_norm: float
     converged: bool
     objective_trace: list[float] = field(default_factory=list)
+    solver: str = "none"
 
 
 @dataclass
 class FitOutcome:
     params: ModelParams
     groups: list[GroupFit]
+
+
+def _bias_only(n: int, m_full: int) -> bool:
+    """A group of fewer than 2M events fits only its bias weights (when M > 1)."""
+    return n < 2 * m_full and m_full > 1
+
+
+def _warn_bias_only(kind: str, u: int, n: int, m_full: int) -> None:
+    logger.warning(
+        "only %d %s events of type %d (< 2M=%d); falling back to bias-only fit",
+        n, kind, u, 2 * m_full,
+    )
 
 
 def _fit_group(
@@ -135,6 +170,7 @@ def _fit_group(
     config: FitConfig,
     collect_trace: bool = False,
 ) -> tuple[np.ndarray, np.ndarray, GroupFit]:
+    """L-BFGS-B fit of one group from the moment start (the Newton loop's fallback)."""
     m_full = W.shape[1]
     n = len(x)
     shape_w = np.zeros(m_full)
@@ -144,16 +180,10 @@ def _fit_group(
         info = GroupFit(kind, u, 0, True, 0.0, 0.0, 0, 0.0, True)
         return shape_w, scale_w, info
 
-    bias_only = n < 2 * m_full
-    if bias_only and m_full > 1:
-        logger.warning(
-            "only %d %s events of type %d (< 2M=%d); falling back to bias-only fit",
-            n, kind, u, 2 * m_full,
-        )
-        W_used = W[:, :1]
-    else:
-        bias_only = False
-        W_used = W
+    bias_only = _bias_only(n, m_full)
+    if bias_only:
+        _warn_bias_only(kind, u, n, m_full)
+    W_used = W[:, :1] if bias_only else W
     m = W_used.shape[1]
 
     theta0 = _moment_init(x, m)
@@ -196,8 +226,162 @@ def _fit_group(
         grad_norm=float(np.max(np.abs(result.jac))),
         converged=bool(result.success),
         objective_trace=trace,
+        solver="lbfgs",
     )
     return shape_w, scale_w, info
+
+
+@dataclass
+class _Pool:
+    """Events of several groups, concatenated group by group.
+
+    A bias-only group's feature columns are zero, so its padded weights get
+    no data gradient; `_pooled_terms` masks their regularizer too.
+    """
+
+    x: np.ndarray       # (N,)
+    W: np.ndarray       # (N, M)
+    sizes: np.ndarray   # (G,) events per group
+
+    def __post_init__(self):
+        self.log_x = np.log(self.x)
+        self.gid = np.repeat(np.arange(len(self.sizes)), self.sizes)  # each event's group
+        self.starts = np.cumsum(self.sizes) - self.sizes                # each group's first event
+
+    @staticmethod
+    def of(xs: list[np.ndarray], Ws: list[np.ndarray]) -> "_Pool":
+        return _Pool(np.concatenate(xs), np.concatenate(Ws, axis=0), np.array([len(x) for x in xs]))
+
+    def take(self, keep: np.ndarray) -> "_Pool":
+        """The pool of the groups where the boolean `keep` is true, in order."""
+        if keep.all():
+            return self
+        events = keep[self.gid]
+        return _Pool(self.x[events], self.W[events], self.sizes[keep])
+
+
+def _pooled_terms(pool: _Pool, theta: np.ndarray, mask: np.ndarray, lam: float, derivatives: bool = True):
+    """Objective (G,) of every pooled group, then gradient (G, 2M) and Hessian (G, 2M, 2M).
+
+    Row g of `theta` holds group g's [shape weights, scale weights]; `mask`
+    is 0 on the padded weights of bias-only groups, whose Hessian rows are
+    the identity there.  The per-event terms are `_objective`'s.
+    """
+    m = pool.W.shape[1]
+    per_event = theta[pool.gid]
+    eta_shape = np.clip(np.einsum("ij,ij->i", pool.W, per_event[:, :m]), _LOG_LINK_MIN, _LOG_LINK_MAX)
+    eta_scale = np.clip(np.einsum("ij,ij->i", pool.W, per_event[:, m:]), _LOG_LINK_MIN, _LOG_LINK_MAX)
+    shape = np.exp(eta_shape)
+    x_over_scale = pool.x * np.exp(-eta_scale)
+    loglik = (shape - 1.0) * pool.log_x - x_over_scale - gammaln(shape) - shape * eta_scale
+    reg = mask * np.exp(np.clip(theta, None, 500.0))
+    value = lam * reg.sum(axis=1) - np.add.reduceat(loglik, pool.starts)
+    if not derivatives:
+        return value
+    shape_term = shape * (pool.log_x - digamma(shape) - eta_scale)
+    scale_term = x_over_scale - shape
+    per_event_grad = np.hstack([pool.W * shape_term[:, None], pool.W * scale_term[:, None]])
+    grad = lam * reg - np.add.reduceat(per_event_grad, pool.starts)
+    # second derivatives of each event's term by (eta_shape, eta_scale), times w w^T
+    shape_shape, cross, scale_scale = (
+        np.add.reduceat(pool.W[:, :, None] * (pool.W * c[:, None])[:, None, :], pool.starts)
+        for c in (shape * shape * polygamma(1, shape) - shape_term, shape, x_over_scale)
+    )
+    hessian = np.empty((len(theta), 2 * m, 2 * m))
+    hessian[:, :m, :m] = shape_shape
+    hessian[:, :m, m:] = hessian[:, m:, :m] = cross
+    hessian[:, m:, m:] = scale_scale
+    diagonal = np.arange(2 * m)
+    hessian[:, diagonal, diagonal] += lam * reg + (1.0 - mask)
+    return value, grad, hessian
+
+
+def _positive_definite(hessian: np.ndarray) -> np.ndarray:
+    eig = np.linalg.eigvalsh(hessian)
+    return eig[:, 0] > _PD_RTOL * np.abs(eig).max(axis=1)
+
+
+@dataclass
+class _NewtonResult:
+    theta: np.ndarray         # (G, 2M)
+    value: np.ndarray         # (G,)
+    grad_norm: np.ndarray     # (G,)
+    iterations: np.ndarray    # (G,) accepted steps
+    failure: list             # None where the stopping rule was met, else the reason
+    traces: list              # accepted objectives per group
+
+
+def _newton(pool: _Pool, theta: np.ndarray, mask: np.ndarray, config: FitConfig) -> _NewtonResult:
+    """Damped Newton on every pooled group from `theta` until each stops or fails.
+
+    Each pass evaluates every still-active group once with derivatives; the
+    backtracking trials evaluate only the objective of the groups still
+    searching.
+    """
+    lam = config.lam
+    n_groups = len(theta)
+    theta = theta.copy()
+    value = np.zeros(n_groups)
+    grad_norm = np.full(n_groups, np.inf)
+    iterations = np.zeros(n_groups, dtype=np.int64)
+    failure = [None] * n_groups
+    traces = None
+    active = np.arange(n_groups)
+    with np.errstate(over="ignore", invalid="ignore"):
+        while active.size:
+            f, g, hessian = _pooled_terms(pool, theta[active], mask[active], lam)
+            value[active] = f
+            grad_norm[active] = np.abs(g).max(axis=1)
+            if traces is None:
+                traces = [[float(f0)] for f0 in f]
+            finite = np.isfinite(f) & np.isfinite(g).all(axis=1) & np.isfinite(hessian).all(axis=(1, 2))
+            solvable = finite.copy()
+            solvable[finite] = _positive_definite(hessian[finite])
+            step = np.zeros_like(g)
+            step[solvable] = np.linalg.solve(hessian[solvable], -g[solvable][..., None])[..., 0]
+            step *= mask[active]
+            decrement = -(g * step).sum(axis=1)
+            converged = solvable & (
+                (grad_norm[active] <= config.tol)
+                | (decrement <= _DECREMENT_RTOL * np.maximum(np.abs(f), 1.0))
+            )
+            at_limit = iterations[active] >= config.max_iter
+            for i, group in enumerate(active):
+                if not finite[i]:
+                    failure[group] = "non-finite objective, gradient or Hessian"
+                elif not solvable[i]:
+                    failure[group] = "Hessian not positive definite"
+                elif at_limit[i] and not converged[i]:
+                    failure[group] = f"{config.max_iter} Newton steps reached"
+            going = solvable & ~converged & ~at_limit
+            if not going.any():
+                break
+            pool, active = pool.take(going), active[going]
+            step, slope = step[going], -decrement[going]
+
+            # per-group Armijo backtracking on the objective alone
+            search_pool, searching = pool, np.arange(active.size)
+            t = np.ones(active.size)
+            for _ in range(_MAX_HALVINGS + 1):
+                rows = active[searching]
+                trial = theta[rows] + t[searching, None] * step[searching]
+                f_new = _pooled_terms(search_pool, trial, mask[rows], lam, derivatives=False)
+                ok = f_new <= value[rows] + _ARMIJO * t[searching] * slope[searching]
+                theta[rows[ok]] = trial[ok]
+                iterations[rows[ok]] += 1
+                for group, f_acc in zip(rows[ok], f_new[ok]):
+                    traces[group].append(float(f_acc))
+                if ok.all():
+                    break
+                search_pool, searching = search_pool.take(~ok), searching[~ok]
+                t[searching] *= 0.5
+            else:
+                for group in active[searching]:
+                    failure[group] = "no Armijo decrease along the Newton step"
+                going = np.ones(active.size, dtype=bool)
+                going[searching] = False
+                pool, active = pool.take(going), active[going]
+    return _NewtonResult(theta, value, grad_norm, iterations, failure, traces)
 
 
 def fit_model_detailed(
@@ -207,8 +391,8 @@ def fit_model_detailed(
 ) -> FitOutcome:
     """Fit pi and all per-type gamma GLMs; returns parameters plus diagnostics.
 
-    `collect_trace=False` skips the per-iteration objective recomputation
-    used for fit logs, roughly halving the cost of each subproblem.
+    `collect_trace=False` skips the per-iteration objective recomputation of
+    L-BFGS-B fallback fits; Newton groups always record their objectives.
     """
     if batch.n == 0:
         raise FitError("cannot fit a model from an empty event set")
@@ -222,16 +406,55 @@ def fit_model_detailed(
         "amplitude": (batch.amp, batch.w_launch, alpha, beta),
         "duration": (batch.dur, batch.w_land, gamma, delta),
     }
-    groups = []
+    groups = []   # (kind, u, x, W), in the order of the returned diagnostics
     for u in range(1, NUM_SACCADE_TYPES + 1):
-        mask = batch.u == u
-        for kind, (x, W, shape_block, scale_block) in blocks.items():
-            shape_block[u - 1], scale_block[u - 1], info = _fit_group(
-                kind, u, x[mask], W[mask], config, collect_trace
+        in_type = batch.u == u
+        for kind, (x, W, _, _) in blocks.items():
+            groups.append((kind, u, x[in_type], W[in_type]))
+
+    pooled = [i for i, (_, _, x, _) in enumerate(groups) if len(x)]
+    bias_only = np.array([_bias_only(len(groups[i][2]), m) for i in pooled], dtype=bool)
+    feature_mask = np.ones((len(pooled), m))
+    feature_mask[bias_only, 1:] = 0.0
+    pool = _Pool.of([groups[i][2] for i in pooled],
+                    [groups[i][3] * feature_mask[k] for k, i in enumerate(pooled)])
+    theta0 = np.array([_moment_init(groups[i][2], m) for i in pooled])
+    result = _newton(pool, theta0, np.hstack([feature_mask, feature_mask]), config)
+
+    row_of = {i: k for k, i in enumerate(pooled)}
+    infos = []
+    for i, (kind, u, x, W) in enumerate(groups):
+        shape_block, scale_block = blocks[kind][2:]
+        k = row_of.get(i)
+        if k is not None and result.failure[k] is None:
+            if bias_only[k]:
+                _warn_bias_only(kind, u, len(x), m)
+            shape_block[u - 1], scale_block[u - 1] = result.theta[k, :m], result.theta[k, m:]
+            infos.append(GroupFit(
+                kind=kind,
+                u=u,
+                n_events=len(x),
+                bias_only=bool(bias_only[k]),
+                initial_objective=result.traces[k][0],
+                final_objective=float(result.value[k]),
+                n_iterations=int(result.iterations[k]),
+                grad_norm=float(result.grad_norm[k]),
+                converged=True,
+                objective_trace=result.traces[k],
+                solver="newton",
+            ))
+            continue
+        if k is not None:
+            logger.warning(
+                "Newton stopped on %s events of type %d (n_events=%d, newton_steps=%d, |g|=%.3g): "
+                "%s; refitting with L-BFGS-B",
+                kind, u, len(x), result.iterations[k], result.grad_norm[k], result.failure[k],
             )
-            groups.append(info)
+        # empty groups keep zero weights; fallbacks refit from the same start
+        shape_block[u - 1], scale_block[u - 1], info = _fit_group(kind, u, x, W, config, collect_trace)
+        infos.append(info)
     params = ModelParams(pi=fit_pi(batch), alpha=alpha, beta=beta, gamma=gamma, delta=delta)
-    return FitOutcome(params=params, groups=groups)
+    return FitOutcome(params=params, groups=infos)
 
 
 def fit_model(events: EventBatch, config: FitConfig) -> ModelParams:

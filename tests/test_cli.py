@@ -1,4 +1,5 @@
 import json
+import logging
 import os
 import subprocess
 import sys
@@ -81,6 +82,22 @@ def test_fit_emits_valid_model_and_log(fitted_model):
     for group in log["groups"]:
         assert group["final_objective"] <= group["initial_objective"] + 1e-9
         assert isinstance(group["converged"], bool)
+        assert group["solver"] in ("newton", "lbfgs", "none")
+
+
+@pytest.mark.parametrize("level,shown", [("debug", True), ("warning", True), ("error", False)])
+def test_log_level_flag_filters_fit_warnings(synth_dir, tmp_path, capsys, level, shown):
+    # max_iter 1 stops every Newton group, so each one logs its L-BFGS-B refit
+    code = run_cli(
+        "--log-level", level, "fit",
+        "--texts", synth_dir / "texts.json", "--freq", synth_dir / "freq.tsv",
+        "--scanpaths", synth_dir / "scanpaths.jsonl", "--out", tmp_path / "m.json", "--max-iter", 1,
+    )
+    assert code == 0
+    err = capsys.readouterr().err
+    assert ("WARNING scanfisher.fit: Newton stopped on " in err) == shown
+    assert "scanfisher" not in err or shown
+    assert not logging.getLogger("scanfisher").handlers
 
 
 def test_fit_lambda_changes_weights(synth_dir, tmp_path):
@@ -302,14 +319,22 @@ def test_package_import_loads_no_scipy_stats_and_no_test_module():
     # oracles live under tests/ and must stay out of the package's imports
     src = str(Path(scanfisher.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    # the scipy modules the package may load are those of the three subpackages
+    # it uses (special, linalg, optimize), whatever they load themselves
     code = (
-        "import sys, scanfisher, scanfisher.cli\n"
-        "print('\\n'.join(sorted(sys.modules)))"
+        "import sys, scipy.special, scipy.linalg, scipy.optimize\n"
+        "allowed = set(sys.modules)\n"
+        "import scanfisher, scanfisher.cli\n"
+        "print('\\n'.join(sorted(sys.modules)))\n"
+        "print('--')\n"
+        "print('\\n'.join(sorted(m for m in set(sys.modules) - allowed if m.startswith('scipy'))))"
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
-    modules = proc.stdout.split()
+    listing, extra_scipy = proc.stdout.split("--\n")
+    modules = listing.split()
     assert "scanfisher.evaluate" in modules
     assert not [m for m in modules if m == "scipy.stats" or m.startswith("scipy.stats.")]
+    assert extra_scipy.split() == []
     assert not [m for m in modules
                 if m.split(".")[0] in ("tests", "conftest") or m.endswith("_reference")]

@@ -164,6 +164,63 @@ def test_extract_event_count_and_sign_consistency():
             np.testing.assert_array_equal(batch.w_land[t], rows[word_at(TEXT, 0, q1)])
 
 
+def _scan_word(spans, q):
+    """Word of position q by a linear scan: inside a span, else the last span ending at or before q."""
+    last = 0
+    for idx, (s, e) in enumerate(spans):
+        if s <= q < e:
+            return idx
+        if q >= e:
+            last = idx
+    return last
+
+
+def _scan_type(w_from, w_to, q_from, q_to):
+    if w_to == w_from:
+        return 1 if q_to < q_from else 2
+    return 3 if w_to == w_from + 1 else 4 if w_to > w_from else 5
+
+
+def test_extract_types_and_rows_match_linear_scan_oracle():
+    rng = np.random.default_rng(11)
+    lines = []
+    for li in range(3):
+        spans, pos = [], int(rng.integers(0, 3))
+        for _ in range(int(rng.integers(1, 9))):
+            width = int(rng.integers(1, 7))
+            spans.append((pos, pos + width))
+            pos += width + int(rng.integers(1, 4))
+        lines.append(spans)
+    text = Text("t0", tuple(
+        tuple(Word(f"w{i}", s, e, 1) for i, (s, e) in enumerate(spans)) for spans in lines
+    ))
+    feats = _features(text)
+    for line_id, spans in enumerate(lines):
+        extent = spans[-1][1]
+        # word starts, word ends and whitespace positions, plus random ones
+        edges = [float(v) for span in spans for v in span if v < extent]
+        for _ in range(20):
+            qs = rng.choice(np.concatenate([edges, rng.uniform(0, extent, 8)]), size=int(rng.integers(2, 9)))
+            sp = Scanpath("r", "t0", line_id, tuple((float(q), 100.0) for q in qs))
+            batch = extract_events(sp, text, feats)
+            words = [_scan_word(spans, q) for q in qs]
+            types = [_scan_type(w0, w1, q0, q1) for w0, w1, q0, q1 in zip(words, words[1:], qs, qs[1:])]
+            assert batch.u.tolist() == types
+            np.testing.assert_array_equal(batch.w_launch, feats.lines[line_id][words[:-1]])
+            np.testing.assert_array_equal(batch.w_land, feats.lines[line_id][words[1:]])
+
+
+def test_extract_names_the_first_position_outside_the_line():
+    feats = _features(TEXT)
+    sp = Scanpath("r", "t0", 0, ((1.0, 100.0), (25.5, 100.0), (30.0, 100.0)))
+    with pytest.raises(ScanpathError, match=r"^text 't0' line 0: position 25.5 outside \[0, 20\)$"):
+        extract_events(sp, TEXT, feats)
+    with pytest.raises(ScanpathError, match=r"^text 't0': no line 3$"):
+        extract_events(Scanpath("r", "t0", 3, ((1.0, 100.0), (2.0, 100.0))), TEXT, feats)
+    with pytest.raises(ScanpathError, match=r"position 20 outside \[0, 20\)$"):
+        classify_saccade(TEXT, 0, 20, 25)
+
+
 def test_short_scanpath_warns_and_returns_empty(caplog):
     feats = _features(TEXT)
     sp = Scanpath("r", "t0", 0, ((1.0, 100.0),))

@@ -5,7 +5,15 @@ import numpy as np
 import pytest
 
 from scanfisher.events import EventBatch
-from scanfisher.fit import FitConfig, FitError, fit_model, fit_model_detailed, fit_pi
+from scanfisher.fit import (
+    FitConfig,
+    FitError,
+    _fit_group,
+    _objective,
+    fit_model,
+    fit_model_detailed,
+    fit_pi,
+)
 from scanfisher.model import ModelParams, sample_events
 from scanfisher.synth import default_base_params
 from fit_reference import neg_loglik_and_grad_amplitude, neg_loglik_and_grad_duration
@@ -274,3 +282,158 @@ def test_fit_config_validation():
 def test_fit_model_empty_errors():
     with pytest.raises(FitError):
         fit_model(_of_types([]), FitConfig())
+
+
+# ---------------------------------------------------------------------------
+# pooled Newton fit against the per-group L-BFGS-B oracle
+
+
+def _sized_batch(rng, m, sizes):
+    """Events with `sizes[u - 1]` draws of type u from the default base model."""
+    params = default_base_params(m)
+    parts = []
+    for u, n in enumerate(sizes, start=1):
+        W_l = np.column_stack([np.ones(n), rng.normal(0, 1, (n, m - 1))])
+        W_d = np.column_stack([np.ones(n), rng.normal(0, 1, (n, m - 1))])
+        parts.append(EventBatch(
+            u=np.full(n, u, dtype=np.int64),
+            amp=rng.gamma(np.exp(W_l @ params.alpha[u - 1]), np.exp(W_l @ params.beta[u - 1])),
+            dur=rng.gamma(np.exp(W_d @ params.gamma[u - 1]), np.exp(W_d @ params.delta[u - 1])),
+            w_launch=W_l,
+            w_land=W_d,
+        ))
+    return EventBatch.concat(parts)
+
+
+def _group_data(batch, kind, u):
+    in_type = batch.u == u
+    if kind == "amplitude":
+        return batch.amp[in_type], batch.w_launch[in_type]
+    return batch.dur[in_type], batch.w_land[in_type]
+
+
+def _weights(params, kind, u):
+    if kind == "amplitude":
+        return params.alpha[u - 1], params.beta[u - 1]
+    return params.gamma[u - 1], params.delta[u - 1]
+
+
+def _fd_hessian(x, W, lam, theta, h=1e-5):
+    cols = []
+    for i in range(len(theta)):
+        step = np.zeros_like(theta)
+        step[i] = h
+        cols.append((_objective(theta + step, x, W, lam)[1] - _objective(theta - step, x, W, lam)[1]) / (2 * h))
+    hess = np.array(cols)
+    return 0.5 * (hess + hess.T)
+
+
+ORACLE_CASES = [
+    # (M, sizes per type: full groups from 2M up to 600, a bias-only group, an empty one)
+    (1, (2, 600, 1, 37, 0)),
+    (2, (4, 3, 600, 90, 0)),
+    (4, (8, 7, 3, 600, 150)),
+]
+
+
+@pytest.mark.parametrize("lam", [0.0, 1e-2, 1.0])
+@pytest.mark.parametrize("m,sizes", ORACLE_CASES)
+def test_newton_groups_match_lbfgs_oracle(m, sizes, lam):
+    rng = np.random.default_rng(100 * m + int(1e3 * lam))
+    batch = _sized_batch(rng, m, sizes)
+    config = FitConfig(lam=lam)
+    outcome = fit_model_detailed(batch, config)
+    newton = 0
+    for group in outcome.groups:
+        x, W = _group_data(batch, group.kind, group.u)
+        ref_shape, ref_scale, ref = _fit_group(group.kind, group.u, x, W, config)
+        shape_w, scale_w = _weights(outcome.params, group.kind, group.u)
+        assert group.n_events == ref.n_events
+        assert group.bias_only == ref.bias_only
+        if group.solver != "newton":
+            # empty groups and fallbacks are the oracle's own result
+            np.testing.assert_array_equal(shape_w, ref_shape)
+            np.testing.assert_array_equal(scale_w, ref_scale)
+            continue
+        newton += 1
+        assert group.converged
+        used = W[:, :1] if group.bias_only else W
+        k = used.shape[1]
+        theta = np.concatenate([shape_w[:k], scale_w[:k]])
+        assert not shape_w[k:].any() and not scale_w[k:].any()
+        f, g = _objective(theta, x, used, lam)
+        assert group.final_objective == pytest.approx(f, rel=1e-12, abs=1e-12)
+        # the stopping rule: |g| <= tol, or a Newton decrement <= 1e-12 max(|f|, 1)
+        assert f <= ref.final_objective + 1e-9 * max(1.0, abs(f))
+        if np.abs(g).max() > config.tol * (1 + 1e-6):
+            assert g @ np.linalg.solve(_fd_hessian(x, used, lam, theta), g) <= 1e-11 * max(abs(f), 1.0)
+        # scipy's success flag also covers relative-reduction stops far from a
+        # stationary point (|g| = 1.2 on the 8-event duration group at M=4)
+        if ref.converged and ref.grad_norm <= 1e-2:
+            np.testing.assert_allclose(shape_w, ref_shape, rtol=0, atol=1e-4)
+            np.testing.assert_allclose(scale_w, ref_scale, rtol=0, atol=1e-4)
+    assert newton >= 4
+
+
+def test_group_with_indefinite_hessian_keeps_the_lbfgs_basin(caplog):
+    # 8 events for 8 weights: from the moment start the Hessian is not
+    # positive definite, and Newton steps taken with the expected information
+    # there end at a strict local minimum f = 1.445, in another basin than
+    # L-BFGS-B's f = -0.787 (|g| = 0.11 after 90 iterations)
+    rng = np.random.default_rng(410)
+    batch = _sized_batch(rng, 4, (8, 7, 3, 600, 150))
+    config = FitConfig(lam=1e-2)
+    with caplog.at_level(logging.WARNING, logger="scanfisher.fit"):
+        outcome = fit_model_detailed(batch, config)
+    group = outcome.groups[0]
+    x, W = _group_data(batch, "amplitude", 1)
+    ref_shape, ref_scale, ref = _fit_group("amplitude", 1, x, W, config, collect_trace=True)
+    assert group.solver == "lbfgs" and group == ref
+    assert ref.final_objective == pytest.approx(-0.787, abs=1e-3)
+    np.testing.assert_array_equal(outcome.params.alpha[0], ref_shape)
+    np.testing.assert_array_equal(outcome.params.beta[0], ref_scale)
+    assert ("Newton stopped on amplitude events of type 1 (n_events=8, newton_steps=0, |g|="
+            in caplog.text)
+    assert "Hessian not positive definite; refitting with L-BFGS-B" in caplog.text
+
+
+def test_group_newton_cannot_finish_is_the_lbfgs_fit(caplog):
+    rng = np.random.default_rng(12)
+    m = 2
+    batch = _sized_batch(rng, m, (40, 0, 300, 0, 0))
+    config = FitConfig(lam=1e-2, max_iter=1)
+    with caplog.at_level(logging.WARNING, logger="scanfisher.fit"):
+        outcome = fit_model_detailed(batch, config, collect_trace=True)
+    fitted = [g for g in outcome.groups if g.n_events]
+    assert len(fitted) == 4
+    for group in fitted:
+        x, W = _group_data(batch, group.kind, group.u)
+        ref_shape, ref_scale, ref = _fit_group(group.kind, group.u, x, W, config, collect_trace=True)
+        shape_w, scale_w = _weights(outcome.params, group.kind, group.u)
+        assert group.solver == "lbfgs"
+        assert group == ref
+        np.testing.assert_array_equal(shape_w, ref_shape)
+        np.testing.assert_array_equal(scale_w, ref_scale)
+        named = [r.getMessage() for r in caplog.records
+                 if r.getMessage().startswith(f"Newton stopped on {group.kind} events of type {group.u} ")]
+        assert len(named) == 1
+        assert f"(n_events={group.n_events}, newton_steps=1, |g|=" in named[0]
+        assert "1 Newton steps reached" in named[0]
+
+
+def test_pooled_groups_do_not_couple():
+    """A type's weights and diagnostics are the same with or without the other types' events."""
+    rng = np.random.default_rng(13)
+    m = 3
+    batch = _sized_batch(rng, m, (5, 60, 200, 40, 9))
+    full = fit_model_detailed(batch, FitConfig(lam=1e-2))
+    for u in range(1, 6):
+        keep = batch.u == u
+        alone = fit_model_detailed(EventBatch(
+            u=batch.u[keep], amp=batch.amp[keep], dur=batch.dur[keep],
+            w_launch=batch.w_launch[keep], w_land=batch.w_land[keep],
+        ), FitConfig(lam=1e-2))
+        for block in ("alpha", "beta", "gamma", "delta"):
+            np.testing.assert_array_equal(getattr(alone.params, block)[u - 1],
+                                          getattr(full.params, block)[u - 1])
+        assert [g for g in alone.groups if g.u == u] == [g for g in full.groups if g.u == u]
