@@ -11,7 +11,7 @@ import json
 import logging
 import sys
 from contextlib import contextmanager
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 from . import __version__
@@ -20,6 +20,7 @@ from .corpus import (
     NormStats,
     load_frequency_table,
     load_texts,
+    norm_stats,
     save_frequency_table,
     save_texts,
 )
@@ -29,14 +30,13 @@ from .evaluate import (
     PipelineConfig,
     ReadingDataset,
     binary_comprehension_eval,
-    build_instances,
-    feature_map,
+    event_table,
     loto_cv,
     summarize_report,
     write_report_csv,
     write_report_json,
 )
-from .events import EventBatch, ScanpathError, load_scanpaths, save_scanpaths
+from .events import ScanpathError, load_scanpaths, save_scanpaths
 from .fisher import (
     MetricError,
     default_ridge,
@@ -156,21 +156,11 @@ def cmd_synth(args) -> int:
 
 def cmd_fit(args) -> int:
     dataset = _load_dataset(args)
-    featmap, stats = feature_map(dataset, dataset.text_ids())
-    instances = build_instances(dataset, dataset.scanpaths, featmap, args.amp_floor)
-    if not instances:
-        raise FitError("cannot fit a model from an empty event set")
+    stats = norm_stats([dataset.texts[t] for t in dataset.text_ids()], dataset.freq)
+    table = event_table(dataset, stats.layout, args.amp_floor)
     config = FitConfig(lam=args.reg_lambda, tol=args.tol, max_iter=args.max_iter)
-    outcome = fit_model_detailed(EventBatch.concat([inst.batch for inst in instances]), config)
-    params = ModelParams(
-        pi=outcome.params.pi,
-        alpha=outcome.params.alpha,
-        beta=outcome.params.beta,
-        gamma=outcome.params.gamma,
-        delta=outcome.params.delta,
-        feature_layout=stats.layout,
-    )
-    payload = params.to_dict()
+    outcome = fit_model_detailed(table.gather(range(len(table.scanpaths)), stats)[0], config)
+    payload = replace(outcome.params, feature_layout=stats.layout).to_dict()
     payload["norm_stats"] = stats.to_dict()
     payload["amp_floor"] = args.amp_floor
     payload["_provenance"] = _provenance(
@@ -188,19 +178,18 @@ def cmd_score(args) -> int:
     payload = read_json(args.model)
     params = ModelParams.from_dict(payload)
     stats = NormStats.from_dict(payload["norm_stats"])
-    amp_floor = float(payload.get("amp_floor", 0.5))
     dataset = _load_dataset(args)
-    featmap, _ = feature_map(dataset, dataset.text_ids(), stats)
-    instances = build_instances(dataset, dataset.scanpaths, featmap, amp_floor)
-    scores = score_matrix([inst.batch for inst in instances], params)
+    table = event_table(dataset, stats.layout, float(payload.get("amp_floor", 0.5)))
+    events, lengths = table.gather(range(len(table.scanpaths)), stats)
+    scores = score_matrix(events.split(lengths), params)
     write_scores(args.out, scores)
     meta_path = args.meta or str(args.out) + ".meta.json"
     write_json(
         meta_path,
         {
             "instances": [
-                {"reader_id": i.reader_id, "text_id": i.text_id, "line_id": i.line_id, "label": i.label}
-                for i in instances
+                {"reader_id": sp.reader_id, "text_id": sp.text_id, "line_id": sp.line_id, "label": sp.label}
+                for sp in table.scanpaths
             ],
             "_provenance": _provenance(
                 args,

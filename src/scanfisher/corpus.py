@@ -260,6 +260,12 @@ class NormStats:
         }
 
     @classmethod
+    def raw(cls, layout: Sequence[str]) -> "NormStats":
+        """Statistics of `layout` that z-score nothing: features stay unnormalized."""
+        m = len(layout)
+        return cls(tuple(layout), np.zeros(m), np.ones(m), np.zeros(m, dtype=bool), frozenset())
+
+    @classmethod
     def from_dict(cls, obj: dict) -> "NormStats":
         return cls(
             layout=tuple(obj["layout"]),
@@ -292,9 +298,25 @@ def raw_feature_matrix(text: Text, freq: FrequencyTable, layout: Sequence[str]) 
     return rows
 
 
-def _layout_for(texts: Sequence[Text]) -> tuple[str, ...]:
+def feature_layout(texts: Sequence[Text]) -> tuple[str, ...]:
+    """The base components plus one flag component per flag used in `texts`."""
     flags = sorted({f for t in texts for w in t.iter_words() for f in w.flags})
     return BASE_LAYOUT + tuple(FLAG_PREFIX + f for f in flags)
+
+
+def norm_stats(texts: Sequence[Text], freq: FrequencyTable) -> NormStats:
+    """Layout and z-score statistics of `texts`: the training side."""
+    if not texts:
+        raise CorpusError("normalization statistics need at least one text")
+    layout = feature_layout(texts)
+    raw = np.concatenate([raw_feature_matrix(t, freq, layout) for t in texts], axis=0)
+    z_scored = np.zeros(len(layout), dtype=bool)
+    z_scored[1:len(BASE_LAYOUT)] = True
+    mean = np.zeros(len(layout))
+    std = np.ones(len(layout))
+    mean[z_scored] = raw[:, z_scored].mean(axis=0)
+    std[z_scored] = raw[:, z_scored].std(axis=0)
+    return NormStats(layout, mean, std, z_scored, frozenset(t.text_id for t in texts))
 
 
 def compute_features(
@@ -304,43 +326,24 @@ def compute_features(
 ) -> tuple[list[TextFeatures], NormStats]:
     """Feature vectors for every word of `texts`.
 
-    With `stats=None` the z-score statistics (and the flag vocabulary, hence
-    M) are computed from `texts`; this is the training path.  Passing an
-    existing :class:`NormStats` reuses them unchanged, which is the test-time
-    path and is idempotent.
+    With `stats=None` the statistics (and the flag vocabulary, hence M) are
+    computed from `texts` by :func:`norm_stats`; this is the training path.
+    Passing an existing :class:`NormStats` reuses them unchanged, which is the
+    test-time path and is idempotent.
     """
-    if not texts:
-        raise CorpusError("compute_features requires at least one text")
     if stats is None:
-        layout = _layout_for(texts)
-        raw = np.concatenate([raw_feature_matrix(t, freq, layout) for t in texts], axis=0)
-        z_scored = np.zeros(len(layout), dtype=bool)
-        z_scored[1:len(BASE_LAYOUT)] = True
-        mean = np.zeros(len(layout))
-        std = np.ones(len(layout))
-        mean[z_scored] = raw[:, z_scored].mean(axis=0)
-        std[z_scored] = raw[:, z_scored].std(axis=0)
-        stats = NormStats(
-            layout=layout,
-            mean=mean,
-            std=std,
-            z_scored=z_scored,
-            source_text_ids=frozenset(t.text_id for t in texts),
-        )
+        stats = norm_stats(texts, freq)
 
     out = []
     for text in texts:
-        normalized = _apply_stats(raw_feature_matrix(text, freq, stats.layout), stats)
-        lines = []
-        offset = 0
-        for line in text.lines:
-            lines.append(normalized[offset:offset + len(line)])
-            offset += len(line)
-        out.append(TextFeatures(text_id=text.text_id, lines=tuple(lines)))
+        normalized = apply_stats(raw_feature_matrix(text, freq, stats.layout), stats)
+        bounds = np.cumsum([len(line) for line in text.lines])[:-1]
+        out.append(TextFeatures(text_id=text.text_id, lines=tuple(np.split(normalized, bounds))))
     return out, stats
 
 
-def _apply_stats(raw: np.ndarray, stats: NormStats) -> np.ndarray:
+def apply_stats(raw: np.ndarray, stats: NormStats) -> np.ndarray:
+    """Feature rows in the layout of `stats`, normalized element-wise by it."""
     out = raw.copy()
     for j in np.flatnonzero(stats.z_scored):
         if stats.std[j] > 0.0:

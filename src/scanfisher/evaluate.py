@@ -6,17 +6,22 @@ regularizer, the SVM box constraint, and the metric ridge by grid search, and
 greedily eliminates feature components while doing so improves the inner
 accuracy.  Normalization statistics, tuning, and elimination only ever see
 training data; this is asserted programmatically.
+
+Each experiment extracts every scanpath once into an `EventTable` with raw
+word features.  A fold context is its normalization statistics plus index
+sets into that table; `EventTable.gather` normalizes the rows it takes, which
+gives the same floats as normalizing every word first.
 """
 
 import logging
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .corpus import FrequencyTable, NormStats, Text, TextFeatures, compute_features
+from .corpus import FrequencyTable, NormStats, Text, apply_stats, compute_features, feature_layout, norm_stats
 from .events import EventBatch, Scanpath, extract_events
 from .fisher import (
     default_ridge,
@@ -157,15 +162,7 @@ def shuffle_reader_labels(dataset: ReadingDataset, seed: int) -> ReadingDataset:
     shuffled = []
     for sp in dataset.scanpaths:
         new_reader = mapping[(sp.reader_id, sp.text_id)]
-        shuffled.append(
-            Scanpath(
-                reader_id=new_reader,
-                text_id=sp.text_id,
-                line_id=sp.line_id,
-                fixations=sp.fixations,
-                label=new_reader,
-            )
-        )
+        shuffled.append(replace(sp, reader_id=new_reader, label=new_reader))
     return ReadingDataset(texts=dataset.texts, freq=dataset.freq, scanpaths=shuffled)
 
 
@@ -255,6 +252,9 @@ class PipelineConfig:
             bad = [v for v in values if not in_range(v)]
             if bad:
                 raise EvalError(f"{name} values must be {bound}, got {bad}")
+        for name in ("svm_tol", "amp_floor"):
+            if not getattr(self, name) > 0:
+                raise EvalError(f"{name} must be > 0, got {getattr(self, name)!r}")
 
 
 @dataclass
@@ -308,67 +308,75 @@ def _aggregate_curves(curves: Sequence[Sequence[float]]) -> list[float]:
 
 
 # ---------------------------------------------------------------------------
-# per-line instances
+# the event table and fold contexts
 
 @dataclass
-class LineInstance:
-    """One scanpath line: who read which line of which text, and its events."""
+class EventTable:
+    """Every scanpath of a dataset, extracted once, with raw word features.
 
-    reader_id: str
-    text_id: str
-    line_id: int
-    label: object
-    batch: EventBatch
-
-
-def feature_map(
-    dataset: ReadingDataset,
-    text_ids: Sequence[str],
-    stats: NormStats | None = None,
-) -> tuple[dict[str, TextFeatures], NormStats]:
-    """Word features of the given texts by text id, and the statistics used.
-
-    `stats=None` computes the statistics from these texts (training side).
+    Lines are the scanpaths sorted by (text, reader, line); line i owns rows
+    offsets[i]:offsets[i + 1] of `events`, whose features follow `layout`.
     """
-    feats, stats = compute_features([dataset.texts[t] for t in sorted(text_ids)], dataset.freq, stats)
-    return {f.text_id: f for f in feats}, stats
+
+    scanpaths: list[Scanpath]
+    labels: list
+    layout: tuple[str, ...]
+    events: EventBatch
+    offsets: np.ndarray
+
+    def lines(self, texts, readers=None) -> np.ndarray:
+        """The lines of `texts`, read by `readers` if given, in table order."""
+        return np.array([
+            i for i, sp in enumerate(self.scanpaths)
+            if sp.text_id in texts and (readers is None or sp.reader_id in readers)
+        ], dtype=int)
+
+    def gather(self, lines, stats: NormStats, features: Sequence[str] | None = None) -> tuple[EventBatch, np.ndarray]:
+        """The events of `lines` in that order, and each line's event count.
+
+        Feature columns follow `stats.layout`, normalized by `stats`, and are
+        restricted to the names in `features` if given; every name of
+        `stats.layout` must be in `layout`.
+        """
+        lines = np.asarray(lines, dtype=int)
+        lengths = np.diff(self.offsets)[lines]
+        rows = np.repeat(self.offsets[lines] - np.cumsum(lengths) + lengths, lengths) + np.arange(lengths.sum())
+        cols = np.ix_(rows, [self.layout.index(name) for name in stats.layout])
+        e = self.events
+        batch = EventBatch(e.u[rows], e.amp[rows], e.dur[rows],
+                           apply_stats(e.w_launch[cols], stats), apply_stats(e.w_land[cols], stats))
+        if features is not None:
+            batch = batch.select_features([j for j, name in enumerate(stats.layout) if name in features])
+        return batch, lengths
 
 
-def build_instances(
-    dataset: ReadingDataset,
-    scanpaths: Sequence[Scanpath],
-    featmap: Mapping[str, TextFeatures],
-    amp_floor: float,
-    label_of=lambda sp: sp.label,
-) -> list[LineInstance]:
-    """One instance per scanpath, sorted by (text, reader, line).
+def event_table(dataset: ReadingDataset, layout: Sequence[str], amp_floor: float,
+                label_of=lambda sp: sp.label) -> EventTable:
+    """Extract every scanpath of `dataset` once, with raw features over `layout`.
 
-    Every scanpath's text must be in `featmap`; `label_of` maps a scanpath
-    to the instance's class label.
+    `label_of` maps a scanpath to its line's class label.
     """
-    return [
-        LineInstance(
-            reader_id=sp.reader_id,
-            text_id=sp.text_id,
-            line_id=sp.line_id,
-            label=label_of(sp),
-            batch=extract_events(sp, dataset.texts[sp.text_id], featmap[sp.text_id],
-                                 amp_floor=amp_floor),
-        )
-        for sp in sorted(scanpaths, key=lambda s: (s.text_id, s.reader_id, s.line_id))
+    if not dataset.scanpaths:
+        raise EvalError("the dataset has no scanpaths to extract events from")
+    texts = [dataset.texts[t] for t in dataset.text_ids()]
+    featmap = {f.text_id: f for f in compute_features(texts, dataset.freq, NormStats.raw(layout))[0]}
+    scanpaths = sorted(dataset.scanpaths, key=lambda s: (s.text_id, s.reader_id, s.line_id))
+    batches = [
+        extract_events(sp, dataset.texts[sp.text_id], featmap[sp.text_id], amp_floor=amp_floor)
+        for sp in scanpaths
     ]
+    return EventTable(scanpaths, [label_of(sp) for sp in scanpaths], tuple(layout),
+                      EventBatch.concat(batches), np.cumsum([0] + [b.n for b in batches]))
 
-
-# ---------------------------------------------------------------------------
-# fold machinery
 
 @dataclass
 class _Context:
-    """Training instances plus test groups built under leak-free statistics."""
+    """A fold's leak-free statistics plus its index sets into the event table."""
 
+    table: EventTable
     stats: NormStats
-    train: list[LineInstance]
-    groups: dict[tuple, list[LineInstance]]   # (label_key, text_id) -> line instances
+    train: np.ndarray                  # training lines, in table order
+    groups: dict[tuple, np.ndarray]    # (label, text_id) -> test lines, by line id
     test_text_ids: frozenset[str]
 
 
@@ -382,29 +390,21 @@ def _assert_no_leakage(stats: NormStats, test_text_ids: frozenset[str]) -> None:
 
 def _build_context(
     dataset: ReadingDataset,
+    table: EventTable,
     train_texts: Sequence[str],
     test_texts: Sequence[str],
-    train_sps: Sequence[Scanpath],
-    test_sps: Sequence[Scanpath],
-    config: PipelineConfig,
-    label_of,
+    train: np.ndarray,
+    test: np.ndarray,
 ) -> _Context:
-    featmap, stats = feature_map(dataset, train_texts)
-    featmap.update(feature_map(dataset, test_texts, stats)[0])
-
-    def instances(sps):
-        return build_instances(dataset, sps, featmap, config.amp_floor, label_of)
-
-    groups: dict[tuple, list[LineInstance]] = {}
-    for inst in instances(test_sps):
-        groups.setdefault((inst.label, inst.text_id), []).append(inst)
-    for insts in groups.values():
-        insts.sort(key=lambda i: i.line_id)
-
+    """Statistics of `train_texts`; `test` lines grouped by (label, text), each group by line id."""
+    groups: dict[tuple, list[int]] = {}
+    for i in sorted(test, key=lambda i: table.scanpaths[i].line_id):
+        groups.setdefault((table.labels[i], table.scanpaths[i].text_id), []).append(i)
     return _Context(
-        stats=stats,
-        train=instances(train_sps),
-        groups={k: groups[k] for k in sorted(groups)},
+        table=table,
+        stats=norm_stats([dataset.texts[t] for t in sorted(train_texts)], dataset.freq),
+        train=train,
+        groups={key: np.array(groups[key]) for key in sorted(groups)},
         test_text_ids=frozenset(test_texts),
     )
 
@@ -417,18 +417,21 @@ class _FisherStage:
     labels: list
 
 
-def _fit_stage(ctx: _Context, config: PipelineConfig, lam: float, keep: tuple[int, ...]) -> _FisherStage:
+def _fit_stage(ctx: _Context, config: PipelineConfig, lam: float, features: Sequence[str]) -> _FisherStage:
+    """Fit, then score the training lines and test groups, on `features`.
+
+    Features outside the context's layout (flags none of its training texts
+    carry) are left out.
+    """
     _assert_no_leakage(ctx.stats, ctx.test_text_ids)
-    params = fit_model(
-        EventBatch.concat([inst.batch for inst in ctx.train]).select_features(keep),
-        FitConfig(lam=lam, tol=config.fit_tol, max_iter=config.fit_max_iter),
-    )
-    s_train = score_matrix([inst.batch.select_features(keep) for inst in ctx.train], params)
-    test_lines = [inst for insts in ctx.groups.values() for inst in insts]
-    s_test = score_matrix([inst.batch.select_features(keep) for inst in test_lines], params)
-    bounds = np.cumsum([len(insts) for insts in ctx.groups.values()])[:-1]
+    train, train_lengths = ctx.table.gather(ctx.train, ctx.stats, features)
+    params = fit_model(train, FitConfig(lam=lam, tol=config.fit_tol, max_iter=config.fit_max_iter))
+    s_train = score_matrix(train.split(train_lengths), params)
+    test, test_lengths = ctx.table.gather(np.concatenate(list(ctx.groups.values())), ctx.stats, features)
+    s_test = score_matrix(test.split(test_lengths), params)
+    bounds = np.cumsum([len(lines) for lines in ctx.groups.values()])[:-1]
     s_groups = dict(zip(ctx.groups, np.split(s_test, bounds)))
-    labels = [inst.label for inst in ctx.train]
+    labels = [ctx.table.labels[i] for i in ctx.train]
     return _FisherStage(params=params, s_train=s_train, s_groups=s_groups, labels=labels)
 
 
@@ -494,7 +497,7 @@ class _Tuned:
         }
 
 
-def _tune(contexts: list[_Context], config: PipelineConfig, m: int, train, accuracy_of) -> _Tuned:
+def _tune(contexts: list[_Context], config: PipelineConfig, layout: Sequence[str], train, accuracy_of) -> _Tuned:
     """Grid search over (lambda, ridge scale, C) with greedy feature elimination.
 
     `train(stage, kernels, C, previous)` fits one inner context's model and
@@ -504,10 +507,11 @@ def _tune(contexts: list[_Context], config: PipelineConfig, m: int, train, accur
     C so that solves whose answer is already known are reused.
     Deterministic: grid points are scanned in grid order, feature drops in
     index order, and only a strictly better accuracy replaces the incumbent.
-    The bias is never dropped.  Without inner contexts the first grid point
-    is taken, with accuracy None.
+    The bias is never dropped.  Feature subsets are index tuples into
+    `layout`, the outer fold's layout.  Without inner contexts the first grid
+    point is taken, with accuracy None.
     """
-    keep = tuple(range(m))
+    keep = tuple(range(len(layout)))
     if not contexts:
         return _Tuned(lam=config.lambda_grid[0], ridge_scale=config.ridge_scales[0],
                       C=config.c_grid[0], keep=keep, inner_accuracy=None)
@@ -522,7 +526,7 @@ def _tune(contexts: list[_Context], config: PipelineConfig, m: int, train, accur
     def grid(keep):
         best = None
         for lam in config.lambda_grid:
-            stages = [_fit_stage(ctx, config, lam, keep) for ctx in contexts]
+            stages = [_fit_stage(ctx, config, lam, [layout[i] for i in keep]) for ctx in contexts]
             for ridge_scale in config.ridge_scales:
                 per_context = [accuracies(stage, _kernel_stage(stage, ridge_scale)) for stage in stages]
                 for C, accs in zip(config.c_grid, zip(*per_context)):
@@ -550,21 +554,18 @@ def _tune(contexts: list[_Context], config: PipelineConfig, m: int, train, accur
 # generative baseline
 
 def _baseline_curves(ctx: _Context, config: PipelineConfig, lam: float) -> dict[tuple, list]:
-    by_reader: dict[str, list[EventBatch]] = {}
-    for inst in ctx.train:
-        by_reader.setdefault(inst.label, []).append(inst.batch)
-    class_params = {
-        reader: fit_model(
-            EventBatch.concat(batches),
-            FitConfig(lam=lam, tol=config.fit_tol, max_iter=config.fit_max_iter),
-        )
-        for reader, batches in sorted(by_reader.items())
-    }
+    by_reader: dict[str, list[int]] = {}
+    for i in ctx.train:
+        by_reader.setdefault(ctx.table.labels[i], []).append(i)
+    fit_config = FitConfig(lam=lam, tol=config.fit_tol, max_iter=config.fit_max_iter)
+    class_params = {reader: fit_model(ctx.table.gather(lines, ctx.stats)[0], fit_config)
+                    for reader, lines in sorted(by_reader.items())}
     keys = sorted(class_params)
     out = {}
-    for gkey, insts in ctx.groups.items():
+    for gkey, lines in ctx.groups.items():
+        batch, lengths = ctx.table.gather(lines, ctx.stats)
         per_line = np.array(
-            [[batch_loglik(inst.batch, class_params[k]) for k in keys] for inst in insts]
+            [[batch_loglik(line, class_params[k]) for k in keys] for line in batch.split(lengths)]
         )
         cum = np.cumsum(per_line, axis=0)
         out[gkey] = [keys[int(row.argmax())] for row in cum]
@@ -604,38 +605,31 @@ def _inner_holdouts(train_texts: list[str], k: int) -> list[str]:
     return [train_texts[i] for i in idx]
 
 
-def _run_identification_fold(dataset: ReadingDataset, fold: SplitPlan, config: PipelineConfig) -> FoldResult:
-    label_of = lambda sp: sp.reader_id
-    all_readers = dataset.reader_ids()
-    train_sps = [sp for sp in dataset.scanpaths if sp.text_id in fold.train_texts]
-    test_sps = [sp for sp in dataset.scanpaths if sp.text_id in fold.test_texts]
-    missing = set(all_readers) - {sp.reader_id for sp in train_sps}
+def _run_identification_fold(dataset: ReadingDataset, table: EventTable, fold: SplitPlan,
+                              config: PipelineConfig) -> FoldResult:
+    train_texts = sorted(fold.train_texts)
+    train_lines = table.lines(fold.train_texts)
+    missing = set(dataset.reader_ids()) - {table.scanpaths[i].reader_id for i in train_lines}
     if missing:
         raise EvalError(f"fold {fold.fold_id}: readers {sorted(missing)} absent from training data")
 
-    train_texts = sorted(fold.train_texts)
-    inner_contexts = []
-    for holdout in _inner_holdouts(train_texts, config.inner_folds):
-        inner_train_texts = [t for t in train_texts if t != holdout]
-        inner_train = [sp for sp in train_sps if sp.text_id != holdout]
-        inner_test = [sp for sp in train_sps if sp.text_id == holdout]
-        inner_contexts.append(
-            _build_context(dataset, inner_train_texts, [holdout], inner_train, inner_test,
-                           config, label_of)
-        )
-
-    ctx = _build_context(dataset, train_texts, sorted(fold.test_texts), train_sps, test_sps,
-                         config, label_of)
+    inner_contexts = [
+        _build_context(dataset, table, [t for t in train_texts if t != holdout], [holdout],
+                       table.lines(set(train_texts) - {holdout}), table.lines({holdout}))
+        for holdout in _inner_holdouts(train_texts, config.inner_folds)
+    ]
+    ctx = _build_context(dataset, table, train_texts, sorted(fold.test_texts), train_lines,
+                         table.lines(fold.test_texts))
 
     def train(stage, kern, C, previous):
         return train_multiclass(kern.gram, stage.labels, C, tol=config.svm_tol, previous=previous)
 
     tuned = _tune(
-        inner_contexts, config, ctx.stats.num_features, train,
+        inner_contexts, config, ctx.stats.layout, train,
         lambda kern, mc: _accuracy_from_curves(_identification_curves(mc, kern))[0],
     )
 
-    stage = _fit_stage(ctx, config, tuned.lam, tuned.keep)
+    stage = _fit_stage(ctx, config, tuned.lam, [ctx.stats.layout[i] for i in tuned.keep])
     kernels = _kernel_stage(stage, tuned.ridge_scale)
     curves = _identification_curves(train(stage, kernels, tuned.C, None), kernels)
     accuracy, by_lines = _accuracy_from_curves(curves)
@@ -663,7 +657,9 @@ def loto_cv(dataset: ReadingDataset, config: PipelineConfig | None = None) -> Ev
     unread = sorted(set(dataset.text_ids()) - {sp.text_id for sp in dataset.scanpaths})
     if unread:
         raise EvalError(f"texts {unread} have no scanpaths to test on")
-    results = [_run_identification_fold(dataset, fold, config) for fold in loto_folds(dataset.text_ids())]
+    table = event_table(dataset, feature_layout(list(dataset.texts.values())), config.amp_floor,
+                        lambda sp: sp.reader_id)
+    results = [_run_identification_fold(dataset, table, fold, config) for fold in loto_folds(dataset.text_ids())]
 
     accs = [r.accuracy for r in results]
     report = EvalReport(
@@ -729,13 +725,12 @@ def binary_comprehension_eval(dataset: ReadingDataset, config: PipelineConfig | 
         raise EvalError(f"comprehension mode needs exactly 2 scanpath labels, got {sorted(map(str, labels))}")
     classes = sorted(labels)
     positive = classes[1]
-    label_of = lambda sp: sp.label
     splits = comprehension_splits(dataset.reader_ids(), dataset.text_ids())
-    read_pairs = {(sp.reader_id, sp.text_id) for sp in dataset.scanpaths}
+    table = event_table(dataset, feature_layout(list(dataset.texts.values())), config.amp_floor)
     for split in splits:
         for role, readers, texts in (("training", split.train_readers, split.train_texts),
                                      ("test", split.test_readers, split.test_texts)):
-            if not any((r, t) in read_pairs for r in readers for t in texts):
+            if not len(table.lines(texts, readers)):
                 raise EvalError(
                     f"split {split.fold_id}: the {role} block of readers {sorted(readers)} "
                     f"x texts {sorted(texts)} has no scanpaths"
@@ -743,43 +738,34 @@ def binary_comprehension_eval(dataset: ReadingDataset, config: PipelineConfig | 
 
     results = []
     for split in splits:
-        train_sps = [
-            sp for sp in dataset.scanpaths
-            if sp.text_id in split.train_texts and sp.reader_id in split.train_readers
-        ]
-        test_sps = [
-            sp for sp in dataset.scanpaths
-            if sp.text_id in split.test_texts and sp.reader_id in split.test_readers
-        ]
-        if len({sp.label for sp in train_sps}) < 2:
+        train_lines = table.lines(split.train_texts, split.train_readers)
+        if len({table.labels[i] for i in train_lines}) < 2:
             raise EvalError(f"fold {split.fold_id}: single-class training split")
 
-        ctx = _build_context(dataset, sorted(split.train_texts), sorted(split.test_texts),
-                             train_sps, test_sps, config, label_of)
+        ctx = _build_context(dataset, table, sorted(split.train_texts), sorted(split.test_texts),
+                             train_lines, table.lines(split.test_texts, split.test_readers))
 
         def train(stage, kern, C, previous):
             return _train_binary(stage, kern, config, C, positive, previous)
 
         tuned = _tune(
-            _comprehension_inner_contexts(dataset, split, train_sps, config, label_of),
-            config, ctx.stats.num_features, train,
+            _comprehension_inner_contexts(dataset, table, split),
+            config, ctx.stats.layout, train,
             lambda kern, model: _binary_accuracy(*_binary_decisions(model, kern), positive),
         )
 
-        stage = _fit_stage(ctx, config, tuned.lam, tuned.keep)
+        stage = _fit_stage(ctx, config, tuned.lam, [ctx.stats.layout[i] for i in tuned.keep])
         kernels = _kernel_stage(stage, tuned.ridge_scale)
         keys, decisions = _binary_decisions(train(stage, kernels, tuned.C, None), kernels)
         accuracy = _binary_accuracy(keys, decisions, positive)
         group_labels = [k[0] for k in keys]
         auc = auc_score(group_labels, decisions) if len(set(group_labels)) == 2 else None
 
-        train_group_labels = {}
-        for inst in ctx.train:
-            train_group_labels[(inst.reader_id, inst.text_id)] = inst.label
-        counts = {c: 0 for c in classes}
-        for lbl in train_group_labels.values():
-            counts[lbl] += 1
-        majority = max(classes, key=lambda c: (counts[c], -classes.index(c)))
+        train_group_labels = list({
+            (table.scanpaths[i].reader_id, table.scanpaths[i].text_id): table.labels[i] for i in ctx.train
+        }.values())
+        # ties go to the first class
+        majority = classes[int(np.argmax([train_group_labels.count(c) for c in classes]))]
         majority_acc = float(np.mean([lbl == majority for lbl in group_labels]))
 
         results.append(
@@ -808,19 +794,17 @@ def binary_comprehension_eval(dataset: ReadingDataset, config: PipelineConfig | 
     )
 
 
-def _comprehension_inner_contexts(dataset, split, train_sps, config, label_of) -> list[_Context]:
-    """The one inner context from re-halving the training readers and texts, if it has both labels."""
-    tr_readers = sorted(split.train_readers)
-    tr_texts = sorted(split.train_texts)
-    if len(tr_readers) < 2 or len(tr_texts) < 2:
+def _comprehension_inner_contexts(dataset: ReadingDataset, table: EventTable, split: SplitPlan) -> list[_Context]:
+    """The inner context of split s0 of the training readers and texts, if it has both labels."""
+    if len(split.train_readers) < 2 or len(split.train_texts) < 2:
         return []
-    r_in, r_out = tr_readers[:len(tr_readers) // 2], tr_readers[len(tr_readers) // 2:]
-    t_in, t_out = tr_texts[:len(tr_texts) // 2], tr_texts[len(tr_texts) // 2:]
-    inner_train = [sp for sp in train_sps if sp.reader_id in r_in and sp.text_id in t_in]
-    inner_test = [sp for sp in train_sps if sp.reader_id in r_out and sp.text_id in t_out]
-    if not inner_test or len({sp.label for sp in inner_train}) < 2:
+    inner = comprehension_splits(split.train_readers, split.train_texts)[0]
+    inner_train = table.lines(inner.train_texts, inner.train_readers)
+    inner_test = table.lines(inner.test_texts, inner.test_readers)
+    if not len(inner_test) or len({table.labels[i] for i in inner_train}) < 2:
         return []
-    return [_build_context(dataset, t_in, t_out, inner_train, inner_test, config, label_of)]
+    return [_build_context(dataset, table, sorted(inner.train_texts), sorted(inner.test_texts),
+                           inner_train, inner_test)]
 
 
 # ---------------------------------------------------------------------------

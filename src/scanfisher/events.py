@@ -174,6 +174,12 @@ class EventBatch:
             w_land=self.w_land[:, keep],
         )
 
+    def split(self, lengths: Sequence[int]) -> list["EventBatch"]:
+        """Consecutive sub-batches of the given lengths, as views of this batch."""
+        ends = np.cumsum(lengths, dtype=int)
+        return [EventBatch(self.u[a:b], self.amp[a:b], self.dur[a:b], self.w_launch[a:b], self.w_land[a:b])
+                for a, b in zip(ends - lengths, ends)]
+
     @property
     def n(self) -> int:
         return len(self.u)
@@ -199,8 +205,10 @@ def extract_events(
 
     The initial fixation (q_1, d_1) contributes no event.  Amplitudes with
     magnitude below `amp_floor` are clamped to the floor so the gamma
-    densities stay finite.
+    densities stay finite; a floor that is not > 0 raises ScanpathError.
     """
+    if not amp_floor > 0:
+        raise ScanpathError(f"amp_floor must be > 0, got {amp_floor!r}")
     if len(scanpath) < 2:
         logger.warning(
             "scanpath %s/%s/line%d has %d fixation(s); no events extracted",

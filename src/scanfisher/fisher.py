@@ -195,12 +195,21 @@ def write_scores(path, scores: np.ndarray) -> None:
 
 
 def read_scores(path) -> np.ndarray:
+    """Read a `write_scores` file; a malformed one raises ValueError naming path and line."""
     raw = Path(path).read_text(encoding="utf-8").splitlines()
-    if not raw:
-        raise ValueError(f"{path}: empty scores file")
-    d, n = (int(tok) for tok in raw[0].split())
-    rows = [np.array(line.split(), dtype=float) for line in raw[1:n + 1]]
-    scores = np.array(rows)
-    if scores.shape != (n, d):
-        raise ValueError(f"{path}: expected {n} rows of {d} values, got {scores.shape}")
+    header = raw[0].split() if raw else []
+    if len(header) != 2 or not all(tok.isdigit() for tok in header):
+        raise ValueError(f"{path}:1: expected the header 'D N' of two non-negative integers")
+    d, n = (int(tok) for tok in header)
+    if len(raw) - 1 != n:
+        raise ValueError(f"{path}: the header promises {n} rows, the file has {len(raw) - 1}")
+    scores = np.empty((n, d))
+    for row, line in enumerate(raw[1:]):
+        tokens = line.split()
+        try:
+            if len(tokens) != d:
+                raise ValueError(f"expected {d} values, got {len(tokens)}")
+            scores[row] = [float(tok) for tok in tokens]
+        except ValueError as exc:
+            raise ValueError(f"{path}:{row + 2}: {exc}") from None
     return scores

@@ -147,7 +147,10 @@ def solve_dual(
     Selection follows the maximal-violating-pair rule; convergence is declared
     when the violation gap m(alpha) - M(alpha) < tol, which bounds every KKT
     violation by tol once the bias is set from the free support vectors.
+    A tol that is not > 0 could never be met and raises SvmError.
     """
+    if not tol > 0:
+        raise SvmError(f"tol must be > 0, got {tol!r}")
     K = problem.gram
     y = problem.labels
     C = problem.C

@@ -277,6 +277,34 @@ def test_fit_failure_exit_code(synth_dir, tmp_path):
     assert code == 3
 
 
+@pytest.mark.parametrize("command", ["fit", "score"])
+def test_empty_scanpath_file_fails_with_exit_3(synth_dir, fitted_model, tmp_path, capsys, command):
+    empty = tmp_path / "empty.jsonl"
+    empty.write_text("")
+    args = [command, "--texts", synth_dir / "texts.json", "--freq", synth_dir / "freq.tsv",
+            "--scanpaths", empty, "--out", tmp_path / "out"]
+    if command == "score":
+        args += ["--model", fitted_model]
+    assert run_cli(*args) == 3
+    assert "no scanpaths" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["fit", "score"])
+def test_non_positive_amp_floor_fails_extraction(synth_dir, fitted_model, tmp_path, capsys, command):
+    args = [command, "--texts", synth_dir / "texts.json", "--freq", synth_dir / "freq.tsv",
+            "--scanpaths", synth_dir / "scanpaths.jsonl", "--out", tmp_path / "out"]
+    if command == "fit":
+        args += ["--amp-floor", 0]
+    else:
+        model = read_json(fitted_model)
+        model["amp_floor"] = 0.0
+        (tmp_path / "model.json").write_text(json.dumps(model))
+        args += ["--model", tmp_path / "model.json"]
+    assert run_cli(*args) == 2
+    assert "amp_floor must be > 0" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("option, value, field", [
     ("--c-grid", "", "c_grid"),
     ("--lambda-grid", "", "lambda_grid"),

@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import logging
 import math
 
 import numpy as np
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scanfisher import evaluate
-from scanfisher.corpus import compute_features
+from scanfisher.corpus import FrequencyTable, Text, Word, compute_features, feature_layout
 from scanfisher.evaluate import (
     WILCOXON_EXACT_MAX_N,
     EvalError,
@@ -29,7 +30,7 @@ from scanfisher.evaluate import (
     write_report_csv,
     write_report_json,
 )
-from scanfisher.events import EventBatch
+from scanfisher.events import EventBatch, Scanpath, extract_events
 from scanfisher.fit import FitConfig, fit_model
 from scanfisher.model import sample_events
 from scanfisher.synth import SynthConfig, gen_dataset, gen_readers
@@ -68,6 +69,13 @@ def test_config_rejects_empty_grid(field):
 def test_config_rejects_out_of_range_grid_values(field, values):
     with pytest.raises(EvalError, match=f"^{field} values must be"):
         PipelineConfig(**{field: values})
+
+
+@pytest.mark.parametrize("field", ["svm_tol", "amp_floor"])
+@pytest.mark.parametrize("value", [0.0, -1.0, math.nan])
+def test_config_rejects_non_positive_tolerance_and_floor(field, value):
+    with pytest.raises(EvalError, match=f"^{field} must be > 0"):
+        PipelineConfig(**{field: value})
 
 
 # ---------------------------------------------------------------------------
@@ -260,8 +268,6 @@ def test_comprehension_splits_are_disjoint():
 
 
 def test_leakage_guard_fires():
-    from scanfisher.corpus import FrequencyTable, Text, Word
-
     text = Text("t0", ((Word("ab", 0, 2, 1),),))
     _, stats = compute_features([text], FrequencyTable(counts={}, total=10))
     with pytest.raises(LeakageError, match="t0"):
@@ -335,38 +341,172 @@ def test_loto_rejects_text_without_scanpaths(small_dataset):
         loto_cv(pruned, QUICK)
 
 
+def _slow_features(dataset, ctx):
+    """Word features of a context's training and test texts, as per-text z-scoring gives them."""
+    train, stats = compute_features([dataset.texts[t] for t in sorted(ctx.stats.source_text_ids)],
+                                    dataset.freq)
+    test, _ = compute_features([dataset.texts[t] for t in sorted(ctx.test_text_ids)], dataset.freq, stats)
+    return {f.text_id: f for f in train + test}, stats
+
+
+def _slow_events(dataset, featmap, scanpaths):
+    """One extraction per scanpath under the context's features, pooled in order."""
+    return EventBatch.concat([
+        extract_events(sp, dataset.texts[sp.text_id], featmap[sp.text_id]) for sp in scanpaths
+    ])
+
+
 def test_baseline_full_group_prediction_equals_generative_classify(small_dataset):
     # every test group's last prefix prediction is the generative classifier
     # applied to the group's pooled events, under per-reader models fitted
-    # as the baseline fits them
+    # as the baseline fits them; events come from per-scanpath extraction
     lam = QUICK.lambda_grid[0]
     fit_config = FitConfig(lam=lam, tol=QUICK.fit_tol, max_iter=QUICK.fit_max_iter)
     texts = small_dataset.text_ids()
+    table = evaluate.event_table(small_dataset, feature_layout(list(small_dataset.texts.values())),
+                                 QUICK.amp_floor, lambda sp: sp.reader_id)
     n_groups = 0
     for held_out in texts:
         ctx = evaluate._build_context(
-            small_dataset,
-            [t for t in texts if t != held_out],
-            [held_out],
-            [sp for sp in small_dataset.scanpaths if sp.text_id != held_out],
-            [sp for sp in small_dataset.scanpaths if sp.text_id == held_out],
-            QUICK,
-            lambda sp: sp.reader_id,
+            small_dataset, table, [t for t in texts if t != held_out], [held_out],
+            table.lines(set(texts) - {held_out}), table.lines({held_out}),
         )
         curves = evaluate._baseline_curves(ctx, QUICK, lam)
+        featmap, _ = _slow_features(small_dataset, ctx)
+        train_sps = sorted((sp for sp in small_dataset.scanpaths if sp.text_id != held_out),
+                           key=lambda sp: (sp.text_id, sp.reader_id, sp.line_id))
         class_params = {
             reader: fit_model(
-                EventBatch.concat([inst.batch for inst in ctx.train if inst.label == reader]),
+                _slow_events(small_dataset, featmap, [sp for sp in train_sps if sp.reader_id == reader]),
                 fit_config,
             )
             for reader in small_dataset.reader_ids()
         }
         assert list(curves) == list(ctx.groups)
-        for key, insts in ctx.groups.items():
-            pooled = EventBatch.concat([inst.batch for inst in insts])
+        for key, lines in ctx.groups.items():
+            pooled = _slow_events(small_dataset, featmap, [table.scanpaths[i] for i in lines])
             assert curves[key][-1] == generative_classify(pooled, class_params)
             n_groups += 1
     assert n_groups == len(texts) * len(small_dataset.reader_ids())
+
+
+# ---------------------------------------------------------------------------
+# the event table against per-context extraction
+
+
+def _random_reading_dataset(seed=0):
+    """4 readers x 4 texts x 3 lines of random words and random fixations.
+
+    Flag "a" occurs in every text, flag "b" only in t03.  Reader r00's line 0
+    of t01 has one fixation and reader r01's line 1 of t02 has none.  The
+    label (reader index + line) % 2 mixes readers within each label.
+    """
+    rng = np.random.default_rng(seed)
+    texts, tokens = [], set()
+    for t in range(4):
+        lines = []
+        for _ in range(3):
+            words, pos = [], 0
+            for w in range(int(rng.integers(4, 8))):
+                token = "".join(rng.choice(list("abcdefgh"), size=int(rng.integers(1, 9))))
+                flags = {"a"} if w % 3 == 0 else set()
+                if t == 3 and rng.random() < 0.5:
+                    flags.add("b")
+                words.append(Word(token, pos, pos + len(token), int(rng.integers(1, 4)), frozenset(flags)))
+                tokens.add(token)
+                pos += len(token) + int(rng.integers(1, 3))
+            lines.append(tuple(words))
+        texts.append(Text(f"t{t:02d}", tuple(lines)))
+    freq = FrequencyTable(counts={tok: int(rng.integers(1, 500)) for tok in sorted(tokens)}, total=10_000)
+    scanpaths = []
+    for r in range(4):
+        for text in texts:
+            for line_id in range(3):
+                n = int(rng.integers(4, 10))
+                if (r, text.text_id, line_id) == (0, "t01", 0):
+                    n = 1
+                if (r, text.text_id, line_id) == (1, "t02", 1):
+                    n = 0
+                q = rng.uniform(0, text.line_extent(line_id), n)
+                d = rng.uniform(80.0, 400.0, n)
+                scanpaths.append(Scanpath(f"r{r:02d}", text.text_id, line_id,
+                                          tuple(zip(q.tolist(), d.tolist())), label=(r + line_id) % 2))
+    rng.shuffle(scanpaths)
+    return ReadingDataset(texts={t.text_id: t for t in texts}, freq=freq, scanpaths=scanpaths)
+
+
+def _same_bits(got: EventBatch, want: EventBatch) -> bool:
+    return all(
+        a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+        for a, b in ((getattr(got, f.name), getattr(want, f.name)) for f in dataclasses.fields(EventBatch))
+    )
+
+
+def _check_context_against_extraction(dataset, ctx, crossed):
+    table = ctx.table
+    featmap, stats = _slow_features(dataset, ctx)
+    assert stats.layout == ctx.stats.layout
+    assert stats.mean.tobytes() == ctx.stats.mean.tobytes()
+    assert stats.std.tobytes() == ctx.stats.std.tobytes()
+
+    # index sets: training lines in table order, then each test group by key,
+    # its lines ordered by line id and, within a line id, by table order
+    train = [table.scanpaths[i] for i in ctx.train]
+    assert list(ctx.train) == sorted(ctx.train)
+    assert list(ctx.groups) == sorted(ctx.groups)
+    test = []
+    for (label, text_id), lines in ctx.groups.items():
+        assert list(lines) == sorted(lines, key=lambda i: (table.scanpaths[i].line_id, i))
+        assert all(table.labels[i] == label and table.scanpaths[i].text_id == text_id for i in lines)
+        test.extend(table.scanpaths[i] for i in lines)
+    assert len(test) == len(set(test))
+    for sps, texts in ((train, ctx.stats.source_text_ids), (test, ctx.test_text_ids)):
+        readers = {sp.reader_id for sp in sps}
+        if not crossed:
+            readers = set(dataset.reader_ids())
+        assert set(sps) == {sp for sp in dataset.scanpaths if sp.text_id in texts and sp.reader_id in readers}
+    if crossed:
+        assert not {sp.reader_id for sp in train} & {sp.reader_id for sp in test}
+
+    keep = list(range(0, ctx.stats.num_features, 2))
+    for lines in (ctx.train, *ctx.groups.values()):
+        sps = [table.scanpaths[i] for i in lines]
+        want = _slow_events(dataset, featmap, sps)
+        got, lengths = table.gather(lines, ctx.stats)
+        assert _same_bits(got, want)
+        assert lengths.tolist() == [max(len(sp) - 1, 0) for sp in sps]
+        assert [b.n for b in got.split(lengths)] == lengths.tolist()
+        kept, _ = table.gather(lines, ctx.stats, [ctx.stats.layout[j] for j in keep])
+        assert _same_bits(kept, want.select_features(keep))
+
+
+def test_event_table_gathers_what_per_context_extraction_gives(monkeypatch, caplog):
+    dataset = _random_reading_dataset()
+    contexts = []
+    real_build_context = evaluate._build_context
+
+    def recorded(*args):
+        contexts.append(real_build_context(*args))
+        return contexts[-1]
+
+    monkeypatch.setattr(evaluate, "_build_context", recorded)
+    for experiment, crossed, n_outer in ((loto_cv, False, 4), (binary_comprehension_eval, True, 4)):
+        contexts.clear()
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="scanfisher.events"):
+            experiment(dataset, dataclasses.replace(QUICK, run_generative_baseline=False))
+        # each short scanpath warns once per experiment, not once per context
+        assert [r.getMessage().split()[1] for r in caplog.records if r.name == "scanfisher.events"] \
+            == ["r00/t01/line0", "r01/t02/line1"]
+        assert len(contexts) > n_outer
+        layouts = set()
+        for ctx in contexts:
+            _check_context_against_extraction(dataset, ctx, crossed)
+            layouts.add(ctx.stats.layout)
+        # the flag of t03 is absent from the layouts that t03 does not train;
+        # comprehension's inner context then trains on t02 alone and tunes
+        # on the features its layout has
+        assert {"flag:b" in layout for layout in layouts} == {True, False}
 
 
 def _tune_baseline_by_search(contexts, config):
@@ -410,8 +550,6 @@ def _comprehension_dataset(seed=11, num_readers=4):
     ds = gen_dataset(cfg)
     dataset = ReadingDataset.from_synth(ds)
     # binary labels tied to the reader index parity (arbitrary but consistent)
-    from scanfisher.events import Scanpath
-
     relabeled = [
         Scanpath(sp.reader_id, sp.text_id, sp.line_id, sp.fixations,
                  label=int(sp.reader_id[1:]) % 2)

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -339,3 +340,22 @@ def test_scores_file_round_trip(tmp_path):
     first_line = path.read_text().splitlines()[0]
     assert first_line == "5 7"
     np.testing.assert_array_equal(read_scores(path), scores)
+
+
+@pytest.mark.parametrize("content, message", [
+    ("", ":1: expected the header 'D N'"),
+    ("3\n1 2 3\n", ":1: expected the header 'D N'"),
+    ("3 x\n1 2 3\n", ":1: expected the header 'D N'"),
+    ("3 -1\n", ":1: expected the header 'D N'"),
+    ("3 2\n1 2 3\n1 2\n", ":3: expected 3 values, got 2"),
+    ("3 2\n1 2 3\n1 2 3 4\n", ":3: expected 3 values, got 4"),
+    ("3 1\n1 two 3\n", ":2: could not convert string to float: 'two'"),
+    ("3 1\n1 2 3\n4 5 6\n", "the header promises 1 rows, the file has 2"),
+    ("3 2\n1 2 3\n", "the header promises 2 rows, the file has 1"),
+])
+def test_read_scores_names_what_is_wrong(tmp_path, content, message):
+    path = tmp_path / "scores.txt"
+    path.write_text(content)
+    with pytest.raises(ValueError, match=re.escape(message)) as err:
+        read_scores(path)
+    assert str(err.value).startswith(str(path))

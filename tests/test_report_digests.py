@@ -4,10 +4,16 @@ Each workload's dataset is generated the way `perfbench/run.py` generates it
 (the public writers, parity labels for comprehension, a reload from the
 files), the experiment runs, and the sha256 of the report written by
 `write_report_json` must equal the digest pinned in `perfbench/workloads.py`.
+The benchmark's worker script must also still run against the package and
+print its result as the last line of its output.
 """
 
 import dataclasses
 import importlib.util
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -24,9 +30,8 @@ from scanfisher.events import load_scanpaths, save_scanpaths
 from scanfisher.synth import SynthConfig, gen_dataset
 from scanfisher.util import sha256_file
 
-_spec = importlib.util.spec_from_file_location(
-    "perfbench_workloads", Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
-)
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+_spec = importlib.util.spec_from_file_location("perfbench_workloads", PERFBENCH / "workloads.py")
 workloads = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(workloads)
 
@@ -55,3 +60,23 @@ def test_report_digest_at_reference_seed(name, tmp_path):
     report = EXPERIMENTS[workload["mode"]](dataset, PipelineConfig(**workload["pipeline"]))
     write_report_json(tmp_path / "report.json", report)
     assert sha256_file(tmp_path / "report.json") == workloads.REFERENCE_DIGESTS[name]
+
+
+def test_benchmark_worker_prints_a_traced_result(tmp_path):
+    # one traced repetition of the smoke workload, as perfbench/run.py starts it
+    data, out = tmp_path / "data", tmp_path / "out"
+    data.mkdir()
+    out.mkdir()
+    _generated_dataset(workloads.WORKLOADS["smoke"], data)
+    env = dict(os.environ, SCANPATH_THREADS="1", OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    proc = subprocess.run(
+        [sys.executable, str(PERFBENCH / "worker.py"), str(data), "smoke", str(out), "trace"],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert proc.returncode == 0 and proc.stderr == ""
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["folds"] == 3
+    # every hook target the layer trace wraps still exists
+    assert not [name for name in result["missing"] if name.startswith("scanfisher.")]
+    # each of the 18 scanpaths is extracted once per experiment
+    assert result["layers"]["events.scanpaths"] == 18

@@ -153,6 +153,13 @@ def test_non_finite_gram_rejected(bad):
             KernelProblem(gram=np.array(gram), labels=labels, C=1.0)
 
 
+@pytest.mark.parametrize("tol", [0.0, -1e-3, float("nan")])
+def test_non_positive_tolerance_rejected(tol):
+    problem = KernelProblem(gram=np.eye(2), labels=np.array([1.0, -1.0]), C=1.0)
+    with pytest.raises(SvmError, match="^tol must be > 0"):
+        solve_dual(problem, tol=tol)
+
+
 def test_invalid_labels_rejected():
     with pytest.raises(SvmError, match="labels"):
         KernelProblem(gram=np.eye(2), labels=np.array([1.0, 2.0]), C=1.0)
