@@ -11,6 +11,13 @@ Each experiment extracts every scanpath once into an `EventTable` with raw
 word features.  A fold context is its normalization statistics plus index
 sets into that table; `EventTable.gather` normalizes the rows it takes, which
 gives the same floats as normalizing every word first.
+
+Identification and comprehension share one fold runner, `_run_fold`.  Every
+outer fold and inner split is a `SplitPlan`, and a protocol is a train
+function plus a decide function: one-vs-rest SVMs whose prefix decision
+curves predict the arg-max class after each line, or one binary SVM whose
+mean decision over a test group predicts by its sign.  Both are scored by
+the same per-prefix accuracy.
 """
 
 import logging
@@ -252,9 +259,12 @@ class PipelineConfig:
             bad = [v for v in values if not in_range(v)]
             if bad:
                 raise EvalError(f"{name} values must be {bound}, got {bad}")
-        for name in ("svm_tol", "amp_floor"):
+        for name in ("svm_tol", "fit_tol", "amp_floor"):
             if not getattr(self, name) > 0:
                 raise EvalError(f"{name} must be > 0, got {getattr(self, name)!r}")
+        for name, least in (("inner_folds", 0), ("fit_max_iter", 1)):
+            if not getattr(self, name) >= least:
+                raise EvalError(f"{name} must be >= {least}, got {getattr(self, name)!r}")
 
 
 @dataclass
@@ -388,24 +398,18 @@ def _assert_no_leakage(stats: NormStats, test_text_ids: frozenset[str]) -> None:
         )
 
 
-def _build_context(
-    dataset: ReadingDataset,
-    table: EventTable,
-    train_texts: Sequence[str],
-    test_texts: Sequence[str],
-    train: np.ndarray,
-    test: np.ndarray,
-) -> _Context:
-    """Statistics of `train_texts`; `test` lines grouped by (label, text), each group by line id."""
+def _build_context(dataset: ReadingDataset, table: EventTable, plan: SplitPlan) -> _Context:
+    """Statistics of the plan's training texts; its test lines grouped by (label, text), each by line id."""
+    test = table.lines(plan.test_texts, plan.test_readers)
     groups: dict[tuple, list[int]] = {}
     for i in sorted(test, key=lambda i: table.scanpaths[i].line_id):
         groups.setdefault((table.labels[i], table.scanpaths[i].text_id), []).append(i)
     return _Context(
         table=table,
-        stats=norm_stats([dataset.texts[t] for t in sorted(train_texts)], dataset.freq),
-        train=train,
+        stats=norm_stats([dataset.texts[t] for t in sorted(plan.train_texts)], dataset.freq),
+        train=table.lines(plan.train_texts, plan.train_readers),
         groups={key: np.array(groups[key]) for key in sorted(groups)},
-        test_text_ids=frozenset(test_texts),
+        test_text_ids=plan.test_texts,
     )
 
 
@@ -453,17 +457,16 @@ def _kernel_stage(stage: _FisherStage, ridge_scale: float) -> _KernelStage:
     )
 
 
-def _identification_curves(mc: MulticlassSvm, kernels: _KernelStage) -> dict[tuple, list]:
-    """Per test group, the predicted class for every line prefix 1..L.
+def _decide_groups(model, kernels: _KernelStage, decide) -> tuple[dict[tuple, list], dict[tuple, object]]:
+    """Per test group, the predicted label for every line prefix 1..L, and the decisions behind them.
 
-    The last entry is the whole-text prediction.  Ties break toward the lowest
-    class id: argmax takes the first maximum and `mc.classes` is sorted.
+    `decide(model, rows)` maps a group's kernel rows to its decisions and that
+    list of predictions; the last prediction is the whole-group one.
     """
-    out = {}
+    curves, decisions = {}, {}
     for key, rows in kernels.group_rows.items():
-        curve = prefix_decision_curve(mc, rows)
-        out[key] = [mc.classes[int(row.argmax())] for row in curve]
-    return out
+        decisions[key], curves[key] = decide(model, rows)
+    return curves, decisions
 
 
 def _accuracy_from_curves(curves: dict[tuple, list]) -> tuple[float, list[float]]:
@@ -497,12 +500,12 @@ class _Tuned:
         }
 
 
-def _tune(contexts: list[_Context], config: PipelineConfig, layout: Sequence[str], train, accuracy_of) -> _Tuned:
+def _tune(contexts: list[_Context], config: PipelineConfig, layout: Sequence[str], train, decide) -> _Tuned:
     """Grid search over (lambda, ridge scale, C) with greedy feature elimination.
 
     `train(stage, kernels, C, previous)` fits one inner context's model and
-    `accuracy_of(kernels, model)` scores it; a grid point scores the
-    mean over `contexts`.  Each (stage, kernels) pair is trained along the C
+    its accuracy is that of the curves `decide` gives; a grid point scores
+    the mean over `contexts`.  Each (stage, kernels) pair is trained along the C
     grid in ascending order, handing each fit the model of the next smaller
     C so that solves whose answer is already known are reused.
     Deterministic: grid points are scanned in grid order, feature drops in
@@ -520,7 +523,7 @@ def _tune(contexts: list[_Context], config: PipelineConfig, layout: Sequence[str
         by_c, model = {}, None
         for C in sorted(set(config.c_grid)):
             model = train(stage, kernels, C, model)
-            by_c[C] = accuracy_of(kernels, model)
+            by_c[C] = _accuracy_from_curves(_decide_groups(model, kernels, decide)[0])[0]
         return [by_c[C] for C in config.c_grid]
 
     def grid(keep):
@@ -594,61 +597,57 @@ def _tune_baseline(contexts: list[_Context], config: PipelineConfig) -> float:
 
 
 # ---------------------------------------------------------------------------
+# the fold runner
+
+def _run_fold(dataset: ReadingDataset, table: EventTable, config: PipelineConfig, fold: SplitPlan,
+              inner: list[SplitPlan], train, decide) -> tuple[FoldResult, _Context, list[_Context], dict]:
+    """Tune on the `inner` splits, then train on the fold's training lines and decide its test groups.
+
+    A protocol is `train(stage, kernels, C, previous)`, which fits a model on
+    a context's training lines (`previous` is the model of the next smaller
+    C, or None), plus `decide(model, rows)` as `_decide_groups` takes it.
+    Returns the fold's result, its outer and inner contexts, and each test
+    group's decisions.
+    """
+    inner_contexts = [_build_context(dataset, table, plan) for plan in inner]
+    ctx = _build_context(dataset, table, fold)
+    tuned = _tune(inner_contexts, config, ctx.stats.layout, train, decide)
+    stage = _fit_stage(ctx, config, tuned.lam, [ctx.stats.layout[i] for i in tuned.keep])
+    kernels = _kernel_stage(stage, tuned.ridge_scale)
+    curves, decisions = _decide_groups(train(stage, kernels, tuned.C, None), kernels, decide)
+    accuracy, by_lines = _accuracy_from_curves(curves)
+    result = FoldResult(fold_id=fold.fold_id, accuracy=accuracy, accuracy_by_lines=by_lines,
+                        n_test_groups=len(curves), chosen=tuned.to_dict())
+    return result, ctx, inner_contexts, decisions
+
+
+# ---------------------------------------------------------------------------
 # leave-one-text-out identification
 
-def _inner_holdouts(train_texts: list[str], k: int) -> list[str]:
+def _inner_holdouts(fold: SplitPlan, k: int) -> list[SplitPlan]:
+    """Up to `k` inner splits, each holding out one evenly spaced training text of `fold`."""
+    train_texts = sorted(fold.train_texts)
     if k >= len(train_texts):
         k = len(train_texts) - 1
     if k < 1:
         return []
     idx = np.unique(np.round(np.linspace(0, len(train_texts) - 1, k)).astype(int))
-    return [train_texts[i] for i in idx]
-
-
-def _run_identification_fold(dataset: ReadingDataset, table: EventTable, fold: SplitPlan,
-                              config: PipelineConfig) -> FoldResult:
-    train_texts = sorted(fold.train_texts)
-    train_lines = table.lines(fold.train_texts)
-    missing = set(dataset.reader_ids()) - {table.scanpaths[i].reader_id for i in train_lines}
-    if missing:
-        raise EvalError(f"fold {fold.fold_id}: readers {sorted(missing)} absent from training data")
-
-    inner_contexts = [
-        _build_context(dataset, table, [t for t in train_texts if t != holdout], [holdout],
-                       table.lines(set(train_texts) - {holdout}), table.lines({holdout}))
-        for holdout in _inner_holdouts(train_texts, config.inner_folds)
+    return [
+        SplitPlan(fold_id=f"{fold.fold_id}/{train_texts[i]}",
+                  train_texts=fold.train_texts - {train_texts[i]},
+                  test_texts=frozenset([train_texts[i]]))
+        for i in idx
     ]
-    ctx = _build_context(dataset, table, train_texts, sorted(fold.test_texts), train_lines,
-                         table.lines(fold.test_texts))
 
-    def train(stage, kern, C, previous):
-        return train_multiclass(kern.gram, stage.labels, C, tol=config.svm_tol, previous=previous)
 
-    tuned = _tune(
-        inner_contexts, config, ctx.stats.layout, train,
-        lambda kern, mc: _accuracy_from_curves(_identification_curves(mc, kern))[0],
-    )
+def _identify(mc: MulticlassSvm, rows: np.ndarray) -> tuple[np.ndarray, list]:
+    """A test group's prefix decision curve, and the class it predicts after each prefix.
 
-    stage = _fit_stage(ctx, config, tuned.lam, [ctx.stats.layout[i] for i in tuned.keep])
-    kernels = _kernel_stage(stage, tuned.ridge_scale)
-    curves = _identification_curves(train(stage, kernels, tuned.C, None), kernels)
-    accuracy, by_lines = _accuracy_from_curves(curves)
-
-    baseline_acc = None
-    baseline_by_lines = None
-    if config.run_generative_baseline:
-        base_curves = _baseline_curves(ctx, config, _tune_baseline(inner_contexts, config))
-        baseline_acc, baseline_by_lines = _accuracy_from_curves(base_curves)
-
-    return FoldResult(
-        fold_id=fold.fold_id,
-        accuracy=accuracy,
-        accuracy_by_lines=by_lines,
-        n_test_groups=len(curves),
-        chosen=tuned.to_dict(),
-        baseline_accuracy=baseline_acc,
-        baseline_by_lines=baseline_by_lines,
-    )
+    Ties break toward the lowest class id: argmax takes the first maximum and
+    `mc.classes` is sorted.
+    """
+    curve = prefix_decision_curve(mc, rows)
+    return curve, [mc.classes[int(row.argmax())] for row in curve]
 
 
 def loto_cv(dataset: ReadingDataset, config: PipelineConfig | None = None) -> EvalReport:
@@ -659,7 +658,22 @@ def loto_cv(dataset: ReadingDataset, config: PipelineConfig | None = None) -> Ev
         raise EvalError(f"texts {unread} have no scanpaths to test on")
     table = event_table(dataset, feature_layout(list(dataset.texts.values())), config.amp_floor,
                         lambda sp: sp.reader_id)
-    results = [_run_identification_fold(dataset, table, fold, config) for fold in loto_folds(dataset.text_ids())]
+
+    def train(stage, kernels, C, previous):
+        return train_multiclass(kernels.gram, stage.labels, C, tol=config.svm_tol, previous=previous)
+
+    results = []
+    for fold in loto_folds(dataset.text_ids()):
+        trained = {table.scanpaths[i].reader_id for i in table.lines(fold.train_texts)}
+        missing = set(dataset.reader_ids()) - trained
+        if missing:
+            raise EvalError(f"fold {fold.fold_id}: readers {sorted(missing)} absent from training data")
+        result, ctx, inner_contexts, _ = _run_fold(
+            dataset, table, config, fold, _inner_holdouts(fold, config.inner_folds), train, _identify)
+        if config.run_generative_baseline:
+            result.baseline_accuracy, result.baseline_by_lines = _accuracy_from_curves(
+                _baseline_curves(ctx, config, _tune_baseline(inner_contexts, config)))
+        results.append(result)
 
     accs = [r.accuracy for r in results]
     report = EvalReport(
@@ -701,20 +715,16 @@ def _train_binary(
     return solve_dual(KernelProblem(gram=kernels.gram, labels=y, C=C), tol=config.svm_tol)
 
 
-def _binary_decisions(model: SvmModel, kernels: _KernelStage) -> tuple[list, np.ndarray]:
-    keys = sorted(kernels.group_rows)
-    decisions = np.array([
-        float(model.decision_values(kernels.group_rows[key]).mean()) for key in keys
-    ])
-    return keys, decisions
-
-
-def _binary_accuracy(keys, decisions, positive) -> float:
-    hits = [
-        (decision >= 0) == (key[0] == positive)
-        for key, decision in zip(keys, decisions)
-    ]
-    return float(np.mean(hits))
+def _comprehension_inner_plans(table: EventTable, split: SplitPlan) -> list[SplitPlan]:
+    """Split s0 of the training readers and texts, if it tests some lines and trains on both labels."""
+    if len(split.train_readers) < 2 or len(split.train_texts) < 2:
+        return []
+    inner = comprehension_splits(split.train_readers, split.train_texts)[0]
+    if not len(table.lines(inner.test_texts, inner.test_readers)):
+        return []
+    if len({table.labels[i] for i in table.lines(inner.train_texts, inner.train_readers)}) < 2:
+        return []
+    return [inner]
 
 
 def binary_comprehension_eval(dataset: ReadingDataset, config: PipelineConfig | None = None) -> EvalReport:
@@ -724,7 +734,7 @@ def binary_comprehension_eval(dataset: ReadingDataset, config: PipelineConfig | 
     if len(labels) != 2 or None in labels:
         raise EvalError(f"comprehension mode needs exactly 2 scanpath labels, got {sorted(map(str, labels))}")
     classes = sorted(labels)
-    positive = classes[1]
+    negative, positive = classes
     splits = comprehension_splits(dataset.reader_ids(), dataset.text_ids())
     table = event_table(dataset, feature_layout(list(dataset.texts.values())), config.amp_floor)
     for split in splits:
@@ -736,49 +746,30 @@ def binary_comprehension_eval(dataset: ReadingDataset, config: PipelineConfig | 
                     f"x texts {sorted(texts)} has no scanpaths"
                 )
 
+    def train(stage, kernels, C, previous):
+        return _train_binary(stage, kernels, config, C, positive, previous)
+
+    def decide(model, rows):
+        # a group predicts by the sign of its lines' mean decision, as one prefix
+        decision = float(model.decision_values(rows).mean())
+        return decision, [positive if decision >= 0 else negative]
+
     results = []
     for split in splits:
-        train_lines = table.lines(split.train_texts, split.train_readers)
-        if len({table.labels[i] for i in train_lines}) < 2:
+        if len({table.labels[i] for i in table.lines(split.train_texts, split.train_readers)}) < 2:
             raise EvalError(f"fold {split.fold_id}: single-class training split")
-
-        ctx = _build_context(dataset, table, sorted(split.train_texts), sorted(split.test_texts),
-                             train_lines, table.lines(split.test_texts, split.test_readers))
-
-        def train(stage, kern, C, previous):
-            return _train_binary(stage, kern, config, C, positive, previous)
-
-        tuned = _tune(
-            _comprehension_inner_contexts(dataset, table, split),
-            config, ctx.stats.layout, train,
-            lambda kern, model: _binary_accuracy(*_binary_decisions(model, kern), positive),
-        )
-
-        stage = _fit_stage(ctx, config, tuned.lam, [ctx.stats.layout[i] for i in tuned.keep])
-        kernels = _kernel_stage(stage, tuned.ridge_scale)
-        keys, decisions = _binary_decisions(train(stage, kernels, tuned.C, None), kernels)
-        accuracy = _binary_accuracy(keys, decisions, positive)
-        group_labels = [k[0] for k in keys]
-        auc = auc_score(group_labels, decisions) if len(set(group_labels)) == 2 else None
-
+        result, ctx, _, decisions = _run_fold(
+            dataset, table, config, split, _comprehension_inner_plans(table, split), train, decide)
+        group_labels = [key[0] for key in decisions]
+        if len(set(group_labels)) == 2:
+            result.auc = auc_score(group_labels, list(decisions.values()))
         train_group_labels = list({
             (table.scanpaths[i].reader_id, table.scanpaths[i].text_id): table.labels[i] for i in ctx.train
         }.values())
         # ties go to the first class
         majority = classes[int(np.argmax([train_group_labels.count(c) for c in classes]))]
-        majority_acc = float(np.mean([lbl == majority for lbl in group_labels]))
-
-        results.append(
-            FoldResult(
-                fold_id=split.fold_id,
-                accuracy=accuracy,
-                accuracy_by_lines=[accuracy],
-                n_test_groups=len(keys),
-                chosen=tuned.to_dict(),
-                auc=auc,
-                majority_accuracy=majority_acc,
-            )
-        )
+        result.majority_accuracy = float(np.mean([lbl == majority for lbl in group_labels]))
+        results.append(result)
 
     accs = [r.accuracy for r in results]
     aucs = [r.auc for r in results if r.auc is not None]
@@ -792,19 +783,6 @@ def binary_comprehension_eval(dataset: ReadingDataset, config: PipelineConfig | 
         stderr_auc=_stderr(aucs) if aucs else None,
         majority_mean_accuracy=float(np.mean([r.majority_accuracy for r in results])),
     )
-
-
-def _comprehension_inner_contexts(dataset: ReadingDataset, table: EventTable, split: SplitPlan) -> list[_Context]:
-    """The inner context of split s0 of the training readers and texts, if it has both labels."""
-    if len(split.train_readers) < 2 or len(split.train_texts) < 2:
-        return []
-    inner = comprehension_splits(split.train_readers, split.train_texts)[0]
-    inner_train = table.lines(inner.train_texts, inner.train_readers)
-    inner_test = table.lines(inner.test_texts, inner.test_readers)
-    if not len(inner_test) or len({table.labels[i] for i in inner_train}) < 2:
-        return []
-    return [_build_context(dataset, table, sorted(inner.train_texts), sorted(inner.test_texts),
-                           inner_train, inner_test)]
 
 
 # ---------------------------------------------------------------------------

@@ -66,12 +66,13 @@ class FitConfig:
     max_iter: int = 500
 
     def __post_init__(self):
-        if self.lam < 0:
-            raise FitError("lambda must be >= 0")
-        if self.tol <= 0:
-            raise FitError("tolerance must be > 0")
+        # NaN fails every comparison, so it is rejected too
+        if not self.lam >= 0:
+            raise FitError(f"lam must be >= 0, got {self.lam!r}")
+        if not self.tol > 0:
+            raise FitError(f"tol must be > 0, got {self.tol!r}")
         if self.max_iter < 1:
-            raise FitError("max_iter must be >= 1")
+            raise FitError(f"max_iter must be >= 1, got {self.max_iter!r}")
 
 
 def fit_pi(events: EventBatch) -> np.ndarray:

@@ -305,6 +305,15 @@ def test_non_positive_amp_floor_fails_extraction(synth_dir, fitted_model, tmp_pa
     assert "amp_floor must be > 0" in capsys.readouterr().err
 
 
+def test_fit_rejects_nan_tolerance_by_name(synth_dir, tmp_path, capsys):
+    code = run_cli("fit", "--texts", synth_dir / "texts.json", "--freq", synth_dir / "freq.tsv",
+                   "--scanpaths", synth_dir / "scanpaths.jsonl", "--out", tmp_path / "model.json",
+                   "--tol", "nan")
+    assert code == 3
+    assert capsys.readouterr().err == "error: tol must be > 0, got nan\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("option, value, field", [
     ("--c-grid", "", "c_grid"),
     ("--lambda-grid", "", "lambda_grid"),

@@ -33,6 +33,7 @@ from scanfisher.evaluate import (
 from scanfisher.events import EventBatch, Scanpath, extract_events
 from scanfisher.fit import FitConfig, fit_model
 from scanfisher.model import sample_events
+from scanfisher.svm import SvmModel
 from scanfisher.synth import SynthConfig, gen_dataset, gen_readers
 from scanfisher.util import read_json
 from model_reference import generative_classify
@@ -75,6 +76,18 @@ def test_config_rejects_out_of_range_grid_values(field, values):
 @pytest.mark.parametrize("value", [0.0, -1.0, math.nan])
 def test_config_rejects_non_positive_tolerance_and_floor(field, value):
     with pytest.raises(EvalError, match=f"^{field} must be > 0"):
+        PipelineConfig(**{field: value})
+
+
+@pytest.mark.parametrize("field, value, bound", [
+    ("inner_folds", -3, ">= 0"),
+    ("fit_max_iter", 0, ">= 1"),
+    ("fit_tol", 0.0, "> 0"),
+    ("fit_tol", -1e-6, "> 0"),
+    ("fit_tol", math.nan, "> 0"),
+])
+def test_config_rejects_out_of_range_counts_and_fit_tol(field, value, bound):
+    with pytest.raises(EvalError, match=f"^{field} must be {bound}"):
         PipelineConfig(**{field: value})
 
 
@@ -366,11 +379,9 @@ def test_baseline_full_group_prediction_equals_generative_classify(small_dataset
     table = evaluate.event_table(small_dataset, feature_layout(list(small_dataset.texts.values())),
                                  QUICK.amp_floor, lambda sp: sp.reader_id)
     n_groups = 0
-    for held_out in texts:
-        ctx = evaluate._build_context(
-            small_dataset, table, [t for t in texts if t != held_out], [held_out],
-            table.lines(set(texts) - {held_out}), table.lines({held_out}),
-        )
+    for fold in loto_folds(texts):
+        (held_out,) = fold.test_texts
+        ctx = evaluate._build_context(small_dataset, table, fold)
         curves = evaluate._baseline_curves(ctx, QUICK, lam)
         featmap, _ = _slow_features(small_dataset, ctx)
         train_sps = sorted((sp for sp in small_dataset.scanpaths if sp.text_id != held_out),
@@ -485,8 +496,11 @@ def test_event_table_gathers_what_per_context_extraction_gives(monkeypatch, capl
     contexts = []
     real_build_context = evaluate._build_context
 
-    def recorded(*args):
-        contexts.append(real_build_context(*args))
+    def recorded(dataset, table, plan):
+        contexts.append(real_build_context(dataset, table, plan))
+        # statistics come from the plan's training texts only
+        assert contexts[-1].stats.source_text_ids == plan.train_texts
+        assert contexts[-1].test_text_ids == plan.test_texts
         return contexts[-1]
 
     monkeypatch.setattr(evaluate, "_build_context", recorded)
@@ -575,6 +589,19 @@ def test_comprehension_eval_structure():
 def test_comprehension_requires_binary_labels(small_dataset):
     with pytest.raises(EvalError, match="2 scanpath labels"):
         binary_comprehension_eval(small_dataset, QUICK)
+
+
+def test_comprehension_zero_mean_decision_predicts_positive(monkeypatch):
+    # Texts t00 and t02 carry label 1 for every reader, so each split tests
+    # three (label, text) groups, two of them positive.  With every decision
+    # exactly 0.0 each group is predicted positive.
+    dataset = _comprehension_dataset()
+    dataset.scanpaths = [sp if sp.text_id not in ("t00", "t02") else dataclasses.replace(sp, label=1)
+                         for sp in dataset.scanpaths]
+    monkeypatch.setattr(SvmModel, "decision_values", lambda self, k_rows: np.zeros(len(k_rows)))
+    report = binary_comprehension_eval(dataset, QUICK)
+    assert [(f.n_test_groups, f.accuracy, f.accuracy_by_lines) for f in report.folds] \
+        == [(3, 2 / 3, [2 / 3])] * 4
 
 
 @pytest.mark.parametrize("half, role", [(0, "training"), (1, "test")])

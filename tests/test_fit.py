@@ -271,12 +271,18 @@ def test_fit_model_small_recovery():
 
 
 def test_fit_config_validation():
-    with pytest.raises(FitError):
+    with pytest.raises(FitError, match="^lam must be >= 0"):
         FitConfig(lam=-1.0)
-    with pytest.raises(FitError):
+    with pytest.raises(FitError, match="^tol must be > 0"):
         FitConfig(tol=0.0)
-    with pytest.raises(FitError):
+    with pytest.raises(FitError, match="^max_iter must be >= 1"):
         FitConfig(max_iter=0)
+
+
+@pytest.mark.parametrize("field, bound", [("lam", ">= 0"), ("tol", "> 0")])
+def test_fit_config_rejects_nan(field, bound):
+    with pytest.raises(FitError, match=f"^{field} must be {bound}, got nan"):
+        FitConfig(**{field: math.nan})
 
 
 def test_fit_model_empty_errors():

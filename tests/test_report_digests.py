@@ -4,13 +4,14 @@ Each workload's dataset is generated the way `perfbench/run.py` generates it
 (the public writers, parity labels for comprehension, a reload from the
 files), the experiment runs, and the sha256 of the report written by
 `write_report_json` must equal the digest pinned in `perfbench/workloads.py`.
-The benchmark's worker script must also still run against the package and
-print its result as the last line of its output.
+The benchmark's worker script must also still run against the package, traced,
+and print its result as strict JSON on the last line of its output.
 """
 
 import dataclasses
 import importlib.util
 import json
+import math
 import os
 import subprocess
 import sys
@@ -62,21 +63,31 @@ def test_report_digest_at_reference_seed(name, tmp_path):
     assert sha256_file(tmp_path / "report.json") == workloads.REFERENCE_DIGESTS[name]
 
 
-def test_benchmark_worker_prints_a_traced_result(tmp_path):
-    # one traced repetition of the smoke workload, as perfbench/run.py starts it
+def _reject_constant(name):
+    raise ValueError(f"{name} in the worker's result is not strict JSON")
+
+
+@pytest.mark.parametrize("name, folds, scanpaths", [("smoke", 3, 18), ("comprehend", 4, 576)],
+                         ids=["smoke", "comprehend"])
+def test_benchmark_worker_prints_a_traced_result(tmp_path, name, folds, scanpaths):
+    # one traced repetition of the workload, as perfbench/run.py starts it
     data, out = tmp_path / "data", tmp_path / "out"
     data.mkdir()
     out.mkdir()
-    _generated_dataset(workloads.WORKLOADS["smoke"], data)
-    env = dict(os.environ, SCANPATH_THREADS="1", OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    _generated_dataset(workloads.WORKLOADS[name], data)
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
     proc = subprocess.run(
-        [sys.executable, str(PERFBENCH / "worker.py"), str(data), "smoke", str(out), "trace"],
+        [sys.executable, str(PERFBENCH / "worker.py"), str(data), name, str(out), "trace"],
         capture_output=True, text=True, env=env, timeout=300,
     )
     assert proc.returncode == 0 and proc.stderr == ""
-    result = json.loads(proc.stdout.splitlines()[-1])
-    assert result["folds"] == 3
+    result = json.loads(proc.stdout.splitlines()[-1], parse_constant=_reject_constant)
+    assert {"setup_s", "wall_s", "span", "peak_rss_mb", "digest", "folds", "mean_accuracy",
+            "warnings", "layers", "missing"} <= set(result)
+    assert result["folds"] == folds
+    assert result["digest"] == workloads.REFERENCE_DIGESTS.get(name, result["digest"])
     # every hook target the layer trace wraps still exists
-    assert not [name for name in result["missing"] if name.startswith("scanfisher.")]
-    # each of the 18 scanpaths is extracted once per experiment
-    assert result["layers"]["events.scanpaths"] == 18
+    assert not [hook for hook in result["missing"] if hook.startswith("scanfisher.")]
+    assert all(math.isfinite(value) for value in result["layers"].values())
+    # each scanpath is extracted once per experiment
+    assert result["layers"]["events.scanpaths"] == scanpaths

@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from scanfisher.evaluate import _identification_curves, _KernelStage
+from scanfisher.evaluate import _decide_groups, _identify, _KernelStage
 from scanfisher.svm import (
     KernelProblem,
     MulticlassSvm,
@@ -242,7 +242,9 @@ def _toy_multiclass():
 def _text_predictions(mc, rows):
     """Per-prefix predictions of one test group, as the identification pipeline makes them."""
     kernels = _KernelStage(gram=np.zeros((0, 0)), group_rows={("g", "t"): rows})
-    return _identification_curves(mc, kernels)[("g", "t")]
+    curves, decisions = _decide_groups(mc, kernels, _identify)
+    assert np.array_equal(decisions[("g", "t")], prefix_decision_curve(mc, rows))
+    return curves[("g", "t")]
 
 
 def test_predict_text_single_line_equals_line_prediction():
