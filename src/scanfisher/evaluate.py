@@ -18,6 +18,16 @@ function plus a decide function: one-vs-rest SVMs whose prefix decision
 curves predict the arg-max class after each line, or one binary SVM whose
 mean decision over a test group predicts by its sign.  Both are scored by
 the same per-prefix accuracy.
+
+Each training set is fitted once per experiment.  Contexts whose plans train
+on the same texts and readers (in nested LOTO, fold i's inner split that
+holds out text j and fold j's that holds out text i) share their statistics,
+training lines and fits: Fisher-stage fits are kept by fit setting and
+feature subset, and the generative baseline's per-reader models by fit
+setting.  The cache lives in a dict the experiment
+call makes; a shared fit has the same inputs, so reuse is exact.  The
+baseline fits every reader of a context in one pooled `fit_model` call and
+scores every test line under each reader's model in one `batch_loglik` pass.
 """
 
 import logging
@@ -381,13 +391,18 @@ def event_table(dataset: ReadingDataset, layout: Sequence[str], amp_floor: float
 
 @dataclass
 class _Context:
-    """A fold's leak-free statistics plus its index sets into the event table."""
+    """A fold's leak-free statistics plus its index sets into the event table.
+
+    `fits` holds the models fitted on the training lines, keyed by
+    ("fisher", FitConfig, features) or ("baseline", FitConfig).
+    """
 
     table: EventTable
     stats: NormStats
     train: np.ndarray                  # training lines, in table order
     groups: dict[tuple, np.ndarray]    # (label, text_id) -> test lines, by line id
     test_text_ids: frozenset[str]
+    fits: dict                         # shared with every context that trains on the same lines
 
 
 def _assert_no_leakage(stats: NormStats, test_text_ids: frozenset[str]) -> None:
@@ -398,19 +413,37 @@ def _assert_no_leakage(stats: NormStats, test_text_ids: frozenset[str]) -> None:
         )
 
 
-def _build_context(dataset: ReadingDataset, table: EventTable, plan: SplitPlan) -> _Context:
-    """Statistics of the plan's training texts; its test lines grouped by (label, text), each by line id."""
+def _build_context(dataset: ReadingDataset, table: EventTable, plan: SplitPlan,
+                   shared: dict | None = None) -> _Context:
+    """Statistics of the plan's training texts; its test lines grouped by (label, text), each by line id.
+
+    Contexts built with the same `shared` dict whose plans train on the same
+    texts and readers share their statistics, training lines and fits.
+    """
+    shared = {} if shared is None else shared
+    key = (plan.train_texts, plan.train_readers)
+    if key not in shared:
+        shared[key] = (norm_stats([dataset.texts[t] for t in sorted(plan.train_texts)], dataset.freq),
+                       table.lines(plan.train_texts, plan.train_readers), {})
+    stats, train, fits = shared[key]
     test = table.lines(plan.test_texts, plan.test_readers)
     groups: dict[tuple, list[int]] = {}
     for i in sorted(test, key=lambda i: table.scanpaths[i].line_id):
         groups.setdefault((table.labels[i], table.scanpaths[i].text_id), []).append(i)
     return _Context(
         table=table,
-        stats=norm_stats([dataset.texts[t] for t in sorted(plan.train_texts)], dataset.freq),
-        train=table.lines(plan.train_texts, plan.train_readers),
+        stats=stats,
+        train=train,
         groups={key: np.array(groups[key]) for key in sorted(groups)},
         test_text_ids=plan.test_texts,
+        fits=fits,
     )
+
+
+def _by_group(ctx: _Context, rows: np.ndarray) -> dict[tuple, np.ndarray]:
+    """Rows of the test lines, in group order, split into one block per test group."""
+    bounds = np.cumsum([len(lines) for lines in ctx.groups.values()])[:-1]
+    return dict(zip(ctx.groups, np.split(rows, bounds)))
 
 
 @dataclass
@@ -421,20 +454,27 @@ class _FisherStage:
     labels: list
 
 
+def _fit_config(config: PipelineConfig, lam: float) -> FitConfig:
+    return FitConfig(lam=lam, tol=config.fit_tol, max_iter=config.fit_max_iter)
+
+
 def _fit_stage(ctx: _Context, config: PipelineConfig, lam: float, features: Sequence[str]) -> _FisherStage:
     """Fit, then score the training lines and test groups, on `features`.
 
     Features outside the context's layout (flags none of its training texts
-    carry) are left out.
+    carry) are left out.  The fit is made once per fit setting and feature
+    subset, and kept in the context's `fits`.
     """
     _assert_no_leakage(ctx.stats, ctx.test_text_ids)
+    fit_config = _fit_config(config, lam)
+    key = ("fisher", fit_config, tuple(features))
     train, train_lengths = ctx.table.gather(ctx.train, ctx.stats, features)
-    params = fit_model(train, FitConfig(lam=lam, tol=config.fit_tol, max_iter=config.fit_max_iter))
+    if key not in ctx.fits:
+        ctx.fits[key] = fit_model(train, fit_config)
+    params = ctx.fits[key]
     s_train = score_matrix(train.split(train_lengths), params)
     test, test_lengths = ctx.table.gather(np.concatenate(list(ctx.groups.values())), ctx.stats, features)
-    s_test = score_matrix(test.split(test_lengths), params)
-    bounds = np.cumsum([len(lines) for lines in ctx.groups.values()])[:-1]
-    s_groups = dict(zip(ctx.groups, np.split(s_test, bounds)))
+    s_groups = _by_group(ctx, score_matrix(test.split(test_lengths), params))
     labels = [ctx.table.labels[i] for i in ctx.train]
     return _FisherStage(params=params, s_train=s_train, s_groups=s_groups, labels=labels)
 
@@ -510,9 +550,12 @@ def _tune(contexts: list[_Context], config: PipelineConfig, layout: Sequence[str
     C so that solves whose answer is already known are reused.
     Deterministic: grid points are scanned in grid order, feature drops in
     index order, and only a strictly better accuracy replaces the incumbent.
-    The bias is never dropped.  Feature subsets are index tuples into
-    `layout`, the outer fold's layout.  Without inner contexts the first grid
-    point is taken, with accuracy None.
+    So nothing can replace an incumbent of accuracy 1.0: the grid scan stops
+    after the (lambda, ridge) block that reaches it, elimination does not
+    start from it, and an elimination round ends at the first candidate
+    that reaches it.  The bias is never dropped.  Feature subsets are index
+    tuples into `layout`, the outer fold's layout.  Without inner contexts
+    the first grid point is taken, with accuracy None.
     """
     keep = tuple(range(len(layout)))
     if not contexts:
@@ -536,16 +579,20 @@ def _tune(contexts: list[_Context], config: PipelineConfig, layout: Sequence[str
                     acc = float(np.mean(accs))
                     if best is None or acc > best[0]:
                         best = (acc, lam, ridge_scale, C)
+                if best[0] >= 1.0:
+                    return best
         return best
 
     acc, lam, ridge_scale, C = grid(keep)
-    while config.feature_elimination and len(keep) > 1:
+    while config.feature_elimination and len(keep) > 1 and acc < 1.0:
         best = None
         for drop in keep[1:]:
             cand = tuple(i for i in keep if i != drop)
             result = grid(cand)
             if best is None or result[0] > best[0][0]:
                 best = (result, cand)
+            if result[0] >= 1.0:
+                break
         if best[0][0] <= acc:
             break
         (acc, lam, ridge_scale, C), keep = best
@@ -557,29 +604,38 @@ def _tune(contexts: list[_Context], config: PipelineConfig, layout: Sequence[str
 # generative baseline
 
 def _baseline_curves(ctx: _Context, config: PipelineConfig, lam: float) -> dict[tuple, list]:
-    by_reader: dict[str, list[int]] = {}
-    for i in ctx.train:
-        by_reader.setdefault(ctx.table.labels[i], []).append(i)
-    fit_config = FitConfig(lam=lam, tol=config.fit_tol, max_iter=config.fit_max_iter)
-    class_params = {reader: fit_model(ctx.table.gather(lines, ctx.stats)[0], fit_config)
-                    for reader, lines in sorted(by_reader.items())}
-    keys = sorted(class_params)
-    out = {}
-    for gkey, lines in ctx.groups.items():
-        batch, lengths = ctx.table.gather(lines, ctx.stats)
-        per_line = np.array(
-            [[batch_loglik(line, class_params[k]) for k in keys] for line in batch.split(lengths)]
-        )
-        cum = np.cumsum(per_line, axis=0)
-        out[gkey] = [keys[int(row.argmax())] for row in cum]
-    return out
+    """Per test group, the reader whose model gives each line prefix the highest log-likelihood.
+
+    Every training reader's model comes from one `fit_model` call on their
+    pooled lines, made once per fit setting and kept in the context's
+    `fits`; each model scores all test lines in one `batch_loglik` pass.
+    Ties break toward the lowest reader id.
+    """
+    fit_config = _fit_config(config, lam)
+    key = ("baseline", fit_config)
+    if key not in ctx.fits:
+        readers = sorted({ctx.table.labels[i] for i in ctx.train})
+        lines = [[i for i in ctx.train if ctx.table.labels[i] == reader] for reader in readers]
+        events_per_line = np.diff(ctx.table.offsets)
+        sizes = [int(events_per_line[part].sum()) for part in lines]
+        batch, _ = ctx.table.gather(np.concatenate(lines), ctx.stats)
+        ctx.fits[key] = dict(zip(readers, fit_model(batch, fit_config, sizes)))
+    models = ctx.fits[key]
+    keys = sorted(models)
+    batch, lengths = ctx.table.gather(np.concatenate(list(ctx.groups.values())), ctx.stats)
+    per_line = np.column_stack([batch_loglik(batch, models[k], lengths) for k in keys])
+    return {
+        gkey: [keys[int(row.argmax())] for row in np.cumsum(rows, axis=0)]
+        for gkey, rows in _by_group(ctx, per_line).items()
+    }
 
 
 def _tune_baseline(contexts: list[_Context], config: PipelineConfig) -> float:
     """The lambda whose per-reader models classify the inner contexts best.
 
     Without inner contexts, or with one lambda, that choice is fixed and no
-    model is fitted.
+    model is fitted.  The scan stops at the first lambda with accuracy 1.0:
+    only a strictly better accuracy replaces the incumbent.
     """
     if not contexts or len(config.lambda_grid) == 1:
         return config.lambda_grid[0]
@@ -593,6 +649,8 @@ def _tune_baseline(contexts: list[_Context], config: PipelineConfig) -> float:
         mean_acc = float(np.mean(accs))
         if best is None or mean_acc > best[0]:
             best = (mean_acc, lam)
+        if best[0] >= 1.0:
+            break
     return best[1]
 
 
@@ -600,17 +658,20 @@ def _tune_baseline(contexts: list[_Context], config: PipelineConfig) -> float:
 # the fold runner
 
 def _run_fold(dataset: ReadingDataset, table: EventTable, config: PipelineConfig, fold: SplitPlan,
-              inner: list[SplitPlan], train, decide) -> tuple[FoldResult, _Context, list[_Context], dict]:
+              inner: list[SplitPlan], train, decide,
+              shared: dict) -> tuple[FoldResult, _Context, list[_Context], dict]:
     """Tune on the `inner` splits, then train on the fold's training lines and decide its test groups.
 
     A protocol is `train(stage, kernels, C, previous)`, which fits a model on
     a context's training lines (`previous` is the model of the next smaller
     C, or None), plus `decide(model, rows)` as `_decide_groups` takes it.
+    `shared` is the experiment's `_build_context` dict, so that every
+    context of the experiment that trains on the same lines shares its fits.
     Returns the fold's result, its outer and inner contexts, and each test
     group's decisions.
     """
-    inner_contexts = [_build_context(dataset, table, plan) for plan in inner]
-    ctx = _build_context(dataset, table, fold)
+    inner_contexts = [_build_context(dataset, table, plan, shared) for plan in inner]
+    ctx = _build_context(dataset, table, fold, shared)
     tuned = _tune(inner_contexts, config, ctx.stats.layout, train, decide)
     stage = _fit_stage(ctx, config, tuned.lam, [ctx.stats.layout[i] for i in tuned.keep])
     kernels = _kernel_stage(stage, tuned.ridge_scale)
@@ -662,14 +723,14 @@ def loto_cv(dataset: ReadingDataset, config: PipelineConfig | None = None) -> Ev
     def train(stage, kernels, C, previous):
         return train_multiclass(kernels.gram, stage.labels, C, tol=config.svm_tol, previous=previous)
 
-    results = []
+    results, shared = [], {}
     for fold in loto_folds(dataset.text_ids()):
         trained = {table.scanpaths[i].reader_id for i in table.lines(fold.train_texts)}
         missing = set(dataset.reader_ids()) - trained
         if missing:
             raise EvalError(f"fold {fold.fold_id}: readers {sorted(missing)} absent from training data")
         result, ctx, inner_contexts, _ = _run_fold(
-            dataset, table, config, fold, _inner_holdouts(fold, config.inner_folds), train, _identify)
+            dataset, table, config, fold, _inner_holdouts(fold, config.inner_folds), train, _identify, shared)
         if config.run_generative_baseline:
             result.baseline_accuracy, result.baseline_by_lines = _accuracy_from_curves(
                 _baseline_curves(ctx, config, _tune_baseline(inner_contexts, config)))
@@ -754,12 +815,12 @@ def binary_comprehension_eval(dataset: ReadingDataset, config: PipelineConfig | 
         decision = float(model.decision_values(rows).mean())
         return decision, [positive if decision >= 0 else negative]
 
-    results = []
+    results, shared = [], {}
     for split in splits:
         if len({table.labels[i] for i in table.lines(split.train_texts, split.train_readers)}) < 2:
             raise EvalError(f"fold {split.fold_id}: single-class training split")
         result, ctx, _, decisions = _run_fold(
-            dataset, table, config, split, _comprehension_inner_plans(table, split), train, decide)
+            dataset, table, config, split, _comprehension_inner_plans(table, split), train, decide, shared)
         group_labels = [key[0] for key in decisions]
         if len(set(group_labels)) == 2:
             result.auc = auc_score(group_labels, list(decisions.values()))

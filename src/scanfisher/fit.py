@@ -8,7 +8,9 @@ minimizations of
     -sum ln Gamma_pdf(x | exp(W a), exp(W b)) + lambda * sum_m exp(a_m) + exp(b_m)
 
 All ten (kind, u) groups of a batch are solved by one damped Newton loop
-over their pooled events.  Each iteration evaluates the per-event objective,
+over their pooled events; `fit_model` given segment sizes fits several
+training sets of one batch (the generative baseline's readers) in the same
+loop, ten groups each.  Each iteration evaluates the per-event objective,
 gradient and closed-form Hessian terms (trigamma in the shape block) once,
 sums them per group with `np.add.reduceat`, solves the stacked 2M x 2M
 systems in one call and backtracks each group's step until the Armijo
@@ -25,7 +27,7 @@ steps), is refitted from the same moment start by L-BFGS-B with analytic
 gradients, and that result is used as it is.  L-BFGS-B stops on
 scipy's projected-gradient test (|g| <= `tol`) or on its relative-reduction
 test (``ftol = 1e-12``).  No value is shared between groups, so each group's
-fit is the one it would get alone.
+fit, and each segment's model, is the one it would get alone.
 """
 
 import logging
@@ -84,6 +86,11 @@ def fit_pi(events: EventBatch) -> np.ndarray:
     return pi / pi.sum()
 
 
+def _clamp(eta: np.ndarray) -> np.ndarray:
+    """Linear predictors clamped to the log link bounds (the bits of ``np.clip``, faster)."""
+    return np.minimum(np.maximum(eta, _LOG_LINK_MIN), _LOG_LINK_MAX)
+
+
 def _objective(theta: np.ndarray, x: np.ndarray, W: np.ndarray, lam: float):
     """Negative regularized gamma log-likelihood and its gradient.
 
@@ -93,14 +100,14 @@ def _objective(theta: np.ndarray, x: np.ndarray, W: np.ndarray, lam: float):
     """
     m = W.shape[1]
     a, b = theta[:m], theta[m:]
-    eta_shape = np.clip(W @ a, _LOG_LINK_MIN, _LOG_LINK_MAX)
-    eta_scale = np.clip(W @ b, _LOG_LINK_MIN, _LOG_LINK_MAX)
+    eta_shape = _clamp(W @ a)
+    eta_scale = _clamp(W @ b)
     shape = np.exp(eta_shape)
     log_x = np.log(x)
     x_over_scale = x * np.exp(-eta_scale)
     loglik = float(np.sum((shape - 1.0) * log_x - x_over_scale - gammaln(shape) - shape * eta_scale))
-    reg_shape = np.exp(np.clip(a, None, 500.0))
-    reg_scale = np.exp(np.clip(b, None, 500.0))
+    reg = np.exp(np.minimum(theta, 500.0))
+    reg_shape, reg_scale = reg[:m], reg[m:]
     value = -loglik + lam * float(reg_shape.sum() + reg_scale.sum())
     grad_shape = -(W.T @ (shape * (log_x - digamma(shape) - eta_scale))) + lam * reg_shape
     grad_scale = -(W.T @ (x_over_scale - shape)) + lam * reg_scale
@@ -270,12 +277,12 @@ def _pooled_terms(pool: _Pool, theta: np.ndarray, mask: np.ndarray, lam: float, 
     """
     m = pool.W.shape[1]
     per_event = theta[pool.gid]
-    eta_shape = np.clip(np.einsum("ij,ij->i", pool.W, per_event[:, :m]), _LOG_LINK_MIN, _LOG_LINK_MAX)
-    eta_scale = np.clip(np.einsum("ij,ij->i", pool.W, per_event[:, m:]), _LOG_LINK_MIN, _LOG_LINK_MAX)
+    eta_shape = _clamp(np.einsum("ij,ij->i", pool.W, per_event[:, :m]))
+    eta_scale = _clamp(np.einsum("ij,ij->i", pool.W, per_event[:, m:]))
     shape = np.exp(eta_shape)
     x_over_scale = pool.x * np.exp(-eta_scale)
     loglik = (shape - 1.0) * pool.log_x - x_over_scale - gammaln(shape) - shape * eta_scale
-    reg = mask * np.exp(np.clip(theta, None, 500.0))
+    reg = mask * np.exp(np.minimum(theta, 500.0))
     value = lam * reg.sum(axis=1) - np.add.reduceat(loglik, pool.starts)
     if not derivatives:
         return value
@@ -385,33 +392,26 @@ def _newton(pool: _Pool, theta: np.ndarray, mask: np.ndarray, config: FitConfig)
     return _NewtonResult(theta, value, grad_norm, iterations, failure, traces)
 
 
-def fit_model_detailed(
-    batch: EventBatch,
-    config: FitConfig,
-    collect_trace: bool = True,
-) -> FitOutcome:
-    """Fit pi and all per-type gamma GLMs; returns parameters plus diagnostics.
+def _fit_segments(batch: EventBatch, sizes, config: FitConfig, collect_trace: bool) -> list[FitOutcome]:
+    """One model per segment of `batch`: its events are the segments' events, `sizes[s]` each, in order.
 
-    `collect_trace=False` skips the per-iteration objective recomputation of
-    L-BFGS-B fallback fits; Newton groups always record their objectives.
+    The ten (kind, u) groups of every segment are solved by one `_newton`
+    call, and every fallback is refitted alone by `_fit_group`, so each
+    segment's model and diagnostics are those it gets when fitted alone.
     """
-    if batch.n == 0:
+    if sum(sizes) != batch.n:
+        raise FitError(f"segment sizes sum to {sum(sizes)}, but the batch has {batch.n} events")
+    segments = batch.split(sizes)
+    if not segments or any(seg.n == 0 for seg in segments):
         raise FitError("cannot fit a model from an empty event set")
 
     m = batch.num_features
-    alpha = np.zeros((NUM_SACCADE_TYPES, m))
-    beta = np.zeros((NUM_SACCADE_TYPES, m))
-    gamma = np.zeros((NUM_SACCADE_TYPES, m))
-    delta = np.zeros((NUM_SACCADE_TYPES, m))
-    blocks = {
-        "amplitude": (batch.amp, batch.w_launch, alpha, beta),
-        "duration": (batch.dur, batch.w_land, gamma, delta),
-    }
-    groups = []   # (kind, u, x, W), in the order of the returned diagnostics
-    for u in range(1, NUM_SACCADE_TYPES + 1):
-        in_type = batch.u == u
-        for kind, (x, W, _, _) in blocks.items():
-            groups.append((kind, u, x[in_type], W[in_type]))
+    groups = []   # (kind, u, x, W), segment by segment, each in the order of its diagnostics
+    for seg in segments:
+        for u in range(1, NUM_SACCADE_TYPES + 1):
+            in_type = seg.u == u
+            groups.append(("amplitude", u, seg.amp[in_type], seg.w_launch[in_type]))
+            groups.append(("duration", u, seg.dur[in_type], seg.w_land[in_type]))
 
     pooled = [i for i, (_, _, x, _) in enumerate(groups) if len(x)]
     bias_only = np.array([_bias_only(len(groups[i][2]), m) for i in pooled], dtype=bool)
@@ -423,15 +423,13 @@ def fit_model_detailed(
     result = _newton(pool, theta0, np.hstack([feature_mask, feature_mask]), config)
 
     row_of = {i: k for k, i in enumerate(pooled)}
-    infos = []
+    fits = []     # (shape weights, scale weights, GroupFit) per group
     for i, (kind, u, x, W) in enumerate(groups):
-        shape_block, scale_block = blocks[kind][2:]
         k = row_of.get(i)
         if k is not None and result.failure[k] is None:
             if bias_only[k]:
                 _warn_bias_only(kind, u, len(x), m)
-            shape_block[u - 1], scale_block[u - 1] = result.theta[k, :m], result.theta[k, m:]
-            infos.append(GroupFit(
+            fits.append((result.theta[k, :m], result.theta[k, m:], GroupFit(
                 kind=kind,
                 u=u,
                 n_events=len(x),
@@ -443,7 +441,7 @@ def fit_model_detailed(
                 converged=True,
                 objective_trace=result.traces[k],
                 solver="newton",
-            ))
+            )))
             continue
         if k is not None:
             logger.warning(
@@ -452,12 +450,44 @@ def fit_model_detailed(
                 kind, u, len(x), result.iterations[k], result.grad_norm[k], result.failure[k],
             )
         # empty groups keep zero weights; fallbacks refit from the same start
-        shape_block[u - 1], scale_block[u - 1], info = _fit_group(kind, u, x, W, config, collect_trace)
-        infos.append(info)
-    params = ModelParams(pi=fit_pi(batch), alpha=alpha, beta=beta, gamma=gamma, delta=delta)
-    return FitOutcome(params=params, groups=infos)
+        fits.append(_fit_group(kind, u, x, W, config, collect_trace))
+
+    outcomes = []
+    per_segment = 2 * NUM_SACCADE_TYPES
+    for s, seg in enumerate(segments):
+        mine = fits[s * per_segment:(s + 1) * per_segment]
+        amplitude, duration = mine[0::2], mine[1::2]
+        params = ModelParams(
+            pi=fit_pi(seg),
+            alpha=[f[0] for f in amplitude], beta=[f[1] for f in amplitude],
+            gamma=[f[0] for f in duration], delta=[f[1] for f in duration],
+        )
+        outcomes.append(FitOutcome(params=params, groups=[f[2] for f in mine]))
+    return outcomes
 
 
-def fit_model(events: EventBatch, config: FitConfig) -> ModelParams:
-    """Regularized maximum-likelihood parameters for an event batch."""
-    return fit_model_detailed(events, config, collect_trace=False).params
+def fit_model_detailed(
+    batch: EventBatch,
+    config: FitConfig,
+    collect_trace: bool = True,
+) -> FitOutcome:
+    """Fit pi and all per-type gamma GLMs; returns parameters plus diagnostics.
+
+    `collect_trace=False` skips the per-iteration objective recomputation of
+    L-BFGS-B fallback fits; Newton groups always record their objectives.
+    """
+    return _fit_segments(batch, [batch.n], config, collect_trace)[0]
+
+
+def fit_model(events: EventBatch, config: FitConfig, sizes=None):
+    """Regularized maximum-likelihood parameters for an event batch.
+
+    Given `sizes`, the batch holds several training sets one after another,
+    `sizes[s]` events each, and the result is the list of their models, all
+    fitted in one pooled Newton call; each equals, bit for bit, the model
+    `fit_model` gives that training set alone.
+    """
+    outcomes = _fit_segments(events, [events.n] if sizes is None else sizes, config, collect_trace=False)
+    if sizes is None:
+        return outcomes[0].params
+    return [outcome.params for outcome in outcomes]

@@ -111,37 +111,52 @@ class ModelParams:
         )
 
 
-def batch_loglik(batch: EventBatch, params: ModelParams) -> float:
-    """Total log-likelihood of an event batch: the sum of :func:`loglik_parts`."""
-    return sum(loglik_parts(batch, params))
+def batch_loglik(batch: EventBatch, params: ModelParams, lengths=None):
+    """Total log-likelihood of an event batch: the sum of :func:`loglik_parts`.
+
+    Given `lengths`, the result is each segment's total, as an array.
+    """
+    return sum(loglik_parts(batch, params, lengths))
 
 
-def loglik_parts(batch: EventBatch, params: ModelParams) -> tuple[float, float, float]:
-    """(type, amplitude, duration) log-likelihood terms of an event batch."""
-    counts = batch.type_counts()
-    type_term = float(np.sum(counts[counts > 0] * np.log(params.pi[counts > 0])))
-    amp_term = 0.0
-    dur_term = 0.0
+def loglik_parts(batch: EventBatch, params: ModelParams, lengths=None):
+    """(type, amplitude, duration) log-likelihood terms of an event batch.
+
+    Given `lengths`, the batch is consecutive segments (lines) of that many
+    events each, and each term is an array with one entry per segment,
+    from one pass over the batch: the densities of every event of a type
+    at once, then their sums per segment.
+    """
+    sizes = np.asarray([batch.n] if lengths is None else lengths, dtype=int)
+    if sizes.sum() != batch.n:
+        raise ModelError(f"segment lengths sum to {sizes.sum()}, but the batch has {batch.n} events")
+    segment = np.repeat(np.arange(len(sizes)), sizes)   # each event's segment
+    counts = np.bincount(segment * NUM_SACCADE_TYPES + batch.u - 1,
+                         minlength=len(sizes) * NUM_SACCADE_TYPES).reshape(len(sizes), NUM_SACCADE_TYPES)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        type_term = np.where(counts > 0, counts * np.log(params.pi), 0.0).sum(axis=1)
+    amp_term = np.zeros(len(sizes))
+    dur_term = np.zeros(len(sizes))
     for u in range(1, NUM_SACCADE_TYPES + 1):
         mask = batch.u == u
         if not mask.any():
             continue
         w_l = batch.w_launch[mask]
         w_d = batch.w_land[mask]
-        amp_term += float(
-            _log_gamma_density(
-                batch.amp[mask],
-                link_many(w_l, params.alpha[u - 1]),
-                link_many(w_l, params.beta[u - 1]),
-            ).sum()
+        amp = _log_gamma_density(
+            batch.amp[mask],
+            link_many(w_l, params.alpha[u - 1]),
+            link_many(w_l, params.beta[u - 1]),
         )
-        dur_term += float(
-            _log_gamma_density(
-                batch.dur[mask],
-                link_many(w_d, params.gamma[u - 1]),
-                link_many(w_d, params.delta[u - 1]),
-            ).sum()
+        dur = _log_gamma_density(
+            batch.dur[mask],
+            link_many(w_d, params.gamma[u - 1]),
+            link_many(w_d, params.delta[u - 1]),
         )
+        amp_term += np.bincount(segment[mask], amp, minlength=len(sizes))
+        dur_term += np.bincount(segment[mask], dur, minlength=len(sizes))
+    if lengths is None:
+        return float(type_term[0]), float(amp_term[0]), float(dur_term[0])
     return type_term, amp_term, dur_term
 
 

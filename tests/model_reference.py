@@ -2,7 +2,9 @@
 
 `gamma_logpdf` and `event_loglik` score one event (one row of an
 `EventBatch`) at a time with the scalar `scanfisher.model.link`; the
-vectorized `batch_loglik` must match their sum.  `generative_classify` picks
+vectorized `batch_loglik` must match their sum.  `loglik_parts_of_batch` is
+`scanfisher.model.loglik_parts` as it was before it scored segments: one
+call per batch, each term summed with ``np.sum``.  `generative_classify` picks
 the class whose model gives a whole event batch the highest log-likelihood; the generative baseline's full-group
 prediction must equal it.
 """
@@ -14,8 +16,8 @@ import numpy as np
 from scipy.special import gammaln
 
 from scanfisher.evaluate import EvalError
-from scanfisher.events import EventBatch
-from scanfisher.model import ModelError, ModelParams, batch_loglik, link
+from scanfisher.events import NUM_SACCADE_TYPES, EventBatch
+from scanfisher.model import ModelError, ModelParams, _log_gamma_density, batch_loglik, link, link_many
 
 
 def gamma_logpdf(x: float, shape: float, scale: float) -> float:
@@ -52,3 +54,32 @@ def generative_classify(events: EventBatch, class_params: Mapping) -> object:
         raise EvalError("no class models given")
     lls = np.array([batch_loglik(events, class_params[k]) for k in keys])
     return keys[int(lls.argmax())]
+
+
+def loglik_parts_of_batch(batch: EventBatch, params: ModelParams) -> tuple[float, float, float]:
+    """(type, amplitude, duration) log-likelihood terms of an event batch."""
+    counts = batch.type_counts()
+    type_term = float(np.sum(counts[counts > 0] * np.log(params.pi[counts > 0])))
+    amp_term = 0.0
+    dur_term = 0.0
+    for u in range(1, NUM_SACCADE_TYPES + 1):
+        mask = batch.u == u
+        if not mask.any():
+            continue
+        w_l = batch.w_launch[mask]
+        w_d = batch.w_land[mask]
+        amp_term += float(
+            _log_gamma_density(
+                batch.amp[mask],
+                link_many(w_l, params.alpha[u - 1]),
+                link_many(w_l, params.beta[u - 1]),
+            ).sum()
+        )
+        dur_term += float(
+            _log_gamma_density(
+                batch.dur[mask],
+                link_many(w_d, params.gamma[u - 1]),
+                link_many(w_d, params.delta[u - 1]),
+            ).sum()
+        )
+    return type_term, amp_term, dur_term

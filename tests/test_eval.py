@@ -37,6 +37,7 @@ from scanfisher.svm import SvmModel
 from scanfisher.synth import SynthConfig, gen_dataset, gen_readers
 from scanfisher.util import read_json
 from model_reference import generative_classify
+from tune_reference import tune_baseline_full_scan, tune_full_scan
 
 
 QUICK = PipelineConfig(
@@ -496,8 +497,8 @@ def test_event_table_gathers_what_per_context_extraction_gives(monkeypatch, capl
     contexts = []
     real_build_context = evaluate._build_context
 
-    def recorded(dataset, table, plan):
-        contexts.append(real_build_context(dataset, table, plan))
+    def recorded(dataset, table, plan, shared=None):
+        contexts.append(real_build_context(dataset, table, plan, shared))
         # statistics come from the plan's training texts only
         assert contexts[-1].stats.source_text_ids == plan.train_texts
         assert contexts[-1].test_text_ids == plan.test_texts
@@ -523,35 +524,69 @@ def test_event_table_gathers_what_per_context_extraction_gives(monkeypatch, capl
         assert {"flag:b" in layout for layout in layouts} == {True, False}
 
 
-def _tune_baseline_by_search(contexts, config):
-    """The baseline's lambda search, run even when the grid leaves no choice."""
-    best = None
-    for lam in config.lambda_grid:
-        accs = [evaluate._accuracy_from_curves(evaluate._baseline_curves(ctx, config, lam))[0]
-                for ctx in contexts]
-        if best is None or float(np.mean(accs)) > best[0]:
-            best = (float(np.mean(accs)), lam)
-    return best[1]
-
-
 def test_single_lambda_baseline_skips_tuning_fits(monkeypatch):
     dataset = ReadingDataset.from_synth(gen_dataset(SynthConfig(
         num_readers=3, num_texts=3, lines_per_text=3, words_per_line=12, seed=7)))
     calls = []
     real_fit_model = evaluate.fit_model
 
-    def counted(events, config):
+    def counted(events, config, sizes=None):
         calls.append(config.lam)
-        return real_fit_model(events, config)
+        return real_fit_model(events, config, sizes)
 
+    # one Fisher-stage fit per training set (folds t00 and t01 both tune on
+    # t02 alone, so 2 inner and 3 outer) and one pooled per-reader fit per
+    # outer fold
     monkeypatch.setattr(evaluate, "fit_model", counted)
     report = loto_cv(dataset, QUICK)
-    assert len(calls) == 15
+    assert len(calls) == 8
     calls.clear()
-    monkeypatch.setattr(evaluate, "_tune_baseline", _tune_baseline_by_search)
+    # the search adds one pooled per-reader fit per inner training set
+    monkeypatch.setattr(evaluate, "_tune_baseline", tune_baseline_full_scan)
     searched = loto_cv(dataset, QUICK)
-    assert len(calls) == 24
+    assert len(calls) == 10
     assert report.to_dict() == searched.to_dict()
+
+
+def test_folds_that_share_a_training_set_fit_it_once(monkeypatch):
+    # With 3 texts and one inner split, folds t00 and t01 both tune on t02
+    # alone: each fit on that training set is made once, and the report is
+    # that of a run that keeps no fit at all.
+    dataset = ReadingDataset.from_synth(gen_dataset(SynthConfig(
+        num_readers=3, num_texts=3, lines_per_text=3, words_per_line=12, seed=7)))
+    config = dataclasses.replace(QUICK, lambda_grid=(1e-2, 1e-1), c_grid=(0.1, 1.0))
+    calls = []
+    real_fit_model = evaluate.fit_model
+    real_build_context = evaluate._build_context
+
+    class Forgetful(dict):
+        """A context's fits that are dropped when read, so every fit is made afresh."""
+
+        def __getitem__(self, key):
+            return self.pop(key)
+
+    def unshared(dataset, table, plan, shared=None):
+        return dataclasses.replace(real_build_context(dataset, table, plan), fits=Forgetful())
+
+    def counted(events, config, sizes=None):
+        calls.append((config, None if sizes is None else tuple(sizes),
+                      events.amp.tobytes(), events.w_land.tobytes()))
+        return real_fit_model(events, config, sizes)
+
+    monkeypatch.setattr(evaluate, "fit_model", counted)
+    shared = loto_cv(dataset, config)
+    reused = list(calls)
+    calls.clear()
+    monkeypatch.setattr(evaluate, "_build_context", unshared)
+    alone = loto_cv(dataset, config)
+    assert shared.to_dict() == alone.to_dict()
+    assert len(set(reused)) == len(reused)
+    assert set(reused) == set(calls)
+    # without sharing, Fisher-stage fits (no sizes) and pooled per-reader
+    # fits on t02 are each made twice
+    repeated = {key for key in calls if calls.count(key) > 1}
+    assert {key[1] is None for key in repeated} == {True, False}
+    assert all(calls.count(key) == 2 for key in repeated)
 
 
 # ---------------------------------------------------------------------------
@@ -661,6 +696,74 @@ def test_feature_elimination_choices_are_pinned(small_dataset):
         ("s2", 0.25, 0.25, _chosen([0, 2, 3], 1.0)),
         ("s3", 0.75, 0.5, _chosen([0, 1, 2, 3], 0.5)),
     ]
+
+
+# ---------------------------------------------------------------------------
+# saturation stops against the full-scan tuners
+
+
+def _random_tuning_case(seed):
+    """A small identification or comprehension dataset with a random grid.
+
+    The lambda grid has one or two values and the C grid two or three, in a
+    random order; elimination is on.  Seeds whose data make a Fisher score
+    overflow are not used.
+    """
+    rng = np.random.default_rng(seed)
+    identification = rng.random() < 0.5
+    dataset = ReadingDataset.from_synth(gen_dataset(SynthConfig(
+        num_readers=3 if identification else 8, num_texts=int(rng.integers(3, 5)) if identification else 4,
+        lines_per_text=2, words_per_line=10, min_fixations=6, max_fixations=10,
+        sigma_reader=float(rng.choice([0.3, 0.5, 1.0])), seed=seed)))
+    if not identification:
+        dataset.scanpaths = [dataclasses.replace(sp, label=int(sp.reader_id[1:]) % 2) for sp in dataset.scanpaths]
+    c_grid = tuple(rng.permutation([0.1, 1.0, 10.0])[:int(rng.integers(2, 4))].tolist())
+    config = PipelineConfig(
+        lambda_grid=tuple(rng.permutation([1e-2, 1e-1])[:int(rng.integers(1, 3))].tolist()),
+        c_grid=c_grid, ridge_scales=(1e-6,), inner_folds=1, feature_elimination=True,
+        run_generative_baseline=identification)
+    return (loto_cv if identification else binary_comprehension_eval), dataset, config
+
+
+def test_saturation_stops_choose_what_the_full_scan_chooses(monkeypatch):
+    # _tune stops at inner accuracy 1.0 and _tune_baseline at the first lambda
+    # that reaches it; tune_reference scans everything.  Every choice of
+    # either tuner, and so every report, must be the same.
+    kernel_stages = {"stop": 0, "full": 0}
+    choices = {"stop": [], "full": []}
+    real_kernel_stage = evaluate._kernel_stage
+
+    def counted(stage, ridge_scale):
+        kernel_stages[side] += 1
+        return real_kernel_stage(stage, ridge_scale)
+
+    def recorded(tune):
+        def choose(*args):
+            choices[side].append(tune(*args))
+            return choices[side][-1]
+        return choose
+
+    monkeypatch.setattr(evaluate, "_kernel_stage", counted)
+    tuners = {"stop": (evaluate._tune, evaluate._tune_baseline),
+              "full": (tune_full_scan, tune_baseline_full_scan)}
+    for seed in (6, 8, 9, 11, 12, 44):
+        experiment, dataset, config = _random_tuning_case(seed)
+        reports = {}
+        for side, (tune, tune_baseline) in tuners.items():
+            monkeypatch.setattr(evaluate, "_tune", recorded(tune))
+            monkeypatch.setattr(evaluate, "_tune_baseline", recorded(tune_baseline))
+            reports[side] = experiment(dataset, config).to_dict()
+        assert reports["stop"] == reports["full"], seed
+    assert choices["stop"] == choices["full"]
+    # saturated and unsaturated folds, eliminations down to the bias alone
+    # and none, both lambdas chosen by both tuners (the baseline saturates at
+    # the first lambda in seed 12 and finds a better second one in seed 44)
+    tuned = [c for c in choices["stop"] if isinstance(c, evaluate._Tuned)]
+    assert {t.inner_accuracy == 1.0 for t in tuned} == {True, False}
+    assert {len(t.keep) for t in tuned} == {1, 2, 3, 4}
+    assert {t.lam for t in tuned} == {1e-2, 1e-1}
+    assert {c for c in choices["stop"] if not isinstance(c, evaluate._Tuned)} == {1e-2, 1e-1}
+    assert kernel_stages["stop"] < kernel_stages["full"]
 
 
 # ---------------------------------------------------------------------------

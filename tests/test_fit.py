@@ -9,6 +9,7 @@ from scanfisher.fit import (
     FitConfig,
     FitError,
     _fit_group,
+    _fit_segments,
     _objective,
     fit_model,
     fit_model_detailed,
@@ -16,7 +17,7 @@ from scanfisher.fit import (
 )
 from scanfisher.model import ModelParams, sample_events
 from scanfisher.synth import default_base_params
-from fit_reference import neg_loglik_and_grad_amplitude, neg_loglik_and_grad_duration
+from fit_reference import neg_loglik_and_grad_amplitude, neg_loglik_and_grad_duration, objective_before_minimum
 
 
 def _of_types(types):
@@ -443,3 +444,59 @@ def test_pooled_groups_do_not_couple():
             np.testing.assert_array_equal(getattr(alone.params, block)[u - 1],
                                           getattr(full.params, block)[u - 1])
         assert [g for g in alone.groups if g.u == u] == [g for g in full.groups if g.u == u]
+
+
+@pytest.mark.parametrize("lam", [0.0, 1e-2, 1.0])
+def test_pooled_segments_equal_separate_fits(lam):
+    """Each segment's model and diagnostics equal the fit of that segment alone, bit for bit."""
+    rng = np.random.default_rng(410)
+    m = 4
+    segments = [_sized_batch(rng, m, sizes) for sizes in
+                ((8, 7, 3, 600, 150), (40, 0, 300, 0, 5), (2, 90, 0, 12, 60))]
+    sizes = [seg.n for seg in segments]
+    batch = EventBatch.concat(segments)
+    config = FitConfig(lam=lam)
+    pooled = fit_model(batch, config, sizes)
+    detailed = _fit_segments(batch, sizes, config, collect_trace=True)
+    seen = set()
+    for seg, params, outcome in zip(segments, pooled, detailed):
+        alone = fit_model_detailed(seg, config)
+        for block in ("pi", "alpha", "beta", "gamma", "delta"):
+            np.testing.assert_array_equal(getattr(params, block), getattr(alone.params, block))
+            np.testing.assert_array_equal(getattr(outcome.params, block), getattr(alone.params, block))
+        assert outcome.groups == alone.groups
+        seen.update((g.solver, g.bias_only) for g in alone.groups)
+    # Newton groups, L-BFGS-B fallbacks, bias-only groups and empty groups all occur
+    assert {("newton", False), ("lbfgs", False), ("none", True)} <= seen
+    assert {("newton", True), ("lbfgs", True)} & seen
+
+
+def test_segment_sizes_must_cover_the_batch():
+    rng = np.random.default_rng(3)
+    batch = _sized_batch(rng, 2, (20, 20, 20, 20, 20))
+    with pytest.raises(FitError, match="segment sizes sum to 99, but the batch has 100 events"):
+        fit_model(batch, FitConfig(), [50, 49])
+    with pytest.raises(FitError, match="empty event set"):
+        fit_model(batch, FitConfig(), [100, 0])
+
+
+def test_objective_equals_the_clip_reference():
+    """`_objective` gives the bits of its np.clip form, past the link bounds and the exp cap too."""
+    rng = np.random.default_rng(17)
+    clamped = capped = 0
+    for _ in range(300):
+        m = int(rng.integers(1, 6))
+        n = int(rng.integers(1, 60))
+        W = np.column_stack([np.ones(n), rng.normal(0, float(rng.choice([1.0, 30.0])), (n, m - 1))])
+        x = rng.gamma(2.0, 3.0, n)
+        theta = rng.normal(0, float(rng.choice([0.5, 5.0, 50.0])), 2 * m)
+        if rng.random() < 0.3:
+            theta[int(rng.integers(2 * m))] = float(rng.uniform(500.0, 800.0))
+        lam = float(rng.choice([0.0, 1e-2, 1.0]))
+        value, grad = _objective(theta, x, W, lam)
+        want_value, want_grad = objective_before_minimum(theta, x, W, lam)
+        assert value == want_value
+        assert np.array_equal(grad, want_grad)
+        clamped += bool(np.abs(W @ theta[:m]).max() > 18.5 or np.abs(W @ theta[m:]).max() > 18.5)
+        capped += bool(theta.max() > 500.0)
+    assert clamped > 50 and capped > 50

@@ -17,7 +17,7 @@ from scanfisher.model import (
     sample_scanpath,
 )
 from scanfisher.synth import default_base_params
-from model_reference import event_loglik, gamma_logpdf
+from model_reference import event_loglik, gamma_logpdf, loglik_parts_of_batch
 
 
 def _uniform_params(m=1, pi=None):
@@ -165,6 +165,34 @@ def test_batch_loglik_matches_per_event_sum():
     )
     oracle = sum(event_loglik(batch, t, params) for t in range(batch.n))
     assert batch_loglik(batch, params) == pytest.approx(oracle, rel=1e-10)
+
+
+def test_segmented_loglik_matches_one_call_per_segment():
+    # lines of 0 to 60 events, with types missing from some lines, scored in
+    # one pass; each line's terms match a call on that line alone
+    rng = np.random.default_rng(21)
+    params = _random_params(rng, 3)
+    lengths = np.array([0, 1, 5, 60, 12, 0, 33, 2, 40, 7])
+    n = int(lengths.sum())
+    W = np.column_stack([np.ones(n), rng.normal(0, 1, (n, 2))])
+    batch = sample_events(params, W, W[::-1].copy(), rng)
+    parts = loglik_parts(batch, params, lengths)
+    totals = batch_loglik(batch, params, lengths)
+    assert all(term.shape == (len(lengths),) for term in (*parts, totals))
+    missing_types = 0
+    for i, line in enumerate(batch.split(lengths)):
+        want = loglik_parts_of_batch(line, params)
+        # the type term sums the same products in the same order
+        assert parts[0][i] == want[0]
+        for got, expected in zip(parts[1:], want[1:]):
+            assert got[i] == pytest.approx(expected, rel=1e-12, abs=0.0)
+        assert totals[i] == pytest.approx(sum(want), rel=1e-12, abs=0.0)
+        assert loglik_parts(line, params) == pytest.approx(want, rel=1e-12, abs=0.0)
+        missing_types += 0 < line.n and len(set(line.u.tolist())) < 5
+    assert missing_types >= 3
+    assert batch_loglik(batch, params) == pytest.approx(totals.sum(), rel=1e-12)
+    with pytest.raises(ModelError, match=f"segment lengths sum to {n - 1}, but the batch has {n} events"):
+        batch_loglik(batch, params, [n - 1])
 
 
 def test_bias_only_reduces_to_constant_gamma():

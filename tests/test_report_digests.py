@@ -67,8 +67,9 @@ def _reject_constant(name):
     raise ValueError(f"{name} in the worker's result is not strict JSON")
 
 
-@pytest.mark.parametrize("name, folds, scanpaths", [("smoke", 3, 18), ("comprehend", 4, 576)],
-                         ids=["smoke", "comprehend"])
+@pytest.mark.parametrize("name, folds, scanpaths",
+                         [("smoke", 3, 18), ("comprehend", 4, 576), ("loto-long", 3, 54)],
+                         ids=["smoke", "comprehend", "loto-long"])
 def test_benchmark_worker_prints_a_traced_result(tmp_path, name, folds, scanpaths):
     # one traced repetition of the workload, as perfbench/run.py starts it
     data, out = tmp_path / "data", tmp_path / "out"
@@ -86,8 +87,9 @@ def test_benchmark_worker_prints_a_traced_result(tmp_path, name, folds, scanpath
             "warnings", "layers", "missing"} <= set(result)
     assert result["folds"] == folds
     assert result["digest"] == workloads.REFERENCE_DIGESTS.get(name, result["digest"])
-    # every hook target the layer trace wraps still exists
-    assert not [hook for hook in result["missing"] if hook.startswith("scanfisher.")]
+    # every hook target the layer trace wraps still exists, and every
+    # per-layer metric has its data
+    assert result["missing"] == []
     assert all(math.isfinite(value) for value in result["layers"].values())
     # each scanpath is extracted once per experiment
     assert result["layers"]["events.scanpaths"] == scanpaths
