@@ -23,7 +23,6 @@ from .events import (
 from .fisher import (
     FisherMetric,
     fisher_metric,
-    fisher_score,
     gram_matrix,
     score_matrix,
 )

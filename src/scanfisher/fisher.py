@@ -7,20 +7,19 @@ log-likelihood at fitted parameters, laid out per saccade type u = 1..5 as
 
 for a total dimension D = 5 * (1 + 4M).  Block formulas, with W the feature
 rows of the type's events, x the amplitudes (launch features) or durations
-(landing features), and psi the digamma function:
+(landing features), psi the digamma function and clamp the limit of a linear
+predictor to [ln 1e-8, ln 1e8]:
 
     pi:     K_u / pi_u
-    shape:  W^T ( e ⊙ (ln x - psi(e) - W b) )   with e = exp(W a)
-    scale:  W^T ( x ⊙ exp(-W b) - e )
+    shape:  W^T ( e ⊙ (ln x - psi(e) - r) )   with e = exp(clamp(W a)), r = clamp(W b)
+    scale:  W^T ( x ⊙ exp(-r) - e )
 
-Scores are computed by one segmented kernel: the instances' events are
-pooled with each event's owning instance recorded, every type's terms are
-evaluated once over all of that type's pooled events, and the per-event
-rows [W ⊙ shape, W ⊙ scale] are summed per instance with np.add.reduceat.
-score_matrix is that kernel; fisher_score is the one-instance case and
-score_contributions the case of one event per instance.  Sums run in event
-order rather than through a matrix product, so results can differ from a
-per-instance W^T v in the last digits.
+The terms come from `scanfisher.model.gamma_terms`, so these blocks are the
+negated lambda = 0 gradient of the fit's objective, at the link bounds too.
+`score_matrix` evaluates every type's terms once over all instances' pooled
+events and sums the rows [W ⊙ shape, W ⊙ scale] per instance in event order
+(np.add.reduceat), so results can differ from a per-instance W^T v in the
+last digits.
 
 The Fisher kernel between two scores is g_i^T (I + ridge*Id)^{-1} g_j with
 I = (1/N) sum g g^T, applied through a Cholesky factor and triangular solves.
@@ -32,10 +31,9 @@ from typing import Sequence
 
 import numpy as np
 from scipy.linalg import solve_triangular
-from scipy.special import digamma
 
 from .events import NUM_SACCADE_TYPES, EventBatch
-from .model import ModelError, ModelParams, link_many
+from .model import ModelError, ModelParams, type_terms
 
 
 class MetricError(ValueError):
@@ -46,33 +44,22 @@ def score_dimension(num_features: int) -> int:
     return NUM_SACCADE_TYPES * (1 + 4 * num_features)
 
 
-def score_layout(num_features: int) -> list[str]:
-    """Component names of the Fisher score vector, for reports and debugging."""
-    names = []
-    for u in range(1, NUM_SACCADE_TYPES + 1):
-        names.append(f"u{u}.pi")
-        for block in ("alpha", "beta", "gamma", "delta"):
-            names.extend(f"u{u}.{block}{m}" for m in range(num_features))
-    return names
+def score_matrix(instances: Sequence[EventBatch], params: ModelParams) -> np.ndarray:
+    """Fisher scores of a sequence of event batches, (N, D), in one pass per type.
 
-
-def _block_terms(x, W, shape_w, scale_w):
-    e = link_many(W, shape_w)
-    r = W @ scale_w
-    shape_term = e * (np.log(x) - digamma(e) - r)
-    scale_term = x * np.exp(-r) - e
-    return shape_term, scale_term
-
-
-def _segment_scores(batch: EventBatch, owner: np.ndarray, n: int, params: ModelParams) -> np.ndarray:
-    """Fisher scores of n event segments, (n, D); row s sums the events owned by s.
-
-    `owner` gives each event's segment in 0..n-1 and must be non-decreasing,
-    so every type's events of one segment are contiguous after masking.
+    Row s is the score of instance s; an empty instance scores the zero vector.
     """
     m = params.num_features
-    width = 1 + 4 * m
+    for i, inst in enumerate(instances):
+        if inst.num_features != m:
+            raise ModelError(f"instance {i} carries M={inst.num_features} features but the model has M={m}")
+    n = len(instances)
     out = np.zeros((n, score_dimension(m)))
+    if not n:
+        return out
+    batch = EventBatch.concat(instances)
+    owner = np.repeat(np.arange(n), [inst.n for inst in instances])   # each event's instance
+    width = 1 + 4 * m
     for u in range(1, NUM_SACCADE_TYPES + 1):
         base = (u - 1) * width
         idx = np.flatnonzero(batch.u == u)
@@ -80,50 +67,17 @@ def _segment_scores(batch: EventBatch, owner: np.ndarray, n: int, params: ModelP
         out[:, base] = np.bincount(owners, minlength=n) / params.pi[u - 1]
         if idx.size == 0:
             continue
-        w_l = batch.w_launch[idx]
-        w_d = batch.w_land[idx]
-        amp_shape, amp_scale = _block_terms(batch.amp[idx], w_l, params.alpha[u - 1], params.beta[u - 1])
-        dur_shape, dur_scale = _block_terms(batch.dur[idx], w_d, params.gamma[u - 1], params.delta[u - 1])
+        (_, amp_shape, amp_scale), (_, dur_shape, dur_scale) = type_terms(batch, params, u, idx, order=1)
+        w_l, w_d = batch.w_launch[idx], batch.w_land[idx]
         block = np.concatenate(
             [w_l * amp_shape[:, None], w_l * amp_scale[:, None],
              w_d * dur_shape[:, None], w_d * dur_scale[:, None]],
             axis=1,
         )
+        # owners is non-decreasing, so each instance's events of type u are contiguous
         starts = np.flatnonzero(np.concatenate(([True], owners[1:] != owners[:-1])))
         out[owners[starts], base + 1:base + width] = np.add.reduceat(block, starts, axis=0)
     return out
-
-
-def _checked_batch(batch: EventBatch, index: int, params: ModelParams) -> EventBatch:
-    if batch.num_features != params.num_features:
-        raise ModelError(
-            f"instance {index} carries M={batch.num_features} features "
-            f"but the model has M={params.num_features}"
-        )
-    return batch
-
-
-def score_matrix(instances: Sequence[EventBatch], params: ModelParams) -> np.ndarray:
-    """Fisher scores of a sequence of event batches, (N, D), in one pass per type."""
-    batches = [_checked_batch(inst, i, params) for i, inst in enumerate(instances)]
-    if not batches:
-        return np.zeros((0, score_dimension(params.num_features)))
-    owner = np.repeat(np.arange(len(batches)), [b.n for b in batches])
-    return _segment_scores(EventBatch.concat(batches), owner, len(batches), params)
-
-
-def fisher_score(events: EventBatch, params: ModelParams) -> np.ndarray:
-    """Gradient of the unregularized log-likelihood at `params`.
-
-    An empty event batch yields the zero vector of dimension D.
-    """
-    return score_matrix([events], params)[0]
-
-
-def score_contributions(events: EventBatch, params: ModelParams) -> np.ndarray:
-    """Per-event Fisher score rows, (N, D); their sum equals fisher_score."""
-    batch = _checked_batch(events, 0, params)
-    return _segment_scores(batch, np.arange(batch.n), batch.n, params)
 
 
 @dataclass(frozen=True)

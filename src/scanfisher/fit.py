@@ -5,7 +5,12 @@ each saccade type's amplitude weights (alpha_u, beta_u) and duration weights
 (gamma_u, delta_u) are fitted by independent smooth 2M-dimensional
 minimizations of
 
-    -sum ln Gamma_pdf(x | exp(W a), exp(W b)) + lambda * sum_m exp(a_m) + exp(b_m)
+    -sum ln Gamma_pdf(x | exp(clamp(W a)), exp(clamp(W b))) + lambda * sum_m exp(a_m) + exp(b_m)
+
+where clamp limits a linear predictor to [ln 1e-8, ln 1e8].  The per-event
+terms and their derivatives in the predictors come from
+`scanfisher.model.gamma_terms`, the function the Fisher score and the
+log-likelihood use too; the gradient is taken at the clamped predictors.
 
 All ten (kind, u) groups of a batch are solved by one damped Newton loop
 over their pooled events; `fit_model` given segment sizes fits several
@@ -34,10 +39,9 @@ import logging
 from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import minimize
-from scipy.special import digamma, gammaln, polygamma
 
 from .events import NUM_SACCADE_TYPES, EventBatch
-from .model import ModelParams, _LOG_LINK_MAX, _LOG_LINK_MIN
+from .model import ModelParams, gamma_terms
 
 logger = logging.getLogger(__name__)
 
@@ -86,31 +90,19 @@ def fit_pi(events: EventBatch) -> np.ndarray:
     return pi / pi.sum()
 
 
-def _clamp(eta: np.ndarray) -> np.ndarray:
-    """Linear predictors clamped to the log link bounds (the bits of ``np.clip``, faster)."""
-    return np.minimum(np.maximum(eta, _LOG_LINK_MIN), _LOG_LINK_MAX)
-
-
 def _objective(theta: np.ndarray, x: np.ndarray, W: np.ndarray, lam: float):
     """Negative regularized gamma log-likelihood and its gradient.
 
-    theta = [shape weights (M), scale weights (M)].  The linear predictors are
-    clamped to the link bounds; the analytic gradient uses the clamped values,
-    which only deviates from the true gradient at the (non-operating) bounds.
+    theta = [shape weights (M), scale weights (M)].  The per-event terms are
+    `gamma_terms` of the linear predictors W a and W b.
     """
     m = W.shape[1]
-    a, b = theta[:m], theta[m:]
-    eta_shape = _clamp(W @ a)
-    eta_scale = _clamp(W @ b)
-    shape = np.exp(eta_shape)
-    log_x = np.log(x)
-    x_over_scale = x * np.exp(-eta_scale)
-    loglik = float(np.sum((shape - 1.0) * log_x - x_over_scale - gammaln(shape) - shape * eta_scale))
+    loglik, shape_term, scale_term = gamma_terms(x, np.log(x), W @ theta[:m], W @ theta[m:], order=1)
     reg = np.exp(np.minimum(theta, 500.0))
     reg_shape, reg_scale = reg[:m], reg[m:]
-    value = -loglik + lam * float(reg_shape.sum() + reg_scale.sum())
-    grad_shape = -(W.T @ (shape * (log_x - digamma(shape) - eta_scale))) + lam * reg_shape
-    grad_scale = -(W.T @ (x_over_scale - shape)) + lam * reg_scale
+    value = -float(np.sum(loglik)) + lam * float(reg_shape.sum() + reg_scale.sum())
+    grad_shape = -(W.T @ shape_term) + lam * reg_shape
+    grad_scale = -(W.T @ scale_term) + lam * reg_scale
     return value, np.concatenate([grad_shape, grad_scale])
 
 
@@ -273,27 +265,23 @@ def _pooled_terms(pool: _Pool, theta: np.ndarray, mask: np.ndarray, lam: float, 
 
     Row g of `theta` holds group g's [shape weights, scale weights]; `mask`
     is 0 on the padded weights of bias-only groups, whose Hessian rows are
-    the identity there.  The per-event terms are `_objective`'s.
+    the identity there.  The per-event terms are `gamma_terms`, as in `_objective`.
     """
     m = pool.W.shape[1]
     per_event = theta[pool.gid]
-    eta_shape = _clamp(np.einsum("ij,ij->i", pool.W, per_event[:, :m]))
-    eta_scale = _clamp(np.einsum("ij,ij->i", pool.W, per_event[:, m:]))
-    shape = np.exp(eta_shape)
-    x_over_scale = pool.x * np.exp(-eta_scale)
-    loglik = (shape - 1.0) * pool.log_x - x_over_scale - gammaln(shape) - shape * eta_scale
+    terms = gamma_terms(pool.x, pool.log_x, np.einsum("ij,ij->i", pool.W, per_event[:, :m]),
+                        np.einsum("ij,ij->i", pool.W, per_event[:, m:]), order=2 if derivatives else 0)
     reg = mask * np.exp(np.minimum(theta, 500.0))
-    value = lam * reg.sum(axis=1) - np.add.reduceat(loglik, pool.starts)
+    value = lam * reg.sum(axis=1) - np.add.reduceat(terms[0] if derivatives else terms, pool.starts)
     if not derivatives:
         return value
-    shape_term = shape * (pool.log_x - digamma(shape) - eta_scale)
-    scale_term = x_over_scale - shape
+    _, shape_term, scale_term, curvature = terms
     per_event_grad = np.hstack([pool.W * shape_term[:, None], pool.W * scale_term[:, None]])
     grad = lam * reg - np.add.reduceat(per_event_grad, pool.starts)
     # second derivatives of each event's term by (eta_shape, eta_scale), times w w^T
     shape_shape, cross, scale_scale = (
         np.add.reduceat(pool.W[:, :, None] * (pool.W * c[:, None])[:, None, :], pool.starts)
-        for c in (shape * shape * polygamma(1, shape) - shape_term, shape, x_over_scale)
+        for c in curvature
     )
     hessian = np.empty((len(theta), 2 * m, 2 * m))
     hessian[:, :m, :m] = shape_shape

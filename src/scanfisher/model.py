@@ -9,6 +9,10 @@ Each saccade event of type u contributes
 to the log-likelihood.  Amplitudes condition on the launch word's features,
 durations on the landing word's.  With M=1 (bias-only features) the model
 degenerates to constant per-type gamma parameters.
+
+Every per-event gamma term of the log-likelihood, the fit and the Fisher
+score comes from `gamma_terms`, which clamps both linear predictors (W alpha_u
+etc.) to [ln 1e-8, ln 1e8] before `exp`.
 """
 
 import math
@@ -16,7 +20,7 @@ from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
-from scipy.special import gammaln
+from scipy.special import digamma, gammaln, polygamma
 
 from .corpus import Text, TextFeatures
 from .events import BACKWARD_TYPES, NUM_SACCADE_TYPES, EventBatch, Scanpath, word_at
@@ -46,9 +50,30 @@ def link_many(W: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return np.clip(np.exp(np.minimum(W @ weights, 709.0)), LINK_MIN, LINK_MAX)
 
 
-def _log_gamma_density(x: np.ndarray, shape: np.ndarray, scale: np.ndarray) -> np.ndarray:
-    """Element-wise gamma log density with the shape/scale convention."""
-    return (shape - 1.0) * np.log(x) - x / scale - gammaln(shape) - shape * np.log(scale)
+def _clamp(eta: np.ndarray) -> np.ndarray:
+    """Linear predictors clamped to the log link bounds (the bits of ``np.clip``, faster)."""
+    return np.minimum(np.maximum(eta, _LOG_LINK_MIN), _LOG_LINK_MAX)
+
+
+def gamma_terms(x: np.ndarray, log_x: np.ndarray, eta_shape: np.ndarray, eta_scale: np.ndarray, order: int = 0):
+    """ln Gamma_pdf(x ; exp(eta_shape), exp(eta_scale)) per event, both predictors clamped first.
+
+    Order 1 returns `(loglik, shape_term, scale_term)`, adding the derivatives
+    by eta_shape and eta_scale at the clamped predictors; order 2 appends the
+    (shape-shape, cross, scale-scale) entries of the negated Hessian.
+    """
+    eta_shape = _clamp(eta_shape)
+    eta_scale = _clamp(eta_scale)
+    shape = np.exp(eta_shape)
+    x_over_scale = x * np.exp(-eta_scale)
+    loglik = (shape - 1.0) * log_x - x_over_scale - gammaln(shape) - shape * eta_scale
+    if order == 0:
+        return loglik
+    shape_term = shape * (log_x - digamma(shape) - eta_scale)
+    scale_term = x_over_scale - shape
+    if order == 1:
+        return loglik, shape_term, scale_term
+    return loglik, shape_term, scale_term, (shape * shape * polygamma(1, shape) - shape_term, shape, x_over_scale)
 
 
 @dataclass(frozen=True)
@@ -111,6 +136,14 @@ class ModelParams:
         )
 
 
+def type_terms(batch: EventBatch, params: ModelParams, u: int, idx, order: int = 0):
+    """`gamma_terms` of the amplitudes and durations of events `idx`, all of type u, of `batch`."""
+    w_l, w_d = batch.w_launch[idx], batch.w_land[idx]
+    amp, dur = batch.amp[idx], batch.dur[idx]
+    return (gamma_terms(amp, np.log(amp), w_l @ params.alpha[u - 1], w_l @ params.beta[u - 1], order),
+            gamma_terms(dur, np.log(dur), w_d @ params.gamma[u - 1], w_d @ params.delta[u - 1], order))
+
+
 def batch_loglik(batch: EventBatch, params: ModelParams, lengths=None):
     """Total log-likelihood of an event batch: the sum of :func:`loglik_parts`.
 
@@ -141,18 +174,7 @@ def loglik_parts(batch: EventBatch, params: ModelParams, lengths=None):
         mask = batch.u == u
         if not mask.any():
             continue
-        w_l = batch.w_launch[mask]
-        w_d = batch.w_land[mask]
-        amp = _log_gamma_density(
-            batch.amp[mask],
-            link_many(w_l, params.alpha[u - 1]),
-            link_many(w_l, params.beta[u - 1]),
-        )
-        dur = _log_gamma_density(
-            batch.dur[mask],
-            link_many(w_d, params.gamma[u - 1]),
-            link_many(w_d, params.delta[u - 1]),
-        )
+        amp, dur = type_terms(batch, params, u, mask)
         amp_term += np.bincount(segment[mask], amp, minlength=len(sizes))
         dur_term += np.bincount(segment[mask], dur, minlength=len(sizes))
     if lengths is None:

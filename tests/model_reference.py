@@ -3,8 +3,10 @@
 `gamma_logpdf` and `event_loglik` score one event (one row of an
 `EventBatch`) at a time with the scalar `scanfisher.model.link`; the
 vectorized `batch_loglik` must match their sum.  `loglik_parts_of_batch` is
-`scanfisher.model.loglik_parts` as it was before it scored segments: one
-call per batch, each term summed with ``np.sum``.  `generative_classify` picks
+`scanfisher.model.loglik_parts` as it was before it scored segments and
+before it took its terms from `gamma_terms`: one call per batch, each term
+summed with ``np.sum``, densities from `log_gamma_density` with the link
+value clamped after ``exp``.  `generative_classify` picks
 the class whose model gives a whole event batch the highest log-likelihood; the generative baseline's full-group
 prediction must equal it.
 """
@@ -17,7 +19,7 @@ from scipy.special import gammaln
 
 from scanfisher.evaluate import EvalError
 from scanfisher.events import NUM_SACCADE_TYPES, EventBatch
-from scanfisher.model import ModelError, ModelParams, _log_gamma_density, batch_loglik, link, link_many
+from scanfisher.model import ModelError, ModelParams, batch_loglik, link, link_many
 
 
 def gamma_logpdf(x: float, shape: float, scale: float) -> float:
@@ -27,6 +29,11 @@ def gamma_logpdf(x: float, shape: float, scale: float) -> float:
     if not (shape > 0 and scale > 0):
         raise ModelError(f"gamma parameters must be positive, got shape={shape}, scale={scale}")
     return (shape - 1.0) * math.log(x) - x / scale - float(gammaln(shape)) - shape * math.log(scale)
+
+
+def log_gamma_density(x: np.ndarray, shape: np.ndarray, scale: np.ndarray) -> np.ndarray:
+    """Element-wise gamma log density with the shape/scale convention."""
+    return (shape - 1.0) * np.log(x) - x / scale - gammaln(shape) - shape * np.log(scale)
 
 
 def event_loglik(batch: EventBatch, t: int, params: ModelParams) -> float:
@@ -69,14 +76,14 @@ def loglik_parts_of_batch(batch: EventBatch, params: ModelParams) -> tuple[float
         w_l = batch.w_launch[mask]
         w_d = batch.w_land[mask]
         amp_term += float(
-            _log_gamma_density(
+            log_gamma_density(
                 batch.amp[mask],
                 link_many(w_l, params.alpha[u - 1]),
                 link_many(w_l, params.beta[u - 1]),
             ).sum()
         )
         dur_term += float(
-            _log_gamma_density(
+            log_gamma_density(
                 batch.dur[mask],
                 link_many(w_d, params.gamma[u - 1]),
                 link_many(w_d, params.delta[u - 1]),

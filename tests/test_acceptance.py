@@ -29,9 +29,7 @@ from scanfisher.events import EventBatch
 from scanfisher.fisher import (
     empirical_information,
     fisher_metric,
-    fisher_score,
     gram_matrix,
-    score_contributions,
     score_dimension,
     score_matrix,
 )
@@ -39,6 +37,7 @@ from scanfisher.fit import FitConfig, fit_model
 from scanfisher.model import ModelParams, batch_loglik, sample_events
 from scanfisher.svm import KernelProblem, solve_dual, train_multiclass
 from scanfisher.synth import SynthConfig, gen_dataset
+from fisher_reference import fisher_score, score_contributions
 from fit_reference import neg_loglik_and_grad_amplitude, neg_loglik_and_grad_duration
 from svm_reference import max_kkt_violation
 

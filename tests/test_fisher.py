@@ -3,7 +3,7 @@ import re
 
 import numpy as np
 import pytest
-from fisher_reference import kernel, reference_fisher_score
+from fisher_reference import fisher_score, kernel, reference_fisher_score, score_contributions, score_layout
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import gammaln
@@ -14,16 +14,14 @@ from scanfisher.fisher import (
     default_ridge,
     empirical_information,
     fisher_metric,
-    fisher_score,
     gram_matrix,
     read_scores,
-    score_contributions,
     score_dimension,
-    score_layout,
     score_matrix,
     write_scores,
 )
-from scanfisher.model import ModelError, ModelParams, sample_events
+from scanfisher.fit import _objective
+from scanfisher.model import ModelError, ModelParams, loglik_parts, sample_events
 
 
 def _euler_mascheroni():
@@ -214,6 +212,38 @@ def test_segmented_scores_match_per_instance_reference(m, seed, instance_types):
         contrib = score_contributions(batch, params)
         assert contrib.shape == (batch.n, d)
         np.testing.assert_allclose(contrib.sum(axis=0), row, rtol=1e-12, atol=atol)
+
+
+def test_scores_beyond_the_link_bounds_are_the_fit_objective_gradient():
+    # linear predictors far past both link bounds, the scale's past exp's
+    # overflow at -709: scores stay finite, and each type's blocks and
+    # log-likelihood terms are those of the lambda = 0 fit objective, negated
+    rng = np.random.default_rng(22)
+    m = 3
+    batch = _typed_batch(rng, rng.integers(1, 6, 300).tolist(), m)
+    params = ModelParams(pi=np.full(5, 0.2), alpha=rng.normal(0, 40.0, (5, m)), beta=rng.normal(0, 800.0, (5, m)),
+                         gamma=rng.normal(0, 40.0, (5, m)), delta=rng.normal(0, 800.0, (5, m)))
+    groups = [(batch.amp, batch.w_launch, params.alpha, params.beta, 1),
+              (batch.dur, batch.w_land, params.gamma, params.delta, 1 + 2 * m)]
+    for _, W, shape_w, scale_w, _ in groups:
+        for weights in (shape_w, scale_w):
+            eta = W @ weights.T
+            assert eta.max() > 20.0 and eta.min() < -20.0
+        assert (W @ scale_w.T).min() < -709.0
+
+    score = score_matrix([batch], params)[0]
+    assert np.isfinite(score).all()
+    terms = loglik_parts(batch, params)[1:]
+    width = 1 + 4 * m
+    for term, (x, W, shape_w, scale_w, offset) in zip(terms, groups):
+        total = 0.0
+        for u in range(1, 6):
+            mask = batch.u == u
+            value, grad = _objective(np.concatenate([shape_w[u - 1], scale_w[u - 1]]), x[mask], W[mask], 0.0)
+            total -= value
+            block = score[(u - 1) * width + offset:(u - 1) * width + offset + 2 * m]
+            np.testing.assert_allclose(block, -grad, rtol=1e-12, atol=1e-12 * np.abs(grad).max())
+        assert np.isfinite(term) and term == pytest.approx(total, rel=1e-12, abs=0.0)
 
 
 def test_feature_count_mismatch_names_instance_and_both_counts():

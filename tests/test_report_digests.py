@@ -68,8 +68,8 @@ def _reject_constant(name):
 
 
 @pytest.mark.parametrize("name, folds, scanpaths",
-                         [("smoke", 3, 18), ("comprehend", 4, 576), ("loto-long", 3, 54)],
-                         ids=["smoke", "comprehend", "loto-long"])
+                         [("smoke", 3, 18), ("comprehend", 4, 576), ("loto-long", 3, 54), ("loto-nested", 6, 150)],
+                         ids=["smoke", "comprehend", "loto-long", "loto-nested"])
 def test_benchmark_worker_prints_a_traced_result(tmp_path, name, folds, scanpaths):
     # one traced repetition of the workload, as perfbench/run.py starts it
     data, out = tmp_path / "data", tmp_path / "out"
