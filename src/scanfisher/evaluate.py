@@ -545,42 +545,41 @@ def _tune(contexts: list[_Context], config: PipelineConfig, layout: Sequence[str
 
     `train(stage, kernels, C, previous)` fits one inner context's model and
     its accuracy is that of the curves `decide` gives; a grid point scores
-    the mean over `contexts`.  Each (stage, kernels) pair is trained along the C
-    grid in ascending order, handing each fit the model of the next smaller
-    C so that solves whose answer is already known are reused.
+    the mean over `contexts`.  C values are scanned in grid order, contexts
+    inside each; every fit is handed the context's model at the largest C
+    trained so far, so that solves whose answer is already known are
+    reused.
     Deterministic: grid points are scanned in grid order, feature drops in
     index order, and only a strictly better accuracy replaces the incumbent.
     So nothing can replace an incumbent of accuracy 1.0: the grid scan stops
-    after the (lambda, ridge) block that reaches it, elimination does not
-    start from it, and an elimination round ends at the first candidate
-    that reaches it.  The bias is never dropped.  Feature subsets are index
-    tuples into `layout`, the outer fold's layout.  Without inner contexts
-    the first grid point is taken, with accuracy None.
+    at the first grid point where every context reaches it (no later C is
+    trained), elimination does not start from it, and an elimination round
+    ends at the first candidate that reaches it.  The bias is never dropped.
+    Feature subsets are index tuples into `layout`, the outer fold's layout.
+    Without inner contexts the first grid point is taken, with accuracy None.
     """
     keep = tuple(range(len(layout)))
     if not contexts:
         return _Tuned(lam=config.lambda_grid[0], ridge_scale=config.ridge_scales[0],
                       C=config.c_grid[0], keep=keep, inner_accuracy=None)
 
-    def accuracies(stage, kernels):
-        by_c, model = {}, None
-        for C in sorted(set(config.c_grid)):
-            model = train(stage, kernels, C, model)
-            by_c[C] = _accuracy_from_curves(_decide_groups(model, kernels, decide)[0])[0]
-        return [by_c[C] for C in config.c_grid]
+    def accuracy(stage, kernels, models, C):
+        if C not in models:
+            models[C] = train(stage, kernels, C, models[max(models)] if models else None)
+        return _accuracy_from_curves(_decide_groups(models[C], kernels, decide)[0])[0]
 
     def grid(keep):
         best = None
         for lam in config.lambda_grid:
             stages = [_fit_stage(ctx, config, lam, [layout[i] for i in keep]) for ctx in contexts]
             for ridge_scale in config.ridge_scales:
-                per_context = [accuracies(stage, _kernel_stage(stage, ridge_scale)) for stage in stages]
-                for C, accs in zip(config.c_grid, zip(*per_context)):
-                    acc = float(np.mean(accs))
+                trained = [(stage, _kernel_stage(stage, ridge_scale), {}) for stage in stages]
+                for C in config.c_grid:
+                    acc = float(np.mean([accuracy(*context, C) for context in trained]))
                     if best is None or acc > best[0]:
                         best = (acc, lam, ridge_scale, C)
-                if best[0] >= 1.0:
-                    return best
+                    if best[0] >= 1.0:
+                        return best
         return best
 
     acc, lam, ridge_scale, C = grid(keep)
@@ -663,8 +662,8 @@ def _run_fold(dataset: ReadingDataset, table: EventTable, config: PipelineConfig
     """Tune on the `inner` splits, then train on the fold's training lines and decide its test groups.
 
     A protocol is `train(stage, kernels, C, previous)`, which fits a model on
-    a context's training lines (`previous` is the model of the next smaller
-    C, or None), plus `decide(model, rows)` as `_decide_groups` takes it.
+    a context's training lines (`previous` is its model at another C, or
+    None), plus `decide(model, rows)` as `_decide_groups` takes it.
     `shared` is the experiment's `_build_context` dict, so that every
     context of the experiment that trains on the same lines shares its fits.
     Returns the fold's result, its outer and inner contexts, and each test
@@ -767,7 +766,7 @@ def _train_binary(
     positive,
     previous: SvmModel | None,
 ) -> SvmModel:
-    model = previous.reused_at(C) if previous is not None else None
+    model = previous.reused_at(C, config.svm_tol) if previous is not None else None
     if model is not None:
         return model
     y = np.where(np.array(stage.labels, dtype=object) == positive, 1.0, -1.0)

@@ -1,21 +1,20 @@
 """Dual soft-margin SVM on a precomputed kernel.
 
-The solver maximizes the standard dual
+`solve_dual` minimizes the standard dual
 
-    max_a  sum a_i - 1/2 sum_ij a_i a_j y_i y_j K_ij
+    min_a  1/2 sum_ij a_i a_j Q_ij - sum a_i,   Q_ij = y_i y_j K_ij
     s.t.   0 <= a_i <= C,  sum a_i y_i = 0
 
-by SMO-style pairwise updates on the maximal violating pair, with the
-second-order (WSS2) choice of its partner, stopping when the largest KKT
-violation falls below `tol`.  One-vs-rest reduction handles multiclass reader
-identification over a single shared Gram matrix; `prefix_decision_curve`
-averages per-line decision values over line prefixes, and its last row is the
-whole-text decision.
-
-Along a grid of C values a solve need not be repeated: when no value the
-solve at C1 compared against C1 reached it, the solve at any C2 > C1 takes
-the same branches and returns the same model bit for bit, with C2 in its `C`
-field (`SvmModel.reused_at`, `train_multiclass(previous=...)`).
+by Mehrotra predictor-corrector interior-point steps (Fine & Scheinberg,
+JMLR 2001), each factoring Q + diag(z/a + w/(C - a)) once by Cholesky, with
+z and w the multipliers of a >= 0 and a <= C.  At a relative duality gap of
+1e-6 it crosses over to the exact optimum (`_polish`), else resumes to a gap
+100x tighter, a fixed number of times: zeros and C are then exact.
+One-vs-rest reduction handles multiclass reader identification over a
+single shared Gram matrix; `prefix_decision_curve` averages per-line
+decision values over line prefixes, and its last row is the whole-text
+decision.  Along a grid of C values a solve need not be repeated
+(`SvmModel.reused_at`, `train_multiclass(previous=...)`).
 """
 
 import logging
@@ -24,11 +23,16 @@ from dataclasses import dataclass, replace
 from typing import Mapping, Sequence
 
 import numpy as np
+from scipy.linalg.lapack import dpotrf, dpotrs
 
 logger = logging.getLogger(__name__)
 
-_TAU = 1e-12
 SUPPORT_EPS = 1e-12
+_GAP = 1e-6           # relative duality gap of the first crossover
+_TIGHTER = 3          # crossovers retried, each at a gap 100x tighter
+_TO_BOUNDARY = 0.99   # share of the longest step that keeps the iterate interior
+_PSD_SLACK = 1e-8     # most negative Gram eigenvalue allowed, relative to 1 + max |K_ii|
+_ROUNDING = 1e-9      # KKT slack of a polished point, relative to its gradient's scale
 
 
 class SvmError(ValueError):
@@ -73,8 +77,6 @@ class SvmModel:
     support: np.ndarray        # indices with alpha > SUPPORT_EPS
     kkt_violation: float       # final max violation (m - M)
     n_iterations: int
-    objective_trace: list[float] | None = None
-    box_reach: float = math.inf  # largest value the solve compared against C
 
     def decision_values(self, k_rows: np.ndarray) -> np.ndarray:
         """sum_i alpha_i y_i k_row[i] + b for each row of test-vs-train kernel values."""
@@ -84,20 +86,16 @@ class SvmModel:
         sv = self.support
         return k_rows[:, sv] @ (self.alpha[sv] * self.y[sv]) + self.bias
 
-    def reused_at(self, C: float) -> "SvmModel | None":
-        """This model as `solve_dual` returns it at a larger C, or None.
+    def reused_at(self, C: float, tol: float) -> "SvmModel | None":
+        """This model as the solution at another C, or None.
 
-        The problem, `tol` and `max_iter` must be those of the solve that
-        gave this model; only C changes.
-
-        If no value the solve compared against its C reached it, and every
-        alpha ended below C - SUPPORT_EPS, then each branch of the solve and
-        the free set the bias averages over come out the same for any larger
-        C: the result is equal bit for bit except for its `C` field, and it
-        shares this model's arrays.  A solve stopped at max_iter, or a model
-        read from a file, has an infinite reach and is never reused.
+        A solve that met `tol` with every alpha below its own C, and below
+        the new C, meets the KKT conditions at the new C as it stands: the
+        index sets and the free set are the same, so are m(alpha) - M(alpha)
+        and the bias.  The result shares this model's arrays.  A model read
+        from a file has no violation (NaN) and is never reused.
         """
-        if C > self.C and self.box_reach < self.C and (self.alpha < self.C - SUPPORT_EPS).all():
+        if self.kkt_violation < tol and (self.alpha < min(C, self.C)).all():
             return replace(self, C=C)
         return None
 
@@ -131,23 +129,84 @@ class SvmModel:
         )
 
 
-def _dual_objective(alpha: np.ndarray, grad: np.ndarray) -> float:
-    # grad = Q alpha - 1, so alpha^T Q alpha = alpha . (grad + 1)
-    return float(alpha.sum() - 0.5 * (alpha @ (grad + 1.0)))
+def _max_step(x: np.ndarray, dx: np.ndarray) -> float:
+    """The largest t <= 1 with x + t dx >= 0."""
+    neg = dx < 0
+    return min(1.0, float((x[neg] / -dx[neg]).min(initial=np.inf)))
+
+
+def _kkt(Q: np.ndarray, y: np.ndarray, C: float, alpha: np.ndarray) -> tuple[float, float]:
+    """The violation m(alpha) - M(alpha) (at least 0) and the bias of `alpha`.
+
+    F = -y * grad with grad = Q alpha - 1.  m is the largest F over I_up (y=+1
+    and alpha < C, or y=-1 and alpha > 0), M the smallest over I_low (y=+1
+    and alpha > 0, or y=-1 and alpha < C); alpha is optimal iff m <= M.  The
+    bias averages F over the free alphas, else it is the midpoint of [m, M],
+    or its finite end when one index set is empty (a one-label problem).
+    """
+    F = y * (1.0 - Q @ alpha)
+    up = np.where(y > 0, alpha < C, alpha > 0)
+    low = np.where(y > 0, alpha > 0, alpha < C)
+    m = float(F[up].max(initial=-np.inf))
+    M = float(F[low].min(initial=np.inf))
+    free = (alpha > 0) & (alpha < C)
+    if free.any():
+        bias = float(F[free].mean())
+    else:
+        bias = float(np.mean([v for v in (m, M) if math.isfinite(v)] or [0.0]))
+    return max(m - M, 0.0), bias
+
+
+def _snapped(C: float, alpha, s, z, w) -> np.ndarray:
+    """The iterate's alpha, at 0 where z > alpha, else at C where w > C - alpha, else free."""
+    return np.where(z > alpha, 0.0, np.where(w > s, C, alpha))
+
+
+def _polish(Q: np.ndarray, y: np.ndarray, C: float, alpha, s, z, w) -> np.ndarray | None:
+    """The exact optimum on the active set the iterate's complementarity pairs give, or None.
+
+    With the bounded alphas B snapped (`_snapped`), the free alphas F solve
+    [Q_FF y_F; y_F^T 0] [alpha_F; b] = [1 - Q_FB alpha_B; -y_B^T alpha_B].
+    The point is kept only if it is a KKT point up to rounding: free alphas
+    in [0, C], y^T alpha = 0 and m(alpha) - M(alpha) within `_ROUNDING` of
+    the gradient's scale.  A singular reduced system rejects the point.
+    """
+    x = _snapped(C, alpha, s, z, w)
+    F = np.flatnonzero((z <= alpha) & (w <= s))
+    x[F] = 0.0
+    k = F.size
+    if k:
+        A = np.zeros((k + 1, k + 1))
+        A[:k, :k] = Q[np.ix_(F, F)]
+        A[:k, k] = A[k, :k] = y[F]
+        try:
+            solution = np.linalg.solve(A, np.append(1.0 - Q[F] @ x, -(y @ x)))
+        except np.linalg.LinAlgError:
+            return None
+        x[F] = solution[:k]
+        if not ((x[F] >= 0) & (x[F] <= C)).all():
+            return None
+    if abs(y @ x) > _ROUNDING * (1.0 + x.sum()):
+        return None
+    if _kkt(Q, y, C, x)[0] > _ROUNDING * (1.0 + float((np.abs(Q) @ x).max(initial=0.0))):
+        return None
+    return x
 
 
 def solve_dual(
     problem: KernelProblem,
     tol: float = 1e-3,
     max_iter: int | None = None,
-    record_objective: bool = False,
 ) -> SvmModel:
-    """SMO solver for the dual problem on a precomputed kernel.
+    """The dual's optimum by interior-point steps and an exact crossover (see the module docstring).
 
-    Selection follows the maximal-violating-pair rule; convergence is declared
-    when the violation gap m(alpha) - M(alpha) < tol, which bounds every KKT
-    violation by tol once the bias is set from the free support vectors.
-    A tol that is not > 0 could never be met and raises SvmError.
+    `n_iterations` counts interior-point steps, at most `max_iter` (default
+    100), and `kkt_violation` is m(alpha) - M(alpha) of the returned alpha.
+    When the steps stop (at `max_iter`, on a failed factorization or after
+    the last retry) and no crossover is accepted, the iterate snapped to its
+    active set is returned with a warning; it converged only if its
+    violation is < tol.  A Gram with an eigenvalue below -`_PSD_SLACK`
+    (1 + max |K_ii|), and a tol that is not > 0, raise SvmError.
     """
     if not tol > 0:
         raise SvmError(f"tol must be > 0, got {tol!r}")
@@ -156,162 +215,100 @@ def solve_dual(
     C = problem.C
     n = problem.n
     if max_iter is None:
-        max_iter = max(100_000, 200 * n)
+        max_iter = 100
+    scale = 1.0 + float(np.abs(np.diag(K)).max(initial=0.0))
+    shifted = K + _PSD_SLACK * scale * np.eye(n)
+    if dpotrf(shifted, lower=1, overwrite_a=1)[1]:
+        raise SvmError("gram matrix is not positive semidefinite; increase the Fisher metric ridge")
+    Q = y[:, None] * K * y
+    if abs(y.sum()) == n:
+        # one label: y^T alpha = 0 leaves alpha = 0 as the only feasible point
+        return _model(problem, Q, np.zeros(n), 0)
 
-    # Per-solve tables: cols[i] is K[:, i] (K need only be symmetric to 1e-8,
-    # so rows are not columns), and quad[i] is the curvature along every pair
-    # (i, j), floored at _TAU.  A row that is not PSD raises only once it is
-    # selected, as a per-step check would.
-    cols = np.ascontiguousarray(K.T)
-    diag = np.diag(K).copy()
-    diag_abs_max = float(np.abs(diag).max(initial=0.0))
-    quad = diag[:, None] + diag - 2.0 * cols
-    not_psd = (quad.min(axis=1) < -1e-8 * (np.abs(diag) + diag_abs_max + 1.0)).tolist()
-    np.maximum(quad, _TAU, out=quad)
-
-    # State: F = -y * grad with grad = Q alpha - 1.  As y = +-1, updating F in
-    # place rounds to the same values as recomputing -y * grad from an updated
-    # grad (an exact zero may flip sign, which no comparison or sum can see).
-    F = y.copy()
-    alpha = [0.0] * n
-    y_list = y.tolist()
-    # I_up: y=+1 and alpha < C, or y=-1 and alpha > 0; I_low: y=+1 and
-    # alpha > 0, or y=-1 and alpha < C.  Kept as lists and as penalties added
-    # to F before argmax/min: 0 inside the set, -inf/+inf outside it.
-    up = [y_k > 0 for y_k in y_list]
-    low = [not u for u in up]
-    n_up = sum(up)
-    n_low = n - n_up
-    up_pen = np.where(up, 0.0, -np.inf)
-    low_pen = np.where(low, 0.0, np.inf)
-    masked, gain, step, step_j = np.empty((4, n))
-    blocked = np.empty(n, dtype=bool)
-    trace: list[float] | None = [] if record_objective else None
-
-    # box_reach (for SvmModel.reused_at): the largest value compared against
-    # C: every alpha in the index-set tests, clip candidates, same-label totals
-    reach = 0.0
+    # primal alpha and s = C - alpha, multipliers z >= 0 of alpha >= 0 and
+    # w >= 0 of s >= 0, and the bias b (the multiplier of y^T alpha = 0);
+    # the start is dual feasible, Q alpha - 1 + b y - z + w = 0, with alpha
+    # no larger than a margin support vector's at the Gram's scale
+    alpha = np.full(n, min(0.5 * C, 1.0 / scale))
+    s = C - alpha
+    grad = Q @ alpha - 1.0
+    z = np.maximum(grad, 0.0) + 1.0
+    w = np.maximum(-grad, 0.0) + 1.0
+    b = 0.0
     it = 0
-    m_val = M_val = 0.0
-    while True:
-        if not n_up or not n_low:
-            m_val = M_val = 0.0
-            break
-        i = int(np.add(F, up_pen, out=masked).argmax())
-        m_val = F.item(i)
-        M_val = float(np.add(F, low_pen, out=masked).min())
-        if m_val - M_val < tol:
-            break
-        if it >= max_iter:
-            logger.warning(
-                "SMO stopped at max_iter=%d with violation %.3g (tol %.3g; N=%d, C=%g)",
-                max_iter, m_val - M_val, tol, n, C,
+    for attempt in range(_TIGHTER + 1):
+        target = _GAP * 0.01 ** attempt
+        while True:
+            grad = Q @ alpha - 1.0
+            r_dual = grad + b * y - z + w
+            r_primal = float(y @ alpha)
+            comp = float(alpha @ z + s @ w)
+            gap = max(
+                comp / (1.0 + abs(0.5 * float(alpha @ (grad - 1.0)))),
+                float(np.abs(r_dual).max()) / (1.0 + float(np.abs(grad).max())),
+                abs(r_primal) / (1.0 + C),
             )
-            reach = math.inf
+            if gap <= target or it >= max_iter:
+                break
+            # (Q + D) da + y db = r and y^T da = -r_primal with D = z/alpha + w/s,
+            # solved through H^-1 y and H^-1 r from one Cholesky factor of H;
+            # a factorization that fails ends the steps at this iterate
+            H = Q.copy()
+            H.flat[::n + 1] += z / alpha + w / s
+            factor, info = dpotrf(H, lower=1, overwrite_a=1, clean=0)
+            if info:
+                break
+            solved, _ = dpotrs(factor, np.column_stack([y, -(grad + b * y)]), lower=1)
+            h_y = solved[:, 0]
+            y_h_y = float(y @ h_y)
+
+            def direction(h_r, rz, rw):
+                db = (float(y @ h_r) + r_primal) / y_h_y
+                da = h_r - db * h_y
+                return da, db, (rz - z * da) / alpha, (rw + w * da) / s
+
+            # predictor (affine scaling), then Mehrotra's centering corrector
+            da, db, dz, dw = direction(solved[:, 1], -alpha * z, -s * w)
+            points = np.concatenate([alpha, s, z, w])
+            t = _max_step(points, np.concatenate([da, -da, dz, dw]))
+            mu = comp / (2 * n)
+            mu_aff = float((alpha + t * da) @ (z + t * dz) + (s - t * da) @ (w + t * dw)) / (2 * n)
+            sigma_mu = (mu_aff / mu) ** 3 * mu
+            rz = sigma_mu - alpha * z - da * dz
+            rw = sigma_mu - s * w + da * dw
+            h_r, _ = dpotrs(factor, -r_dual + rz / alpha - rw / s, lower=1)
+            da, db, dz, dw = direction(h_r, rz, rw)
+            t = _TO_BOUNDARY * _max_step(points, np.concatenate([da, -da, dz, dw]))
+            alpha = alpha + t * da
+            s = s - t * da
+            z = z + t * dz
+            w = w + t * dw
+            b += t * db
+            it += 1
+        polished = _polish(Q, y, C, alpha, s, z, w)
+        if polished is not None:
+            return _model(problem, Q, polished, it)
+        if gap > target:
             break
+    model = _model(problem, Q, _snapped(C, alpha, s, z, w), it)
+    logger.warning(
+        "interior-point SVM solver %s (N=%d, C=%g): no crossover passed the KKT check; relative gap %.3g, "
+        "KKT violation %.3g (tol %.3g)", f"stopped at max_iter={max_iter}" if it >= max_iter else
+        "returned an unpolished iterate", n, C, gap, model.kkt_violation, tol,
+    )
+    return model
 
-        # second-order selection of j: maximal analytic gain among violators
-        if not_psd[i]:
-            raise SvmError(
-                "gram matrix is not positive semidefinite along a working pair; "
-                "increase the Fisher metric ridge"
-            )
-        np.greater_equal(masked, m_val, out=blocked)  # outside I_low, or F >= m
-        np.subtract(m_val, F, out=gain)
-        np.multiply(gain, gain, out=gain)
-        np.divide(gain, quad[i], out=gain)
-        gain[blocked] = -np.inf
-        j = int(gain.argmax())
-        if not math.isfinite(gain.item(j)):
-            break
 
-        q = quad.item(i, j)
-        y_i, y_j = y_list[i], y_list[j]
-        grad_i, grad_j = -y_i * m_val, -y_j * F.item(j)
-        old_i, old_j = alpha[i], alpha[j]
-        if y_i != y_j:
-            delta = (-grad_i - grad_j) / q
-            diff = old_i - old_j
-            ai = old_i + delta
-            aj = old_j + delta
-            if diff > 0:
-                if aj < 0:
-                    aj = 0.0
-                    ai = diff
-            else:
-                if ai < 0:
-                    ai = 0.0
-                    aj = -diff
-            if diff > 0:
-                if ai > C:
-                    ai = C
-                    aj = C - diff
-            else:
-                if aj > C:
-                    aj = C
-                    ai = C + diff
-        else:
-            delta = (grad_i - grad_j) / q
-            total = old_i + old_j
-            reach = max(reach, total)
-            ai = old_i - delta
-            aj = old_j + delta
-            if total > C:
-                if ai > C:
-                    ai = C
-                    aj = total - C
-                if aj > C:
-                    aj = C
-                    ai = total - C
-            else:
-                if aj < 0:
-                    aj = 0.0
-                    ai = total
-                if ai < 0:
-                    ai = 0.0
-                    aj = total
-        alpha[i], alpha[j] = ai, aj
-        reach = max(reach, ai, aj)
-        for k, a_k, y_k in ((i, ai, y_i), (j, aj, y_j)):
-            now_up = a_k < C if y_k > 0 else a_k > 0
-            now_low = a_k > 0 if y_k > 0 else a_k < C
-            if now_up != up[k]:
-                up[k] = now_up
-                up_pen[k] = 0.0 if now_up else -np.inf
-                n_up += 1 if now_up else -1
-            if now_low != low[k]:
-                low[k] = now_low
-                low_pen[k] = 0.0 if now_low else np.inf
-                n_low += 1 if now_low else -1
-        # grad_k += Q_ki d_i + Q_kj d_j with Q_kl = y_k y_l K_kl, so
-        # F_k -= K_ki d_i y_i + K_kj d_j y_j
-        np.multiply(cols[i], (ai - old_i) * y_i, out=step)
-        np.multiply(cols[j], (aj - old_j) * y_j, out=step_j)
-        step += step_j
-        F -= step
-        if trace is not None:
-            trace.append(_dual_objective(np.array(alpha), -y * F))
-        it += 1
-
-    # bias: average over free support vectors, else midpoint of the bounds
-    alpha = np.array(alpha, dtype=float)
-    free = (alpha > SUPPORT_EPS) & (alpha < C - SUPPORT_EPS)
-    if free.any():
-        bias = float(F[free].mean())
-    else:
-        bias = 0.5 * (m_val + M_val)
-
-    support = np.flatnonzero(alpha > SUPPORT_EPS)
+def _model(problem: KernelProblem, Q: np.ndarray, alpha: np.ndarray, iterations: int) -> SvmModel:
+    violation, bias = _kkt(Q, problem.labels, problem.C, alpha)
     return SvmModel(
         alpha=alpha,
-        y=y,
+        y=problem.labels,
         bias=bias,
-        C=C,
-        support=support,
-        kkt_violation=max(m_val - M_val, 0.0),
-        n_iterations=it,
-        objective_trace=trace,
-        box_reach=reach,
+        C=problem.C,
+        support=np.flatnonzero(alpha > SUPPORT_EPS),
+        kkt_violation=violation,
+        n_iterations=iterations,
     )
 
 
@@ -354,9 +351,9 @@ def train_multiclass(
 ) -> MulticlassSvm:
     """Train one binary SVM per class (class vs. rest) on a shared Gram matrix.
 
-    `previous` is a set trained on the same gram and labels with the same
-    `tol` at a smaller C.  Each class whose model carries over to C
-    (:meth:`SvmModel.reused_at`) is taken from it without a new solve.
+    `previous` is a set trained on the same gram and labels at another C.
+    Each class whose model carries over to C (:meth:`SvmModel.reused_at`)
+    is taken from it without a new solve.
     """
     labels = list(labels)
     classes = sorted(set(labels))
@@ -367,7 +364,7 @@ def train_multiclass(
     label_arr = np.array(labels, dtype=object)
     models = []
     for k, cls in enumerate(classes):
-        model = previous.models[k].reused_at(C) if previous is not None else None
+        model = previous.models[k].reused_at(C, tol) if previous is not None else None
         if model is None:
             y = np.where(label_arr == cls, 1.0, -1.0)
             model = solve_dual(KernelProblem(gram=gram, labels=y, C=C), tol=tol)

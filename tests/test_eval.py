@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from scanfisher import evaluate
+from scanfisher import evaluate, svm
 from scanfisher.corpus import FrequencyTable, Text, Word, compute_features, feature_layout
 from scanfisher.evaluate import (
     WILCOXON_EXACT_MAX_N,
@@ -729,12 +729,18 @@ def test_saturation_stops_choose_what_the_full_scan_chooses(monkeypatch):
     # that reaches it; tune_reference scans everything.  Every choice of
     # either tuner, and so every report, must be the same.
     kernel_stages = {"stop": 0, "full": 0}
+    solves = {"stop": 0, "full": 0}
     choices = {"stop": [], "full": []}
     real_kernel_stage = evaluate._kernel_stage
+    real_solve = svm.solve_dual
 
     def counted(stage, ridge_scale):
         kernel_stages[side] += 1
         return real_kernel_stage(stage, ridge_scale)
+
+    def solve_counted(problem, tol=1e-3, max_iter=None):
+        solves[side] += 1
+        return real_solve(problem, tol=tol, max_iter=max_iter)
 
     def recorded(tune):
         def choose(*args):
@@ -743,6 +749,8 @@ def test_saturation_stops_choose_what_the_full_scan_chooses(monkeypatch):
         return choose
 
     monkeypatch.setattr(evaluate, "_kernel_stage", counted)
+    monkeypatch.setattr(evaluate, "solve_dual", solve_counted)
+    monkeypatch.setattr(svm, "solve_dual", solve_counted)
     tuners = {"stop": (evaluate._tune, evaluate._tune_baseline),
               "full": (tune_full_scan, tune_baseline_full_scan)}
     for seed in (0, 4, 6, 7, 8, 9, 11, 12, 18, 20, 23, 44):
@@ -763,6 +771,7 @@ def test_saturation_stops_choose_what_the_full_scan_chooses(monkeypatch):
     assert {t.lam for t in tuned} == {1e-2, 1e-1}
     assert {c for c in choices["stop"] if not isinstance(c, evaluate._Tuned)} == {1e-2, 1e-1}
     assert kernel_stages["stop"] < kernel_stages["full"]
+    assert solves["stop"] < solves["full"], solves
 
 
 # ---------------------------------------------------------------------------
@@ -773,15 +782,15 @@ C_PATH = dataclasses.replace(QUICK, c_grid=(10.0, 0.1, 1.0), run_generative_base
 
 
 def _same_svm(a, b):
-    return all(
-        np.array_equal(x, y) if isinstance(x, np.ndarray) else x == y
-        for x, y in ((getattr(a, f.name), getattr(b, f.name)) for f in dataclasses.fields(a))
-    )
+    """Both models are the optimum at one C: the same zeros and C bounds, alpha and bias to rounding."""
+    return (a.C == b.C and np.array_equal(a.y, b.y)
+            and np.array_equal(a.alpha == 0, b.alpha == 0) and np.array_equal(a.alpha == a.C, b.alpha == b.C)
+            and np.allclose(a.alpha, b.alpha, rtol=0, atol=1e-8 * a.C) and abs(a.bias - b.bias) <= 1e-8)
 
 
 def test_c_grid_reuse_matches_fresh_training_in_both_tuners(small_dataset, monkeypatch):
-    # Both tuners train the C grid in ascending order and hand each fit the
-    # previous model; every model so obtained must equal a fresh fit at its C.
+    # The tuners hand each fit the context's model at a smaller C; every
+    # model so obtained must be the optimum a fresh fit at its C finds.
     carried = []
     real_multiclass = evaluate.train_multiclass
     real_binary = evaluate._train_binary

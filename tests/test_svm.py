@@ -1,4 +1,4 @@
-import dataclasses
+import itertools
 
 import numpy as np
 import pytest
@@ -13,7 +13,7 @@ from scanfisher.svm import (
     solve_dual,
     train_multiclass,
 )
-from svm_reference import max_kkt_violation, reference_decision_value, reference_solve_dual
+from svm_reference import max_kkt_violation, reference_decision_value, reference_solve_dual, smo_solve_dual
 
 
 def _linear_gram(X):
@@ -64,13 +64,19 @@ def test_kkt_conditions_hold_on_random_problems():
         assert np.all(model.alpha >= 0) and np.all(model.alpha <= 1.0 + 1e-12)
 
 
-def test_dual_objective_nondecreasing():
+def test_objective_is_no_worse_than_the_smo_oracle():
+    # the returned alpha is the optimum itself, not a point within tol of it
     rng = np.random.default_rng(2)
     problem, _ = _separable_problem(rng, n_per_class=15, gap=1.0, C=2.0)
-    model = solve_dual(problem, tol=1e-4, record_objective=True)
-    trace = np.array(model.objective_trace)
-    assert len(trace) == model.n_iterations
-    assert np.all(np.diff(trace) >= -1e-9)
+    Q = problem.labels[:, None] * problem.gram * problem.labels
+
+    def objective(alpha):
+        return 0.5 * alpha @ Q @ alpha - alpha.sum()
+
+    model = solve_dual(problem, tol=1e-4)
+    oracle = smo_solve_dual(problem, tol=1e-4)
+    assert objective(model.alpha) <= objective(oracle.alpha) + 1e-12
+    assert objective(model.alpha) <= objective(smo_solve_dual(problem, tol=1e-10).alpha) + 1e-12
 
 
 def test_duplicated_instances_leave_decisions_unchanged():
@@ -287,18 +293,22 @@ def test_prefix_decision_curve_is_cumulative_mean():
 
 
 # ---------------------------------------------------------------------------
-# the fast solver against the reference solver, bit for bit
+# the interior-point solver against the SMO oracle run to tol 1e-10
 
 
-def _assert_same_model(fast, ref):
-    assert np.array_equal(fast.alpha, ref.alpha)
-    assert np.array_equal(fast.y, ref.y)
-    assert fast.bias == ref.bias
-    assert fast.C == ref.C
-    assert np.array_equal(fast.support, ref.support)
-    assert fast.kkt_violation == ref.kkt_violation
-    assert fast.n_iterations == ref.n_iterations
-    assert fast.objective_trace == ref.objective_trace
+def _assert_matches_oracle(model, problem):
+    """alpha, bias and decisions equal the SMO oracle's at tol 1e-10, with exact zeros and C."""
+    oracle = smo_solve_dual(problem, tol=1e-10)
+    C = problem.C
+    assert model.C == C and np.array_equal(model.y, problem.labels)
+    np.testing.assert_array_equal(model.alpha == 0, oracle.alpha == 0)
+    np.testing.assert_array_equal(model.alpha == C, oracle.alpha == C)
+    np.testing.assert_allclose(model.alpha, oracle.alpha, rtol=0, atol=1e-6 * C)
+    assert model.bias == pytest.approx(oracle.bias, abs=1e-8)
+    np.testing.assert_allclose(model.decision_values(problem.gram), oracle.decision_values(problem.gram),
+                               rtol=0, atol=1e-8)
+    np.testing.assert_array_equal(model.support, np.flatnonzero(model.alpha > 0))
+    assert model.kkt_violation < 1e-9
 
 
 def _low_rank_gram(rng, classes, rank):
@@ -321,10 +331,15 @@ def test_solver_matches_reference_on_low_rank_grams():
             y = np.where(classes == cls, 1.0, -1.0)
             for C in (0.01, 0.1, 1.0, 10.0):
                 problem = KernelProblem(gram=gram, labels=y, C=C)
-                fast = solve_dual(problem, record_objective=True)
-                _assert_same_model(fast, reference_solve_dual(problem, record_objective=True))
+                model = solve_dual(problem)
+                _assert_matches_oracle(model, problem)
+                assert 0 < model.n_iterations <= 20
+                # the oracle is the straightforward per-step SMO, bit for bit
+                fast, ref = smo_solve_dual(problem), reference_solve_dual(problem)
+                assert np.array_equal(fast.alpha, ref.alpha) and fast.bias == ref.bias
+                assert fast.n_iterations == ref.n_iterations
                 solves += 1
-                at_box += bool((fast.alpha >= C - 1e-12).any())
+                at_box += bool((model.alpha == C).any())
     assert solves == 48
     assert 0 < at_box < solves
 
@@ -332,17 +347,18 @@ def test_solver_matches_reference_on_low_rank_grams():
 def test_solver_matches_reference_on_two_point_problem():
     for C in (0.5, 1.0, 10.0):
         problem = KernelProblem(gram=np.eye(2), labels=np.array([1.0, -1.0]), C=C)
-        _assert_same_model(solve_dual(problem, record_objective=True),
-                           reference_solve_dual(problem, record_objective=True))
+        model = solve_dual(problem)
+        _assert_matches_oracle(model, problem)
+        np.testing.assert_array_equal(model.alpha, [min(C, 1.0)] * 2)
 
 
-def test_solver_raises_on_non_psd_exactly_when_reference_does():
+def test_solver_raises_on_every_non_psd_gram():
     # A separable problem plus one pair of points with negative curvature
-    # between them (K_aa + K_bb - 2 K_ab < 0).  The fast solver flags such
-    # rows up front but must raise only once one is selected, as the
-    # per-step check does: never when the pair stays out of the working set.
+    # between them (K_aa + K_bb - 2 K_ab < 0).  SMO raised only once such a
+    # pair was selected and solved the other problems; the interior-point
+    # solver checks the whole Gram up front and raises on every one.
     rng = np.random.default_rng(14)
-    outcomes = set()
+    oracle = set()
     for trial in range(12):
         n = 14
         X = rng.normal(0, 1, (n, 3))
@@ -355,17 +371,14 @@ def test_solver_raises_on_non_psd_exactly_when_reference_does():
         gram[n, n + 1] = gram[n + 1, n] = s + rng.uniform(0.1, 1.0)
         pair_labels = [-1.0, -1.0] if trial % 2 == 0 else [1.0, -1.0]
         problem = KernelProblem(gram=gram, labels=np.concatenate([y, pair_labels]), C=1.0)
+        with pytest.raises(SvmError, match="increase the Fisher metric ridge"):
+            solve_dual(problem)
         try:
-            ref = reference_solve_dual(problem)
-        except SvmError as err:
-            with pytest.raises(SvmError, match="ridge") as fast_err:
-                solve_dual(problem)
-            assert str(fast_err.value) == str(err)
-            outcomes.add("raised")
-        else:
-            _assert_same_model(solve_dual(problem), ref)
-            outcomes.add("solved")
-    assert outcomes == {"raised", "solved"}
+            reference_solve_dual(problem)
+            oracle.add("solved")
+        except SvmError:
+            oracle.add("raised")
+    assert oracle == {"raised", "solved"}
 
 
 def test_max_iter_exit_is_logged_with_problem_size(caplog):
@@ -378,76 +391,147 @@ def test_max_iter_exit_is_logged_with_problem_size(caplog):
     messages = [r.getMessage() for r in caplog.records if r.name == "scanfisher.svm"]
     assert len(messages) == 1
     assert "max_iter=3" in messages[0] and "N=24" in messages[0] and "C=5" in messages[0]
-    ref = reference_solve_dual(problem, tol=1e-3, max_iter=3)
-    assert np.array_equal(model.alpha, ref.alpha)
-    assert model.reused_at(10.0) is None
+    assert "relative gap" in messages[0] and f"KKT violation {model.kkt_violation:.3g}" in messages[0]
+    assert ((model.alpha >= 0) & (model.alpha <= 5.0)).all()
+    assert model.reused_at(10.0, 1e-3) is None
+
+
+# ---------------------------------------------------------------------------
+# edge cases
+
+
+@pytest.mark.parametrize("label", [1.0, -1.0])
+@pytest.mark.parametrize("n", [1, 3])
+def test_one_label_problem_has_the_zero_solution(n, label):
+    # y^T alpha = 0 leaves alpha = 0 as the only feasible point; the bias is
+    # the end of [m, M] that exists, so every point sits on its margin
+    problem = KernelProblem(gram=np.eye(n) * 2.0, labels=np.full(n, label), C=1.0)
+    model = solve_dual(problem)
+    np.testing.assert_array_equal(model.alpha, np.zeros(n))
+    assert model.support.size == 0 and model.n_iterations == 0 and model.kkt_violation == 0.0
+    assert model.bias == label
+    assert max_kkt_violation(model, problem) == 0.0
+
+
+def test_duplicated_rows_return_an_unpolished_iterate_with_the_oracle_decisions(caplog):
+    # duplicated free support vectors make the free block of the reduced KKT
+    # system singular: every crossover is rejected, and the snapped iterate
+    # is returned with a warning.  Its alpha splits each duplicated pair
+    # another way than SMO does, but the decisions are the optimum's.
+    rng = np.random.default_rng(21)
+    X = rng.normal(0, 1, (20, 3))
+    y = np.where(X[:, 0] + 0.3 * rng.normal(size=20) > 0, 1.0, -1.0)
+    X2, y2 = np.concatenate([X, X]), np.concatenate([y, y])
+    for C in (0.01, 1.0, 100.0):
+        problem = KernelProblem(gram=X2 @ X2.T, labels=y2, C=C)
+        caplog.clear()
+        with caplog.at_level("WARNING", logger="scanfisher.svm"):
+            model = solve_dual(problem, tol=1e-3)
+        messages = [r.getMessage() for r in caplog.records if r.name == "scanfisher.svm"]
+        assert len(messages) == 1
+        assert "unpolished iterate" in messages[0] and "N=40" in messages[0] and f"C={C:g}" in messages[0]
+        assert "relative gap" in messages[0] and f"KKT violation {model.kkt_violation:.3g}" in messages[0]
+        assert model.kkt_violation < 1e-3
+        oracle = smo_solve_dual(problem, tol=1e-10)
+        np.testing.assert_allclose(model.decision_values(problem.gram), oracle.decision_values(problem.gram),
+                                   rtol=0, atol=1e-8)
+        # each pair's total is the optimum's
+        np.testing.assert_allclose(model.alpha[:20] + model.alpha[20:], oracle.alpha[:20] + oracle.alpha[20:],
+                                   rtol=0, atol=1e-6 * C)
+        # without the duplicates the crossover is accepted
+        with caplog.at_level("WARNING", logger="scanfisher.svm"):
+            caplog.clear()
+            single = KernelProblem(gram=X @ X.T, labels=y, C=C)
+            _assert_matches_oracle(solve_dual(single), single)
+        assert not caplog.records
+
+
+def test_every_alpha_at_c_and_none_at_c():
+    rng = np.random.default_rng(22)
+    y = np.array([1.0] * 10 + [-1.0] * 10)
+    overlapping = rng.normal(0, 1, (20, 3)) + 0.2 * y[:, None]
+    problem = KernelProblem(gram=overlapping @ overlapping.T, labels=y, C=1e-2)
+    model = solve_dual(problem)
+    np.testing.assert_array_equal(model.alpha, np.full(20, 1e-2))
+    _assert_matches_oracle(model, problem)
+
+    separated = rng.normal(0, 1, (20, 3)) + np.outer(y, [4.0, 0.0, 0.0])
+    problem = KernelProblem(gram=separated @ separated.T, labels=y, C=1e2)
+    model = solve_dual(problem)
+    assert (model.alpha < 1e2).all() and (model.alpha == 0).any()
+    _assert_matches_oracle(model, problem)
+
+
+def test_gram_with_a_negative_eigenvalue_raises_the_ridge_hint():
+    rng = np.random.default_rng(23)
+    Z = rng.normal(size=(12, 12))
+    values, vectors = np.linalg.eigh(Z @ Z.T)
+    scale = float(np.abs(np.diag(Z @ Z.T)).max())
+    values[0] = -1e-3 * scale
+    gram = (vectors * values) @ vectors.T
+    gram = 0.5 * (gram + gram.T)
+    y = np.where(np.arange(12) % 2 == 0, 1.0, -1.0)
+    for C in (0.01, 1.0, 100.0):
+        with pytest.raises(SvmError, match="not positive semidefinite; increase the Fisher metric ridge"):
+            solve_dual(KernelProblem(gram=gram, labels=y, C=C))
+    # a rounding-level negative eigenvalue is accepted
+    values[0] = -1e-12 * scale
+    gram = (vectors * values) @ vectors.T
+    problem = KernelProblem(gram=0.5 * (gram + gram.T), labels=y, C=1.0)
+    _assert_matches_oracle(solve_dual(problem), problem)
 
 
 # ---------------------------------------------------------------------------
 # reuse along the C grid
 
 
-def test_reused_models_equal_fresh_solves_in_every_field():
+def test_reused_models_match_the_oracle_at_their_new_c():
     rng = np.random.default_rng(16)
-    reused = resolved = 0
+    grid = (0.01, 0.1, 1.0, 10.0, 100.0)
+    reused = {"larger": 0, "smaller": 0}
+    refused = 0
     for n, rank in ((30, 6), (60, 15), (110, 85)):
         classes = rng.integers(0, 3, n)
         gram = _low_rank_gram(rng, classes, rank)
         for cls in range(3):
             y = np.where(classes == cls, 1.0, -1.0)
-            previous = None
-            for C in (0.01, 0.1, 1.0, 10.0, 100.0):
-                fresh = solve_dual(KernelProblem(gram=gram, labels=y, C=C), record_objective=True)
-                carried = previous.reused_at(C) if previous is not None else None
-                if carried is not None:
-                    for f in dataclasses.fields(SvmModel):
-                        a, b = getattr(carried, f.name), getattr(fresh, f.name)
-                        assert np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b, f.name
-                    reused += 1
-                elif previous is not None:
-                    resolved += 1
-                previous = fresh
-    assert reused > 0 and resolved > 0
-
-
-def test_free_alphas_alone_do_not_make_a_solve_reusable():
-    # Every final alpha is free, but a value compared against C reached it on
-    # the way.  Such a solve is never reused, and at a larger C it can take
-    # other branches and end elsewhere.
-    rng = np.random.default_rng(20)
-    differs = 0
-    for trial in range(8):
-        classes = rng.integers(0, 3, 110)
-        gram = _low_rank_gram(rng, classes, 85)
-        y = np.where(classes == 0, 1.0, -1.0)
-        model = solve_dual(KernelProblem(gram=gram, labels=y, C=1.0))
-        if (model.alpha < 1.0 - 1e-12).all() and model.box_reach >= 1.0:
-            assert model.reused_at(10.0) is None
-            larger = solve_dual(KernelProblem(gram=gram, labels=y, C=10.0))
-            differs += not np.array_equal(larger.alpha, model.alpha)
-    assert differs > 0
+            models = {C: solve_dual(KernelProblem(gram=gram, labels=y, C=C)) for C in grid}
+            for C_from, C_to in itertools.permutations(grid, 2):
+                previous = models[C_from]
+                carried = previous.reused_at(C_to, 1e-3)
+                if carried is None:
+                    assert (previous.alpha >= min(C_from, C_to)).any()
+                    refused += 1
+                    continue
+                assert carried.alpha is previous.alpha and carried.C == C_to
+                _assert_matches_oracle(carried, KernelProblem(gram=gram, labels=y, C=C_to))
+                reused["larger" if C_to > C_from else "smaller"] += 1
+    assert min(reused.values()) > 0 and refused > 0
 
 
 def test_solve_that_touches_the_box_is_not_reused():
     rng = np.random.default_rng(17)
     problem, _ = _separable_problem(rng, n_per_class=10, gap=0.5, C=0.01)
     small = solve_dual(problem)
-    assert (small.alpha >= 0.01 - 1e-12).any()
-    assert small.box_reach >= 0.01
-    assert small.reused_at(1.0) is None
+    assert (small.alpha == 0.01).any()
+    assert small.reused_at(1.0, 1e-3) is None
     larger = solve_dual(KernelProblem(gram=problem.gram, labels=problem.labels, C=1.0))
     assert not np.array_equal(larger.alpha, small.alpha)
 
 
-def test_reuse_needs_a_larger_c():
+def test_reuse_needs_every_alpha_inside_both_boxes():
     rng = np.random.default_rng(18)
     problem, _ = _separable_problem(rng, C=100.0)
     model = solve_dual(problem)
-    assert model.box_reach < model.C
-    assert model.reused_at(100.0) is None
-    assert model.reused_at(50.0) is None
-    assert model.reused_at(200.0).C == 200.0
-    assert SvmModel.from_dict(model.to_dict()).reused_at(200.0) is None
+    largest = float(model.alpha.max())
+    assert 0 < largest < model.C
+    assert model.reused_at(200.0, 1e-3).C == 200.0
+    assert model.reused_at(2 * largest, 1e-3).C == 2 * largest
+    assert model.reused_at(largest, 1e-3) is None
+    assert model.reused_at(0.5 * largest, 1e-3) is None
+    # a violation at or above tol, or none recorded (a model read from a file)
+    assert model.reused_at(200.0, model.kkt_violation) is None
+    assert SvmModel.from_dict(model.to_dict()).reused_at(200.0, 1e-3) is None
 
 
 def test_train_multiclass_reuses_qualifying_classes(monkeypatch):
@@ -468,11 +552,10 @@ def test_train_multiclass_reuses_qualifying_classes(monkeypatch):
     for C in (0.01, 1.0, 10.0, 100.0):
         solved.clear()
         mc = train_multiclass(gram, labels, C, previous=previous)
-        fresh = [real_solve(KernelProblem(gram=gram, labels=m.y, C=C)) for m in mc.models]
-        for model, ref in zip(mc.models, fresh):
-            _assert_same_model(model, ref)
+        for model in mc.models:
+            _assert_matches_oracle(model, KernelProblem(gram=gram, labels=model.y, C=C))
         expected = len(mc.classes) if previous is None else sum(
-            m.reused_at(C) is None for m in previous.models)
+            m.reused_at(C, 1e-3) is None for m in previous.models)
         assert len(solved) == expected
         previous = mc
     assert len(solved) < len(mc.classes)
