@@ -36,7 +36,7 @@ from .evaluate import (
     write_report_csv,
     write_report_json,
 )
-from .events import ScanpathError, load_scanpaths, save_scanpaths
+from .events import DEFAULT_AMP_FLOOR, ScanpathError, load_scanpaths, save_scanpaths
 from .fisher import (
     MetricError,
     default_ridge,
@@ -179,7 +179,7 @@ def cmd_score(args) -> int:
     params = ModelParams.from_dict(payload)
     stats = NormStats.from_dict(payload["norm_stats"])
     dataset = _load_dataset(args)
-    table = event_table(dataset, stats.layout, float(payload.get("amp_floor", 0.5)))
+    table = event_table(dataset, stats.layout, float(payload.get("amp_floor", DEFAULT_AMP_FLOOR)))
     events, lengths = table.gather(range(len(table.scanpaths)), stats)
     scores = score_matrix(events.split(lengths), params)
     write_scores(args.out, scores)
@@ -288,16 +288,17 @@ def _add_data_args(p: argparse.ArgumentParser) -> None:
 
 
 def _add_pipeline_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--lambda-grid", type=_float_list, default=(0.0, 1e-4, 1e-2, 1.0))
-    p.add_argument("--c-grid", type=_float_list, default=(0.01, 0.1, 1.0, 10.0, 100.0))
-    p.add_argument("--ridge-grid", type=_float_list, default=(1e-8, 1e-6, 1e-4))
-    p.add_argument("--inner-folds", type=int, default=2)
+    defaults = PipelineConfig()
+    p.add_argument("--lambda-grid", type=_float_list, default=defaults.lambda_grid)
+    p.add_argument("--c-grid", type=_float_list, default=defaults.c_grid)
+    p.add_argument("--ridge-grid", type=_float_list, default=defaults.ridge_scales)
+    p.add_argument("--inner-folds", type=int, default=defaults.inner_folds)
     p.add_argument("--no-elimination", action="store_true")
     p.add_argument("--no-baseline", action="store_true")
-    p.add_argument("--svm-tol", type=float, default=1e-3)
-    p.add_argument("--tol", type=float, default=1e-6)
-    p.add_argument("--max-iter", type=int, default=500)
-    p.add_argument("--amp-floor", type=float, default=0.5)
+    p.add_argument("--svm-tol", type=float, default=defaults.svm_tol)
+    p.add_argument("--tol", type=float, default=defaults.fit_tol)
+    p.add_argument("--max-iter", type=int, default=defaults.fit_max_iter)
+    p.add_argument("--amp-floor", type=float, default=defaults.amp_floor)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -325,10 +326,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fit", help="fit model parameters by regularized ML")
     _add_data_args(p)
     p.add_argument("--out", required=True)
-    p.add_argument("--reg-lambda", "--lambda", dest="reg_lambda", type=float, default=1e-2)
-    p.add_argument("--tol", type=float, default=1e-6)
-    p.add_argument("--max-iter", type=int, default=500)
-    p.add_argument("--amp-floor", type=float, default=0.5)
+    fit_defaults = FitConfig()
+    p.add_argument("--reg-lambda", "--lambda", dest="reg_lambda", type=float, default=fit_defaults.lam)
+    p.add_argument("--tol", type=float, default=fit_defaults.tol)
+    p.add_argument("--max-iter", type=int, default=fit_defaults.max_iter)
+    p.add_argument("--amp-floor", type=float, default=DEFAULT_AMP_FLOOR)
     p.set_defaults(func=cmd_fit)
 
     p = sub.add_parser("score", help="emit per-line Fisher scores for a fitted model")

@@ -39,7 +39,7 @@ from typing import Sequence
 import numpy as np
 
 from .corpus import FrequencyTable, NormStats, Text, apply_stats, compute_features, feature_layout, norm_stats
-from .events import EventBatch, Scanpath, extract_events
+from .events import DEFAULT_AMP_FLOOR, EventBatch, Scanpath, extract_events
 from .fisher import (
     default_ridge,
     empirical_information,
@@ -48,7 +48,7 @@ from .fisher import (
     score_matrix,
 )
 from .fit import FitConfig, fit_model
-from .model import ModelParams, batch_loglik
+from .model import batch_loglik
 from .svm import KernelProblem, MulticlassSvm, SvmModel, prefix_decision_curve, solve_dual, train_multiclass
 from .synth import SynthDataset
 
@@ -254,7 +254,7 @@ class PipelineConfig:
     svm_tol: float = 1e-3
     fit_tol: float = 1e-6
     fit_max_iter: int = 500
-    amp_floor: float = 0.5
+    amp_floor: float = DEFAULT_AMP_FLOOR
 
     def __post_init__(self):
         # NaN fails every comparison, so it is rejected too
@@ -448,7 +448,6 @@ def _by_group(ctx: _Context, rows: np.ndarray) -> dict[tuple, np.ndarray]:
 
 @dataclass
 class _FisherStage:
-    params: ModelParams
     s_train: np.ndarray
     s_groups: dict[tuple, np.ndarray]
     labels: list
@@ -476,7 +475,7 @@ def _fit_stage(ctx: _Context, config: PipelineConfig, lam: float, features: Sequ
     test, test_lengths = ctx.table.gather(np.concatenate(list(ctx.groups.values())), ctx.stats, features)
     s_groups = _by_group(ctx, score_matrix(test.split(test_lengths), params))
     labels = [ctx.table.labels[i] for i in ctx.train]
-    return _FisherStage(params=params, s_train=s_train, s_groups=s_groups, labels=labels)
+    return _FisherStage(s_train=s_train, s_groups=s_groups, labels=labels)
 
 
 @dataclass

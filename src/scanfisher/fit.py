@@ -28,11 +28,14 @@ minima.  From an iterate whose Hessian is not positive definite, second-order
 steps (those of the expected information too) can leave the basin that
 L-BFGS-B from the same start settles in.  So such a group, like any group
 Newton cannot finish (no Armijo decrease, a non-finite value or `max_iter`
-steps), is refitted from the same moment start by L-BFGS-B with analytic
-gradients, and that result is used as it is.  L-BFGS-B stops on
-scipy's projected-gradient test (|g| <= `tol`) or on its relative-reduction
-test (``ftol = 1e-12``).  No value is shared between groups, so each group's
-fit, and each segment's model, is the one it would get alone.
+steps), is refitted by one `minimize` call (`_lbfgs`): L-BFGS-B on
+`_objective` with analytic gradients, from the same moment start restricted
+to the weights the group uses, and that result is used as it is.  L-BFGS-B
+stops on scipy's projected-gradient test (|g| <= `tol`) or on its
+relative-reduction test (``ftol = 1e-12``).  Every group, empty, bias-only,
+Newton or L-BFGS-B, is set up and recorded in one loop (`_fit_segments`).
+No value is shared between groups, so each group's fit, and each segment's
+model, is the one it would get alone.
 """
 
 import logging
@@ -150,85 +153,32 @@ class FitOutcome:
     groups: list[GroupFit]
 
 
-def _bias_only(n: int, m_full: int) -> bool:
-    """A group of fewer than 2M events fits only its bias weights (when M > 1)."""
-    return n < 2 * m_full and m_full > 1
+def _bias_only(n, m_full: int):
+    """A group of fewer than 2M events fits only its bias weights (when M > 1); `n` may be an array."""
+    return (n < 2 * m_full) & (m_full > 1)
 
 
-def _warn_bias_only(kind: str, u: int, n: int, m_full: int) -> None:
-    logger.warning(
-        "only %d %s events of type %d (< 2M=%d); falling back to bias-only fit",
-        n, kind, u, 2 * m_full,
-    )
+def _lbfgs(x: np.ndarray, W: np.ndarray, start: np.ndarray, config: FitConfig, collect_trace: bool):
+    """L-BFGS-B on one group's `_objective` from `start`; the scipy result and the objective trace.
 
-
-def _fit_group(
-    kind: str,
-    u: int,
-    x: np.ndarray,
-    W: np.ndarray,
-    config: FitConfig,
-    collect_trace: bool = False,
-) -> tuple[np.ndarray, np.ndarray, GroupFit]:
-    """L-BFGS-B fit of one group from the moment start (the Newton loop's fallback)."""
-    m_full = W.shape[1]
-    n = len(x)
-    shape_w = np.zeros(m_full)
-    scale_w = np.zeros(m_full)
-    if n == 0:
-        logger.warning("no %s events of type %d; keeping zero weights", kind, u)
-        info = GroupFit(kind, u, 0, True, 0.0, 0.0, 0, 0.0, True)
-        return shape_w, scale_w, info
-
-    bias_only = _bias_only(n, m_full)
-    if bias_only:
-        _warn_bias_only(kind, u, n, m_full)
-    W_used = W[:, :1] if bias_only else W
-    m = W_used.shape[1]
-
-    theta0 = _moment_init(x, m)
-    f0, _ = _objective(theta0, x, W_used, config.lam)
-    trace = [f0]
+    The trace is the start's objective, then, with `collect_trace`, the one
+    scipy evaluated at each iterate.
+    """
+    trace = [_objective(start, x, W, config.lam)[0]]
     callback = None
     if collect_trace:
-        callback = lambda xk: trace.append(_objective(xk, x, W_used, config.lam)[0])
-
-    def fun(theta):
-        return _objective(theta, x, W_used, config.lam)
-
+        def callback(intermediate_result):
+            trace.append(float(intermediate_result.fun))
     result = minimize(
-        fun,
-        theta0,
+        _objective,
+        start,
+        args=(x, W, config.lam),
         jac=True,
         method="L-BFGS-B",
         callback=callback,
         options={"maxiter": config.max_iter, "gtol": config.tol, "ftol": 1e-12},
     )
-    if not result.success:
-        logger.warning(
-            "L-BFGS did not converge for %s events of type %d (n_events=%d, nit=%d): %s",
-            kind, u, n, result.nit, result.message,
-        )
-    theta = result.x
-    shape_w[0] = theta[0]
-    scale_w[0] = theta[m]
-    if not bias_only:
-        shape_w[:] = theta[:m]
-        scale_w[:] = theta[m:]
-    info = GroupFit(
-        kind=kind,
-        u=u,
-        n_events=n,
-        bias_only=bias_only,
-        initial_objective=f0,
-        final_objective=float(result.fun),
-        n_iterations=int(result.nit),
-        grad_norm=float(np.max(np.abs(result.jac))),
-        converged=bool(result.success),
-        objective_trace=trace,
-        solver="lbfgs",
-    )
-    return shape_w, scale_w, info
+    return result, trace
 
 
 @dataclass
@@ -384,8 +334,9 @@ def _fit_segments(batch: EventBatch, sizes, config: FitConfig, collect_trace: bo
     """One model per segment of `batch`: its events are the segments' events, `sizes[s]` each, in order.
 
     The ten (kind, u) groups of every segment are solved by one `_newton`
-    call, and every fallback is refitted alone by `_fit_group`, so each
+    call, and every fallback is refitted alone by `_lbfgs`, so each
     segment's model and diagnostics are those it gets when fitted alone.
+    Empty groups keep zero weights.
     """
     if sum(sizes) != batch.n:
         raise FitError(f"segment sizes sum to {sum(sizes)}, but the batch has {batch.n} events")
@@ -401,44 +352,55 @@ def _fit_segments(batch: EventBatch, sizes, config: FitConfig, collect_trace: bo
             groups.append(("amplitude", u, seg.amp[in_type], seg.w_launch[in_type]))
             groups.append(("duration", u, seg.dur[in_type], seg.w_land[in_type]))
 
-    pooled = [i for i, (_, _, x, _) in enumerate(groups) if len(x)]
-    bias_only = np.array([_bias_only(len(groups[i][2]), m) for i in pooled], dtype=bool)
-    feature_mask = np.ones((len(pooled), m))
+    n_events = np.array([len(x) for _, _, x, _ in groups])
+    pooled = np.flatnonzero(n_events)
+    bias_only = _bias_only(n_events, m)
+    feature_mask = np.ones((len(groups), m))
     feature_mask[bias_only, 1:] = 0.0
-    pool = _Pool.of([groups[i][2] for i in pooled],
-                    [groups[i][3] * feature_mask[k] for k, i in enumerate(pooled)])
+    mask = np.hstack([feature_mask, feature_mask])   # the weights each group uses
+    pool = _Pool.of([groups[i][2] for i in pooled], [groups[i][3] * feature_mask[i] for i in pooled])
     theta0 = np.array([_moment_init(groups[i][2], m) for i in pooled])
-    result = _newton(pool, theta0, np.hstack([feature_mask, feature_mask]), config)
+    result = _newton(pool, theta0, mask[pooled], config)
 
-    row_of = {i: k for k, i in enumerate(pooled)}
-    fits = []     # (shape weights, scale weights, GroupFit) per group
+    row_of = dict(zip(pooled, range(len(pooled))))
+    fits = []     # ([shape weights, scale weights], GroupFit) per group
     for i, (kind, u, x, W) in enumerate(groups):
-        k = row_of.get(i)
-        if k is not None and result.failure[k] is None:
-            if bias_only[k]:
-                _warn_bias_only(kind, u, len(x), m)
-            fits.append((result.theta[k, :m], result.theta[k, m:], GroupFit(
-                kind=kind,
-                u=u,
-                n_events=len(x),
-                bias_only=bool(bias_only[k]),
-                initial_objective=result.traces[k][0],
-                final_objective=float(result.value[k]),
-                n_iterations=int(result.iterations[k]),
-                grad_norm=float(result.grad_norm[k]),
-                converged=True,
-                objective_trace=result.traces[k],
-                solver="newton",
-            )))
+        if not n_events[i]:
+            logger.warning("no %s events of type %d; keeping zero weights", kind, u)
+            fits.append((np.zeros(2 * m), GroupFit(kind, u, 0, True, 0.0, 0.0, 0, 0.0, True)))
             continue
-        if k is not None:
+        k = row_of[i]
+        failure = result.failure[k]
+        if failure is not None:
             logger.warning(
                 "Newton stopped on %s events of type %d (n_events=%d, newton_steps=%d, |g|=%.3g): "
                 "%s; refitting with L-BFGS-B",
-                kind, u, len(x), result.iterations[k], result.grad_norm[k], result.failure[k],
+                kind, u, n_events[i], result.iterations[k], result.grad_norm[k], failure,
             )
-        # empty groups keep zero weights; fallbacks refit from the same start
-        fits.append(_fit_group(kind, u, x, W, config, collect_trace))
+        if bias_only[i]:
+            logger.warning("only %d %s events of type %d (< 2M=%d); falling back to bias-only fit",
+                           n_events[i], kind, u, 2 * m)
+        theta, trace, final, steps, grad_norm = (result.theta[k], result.traces[k], result.value[k],
+                                                 result.iterations[k], result.grad_norm[k])
+        converged, solver = True, "newton"
+        if failure is not None:
+            # refit from the same start, on the weights the group uses
+            used = np.flatnonzero(mask[i])
+            refit, trace = _lbfgs(x, W[:, :len(used) // 2], theta0[k, used], config, collect_trace)
+            if not refit.success:
+                logger.warning(
+                    "L-BFGS did not converge for %s events of type %d (n_events=%d, nit=%d): %s",
+                    kind, u, n_events[i], refit.nit, refit.message,
+                )
+            theta = np.zeros(2 * m)
+            theta[used] = refit.x
+            final, steps, grad_norm = refit.fun, refit.nit, np.abs(refit.jac).max()
+            converged, solver = bool(refit.success), "lbfgs"
+        fits.append((theta, GroupFit(
+            kind=kind, u=u, n_events=int(n_events[i]), bias_only=bool(bias_only[i]),
+            initial_objective=trace[0], final_objective=float(final), n_iterations=int(steps),
+            grad_norm=float(grad_norm), converged=converged, objective_trace=trace, solver=solver,
+        )))
 
     outcomes = []
     per_segment = 2 * NUM_SACCADE_TYPES
@@ -447,10 +409,10 @@ def _fit_segments(batch: EventBatch, sizes, config: FitConfig, collect_trace: bo
         amplitude, duration = mine[0::2], mine[1::2]
         params = ModelParams(
             pi=fit_pi(seg),
-            alpha=[f[0] for f in amplitude], beta=[f[1] for f in amplitude],
-            gamma=[f[0] for f in duration], delta=[f[1] for f in duration],
+            alpha=[f[0][:m] for f in amplitude], beta=[f[0][m:] for f in amplitude],
+            gamma=[f[0][:m] for f in duration], delta=[f[0][m:] for f in duration],
         )
-        outcomes.append(FitOutcome(params=params, groups=[f[2] for f in mine]))
+        outcomes.append(FitOutcome(params=params, groups=[f[1] for f in mine]))
     return outcomes
 
 
@@ -461,8 +423,9 @@ def fit_model_detailed(
 ) -> FitOutcome:
     """Fit pi and all per-type gamma GLMs; returns parameters plus diagnostics.
 
-    `collect_trace=False` skips the per-iteration objective recomputation of
-    L-BFGS-B fallback fits; Newton groups always record their objectives.
+    `collect_trace=False` leaves the objectives scipy evaluated at the
+    iterates of L-BFGS-B fallback fits out of their traces; Newton groups
+    always record their objectives.
     """
     return _fit_segments(batch, [batch.n], config, collect_trace)[0]
 

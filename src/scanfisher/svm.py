@@ -157,12 +157,17 @@ def _kkt(Q: np.ndarray, y: np.ndarray, C: float, alpha: np.ndarray) -> tuple[flo
     return max(m - M, 0.0), bias
 
 
-def _snapped(C: float, alpha, s, z, w) -> np.ndarray:
-    """The iterate's alpha, at 0 where z > alpha, else at C where w > C - alpha, else free."""
-    return np.where(z > alpha, 0.0, np.where(w > s, C, alpha))
+def _snapped(C: float, scale: float, alpha, s, z, w) -> np.ndarray:
+    """The iterate's alpha, at 0 where z > scale alpha, else at C where w > scale (C - alpha), else free.
+
+    A multiplier is a gradient entry, of the Gram's order `scale`
+    (1 + max |K_ii|), and an alpha is not, so alpha and C - alpha are
+    scaled before they are compared with z and w.
+    """
+    return np.where(z > scale * alpha, 0.0, np.where(w > scale * s, C, alpha))
 
 
-def _polish(Q: np.ndarray, y: np.ndarray, C: float, alpha, s, z, w) -> np.ndarray | None:
+def _polish(Q: np.ndarray, y: np.ndarray, C: float, scale: float, alpha, s, z, w) -> np.ndarray | None:
     """The exact optimum on the active set the iterate's complementarity pairs give, or None.
 
     With the bounded alphas B snapped (`_snapped`), the free alphas F solve
@@ -171,8 +176,8 @@ def _polish(Q: np.ndarray, y: np.ndarray, C: float, alpha, s, z, w) -> np.ndarra
     in [0, C], y^T alpha = 0 and m(alpha) - M(alpha) within `_ROUNDING` of
     the gradient's scale.  A singular reduced system rejects the point.
     """
-    x = _snapped(C, alpha, s, z, w)
-    F = np.flatnonzero((z <= alpha) & (w <= s))
+    x = _snapped(C, scale, alpha, s, z, w)
+    F = np.flatnonzero((z <= scale * alpha) & (w <= scale * s))
     x[F] = 0.0
     k = F.size
     if k:
@@ -285,12 +290,12 @@ def solve_dual(
             w = w + t * dw
             b += t * db
             it += 1
-        polished = _polish(Q, y, C, alpha, s, z, w)
+        polished = _polish(Q, y, C, scale, alpha, s, z, w)
         if polished is not None:
             return _model(problem, Q, polished, it)
         if gap > target:
             break
-    model = _model(problem, Q, _snapped(C, alpha, s, z, w), it)
+    model = _model(problem, Q, _snapped(C, scale, alpha, s, z, w), it)
     logger.warning(
         "interior-point SVM solver %s (N=%d, C=%g): no crossover passed the KKT check; relative gap %.3g, "
         "KKT violation %.3g (tol %.3g)", f"stopped at max_iter={max_iter}" if it >= max_iter else

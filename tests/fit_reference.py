@@ -5,15 +5,21 @@ with ``np.clip`` and one ``exp`` per weight block; the faster one must give
 the same bits.  The per-type wrappers over `scanfisher.fit._objective` take
 the shape and scale weights of one saccade type separately and an event
 batch, so gradient checks can address the amplitude and duration objectives
-by name.
+by name.  `_fit_group` is the whole-group L-BFGS-B fit from the moment start,
+the fitter `scanfisher.fit` refits with when Newton cannot finish a group.
 """
 
+import logging
+
 import numpy as np
+from scipy.optimize import minimize
 from scipy.special import digamma, gammaln
 
 from scanfisher.events import EventBatch
-from scanfisher.fit import _objective
+from scanfisher.fit import FitConfig, GroupFit, _bias_only, _moment_init, _objective
 from scanfisher.model import _LOG_LINK_MAX, _LOG_LINK_MIN
+
+logger = logging.getLogger(__name__)
 
 
 def objective_before_minimum(theta: np.ndarray, x: np.ndarray, W: np.ndarray, lam: float):
@@ -49,3 +55,79 @@ def neg_loglik_and_grad_duration(gamma_u, delta_u, batch: EventBatch, lam: float
     """Mirror of the amplitude objective for durations and landing features."""
     theta = np.concatenate([np.asarray(gamma_u, float), np.asarray(delta_u, float)])
     return _objective(theta, batch.dur, batch.w_land, lam)
+
+
+def _warn_bias_only(kind: str, u: int, n: int, m_full: int) -> None:
+    logger.warning(
+        "only %d %s events of type %d (< 2M=%d); falling back to bias-only fit",
+        n, kind, u, 2 * m_full,
+    )
+
+
+def _fit_group(
+    kind: str,
+    u: int,
+    x: np.ndarray,
+    W: np.ndarray,
+    config: FitConfig,
+    collect_trace: bool = False,
+) -> tuple[np.ndarray, np.ndarray, GroupFit]:
+    """L-BFGS-B fit of one group from the moment start (the Newton loop's fallback)."""
+    m_full = W.shape[1]
+    n = len(x)
+    shape_w = np.zeros(m_full)
+    scale_w = np.zeros(m_full)
+    if n == 0:
+        logger.warning("no %s events of type %d; keeping zero weights", kind, u)
+        info = GroupFit(kind, u, 0, True, 0.0, 0.0, 0, 0.0, True)
+        return shape_w, scale_w, info
+
+    bias_only = _bias_only(n, m_full)
+    if bias_only:
+        _warn_bias_only(kind, u, n, m_full)
+    W_used = W[:, :1] if bias_only else W
+    m = W_used.shape[1]
+
+    theta0 = _moment_init(x, m)
+    f0, _ = _objective(theta0, x, W_used, config.lam)
+    trace = [f0]
+    callback = None
+    if collect_trace:
+        callback = lambda xk: trace.append(_objective(xk, x, W_used, config.lam)[0])
+
+    def fun(theta):
+        return _objective(theta, x, W_used, config.lam)
+
+    result = minimize(
+        fun,
+        theta0,
+        jac=True,
+        method="L-BFGS-B",
+        callback=callback,
+        options={"maxiter": config.max_iter, "gtol": config.tol, "ftol": 1e-12},
+    )
+    if not result.success:
+        logger.warning(
+            "L-BFGS did not converge for %s events of type %d (n_events=%d, nit=%d): %s",
+            kind, u, n, result.nit, result.message,
+        )
+    theta = result.x
+    shape_w[0] = theta[0]
+    scale_w[0] = theta[m]
+    if not bias_only:
+        shape_w[:] = theta[:m]
+        scale_w[:] = theta[m:]
+    info = GroupFit(
+        kind=kind,
+        u=u,
+        n_events=n,
+        bias_only=bias_only,
+        initial_objective=f0,
+        final_objective=float(result.fun),
+        n_iterations=int(result.nit),
+        grad_norm=float(np.max(np.abs(result.jac))),
+        converged=bool(result.success),
+        objective_trace=trace,
+        solver="lbfgs",
+    )
+    return shape_w, scale_w, info

@@ -4,11 +4,11 @@ import math
 import numpy as np
 import pytest
 
+import scanfisher.fit as fit_module
 from scanfisher.events import EventBatch
 from scanfisher.fit import (
     FitConfig,
     FitError,
-    _fit_group,
     _fit_segments,
     _objective,
     fit_model,
@@ -17,7 +17,12 @@ from scanfisher.fit import (
 )
 from scanfisher.model import ModelParams, sample_events
 from scanfisher.synth import default_base_params
-from fit_reference import neg_loglik_and_grad_amplitude, neg_loglik_and_grad_duration, objective_before_minimum
+from fit_reference import (
+    _fit_group,
+    neg_loglik_and_grad_amplitude,
+    neg_loglik_and_grad_duration,
+    objective_before_minimum,
+)
 
 
 def _of_types(types):
@@ -402,6 +407,32 @@ def test_group_with_indefinite_hessian_keeps_the_lbfgs_basin(caplog):
     assert ("Newton stopped on amplitude events of type 1 (n_events=8, newton_steps=0, |g|="
             in caplog.text)
     assert "Hessian not positive definite; refitting with L-BFGS-B" in caplog.text
+
+
+def test_fallback_trace_costs_no_objective_evaluations(monkeypatch):
+    """The L-BFGS-B trace is read from scipy's iterates, not recomputed at each one."""
+    rng = np.random.default_rng(410)
+    batch = _sized_batch(rng, 4, (8, 7, 3, 600, 150))
+    config = FitConfig(lam=1e-2)
+    objective = fit_module._objective
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return objective(*args)
+
+    monkeypatch.setattr(fit_module, "_objective", counted)
+    outcomes, counts = [], []
+    for collect_trace in (False, True):
+        calls.clear()
+        outcomes.append(fit_model_detailed(batch, config, collect_trace=collect_trace))
+        counts.append(len(calls))
+    untraced, traced = outcomes[0].groups[0], outcomes[1].groups[0]
+    assert traced.solver == "lbfgs" and traced.n_iterations > 50
+    assert counts[1] == counts[0]
+    assert untraced.objective_trace == [traced.initial_objective]
+    assert len(traced.objective_trace) == traced.n_iterations + 1
+    assert traced.objective_trace[-1] == traced.final_objective
 
 
 def test_group_newton_cannot_finish_is_the_lbfgs_fit(caplog):

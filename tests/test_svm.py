@@ -446,6 +446,33 @@ def test_duplicated_rows_return_an_unpolished_iterate_with_the_oracle_decisions(
         assert not caplog.records
 
 
+def test_tiny_free_alpha_is_polished_at_the_first_crossover(monkeypatch):
+    # a Gram of scale 7e4 puts a free alpha at 1.4e-4 (C = 0.1); its multiplier
+    # z is a gradient entry, of the Gram's order, so z > alpha there although
+    # alpha is free.  Compared with alpha (1 + max K_ii), it stays free, and
+    # the first crossover is the exact optimum
+    import scanfisher.svm as svm_module
+
+    rng = np.random.default_rng(153)
+    X = rng.normal(0, 100.0, (10, 3))
+    y = np.where(np.arange(10) % 2 == 0, 1.0, -1.0)
+    problem = KernelProblem(gram=X @ X.T, labels=y, C=0.1)
+    polished = []
+    real_polish = svm_module._polish
+
+    def counting(*args):
+        point = real_polish(*args)
+        polished.append(point is not None)
+        return point
+
+    monkeypatch.setattr(svm_module, "_polish", counting)
+    model = solve_dual(problem)
+    assert polished == [True]
+    free = model.alpha[(model.alpha > 0) & (model.alpha < problem.C)]
+    assert 5e-5 < free.min() < 2e-4
+    _assert_matches_oracle(model, problem)
+
+
 def test_every_alpha_at_c_and_none_at_c():
     rng = np.random.default_rng(22)
     y = np.array([1.0] * 10 + [-1.0] * 10)
