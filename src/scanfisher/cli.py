@@ -248,28 +248,17 @@ def cmd_train_svm(args) -> int:
     return 0
 
 
-def _write_reports(args, report, inputs) -> None:
+def cmd_evaluate(args) -> int:
+    """Run the subcommand's experiment (`loto_cv` or `binary_comprehension_eval`) and write its reports."""
+    report = args.experiment(_load_dataset(args), _pipeline_config(args))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    provenance = _provenance(args, inputs)
+    provenance = _provenance(args, {"texts": args.texts, "freq": args.freq, "scanpaths": args.scanpaths})
     write_report_json(out / "report.json", report, provenance=provenance)
     write_report_csv(out / "report.csv", report,
                      provenance_comment=f"provenance: {canonical_json(provenance)}")
     print(summarize_report(report.to_dict()))
     print(f"wrote {out / 'report.json'}, {out / 'report.csv'}")
-
-
-def cmd_identify(args) -> int:
-    dataset = _load_dataset(args)
-    report = loto_cv(dataset, _pipeline_config(args))
-    _write_reports(args, report, {"texts": args.texts, "freq": args.freq, "scanpaths": args.scanpaths})
-    return 0
-
-
-def cmd_comprehend(args) -> int:
-    dataset = _load_dataset(args)
-    report = binary_comprehension_eval(dataset, _pipeline_config(args))
-    _write_reports(args, report, {"texts": args.texts, "freq": args.freq, "scanpaths": args.scanpaths})
     return 0
 
 
@@ -357,17 +346,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--svm-tol", type=float, default=1e-3)
     p.set_defaults(func=cmd_train_svm)
 
-    p = sub.add_parser("identify", help="leave-one-text-out reader identification")
-    _add_data_args(p)
-    p.add_argument("--out", required=True)
-    _add_pipeline_args(p)
-    p.set_defaults(func=cmd_identify)
-
-    p = sub.add_parser("comprehend", help="binary label prediction over 50/50 splits")
-    _add_data_args(p)
-    p.add_argument("--out", required=True)
-    _add_pipeline_args(p)
-    p.set_defaults(func=cmd_comprehend)
+    for name, experiment, about in (
+        ("identify", loto_cv, "leave-one-text-out reader identification"),
+        ("comprehend", binary_comprehension_eval, "binary label prediction over 50/50 splits"),
+    ):
+        p = sub.add_parser(name, help=about)
+        _add_data_args(p)
+        p.add_argument("--out", required=True)
+        _add_pipeline_args(p)
+        p.set_defaults(func=cmd_evaluate, experiment=experiment)
 
     p = sub.add_parser("report", help="summarize a report JSON file")
     p.add_argument("--report", required=True)

@@ -12,12 +12,13 @@ word features.  A fold context is its normalization statistics plus index
 sets into that table; `EventTable.gather` normalizes the rows it takes, which
 gives the same floats as normalizing every word first.
 
-Identification and comprehension share one fold runner, `_run_fold`.  Every
-outer fold and inner split is a `SplitPlan`, and a protocol is a train
-function plus a decide function: one-vs-rest SVMs whose prefix decision
-curves predict the arg-max class after each line, or one binary SVM whose
-mean decision over a test group predicts by its sign.  Both are scored by
-the same per-prefix accuracy.
+Every classifier goes through one tuner, `_tune`, and one fold runner,
+`_run_fold`.  Every outer fold and inner split is a `SplitPlan`, and a
+classifier is a lazy scan of its grid that yields every context's
+per-prefix predictions at each point: one-vs-rest SVMs predict the arg-max
+class of the prefix decision curves, one binary SVM the sign of a test
+group's mean decision, and the generative baseline the reader of highest
+cumulative log-likelihood.  All are scored by the same per-prefix accuracy.
 
 Each training set is fitted once per experiment.  Contexts whose plans train
 on the same texts and readers (in nested LOTO, fold i's inner split that
@@ -66,19 +67,14 @@ class LeakageError(RuntimeError):
 # ---------------------------------------------------------------------------
 # statistics
 
-def _average_ranks(values: np.ndarray) -> np.ndarray:
-    """1-based ranks; tied values share the average of their rank range."""
-    values = np.asarray(values, dtype=float)
-    order = np.argsort(values, kind="stable")
-    ranks = np.empty(len(values))
-    i = 0
-    while i < len(values):
-        j = i
-        while j + 1 < len(values) and values[order[j + 1]] == values[order[i]]:
-            j += 1
-        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
-    return ranks
+def _average_ranks(values) -> np.ndarray:
+    """1-based ranks; tied values share the average of their rank range.
+
+    These are `scipy.stats.rankdata(values, method="average")`'s ranks,
+    without the cost of importing `scipy.stats`.
+    """
+    _, inverse, counts = np.unique(np.asarray(values, dtype=float), return_inverse=True, return_counts=True)
+    return (np.cumsum(counts) - 0.5 * (counts - 1))[inverse]
 
 
 @dataclass(frozen=True)
@@ -539,15 +535,36 @@ class _Tuned:
         }
 
 
-def _tune(contexts: list[_Context], config: PipelineConfig, layout: Sequence[str], train, decide) -> _Tuned:
-    """Grid search over (lambda, ridge scale, C) with greedy feature elimination.
+def _svm_scan(train, decide):
+    """A Fisher-kernel SVM as a scan for `_tune`.
 
-    `train(stage, kernels, C, previous)` fits one inner context's model and
-    its accuracy is that of the curves `decide` gives; a grid point scores
-    the mean over `contexts`.  C values are scanned in grid order, contexts
-    inside each; every fit is handed the context's model at the largest C
-    trained so far, so that solves whose answer is already known are
-    reused.
+    `train(stage, kernels, C, previous)` fits a context's model, handed its
+    model at the largest C trained so far (or None) so that solves whose
+    answer is already known are reused; `decide(model, rows)` is as
+    `_decide_groups` takes it.  Each lambda fits every context once and each
+    ridge scale builds its kernels once; C values follow in grid order.
+    """
+    def decided(stage, kernels, models, C):
+        if C not in models:
+            models[C] = train(stage, kernels, C, models[max(models)] if models else None)
+        return _decide_groups(models[C], kernels, decide)
+
+    def scan(contexts, config, features):
+        for lam in config.lambda_grid:
+            stages = [_fit_stage(ctx, config, lam, features) for ctx in contexts]
+            for ridge_scale in config.ridge_scales:
+                trained = [(stage, _kernel_stage(stage, ridge_scale), {}) for stage in stages]
+                for C in config.c_grid:
+                    yield (lam, ridge_scale, C), [decided(*context, C) for context in trained]
+    return scan
+
+
+def _tune(contexts: list[_Context], config: PipelineConfig, layout: Sequence[str], scan) -> _Tuned:
+    """Grid search over a classifier's scan with greedy feature elimination.
+
+    `scan(contexts, config, features)` lazily yields each (lambda, ridge
+    scale, C) point, with every context's (curves, decisions) there; a point
+    scores the mean of the contexts' accuracies.
     Deterministic: grid points are scanned in grid order, feature drops in
     index order, and only a strictly better accuracy replaces the incumbent.
     So nothing can replace an incumbent of accuracy 1.0: the grid scan stops
@@ -562,23 +579,14 @@ def _tune(contexts: list[_Context], config: PipelineConfig, layout: Sequence[str
         return _Tuned(lam=config.lambda_grid[0], ridge_scale=config.ridge_scales[0],
                       C=config.c_grid[0], keep=keep, inner_accuracy=None)
 
-    def accuracy(stage, kernels, models, C):
-        if C not in models:
-            models[C] = train(stage, kernels, C, models[max(models)] if models else None)
-        return _accuracy_from_curves(_decide_groups(models[C], kernels, decide)[0])[0]
-
     def grid(keep):
         best = None
-        for lam in config.lambda_grid:
-            stages = [_fit_stage(ctx, config, lam, [layout[i] for i in keep]) for ctx in contexts]
-            for ridge_scale in config.ridge_scales:
-                trained = [(stage, _kernel_stage(stage, ridge_scale), {}) for stage in stages]
-                for C in config.c_grid:
-                    acc = float(np.mean([accuracy(*context, C) for context in trained]))
-                    if best is None or acc > best[0]:
-                        best = (acc, lam, ridge_scale, C)
-                    if best[0] >= 1.0:
-                        return best
+        for point, decided in scan(contexts, config, [layout[i] for i in keep]):
+            acc = float(np.mean([_accuracy_from_curves(curves)[0] for curves, _ in decided]))
+            if best is None or acc > best[0]:
+                best = (acc, *point)
+            if best[0] >= 1.0:
+                return best
         return best
 
     acc, lam, ridge_scale, C = grid(keep)
@@ -628,56 +636,39 @@ def _baseline_curves(ctx: _Context, config: PipelineConfig, lam: float) -> dict[
     }
 
 
-def _tune_baseline(contexts: list[_Context], config: PipelineConfig) -> float:
-    """The lambda whose per-reader models classify the inner contexts best.
+def _baseline_scan(contexts: list[_Context], config: PipelineConfig, features):
+    """The generative baseline as a scan for `_tune`: one point per lambda.
 
-    Without inner contexts, or with one lambda, that choice is fixed and no
-    model is fitted.  The scan stops at the first lambda with accuracy 1.0:
-    only a strictly better accuracy replaces the incumbent.
+    It models every feature, so it is tuned without elimination and ignores
+    `features`; it has no kernel and no C, so each point carries the first
+    ridge scale and C, and no decisions beyond its curves.
     """
-    if not contexts or len(config.lambda_grid) == 1:
-        return config.lambda_grid[0]
-    best = None
     for lam in config.lambda_grid:
-        accs = []
-        for ctx in contexts:
-            curves = _baseline_curves(ctx, config, lam)
-            acc, _ = _accuracy_from_curves(curves)
-            accs.append(acc)
-        mean_acc = float(np.mean(accs))
-        if best is None or mean_acc > best[0]:
-            best = (mean_acc, lam)
-        if best[0] >= 1.0:
-            break
-    return best[1]
+        yield (lam, config.ridge_scales[0], config.c_grid[0]), [
+            (_baseline_curves(ctx, config, lam), None) for ctx in contexts]
 
 
 # ---------------------------------------------------------------------------
 # the fold runner
 
 def _run_fold(dataset: ReadingDataset, table: EventTable, config: PipelineConfig, fold: SplitPlan,
-              inner: list[SplitPlan], train, decide,
-              shared: dict) -> tuple[FoldResult, _Context, list[_Context], dict]:
-    """Tune on the `inner` splits, then train on the fold's training lines and decide its test groups.
+              inner: list[SplitPlan], scan, shared: dict) -> tuple[FoldResult, _Context, dict]:
+    """Tune a classifier's `scan` on the `inner` splits, then decide the fold's test groups.
 
-    A protocol is `train(stage, kernels, C, previous)`, which fits a model on
-    a context's training lines (`previous` is its model at another C, or
-    None), plus `decide(model, rows)` as `_decide_groups` takes it.
-    `shared` is the experiment's `_build_context` dict, so that every
-    context of the experiment that trains on the same lines shares its fits.
-    Returns the fold's result, its outer and inner contexts, and each test
-    group's decisions.
+    The fold is decided by the same scan, run on its context over the chosen
+    point alone.  `shared` is the experiment's `_build_context` dict, so that
+    contexts that train on the same lines share their fits.  Returns the
+    fold's result, its context, and each test group's decisions.
     """
     inner_contexts = [_build_context(dataset, table, plan, shared) for plan in inner]
     ctx = _build_context(dataset, table, fold, shared)
-    tuned = _tune(inner_contexts, config, ctx.stats.layout, train, decide)
-    stage = _fit_stage(ctx, config, tuned.lam, [ctx.stats.layout[i] for i in tuned.keep])
-    kernels = _kernel_stage(stage, tuned.ridge_scale)
-    curves, decisions = _decide_groups(train(stage, kernels, tuned.C, None), kernels, decide)
+    tuned = _tune(inner_contexts, config, ctx.stats.layout, scan)
+    chosen = replace(config, lambda_grid=(tuned.lam,), ridge_scales=(tuned.ridge_scale,), c_grid=(tuned.C,))
+    [(_, [(curves, decisions)])] = scan([ctx], chosen, [ctx.stats.layout[i] for i in tuned.keep])
     accuracy, by_lines = _accuracy_from_curves(curves)
     result = FoldResult(fold_id=fold.fold_id, accuracy=accuracy, accuracy_by_lines=by_lines,
                         n_test_groups=len(curves), chosen=tuned.to_dict())
-    return result, ctx, inner_contexts, decisions
+    return result, ctx, decisions
 
 
 # ---------------------------------------------------------------------------
@@ -727,11 +718,13 @@ def loto_cv(dataset: ReadingDataset, config: PipelineConfig | None = None) -> Ev
         missing = set(dataset.reader_ids()) - trained
         if missing:
             raise EvalError(f"fold {fold.fold_id}: readers {sorted(missing)} absent from training data")
-        result, ctx, inner_contexts, _ = _run_fold(
-            dataset, table, config, fold, _inner_holdouts(fold, config.inner_folds), train, _identify, shared)
+        inner = _inner_holdouts(fold, config.inner_folds)
+        result, _, _ = _run_fold(dataset, table, config, fold, inner, _svm_scan(train, _identify), shared)
         if config.run_generative_baseline:
-            result.baseline_accuracy, result.baseline_by_lines = _accuracy_from_curves(
-                _baseline_curves(ctx, config, _tune_baseline(inner_contexts, config)))
+            # one lambda leaves the baseline nothing to tune, so it fits no inner model
+            base, _, _ = _run_fold(dataset, table, replace(config, feature_elimination=False), fold,
+                                   inner if len(config.lambda_grid) > 1 else [], _baseline_scan, shared)
+            result.baseline_accuracy, result.baseline_by_lines = base.accuracy, base.accuracy_by_lines
         results.append(result)
 
     accs = [r.accuracy for r in results]
@@ -817,8 +810,8 @@ def binary_comprehension_eval(dataset: ReadingDataset, config: PipelineConfig | 
     for split in splits:
         if len({table.labels[i] for i in table.lines(split.train_texts, split.train_readers)}) < 2:
             raise EvalError(f"fold {split.fold_id}: single-class training split")
-        result, ctx, _, decisions = _run_fold(
-            dataset, table, config, split, _comprehension_inner_plans(table, split), train, decide, shared)
+        result, ctx, decisions = _run_fold(
+            dataset, table, config, split, _comprehension_inner_plans(table, split), _svm_scan(train, decide), shared)
         group_labels = [key[0] for key in decisions]
         if len(set(group_labels)) == 2:
             result.auc = auc_score(group_labels, list(decisions.values()))

@@ -180,8 +180,29 @@ def test_wilcoxon_large_n_approximation():
 # auc
 
 
+def _pairwise_auc(labels, values):
+    """P(pos > neg) + P(pos = neg) / 2 over every (positive, negative) pair, the larger label positive."""
+    labels, values = np.asarray(labels), np.asarray(values, dtype=float)
+    top = max(labels.tolist())
+    pairs = [(p, n) for p in values[labels == top] for n in values[labels != top]]
+    return sum(1.0 if p > n else 0.5 if p == n else 0.0 for p, n in pairs) / len(pairs)
+
+
 def test_auc_constant_decisions():
     assert auc_score([1, 1, -1, -1], [0.5, 0.5, 0.5, 0.5]) == 0.5
+    # partial ties: one tied pair of the four counts half
+    labels, values = [1, 1, -1, -1], [0.5, 0.7, 0.5, 0.2]
+    assert auc_score(labels, values) == _pairwise_auc(labels, values) == 0.875
+
+
+def test_average_ranks_equal_scipy_rankdata():
+    from scipy.stats import rankdata
+
+    rng = np.random.default_rng(5)
+    for n in range(1, 60):
+        for values in (rng.integers(-3, 4, n) * 0.1, rng.normal(size=n), np.zeros(n)):
+            ranks = evaluate._average_ranks(values)
+            assert ranks.dtype == np.float64 and np.array_equal(ranks, rankdata(values, method="average"))
 
 
 def test_auc_perfect_ranking():
@@ -211,6 +232,8 @@ def test_auc_monotone_invariance_property(values, scale, shift):
     values = np.asarray(values, dtype=float)
     base = auc_score(labels, values)
     assert auc_score(labels, scale * values + shift) == pytest.approx(base, abs=1e-12)
+    # with partial ties too, the rank statistic is the pairwise count
+    assert base == pytest.approx(_pairwise_auc(labels, values), abs=1e-12)
 
 
 def test_auc_requires_two_classes():
@@ -541,9 +564,9 @@ def test_single_lambda_baseline_skips_tuning_fits(monkeypatch):
     report = loto_cv(dataset, QUICK)
     assert len(calls) == 8
     calls.clear()
-    # the search adds one pooled per-reader fit per inner training set
-    monkeypatch.setattr(evaluate, "_tune_baseline", tune_baseline_full_scan)
-    searched = loto_cv(dataset, QUICK)
+    # the search adds one pooled per-reader fit per inner training set; a
+    # grid that holds the one lambda twice forces it without adding a fit
+    searched = loto_cv(dataset, dataclasses.replace(QUICK, lambda_grid=QUICK.lambda_grid * 2))
     assert len(calls) == 10
     assert report.to_dict() == searched.to_dict()
 
@@ -725,8 +748,8 @@ def _random_tuning_case(seed):
 
 
 def test_saturation_stops_choose_what_the_full_scan_chooses(monkeypatch):
-    # _tune stops at inner accuracy 1.0 and _tune_baseline at the first lambda
-    # that reaches it; tune_reference scans everything.  Every choice of
+    # _tune stops at inner accuracy 1.0, over the SVM grid and over the
+    # baseline's lambdas; tune_reference scans everything.  Every choice of
     # either tuner, and so every report, must be the same.
     kernel_stages = {"stop": 0, "full": 0}
     solves = {"stop": 0, "full": 0}
@@ -742,23 +765,45 @@ def test_saturation_stops_choose_what_the_full_scan_chooses(monkeypatch):
         solves[side] += 1
         return real_solve(problem, tol=tol, max_iter=max_iter)
 
-    def recorded(tune):
-        def choose(*args):
-            choices[side].append(tune(*args))
-            return choices[side][-1]
+    # _tune serves the SVMs and the baseline, told apart by the scan it gets;
+    # the oracles take the SVM scan's protocol, and the baseline's oracle
+    # picks lambda alone, at the first ridge scale and C with every feature
+    real_tune, real_svm_scan = evaluate._tune, evaluate._svm_scan
+    protocols = {}
+
+    def svm_scan(train, decide):
+        scan = real_svm_scan(train, decide)
+        protocols[scan] = (train, decide)
+        return scan
+
+    def full_baseline(contexts, config, layout, scan):
+        return evaluate._Tuned(lam=tune_baseline_full_scan(contexts, config), ridge_scale=config.ridge_scales[0],
+                               C=config.c_grid[0], keep=tuple(range(len(layout))), inner_accuracy=None)
+
+    def full_svm(contexts, config, layout, scan):
+        return tune_full_scan(contexts, config, layout, *protocols[scan])
+
+    def recorded(tune, tune_baseline):
+        def choose(contexts, config, layout, scan):
+            if scan is evaluate._baseline_scan:
+                tuned = tune_baseline(contexts, config, layout, scan)
+                choices[side].append(tuned.lam)
+            else:
+                tuned = tune(contexts, config, layout, scan)
+                choices[side].append(tuned)
+            return tuned
         return choose
 
     monkeypatch.setattr(evaluate, "_kernel_stage", counted)
     monkeypatch.setattr(evaluate, "solve_dual", solve_counted)
     monkeypatch.setattr(svm, "solve_dual", solve_counted)
-    tuners = {"stop": (evaluate._tune, evaluate._tune_baseline),
-              "full": (tune_full_scan, tune_baseline_full_scan)}
+    monkeypatch.setattr(evaluate, "_svm_scan", svm_scan)
+    tuners = {"stop": (real_tune, real_tune), "full": (full_svm, full_baseline)}
     for seed in (0, 4, 6, 7, 8, 9, 11, 12, 18, 20, 23, 44):
         experiment, dataset, config = _random_tuning_case(seed)
         reports = {}
         for side, (tune, tune_baseline) in tuners.items():
-            monkeypatch.setattr(evaluate, "_tune", recorded(tune))
-            monkeypatch.setattr(evaluate, "_tune_baseline", recorded(tune_baseline))
+            monkeypatch.setattr(evaluate, "_tune", recorded(tune, tune_baseline))
             reports[side] = experiment(dataset, config).to_dict()
         assert reports["stop"] == reports["full"], seed
     assert choices["stop"] == choices["full"]
