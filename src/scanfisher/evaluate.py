@@ -768,15 +768,23 @@ def _train_binary(
 
 
 def _comprehension_inner_plans(table: EventTable, split: SplitPlan) -> list[SplitPlan]:
-    """Split s0 of the training readers and texts, if it tests some lines and trains on both labels."""
-    if len(split.train_readers) < 2 or len(split.train_texts) < 2:
-        return []
-    inner = comprehension_splits(split.train_readers, split.train_texts)[0]
-    if not len(table.lines(inner.test_texts, inner.test_readers)):
-        return []
-    if len({table.labels[i] for i in table.lines(inner.train_texts, inner.train_readers)}) < 2:
-        return []
-    return [inner]
+    """Split s0 of the training readers and texts, if it tests some lines and trains on both labels.
+
+    Otherwise `split` is not tuned, and a warning names it and the reason.
+    """
+    readers, texts = len(split.train_readers), len(split.train_texts)
+    if readers < 2 or texts < 2:
+        reason = f"an inner split needs 2 training readers and 2 training texts, and it has {readers} and {texts}"
+    else:
+        inner = comprehension_splits(split.train_readers, split.train_texts)[0]
+        if not len(table.lines(inner.test_texts, inner.test_readers)):
+            reason = "its inner split has no test lines"
+        elif len({table.labels[i] for i in table.lines(inner.train_texts, inner.train_readers)}) < 2:
+            reason = "the training lines of its inner split carry one label"
+        else:
+            return [inner]
+    logger.warning("split %s is not tuned and takes the first grid values: %s", split.fold_id, reason)
+    return []
 
 
 def binary_comprehension_eval(dataset: ReadingDataset, config: PipelineConfig | None = None) -> EvalReport:

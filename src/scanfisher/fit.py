@@ -28,10 +28,13 @@ minima.  From an iterate whose Hessian is not positive definite, second-order
 steps (those of the expected information too) can leave the basin that
 L-BFGS-B from the same start settles in.  So such a group, like any group
 Newton cannot finish (no Armijo decrease, a non-finite value or `max_iter`
-steps), is refitted by one `minimize` call (`_lbfgs`): L-BFGS-B on
-`_objective` with analytic gradients, from the same moment start restricted
-to the weights the group uses, and that result is used as it is.  L-BFGS-B
-stops on scipy's projected-gradient test (|g| <= `tol`) or on its
+steps), is refitted by one `minimize` call: L-BFGS-B (Byrd, Lu, Nocedal &
+Zhu, SIAM J. Sci. Comput. 1995) on `_objective` with analytic gradients, from
+the same moment start restricted to the weights the group uses, and that
+result is used as it is.  `minimize` drives scipy's L-BFGS-B routine
+(`setulb`) directly, as ``scipy.optimize.minimize(method="L-BFGS-B")`` does
+but without its function wrappers, and equals that call bit for bit.  It
+stops on the projected-gradient test (|g| <= `tol`) or on the
 relative-reduction test (``ftol = 1e-12``).  Every group, empty, bias-only,
 Newton or L-BFGS-B, is set up and recorded in one loop (`_fit_segments`).
 No value is shared between groups, so each group's fit, and each segment's
@@ -41,10 +44,18 @@ model, is the one it would get alone.
 import logging
 from dataclasses import dataclass, field
 import numpy as np
-from scipy.optimize import minimize
+from scipy.optimize import OptimizeResult
 
 from .events import NUM_SACCADE_TYPES, EventBatch
 from .model import ModelParams, gamma_terms
+
+_NEEDS_SCIPY = ("scanfisher.fit drives scipy's L-BFGS-B routine through its reverse-communication "
+                "form setulb(..., ln_task), which scipy>=1.15 provides")
+try:
+    from scipy.optimize import _lbfgsb
+    from scipy.optimize._lbfgsb_py import status_messages as _STATUS, task_messages as _TASK
+except ImportError as exc:
+    raise ImportError(_NEEDS_SCIPY) from exc
 
 logger = logging.getLogger(__name__)
 
@@ -53,6 +64,14 @@ _ARMIJO = 1e-4          # sufficient-decrease constant of the backtracking searc
 _MAX_HALVINGS = 40      # step halvings before the search gives up
 _DECREMENT_RTOL = 1e-12  # Newton decrement stop, relative to max(|f|, 1)
 _PD_RTOL = 1e-12        # a Hessian is positive definite if min eig > this * max eig
+# L-BFGS-B settings: scipy's defaults but for the relative-reduction stop
+_MAXCOR = 10            # stored correction pairs
+_MAXLS = 20             # line-search steps per iteration
+_MAXFUN = 15000         # objective evaluations
+_FACTR = 1e-12 / np.finfo(float).eps   # ftol = 1e-12, in units of the machine epsilon
+# setulb's task codes
+_FG, _NEW_X, _CONVERGENCE, _STOP = 3, 1, 4, 5
+_ITERATION_LIMIT, _EVALUATION_LIMIT = 504, 502
 
 
 class FitError(ValueError):
@@ -66,8 +85,9 @@ class FitConfig:
     `tol` bounds the gradient infinity norm at which a Newton group stops; a
     group also stops when its Newton decrement is at most 1e-12 * max(|f|, 1).
     `max_iter` caps the Newton steps of a group and, separately, the L-BFGS-B
-    iterations of a fallback fit, where `tol` is scipy's ``gtol`` and a
-    relative reduction below ``1e-12`` (``ftol``) also ends the fit.
+    iterations of a fallback fit (`minimize`), where `tol` bounds the
+    projected gradient as scipy's ``gtol`` does and a relative reduction
+    below ``1e-12`` (``ftol``) also ends the fit.
     """
 
     lam: float = 1e-2
@@ -130,8 +150,9 @@ class GroupFit:
     "lbfgs" for one refitted by L-BFGS-B and "none" for an empty group.  For
     a Newton group `converged` means the stopping rule was met (|g| <= `tol`
     or the Newton decrement test) and `objective_trace` holds the accepted
-    objectives.  For an L-BFGS-B group it is scipy's ``success`` flag, which
-    a fit ended by the relative-reduction test also sets.
+    objectives.  For an L-BFGS-B group it is the ``success`` flag of
+    `minimize` (scipy's), which a fit ended by the relative-reduction test
+    also sets.
     """
 
     kind: str           # "amplitude" or "duration"
@@ -158,27 +179,75 @@ def _bias_only(n, m_full: int):
     return (n < 2 * m_full) & (m_full > 1)
 
 
-def _lbfgs(x: np.ndarray, W: np.ndarray, start: np.ndarray, config: FitConfig, collect_trace: bool):
-    """L-BFGS-B on one group's `_objective` from `start`; the scipy result and the objective trace.
+def _setulb_state(n: int):
+    """`setulb`'s bound arrays (no bounds) and work arrays for `n` variables, in its argument order."""
+    m = _MAXCOR
+    return (np.zeros(n), np.zeros(n), np.zeros(n, np.int32),          # lower, upper, bound kinds
+            np.zeros(2 * m * n + 5 * n + 11 * m * m + 8 * m),          # wa
+            np.zeros(3 * n, np.int32), np.zeros(2, np.int32),          # iwa, task
+            np.zeros(4, np.int32), np.zeros(44, np.int32), np.zeros(29),  # lsave, isave, dsave
+            np.zeros(2, np.int32))                                     # ln_task
 
-    The trace is the start's objective, then, with `collect_trace`, the one
-    scipy evaluated at each iterate.
+
+def _check_setulb(setulb) -> None:
+    """Raise ImportError unless `setulb` has the reverse-communication form `minimize` drives."""
+    lower, upper, nbd, wa, iwa, task, lsave, isave, dsave, ln_task = _setulb_state(1)
+    try:
+        setulb(_MAXCOR, np.zeros(1), lower, upper, nbd, 0.0, np.zeros(1), _FACTR, 1.0,
+               wa, iwa, task, lsave, isave, dsave, _MAXLS, ln_task)
+    except (TypeError, ValueError) as exc:
+        raise ImportError(_NEEDS_SCIPY) from exc
+    if task[0] != _FG:
+        raise ImportError(f"{_NEEDS_SCIPY}; its start returned task {task.tolist()}")
+
+
+_check_setulb(_lbfgsb.setulb)
+
+
+def minimize(fun, x0: np.ndarray, tol: float, max_iter: int) -> OptimizeResult:
+    """L-BFGS-B on `fun`, which returns the objective and its gradient, from `x0`.
+
+    A loop over scipy's L-BFGS-B routine `setulb` that equals
+    ``scipy.optimize.minimize(fun, x0, jac=True, method="L-BFGS-B",
+    options={"maxiter": max_iter, "gtol": tol, "ftol": 1e-12})`` bit for bit:
+    it mirrors scipy 1.17's ``_minimize_lbfgsb`` without its function
+    wrappers, and the fit's tests check it against the installed scipy.  As
+    there, `fun` is evaluated at `x0` first and then only where the routine
+    asks for a point that differs from the last one, always on a copy; the
+    gradient is copied before every routine call; and the iteration limit,
+    then the evaluation limit (15000), is checked at each new iterate.  `fun`
+    must not modify its argument.  The result has scipy's `x`, `fun`, `jac`,
+    `nit`, `nfev`, `success` and `message`, and `trace`: the objective at the
+    start, then at each iterate.
     """
-    trace = [_objective(start, x, W, config.lam)[0]]
-    callback = None
-    if collect_trace:
-        def callback(intermediate_result):
-            trace.append(float(intermediate_result.fun))
-    result = minimize(
-        _objective,
-        start,
-        args=(x, W, config.lam),
-        jac=True,
-        method="L-BFGS-B",
-        callback=callback,
-        options={"maxiter": config.max_iter, "gtol": config.tol, "ftol": 1e-12},
-    )
-    return result, trace
+    x = np.array(x0, dtype=np.float64)
+    at = x.copy()           # the point of the last evaluation
+    f_at, g_at = fun(at)
+    nfev, nit, trace = 1, 0, [f_at]
+    lower, upper, nbd, wa, iwa, task, lsave, isave, dsave, ln_task = _setulb_state(x.size)
+    f, g = 0.0, np.zeros(x.size)
+    while True:
+        g = g.astype(np.float64)
+        _lbfgsb.setulb(_MAXCOR, x, lower, upper, nbd, f, g, _FACTR, tol, wa, iwa, task, lsave, isave,
+                       dsave, _MAXLS, ln_task)
+        if task[0] == _FG:
+            if not np.array_equal(x, at):
+                at = x.copy()
+                f_at, g_at = fun(at)
+                nfev += 1
+            f, g = f_at, g_at
+        elif task[0] == _NEW_X:
+            nit += 1
+            trace.append(f)
+            if nit >= max_iter:
+                task[:] = _STOP, _ITERATION_LIMIT
+            elif nfev > _MAXFUN:
+                task[:] = _STOP, _EVALUATION_LIMIT
+        else:
+            break
+    message = _STATUS[task[0]] + ": " + _TASK[task[1]]
+    return OptimizeResult(x=x, fun=f, jac=g, nit=nit, nfev=nfev, success=bool(task[0] == _CONVERGENCE),
+                          message=message, trace=trace)
 
 
 @dataclass
@@ -334,7 +403,7 @@ def _fit_segments(batch: EventBatch, sizes, config: FitConfig, collect_trace: bo
     """One model per segment of `batch`: its events are the segments' events, `sizes[s]` each, in order.
 
     The ten (kind, u) groups of every segment are solved by one `_newton`
-    call, and every fallback is refitted alone by `_lbfgs`, so each
+    call, and every fallback is refitted alone by `minimize`, so each
     segment's model and diagnostics are those it gets when fitted alone.
     Empty groups keep zero weights.
     """
@@ -386,7 +455,10 @@ def _fit_segments(batch: EventBatch, sizes, config: FitConfig, collect_trace: bo
         if failure is not None:
             # refit from the same start, on the weights the group uses
             used = np.flatnonzero(mask[i])
-            refit, trace = _lbfgs(x, W[:, :len(used) // 2], theta0[k, used], config, collect_trace)
+            W_used = W[:, :len(used) // 2]
+            refit = minimize(lambda theta: _objective(theta, x, W_used, config.lam), theta0[k, used],
+                             config.tol, config.max_iter)
+            trace = refit.trace if collect_trace else refit.trace[:1]
             if not refit.success:
                 logger.warning(
                     "L-BFGS did not converge for %s events of type %d (n_events=%d, nit=%d): %s",
@@ -423,9 +495,9 @@ def fit_model_detailed(
 ) -> FitOutcome:
     """Fit pi and all per-type gamma GLMs; returns parameters plus diagnostics.
 
-    `collect_trace=False` leaves the objectives scipy evaluated at the
-    iterates of L-BFGS-B fallback fits out of their traces; Newton groups
-    always record their objectives.
+    `collect_trace=False` leaves the objectives L-BFGS-B evaluated at the
+    iterates of fallback fits out of their traces; Newton groups always
+    record their objectives.
     """
     return _fit_segments(batch, [batch.n], config, collect_trace)[0]
 

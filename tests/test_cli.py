@@ -228,17 +228,23 @@ def test_report_subcommand(synth_dir, tmp_path, capsys):
     assert "identification" in capsys.readouterr().out
 
 
-def test_comprehend_pipeline(synth_dir, tmp_path, capsys):
-    # relabel the synthetic scanpaths with a binary class per (reader, text)
-    rows = (synth_dir / "scanpaths.jsonl").read_text().strip().splitlines()
+def _relabeled(data_dir, tmp_path, label):
+    """The synthetic scanpaths of `data_dir` with `label(row)` as their label, written under `tmp_path`."""
+    rows = (data_dir / "scanpaths.jsonl").read_text().strip().splitlines()
     labeled = tmp_path / "labeled.jsonl"
     out_rows = []
     for row in rows:
         obj = json.loads(row)
-        obj["label"] = (int(obj["reader_id"][1:]) + int(obj["text_id"][1:])) % 2
+        obj["label"] = label(obj)
         out_rows.append(json.dumps(obj, sort_keys=True))
     labeled.write_text("\n".join(out_rows) + "\n")
+    return labeled
 
+
+def test_comprehend_pipeline(synth_dir, tmp_path, capsys):
+    # a binary class per (reader, text)
+    labeled = _relabeled(synth_dir, tmp_path,
+                         lambda row: (int(row["reader_id"][1:]) + int(row["text_id"][1:])) % 2)
     out = tmp_path / "report"
     code = run_cli(
         "comprehend",
@@ -253,6 +259,25 @@ def test_comprehend_pipeline(synth_dir, tmp_path, capsys):
     assert len(payload["folds"]) == 4
     assert payload["majority_mean_accuracy"] is not None
     assert "auc" in capsys.readouterr().out
+
+
+def test_comprehend_warns_when_a_split_cannot_be_tuned(tmp_path, capsys):
+    # 4 readers with reader-parity labels: each split trains on two readers,
+    # and its inner split on one reader, so on one label
+    data = tmp_path / "data"
+    assert run_cli("synth", "--out", data, "--seed", 7, "--readers", 4, "--texts", 4, "--lines", 2) == 0
+    labeled = _relabeled(data, tmp_path, lambda row: int(row["reader_id"][1:]) % 2)
+    out = tmp_path / "report"
+    assert run_cli("comprehend", "--texts", data / "texts.json", "--freq", data / "freq.tsv",
+                   "--scanpaths", labeled, "--out", out, "--c-grid", "0.1,1") == 0
+    err = capsys.readouterr().err.splitlines()
+    assert [line for line in err if line.startswith("WARNING scanfisher.evaluate: ")] == [
+        f"WARNING scanfisher.evaluate: split {split} is not tuned and takes the first grid values: "
+        "the training lines of its inner split carry one label"
+        for split in ("s0", "s1", "s2", "s3")
+    ]
+    folds = read_json(out / "report.json")["folds"]
+    assert [(fold["chosen"]["C"], fold["chosen"]["inner_accuracy"]) for fold in folds] == [(0.1, None)] * 4
 
 
 def test_parse_error_exit_code(tmp_path):

@@ -683,6 +683,37 @@ def test_comprehension_rejects_empty_block(half, role):
     assert str(readers) in message and str(texts) in message
 
 
+def _untuned_splits(caplog, dataset):
+    """Split -> the reason `binary_comprehension_eval` logged for not tuning it."""
+    prefix = " is not tuned and takes the first grid values: "
+    with caplog.at_level(logging.WARNING, logger="scanfisher.evaluate"):
+        report = binary_comprehension_eval(dataset, QUICK)
+    warned = dict(r.getMessage().removeprefix("split ").split(prefix) for r in caplog.records
+                  if r.name == "scanfisher.evaluate" and prefix in r.getMessage())
+    assert sorted(warned) == [f.fold_id for f in report.folds if f.chosen["inner_accuracy"] is None]
+    return warned
+
+
+def test_comprehension_names_each_split_it_cannot_tune(caplog):
+    one_label = "the training lines of its inner split carry one label"
+    # reader-parity labels and 4 readers: each split trains on two readers, and
+    # its inner split on one, so on one label
+    dataset = _comprehension_dataset()
+    assert _untuned_splits(caplog, dataset) == dict.fromkeys(["s0", "s1", "s2", "s3"], one_label)
+    # without reader r01's lines on t01, split s0's inner split (train r00 x t00,
+    # test r01 x t01) has nothing to test on
+    caplog.clear()
+    dataset.scanpaths = [sp for sp in dataset.scanpaths if (sp.reader_id, sp.text_id) != ("r01", "t01")]
+    assert _untuned_splits(caplog, dataset) == {"s0": "its inner split has no test lines", "s1": one_label,
+                                                "s2": one_label, "s3": one_label}
+    # 2 readers: each split trains on one, labelled by text parity so that both labels occur
+    caplog.clear()
+    dataset = _comprehension_dataset(num_readers=2)
+    dataset.scanpaths = [dataclasses.replace(sp, label=int(sp.text_id[1:]) % 2) for sp in dataset.scanpaths]
+    assert _untuned_splits(caplog, dataset) == dict.fromkeys(
+        ["s0", "s1", "s2", "s3"], "an inner split needs 2 training readers and 2 training texts, and it has 1 and 2")
+
+
 # ---------------------------------------------------------------------------
 # feature elimination
 

@@ -1,8 +1,14 @@
+import collections
 import logging
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize as scipy_minimize
 
 import scanfisher.fit as fit_module
 from scanfisher.events import EventBatch
@@ -10,6 +16,7 @@ from scanfisher.fit import (
     FitConfig,
     FitError,
     _fit_segments,
+    _moment_init,
     _objective,
     fit_model,
     fit_model_detailed,
@@ -433,6 +440,74 @@ def test_fallback_trace_costs_no_objective_evaluations(monkeypatch):
     assert untraced.objective_trace == [traced.initial_objective]
     assert len(traced.objective_trace) == traced.n_iterations + 1
     assert traced.objective_trace[-1] == traced.final_objective
+    # the start is evaluated once: each fallback costs the evaluations scipy's
+    # L-BFGS-B makes on its problem, one per point it asks for
+    scipy_evaluations = 0
+    for group in outcomes[1].groups:
+        if group.solver == "lbfgs":
+            x, W = _group_data(batch, group.kind, group.u)
+            W_used = W[:, :1] if group.bias_only else W
+            scipy_evaluations += scipy_minimize(
+                lambda theta: objective(theta, x, W_used, config.lam), _moment_init(x, W_used.shape[1]),
+                jac=True, method="L-BFGS-B",
+                options={"maxiter": config.max_iter, "gtol": config.tol, "ftol": 1e-12},
+            ).nfev
+    assert counts[0] == scipy_evaluations
+
+
+def test_minimize_equals_scipy_lbfgsb_on_every_exit():
+    """`fit.minimize` gives scipy's L-BFGS-B result bit for bit, whichever test ends the fit."""
+    rng = np.random.default_rng(5)
+    exits = collections.Counter()
+    for trial in range(150):
+        m, n = int(rng.integers(1, 5)), int(rng.integers(2, 40))
+        W = np.column_stack([np.ones(n), rng.normal(0, 1, (n, m - 1))])
+        x = rng.gamma(rng.uniform(0.5, 5.0), 1.5, n)
+        lam = (0.0, 1e-2, 1.0)[trial % 3]
+        max_iter = 3 if trial % 10 == 0 else 500
+        start = _moment_init(x, m) + rng.normal(0, 0.3, 2 * m)
+
+        def fun(theta):
+            return _objective(theta, x, W, lam)
+
+        ours = fit_module.minimize(fun, start, 1e-6, max_iter)
+        ref = scipy_minimize(fun, start, jac=True, method="L-BFGS-B",
+                             options={"maxiter": max_iter, "gtol": 1e-6, "ftol": 1e-12})
+        np.testing.assert_array_equal(ours.x, ref.x)
+        np.testing.assert_array_equal(ours.jac, ref.jac)
+        assert (ours.fun, ours.nit, ours.nfev, ours.success, ours.message) \
+            == (ref.fun, ref.nit, ref.nfev, ref.success, ref.message)
+        assert ours.trace[0] == fun(start)[0] and len(ours.trace) == ours.nit + 1
+        exits[ours.message] += 1
+    assert set(exits) == {
+        "CONVERGENCE: NORM OF PROJECTED GRADIENT <= PGTOL",
+        "CONVERGENCE: RELATIVE REDUCTION OF F <= FACTR*EPSMCH",
+        "ABNORMAL: ",
+        "STOP: TOTAL NO. OF ITERATIONS REACHED LIMIT",
+    }, exits
+
+
+def test_setulb_without_the_reverse_communication_form_is_refused():
+    def fortran_form(m, x, l, u, nbd, f, g, factr, pgtol, wa, iwa, task, iprint, csave, lsave, isave,
+                     dsave, maxls):
+        """scipy < 1.15: the Fortran routine, with a character task and no ln_task."""
+
+    with pytest.raises(ImportError, match=r"scipy>=1\.15"):
+        fit_module._check_setulb(fortran_form)
+    fit_module._check_setulb(fit_module._lbfgsb.setulb)
+
+
+def test_old_setulb_fails_the_import_not_the_first_fit():
+    # a routine that never asks for f and g at the start
+    code = ("import scipy.optimize._lbfgsb as routine\n"
+            "routine.setulb = lambda *args: None\n"
+            "import scanfisher.fit\n")
+    src = str(Path(fit_module.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode != 0
+    assert "ImportError: scanfisher.fit drives scipy's L-BFGS-B routine" in proc.stderr
+    assert "scipy>=1.15" in proc.stderr
 
 
 def test_group_newton_cannot_finish_is_the_lbfgs_fit(caplog):
