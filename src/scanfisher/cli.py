@@ -106,7 +106,6 @@ def _pipeline_config(args) -> PipelineConfig:
         inner_folds=args.inner_folds,
         feature_elimination=not args.no_elimination,
         run_generative_baseline=not args.no_baseline,
-        svm_tol=args.svm_tol,
         fit_tol=args.tol,
         fit_max_iter=args.max_iter,
         amp_floor=args.amp_floor,
@@ -234,7 +233,7 @@ def cmd_train_svm(args) -> int:
     info = empirical_information(scores)
     metric = fisher_metric(scores, default_ridge(info, args.ridge_scale))
     gram = gram_matrix(metric, scores)
-    mc = train_multiclass(gram, labels, C=args.C, tol=args.svm_tol)
+    mc = train_multiclass(gram, labels, C=args.C)
     references = {"scores": sha256_file(args.scores), "meta": sha256_file(args.meta)}
     if args.model:
         references["model"] = sha256_file(args.model)
@@ -284,7 +283,6 @@ def _add_pipeline_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--inner-folds", type=int, default=defaults.inner_folds)
     p.add_argument("--no-elimination", action="store_true")
     p.add_argument("--no-baseline", action="store_true")
-    p.add_argument("--svm-tol", type=float, default=defaults.svm_tol)
     p.add_argument("--tol", type=float, default=defaults.fit_tol)
     p.add_argument("--max-iter", type=int, default=defaults.fit_max_iter)
     p.add_argument("--amp-floor", type=float, default=defaults.amp_floor)
@@ -343,7 +341,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", default=None, help="model file to reference by hash")
     p.add_argument("--C", type=float, default=1.0)
     p.add_argument("--ridge-scale", type=float, default=1e-6)
-    p.add_argument("--svm-tol", type=float, default=1e-3)
     p.set_defaults(func=cmd_train_svm)
 
     for name, experiment, about in (

@@ -4,7 +4,8 @@ Leave-one-text-out cross-validation holds out every scanpath of one text per
 fold.  Inside each fold a nested CV over the training texts tunes the fit
 regularizer, the SVM box constraint, and the metric ridge by grid search, and
 greedily eliminates feature components while doing so improves the inner
-accuracy.  Normalization statistics, tuning, and elimination only ever see
+accuracy; an inner split tests only the readers its training texts have
+lines of.  Normalization statistics, tuning, and elimination only ever see
 training data; this is asserted programmatically.
 
 Each experiment extracts every scanpath once into an `EventTable` with raw
@@ -247,7 +248,6 @@ class PipelineConfig:
     inner_folds: int = 2
     feature_elimination: bool = True
     run_generative_baseline: bool = True
-    svm_tol: float = 1e-3
     fit_tol: float = 1e-6
     fit_max_iter: int = 500
     amp_floor: float = DEFAULT_AMP_FLOOR
@@ -265,7 +265,7 @@ class PipelineConfig:
             bad = [v for v in values if not in_range(v)]
             if bad:
                 raise EvalError(f"{name} values must be {bound}, got {bad}")
-        for name in ("svm_tol", "fit_tol", "amp_floor"):
+        for name in ("fit_tol", "amp_floor"):
             if not getattr(self, name) > 0:
                 raise EvalError(f"{name} must be > 0, got {getattr(self, name)!r}")
         for name, least in (("inner_folds", 0), ("fit_max_iter", 1)):
@@ -674,20 +674,32 @@ def _run_fold(dataset: ReadingDataset, table: EventTable, config: PipelineConfig
 # ---------------------------------------------------------------------------
 # leave-one-text-out identification
 
-def _inner_holdouts(fold: SplitPlan, k: int) -> list[SplitPlan]:
-    """Up to `k` inner splits, each holding out one evenly spaced training text of `fold`."""
+def _inner_holdouts(table: EventTable, fold: SplitPlan, k: int) -> list[SplitPlan]:
+    """Up to `k` inner splits, each holding out one evenly spaced training text of `fold`.
+
+    A split tests only readers its training texts have lines of: a warning
+    names the split and the readers it leaves out, and a split left with no
+    test lines is dropped.
+    """
     train_texts = sorted(fold.train_texts)
     if k >= len(train_texts):
         k = len(train_texts) - 1
     if k < 1:
         return []
-    idx = np.unique(np.round(np.linspace(0, len(train_texts) - 1, k)).astype(int))
-    return [
-        SplitPlan(fold_id=f"{fold.fold_id}/{train_texts[i]}",
-                  train_texts=fold.train_texts - {train_texts[i]},
-                  test_texts=frozenset([train_texts[i]]))
-        for i in idx
-    ]
+    plans = []
+    for i in np.unique(np.round(np.linspace(0, len(train_texts) - 1, k)).astype(int)):
+        plan = SplitPlan(fold_id=f"{fold.fold_id}/{train_texts[i]}",
+                         train_texts=fold.train_texts - {train_texts[i]},
+                         test_texts=frozenset([train_texts[i]]))
+        trained = {table.scanpaths[j].reader_id for j in table.lines(plan.train_texts)}
+        untrained = {table.scanpaths[j].reader_id for j in table.lines(plan.test_texts)} - trained
+        if untrained:
+            logger.warning("inner split %s does not test readers %s: its training texts have no lines of them",
+                           plan.fold_id, sorted(untrained))
+            plan = replace(plan, test_readers=frozenset(trained))
+        if len(table.lines(plan.test_texts, plan.test_readers)):
+            plans.append(plan)
+    return plans
 
 
 def _identify(mc: MulticlassSvm, rows: np.ndarray) -> tuple[np.ndarray, list]:
@@ -710,7 +722,7 @@ def loto_cv(dataset: ReadingDataset, config: PipelineConfig | None = None) -> Ev
                         lambda sp: sp.reader_id)
 
     def train(stage, kernels, C, previous):
-        return train_multiclass(kernels.gram, stage.labels, C, tol=config.svm_tol, previous=previous)
+        return train_multiclass(kernels.gram, stage.labels, C, previous=previous)
 
     results, shared = [], {}
     for fold in loto_folds(dataset.text_ids()):
@@ -718,7 +730,7 @@ def loto_cv(dataset: ReadingDataset, config: PipelineConfig | None = None) -> Ev
         missing = set(dataset.reader_ids()) - trained
         if missing:
             raise EvalError(f"fold {fold.fold_id}: readers {sorted(missing)} absent from training data")
-        inner = _inner_holdouts(fold, config.inner_folds)
+        inner = _inner_holdouts(table, fold, config.inner_folds)
         result, _, _ = _run_fold(dataset, table, config, fold, inner, _svm_scan(train, _identify), shared)
         if config.run_generative_baseline:
             # one lambda leaves the baseline nothing to tune, so it fits no inner model
@@ -753,18 +765,15 @@ def loto_cv(dataset: ReadingDataset, config: PipelineConfig | None = None) -> Ev
 def _train_binary(
     stage: _FisherStage,
     kernels: _KernelStage,
-    config: PipelineConfig,
     C: float,
     positive,
     previous: SvmModel | None,
 ) -> SvmModel:
-    model = previous.reused_at(C, config.svm_tol) if previous is not None else None
+    model = previous.reused_at(C) if previous is not None else None
     if model is not None:
         return model
     y = np.where(np.array(stage.labels, dtype=object) == positive, 1.0, -1.0)
-    if len(set(y.tolist())) < 2:
-        raise EvalError("single-class training split")
-    return solve_dual(KernelProblem(gram=kernels.gram, labels=y, C=C), tol=config.svm_tol)
+    return solve_dual(KernelProblem(gram=kernels.gram, labels=y, C=C))
 
 
 def _comprehension_inner_plans(table: EventTable, split: SplitPlan) -> list[SplitPlan]:
@@ -807,7 +816,7 @@ def binary_comprehension_eval(dataset: ReadingDataset, config: PipelineConfig | 
                 )
 
     def train(stage, kernels, C, previous):
-        return _train_binary(stage, kernels, config, C, positive, previous)
+        return _train_binary(stage, kernels, C, positive, previous)
 
     def decide(model, rows):
         # a group predicts by the sign of its lines' mean decision, as one prefix

@@ -147,12 +147,12 @@ class GroupFit:
     """Diagnostics of one per-type optimization.
 
     `solver` is "newton" for a group the pooled Newton loop finished,
-    "lbfgs" for one refitted by L-BFGS-B and "none" for an empty group.  For
-    a Newton group `converged` means the stopping rule was met (|g| <= `tol`
-    or the Newton decrement test) and `objective_trace` holds the accepted
-    objectives.  For an L-BFGS-B group it is the ``success`` flag of
-    `minimize` (scipy's), which a fit ended by the relative-reduction test
-    also sets.
+    "lbfgs" for one refitted by L-BFGS-B and "none" for an empty group.
+    `objective_trace` holds the objective at the start and at each iterate.
+    For a Newton group `converged` means the stopping rule was met (|g| <=
+    `tol` or the Newton decrement test); for an L-BFGS-B group it is the
+    ``success`` flag of `minimize` (scipy's), which a fit ended by the
+    relative-reduction test also sets.
     """
 
     kind: str           # "amplitude" or "duration"
@@ -399,7 +399,7 @@ def _newton(pool: _Pool, theta: np.ndarray, mask: np.ndarray, config: FitConfig)
     return _NewtonResult(theta, value, grad_norm, iterations, failure, traces)
 
 
-def _fit_segments(batch: EventBatch, sizes, config: FitConfig, collect_trace: bool) -> list[FitOutcome]:
+def _fit_segments(batch: EventBatch, sizes, config: FitConfig) -> list[FitOutcome]:
     """One model per segment of `batch`: its events are the segments' events, `sizes[s]` each, in order.
 
     The ten (kind, u) groups of every segment are solved by one `_newton`
@@ -458,7 +458,6 @@ def _fit_segments(batch: EventBatch, sizes, config: FitConfig, collect_trace: bo
             W_used = W[:, :len(used) // 2]
             refit = minimize(lambda theta: _objective(theta, x, W_used, config.lam), theta0[k, used],
                              config.tol, config.max_iter)
-            trace = refit.trace if collect_trace else refit.trace[:1]
             if not refit.success:
                 logger.warning(
                     "L-BFGS did not converge for %s events of type %d (n_events=%d, nit=%d): %s",
@@ -466,7 +465,7 @@ def _fit_segments(batch: EventBatch, sizes, config: FitConfig, collect_trace: bo
                 )
             theta = np.zeros(2 * m)
             theta[used] = refit.x
-            final, steps, grad_norm = refit.fun, refit.nit, np.abs(refit.jac).max()
+            trace, final, steps, grad_norm = refit.trace, refit.fun, refit.nit, np.abs(refit.jac).max()
             converged, solver = bool(refit.success), "lbfgs"
         fits.append((theta, GroupFit(
             kind=kind, u=u, n_events=int(n_events[i]), bias_only=bool(bias_only[i]),
@@ -488,18 +487,9 @@ def _fit_segments(batch: EventBatch, sizes, config: FitConfig, collect_trace: bo
     return outcomes
 
 
-def fit_model_detailed(
-    batch: EventBatch,
-    config: FitConfig,
-    collect_trace: bool = True,
-) -> FitOutcome:
-    """Fit pi and all per-type gamma GLMs; returns parameters plus diagnostics.
-
-    `collect_trace=False` leaves the objectives L-BFGS-B evaluated at the
-    iterates of fallback fits out of their traces; Newton groups always
-    record their objectives.
-    """
-    return _fit_segments(batch, [batch.n], config, collect_trace)[0]
+def fit_model_detailed(batch: EventBatch, config: FitConfig) -> FitOutcome:
+    """Fit pi and all per-type gamma GLMs; returns parameters plus diagnostics."""
+    return _fit_segments(batch, [batch.n], config)[0]
 
 
 def fit_model(events: EventBatch, config: FitConfig, sizes=None):
@@ -510,7 +500,7 @@ def fit_model(events: EventBatch, config: FitConfig, sizes=None):
     fitted in one pooled Newton call; each equals, bit for bit, the model
     `fit_model` gives that training set alone.
     """
-    outcomes = _fit_segments(events, [events.n] if sizes is None else sizes, config, collect_trace=False)
+    outcomes = _fit_segments(events, [events.n] if sizes is None else sizes, config)
     if sizes is None:
         return outcomes[0].params
     return [outcome.params for outcome in outcomes]

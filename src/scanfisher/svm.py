@@ -14,7 +14,8 @@ One-vs-rest reduction handles multiclass reader identification over a
 single shared Gram matrix; `prefix_decision_curve` averages per-line
 decision values over line prefixes, and its last row is the whole-text
 decision.  Along a grid of C values a solve need not be repeated
-(`SvmModel.reused_at`, `train_multiclass(previous=...)`).
+(`SvmModel.reused_at`, `train_multiclass(previous=...)`).  A solve's `tol`
+does not move the polished optimum; it only marks the model `converged`.
 """
 
 import logging
@@ -77,6 +78,7 @@ class SvmModel:
     support: np.ndarray        # indices with alpha > SUPPORT_EPS
     kkt_violation: float       # final max violation (m - M)
     n_iterations: int
+    converged: bool = False    # violation < the solve's tol; False unless solve_dual made the model
 
     def decision_values(self, k_rows: np.ndarray) -> np.ndarray:
         """sum_i alpha_i y_i k_row[i] + b for each row of test-vs-train kernel values."""
@@ -86,16 +88,16 @@ class SvmModel:
         sv = self.support
         return k_rows[:, sv] @ (self.alpha[sv] * self.y[sv]) + self.bias
 
-    def reused_at(self, C: float, tol: float) -> "SvmModel | None":
+    def reused_at(self, C: float) -> "SvmModel | None":
         """This model as the solution at another C, or None.
 
-        A solve that met `tol` with every alpha below its own C, and below
-        the new C, meets the KKT conditions at the new C as it stands: the
-        index sets and the free set are the same, so are m(alpha) - M(alpha)
-        and the bias.  The result shares this model's arrays.  A model read
-        from a file has no violation (NaN) and is never reused.
+        A converged solve with every alpha below its own C, and below the
+        new C, meets the KKT conditions at the new C as it stands: the index
+        sets and the free set are the same, so are m(alpha) - M(alpha) and
+        the bias.  The result shares this model's arrays.  A model read from
+        a file is not converged and is never reused.
         """
-        if self.kkt_violation < tol and (self.alpha < min(C, self.C)).all():
+        if self.converged and (self.alpha < min(C, self.C)).all():
             return replace(self, C=C)
         return None
 
@@ -201,16 +203,16 @@ def _polish(Q: np.ndarray, y: np.ndarray, C: float, scale: float, alpha, s, z, w
 def solve_dual(
     problem: KernelProblem,
     tol: float = 1e-3,
-    max_iter: int | None = None,
+    max_iter: int = 100,
 ) -> SvmModel:
     """The dual's optimum by interior-point steps and an exact crossover (see the module docstring).
 
-    `n_iterations` counts interior-point steps, at most `max_iter` (default
-    100), and `kkt_violation` is m(alpha) - M(alpha) of the returned alpha.
-    When the steps stop (at `max_iter`, on a failed factorization or after
-    the last retry) and no crossover is accepted, the iterate snapped to its
-    active set is returned with a warning; it converged only if its
-    violation is < tol.  A Gram with an eigenvalue below -`_PSD_SLACK`
+    `n_iterations` counts interior-point steps, at most `max_iter`, and
+    `kkt_violation` is m(alpha) - M(alpha) of the returned alpha; the model
+    is `converged` if that violation is < tol.  When the steps stop (at
+    `max_iter`, on a failed factorization or after the last retry) and no
+    crossover is accepted, the iterate snapped to its active set is returned
+    with a warning.  A Gram with an eigenvalue below -`_PSD_SLACK`
     (1 + max |K_ii|), and a tol that is not > 0, raise SvmError.
     """
     if not tol > 0:
@@ -219,8 +221,6 @@ def solve_dual(
     y = problem.labels
     C = problem.C
     n = problem.n
-    if max_iter is None:
-        max_iter = 100
     scale = 1.0 + float(np.abs(np.diag(K)).max(initial=0.0))
     shifted = K + _PSD_SLACK * scale * np.eye(n)
     if dpotrf(shifted, lower=1, overwrite_a=1)[1]:
@@ -228,7 +228,7 @@ def solve_dual(
     Q = y[:, None] * K * y
     if abs(y.sum()) == n:
         # one label: y^T alpha = 0 leaves alpha = 0 as the only feasible point
-        return _model(problem, Q, np.zeros(n), 0)
+        return _model(problem, Q, np.zeros(n), 0, tol)
 
     # primal alpha and s = C - alpha, multipliers z >= 0 of alpha >= 0 and
     # w >= 0 of s >= 0, and the bias b (the multiplier of y^T alpha = 0);
@@ -292,10 +292,10 @@ def solve_dual(
             it += 1
         polished = _polish(Q, y, C, scale, alpha, s, z, w)
         if polished is not None:
-            return _model(problem, Q, polished, it)
+            return _model(problem, Q, polished, it, tol)
         if gap > target:
             break
-    model = _model(problem, Q, _snapped(C, scale, alpha, s, z, w), it)
+    model = _model(problem, Q, _snapped(C, scale, alpha, s, z, w), it, tol)
     logger.warning(
         "interior-point SVM solver %s (N=%d, C=%g): no crossover passed the KKT check; relative gap %.3g, "
         "KKT violation %.3g (tol %.3g)", f"stopped at max_iter={max_iter}" if it >= max_iter else
@@ -304,7 +304,7 @@ def solve_dual(
     return model
 
 
-def _model(problem: KernelProblem, Q: np.ndarray, alpha: np.ndarray, iterations: int) -> SvmModel:
+def _model(problem: KernelProblem, Q: np.ndarray, alpha: np.ndarray, iterations: int, tol: float) -> SvmModel:
     violation, bias = _kkt(Q, problem.labels, problem.C, alpha)
     return SvmModel(
         alpha=alpha,
@@ -314,6 +314,7 @@ def _model(problem: KernelProblem, Q: np.ndarray, alpha: np.ndarray, iterations:
         support=np.flatnonzero(alpha > SUPPORT_EPS),
         kkt_violation=violation,
         n_iterations=iterations,
+        converged=violation < tol,
     )
 
 
@@ -351,7 +352,6 @@ def train_multiclass(
     gram: np.ndarray,
     labels: Sequence,
     C: float,
-    tol: float = 1e-3,
     previous: MulticlassSvm | None = None,
 ) -> MulticlassSvm:
     """Train one binary SVM per class (class vs. rest) on a shared Gram matrix.
@@ -369,10 +369,10 @@ def train_multiclass(
     label_arr = np.array(labels, dtype=object)
     models = []
     for k, cls in enumerate(classes):
-        model = previous.models[k].reused_at(C, tol) if previous is not None else None
+        model = previous.models[k].reused_at(C) if previous is not None else None
         if model is None:
             y = np.where(label_arr == cls, 1.0, -1.0)
-            model = solve_dual(KernelProblem(gram=gram, labels=y, C=C), tol=tol)
+            model = solve_dual(KernelProblem(gram=gram, labels=y, C=C))
         models.append(model)
     return MulticlassSvm(classes=classes, models=models, C=C)
 

@@ -271,7 +271,7 @@ def test_c06_svm_correctness():
         info = empirical_information(scores)
         metric = fisher_metric(scores, max(1e-6 * np.trace(info) / info.shape[0], 1e-12))
         gram = gram_matrix(metric, scores)
-        mc = train_multiclass(gram, labels, C=1.0, tol=1e-3)
+        mc = train_multiclass(gram, labels, C=1.0)
         for cls, svm_model in zip(mc.classes, mc.models):
             y = np.where(np.array(labels) == cls, 1.0, -1.0)
             viol = max_kkt_violation(svm_model, KernelProblem(gram=gram, labels=y, C=1.0))

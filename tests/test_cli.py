@@ -289,6 +289,19 @@ def test_parse_error_exit_code(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("command, required", [
+    ("identify", ["--texts", "t.json", "--freq", "f.tsv", "--scanpaths", "s.jsonl", "--out", "report"]),
+    ("comprehend", ["--texts", "t.json", "--freq", "f.tsv", "--scanpaths", "s.jsonl", "--out", "report"]),
+    ("train-svm", ["--scores", "s.csv", "--meta", "m.json", "--out", "svm.json"]),
+])
+def test_svm_tolerance_is_not_an_option(command, required, capsys):
+    # the solver's tolerance does not move its optimum, so no command sets it
+    with pytest.raises(SystemExit) as exc:
+        run_cli(command, *required, "--svm-tol", "1e-3")
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --svm-tol" in capsys.readouterr().err
+
+
 def test_fit_failure_exit_code(synth_dir, tmp_path):
     # scanpaths too short to produce events: fit fails with exit 3
     sp_path = tmp_path / "short.jsonl"

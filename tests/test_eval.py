@@ -73,7 +73,7 @@ def test_config_rejects_out_of_range_grid_values(field, values):
         PipelineConfig(**{field: values})
 
 
-@pytest.mark.parametrize("field", ["svm_tol", "amp_floor"])
+@pytest.mark.parametrize("field", ["amp_floor"])
 @pytest.mark.parametrize("value", [0.0, -1.0, math.nan])
 def test_config_rejects_non_positive_tolerance_and_floor(field, value):
     with pytest.raises(EvalError, match=f"^{field} must be > 0"):
@@ -612,6 +612,45 @@ def test_folds_that_share_a_training_set_fit_it_once(monkeypatch):
     assert all(calls.count(key) == 2 for key in repeated)
 
 
+def test_inner_splits_test_only_readers_they_train_on(monkeypatch, caplog):
+    # r00 reads t00 and t01 only, so the inner splits t00/t01 and t01/t00
+    # train on t02 and t03 without a line of r00; neither classifier can
+    # name r00 there, so those splits leave r00 out, and say so once
+    dataset = ReadingDataset.from_synth(gen_dataset(SynthConfig(
+        num_readers=3, num_texts=4, lines_per_text=2, words_per_line=10, seed=3)))
+    dataset.scanpaths = [sp for sp in dataset.scanpaths
+                         if not (sp.reader_id == "r00" and sp.text_id in ("t02", "t03"))]
+    config = dataclasses.replace(QUICK, inner_folds=2, lambda_grid=(1e-2, 1e-1))
+    contexts = []
+    real_build_context = evaluate._build_context
+
+    def recorded(dataset, table, plan, shared=None):
+        ctx = real_build_context(dataset, table, plan, shared)
+        contexts.append((plan.fold_id, ctx))
+        return ctx
+
+    def run():
+        caplog.clear()
+        contexts.clear()
+        with caplog.at_level(logging.WARNING, logger="scanfisher.evaluate"):
+            loto_cv(dataset, config)
+        for fold_id, ctx in contexts:
+            assert {key[0] for key in ctx.groups} <= {ctx.table.labels[i] for i in ctx.train}, fold_id
+        return [r.getMessage() for r in caplog.records if r.name == "scanfisher.evaluate"]
+
+    monkeypatch.setattr(evaluate, "_build_context", recorded)
+    warnings = [f"inner split {split} does not test readers ['r00']: its training texts have no lines of them"
+                for split in ("t00/t01", "t01/t00")]
+    assert run() == warnings
+    # each fold's SVM and baseline tune on both of its inner splits
+    assert len({fold_id for fold_id, _ in contexts if "/" in fold_id}) == 8
+    # when t01 is read by r00 alone, split t00/t01 has nothing left to test and is dropped
+    dataset.scanpaths = [sp for sp in dataset.scanpaths if sp.reader_id == "r00" or sp.text_id != "t01"]
+    assert run() == warnings
+    inner = {fold_id for fold_id, _ in contexts if "/" in fold_id}
+    assert len(inner) == 7 and "t00/t01" not in inner
+
+
 # ---------------------------------------------------------------------------
 # comprehension pipeline
 
@@ -792,9 +831,9 @@ def test_saturation_stops_choose_what_the_full_scan_chooses(monkeypatch):
         kernel_stages[side] += 1
         return real_kernel_stage(stage, ridge_scale)
 
-    def solve_counted(problem, tol=1e-3, max_iter=None):
+    def solve_counted(problem, **kwargs):
         solves[side] += 1
-        return real_solve(problem, tol=tol, max_iter=max_iter)
+        return real_solve(problem, **kwargs)
 
     # _tune serves the SVMs and the baseline, told apart by the scan it gets;
     # the oracles take the SVM scan's protocol, and the baseline's oracle
@@ -871,18 +910,18 @@ def test_c_grid_reuse_matches_fresh_training_in_both_tuners(small_dataset, monke
     real_multiclass = evaluate.train_multiclass
     real_binary = evaluate._train_binary
 
-    def checked_multiclass(gram, labels, C, tol=1e-3, previous=None):
-        mc = real_multiclass(gram, labels, C, tol=tol, previous=previous)
-        fresh = real_multiclass(gram, labels, C, tol=tol)
+    def checked_multiclass(gram, labels, C, previous=None):
+        mc = real_multiclass(gram, labels, C, previous=previous)
+        fresh = real_multiclass(gram, labels, C)
         assert mc.classes == fresh.classes and mc.C == fresh.C
         assert all(_same_svm(a, b) for a, b in zip(mc.models, fresh.models))
         if previous is not None:
             carried.extend(m.alpha is old.alpha for m, old in zip(mc.models, previous.models))
         return mc
 
-    def checked_binary(stage, kernels, config, C, positive, previous):
-        model = real_binary(stage, kernels, config, C, positive, previous)
-        assert _same_svm(model, real_binary(stage, kernels, config, C, positive, None))
+    def checked_binary(stage, kernels, C, positive, previous):
+        model = real_binary(stage, kernels, C, positive, previous)
+        assert _same_svm(model, real_binary(stage, kernels, C, positive, None))
         carried.append(previous is not None and model.alpha is previous.alpha)
         return model
 

@@ -429,21 +429,15 @@ def test_fallback_trace_costs_no_objective_evaluations(monkeypatch):
         return objective(*args)
 
     monkeypatch.setattr(fit_module, "_objective", counted)
-    outcomes, counts = [], []
-    for collect_trace in (False, True):
-        calls.clear()
-        outcomes.append(fit_model_detailed(batch, config, collect_trace=collect_trace))
-        counts.append(len(calls))
-    untraced, traced = outcomes[0].groups[0], outcomes[1].groups[0]
+    outcome = fit_model_detailed(batch, config)
+    traced = outcome.groups[0]
     assert traced.solver == "lbfgs" and traced.n_iterations > 50
-    assert counts[1] == counts[0]
-    assert untraced.objective_trace == [traced.initial_objective]
     assert len(traced.objective_trace) == traced.n_iterations + 1
     assert traced.objective_trace[-1] == traced.final_objective
     # the start is evaluated once: each fallback costs the evaluations scipy's
     # L-BFGS-B makes on its problem, one per point it asks for
     scipy_evaluations = 0
-    for group in outcomes[1].groups:
+    for group in outcome.groups:
         if group.solver == "lbfgs":
             x, W = _group_data(batch, group.kind, group.u)
             W_used = W[:, :1] if group.bias_only else W
@@ -452,7 +446,7 @@ def test_fallback_trace_costs_no_objective_evaluations(monkeypatch):
                 jac=True, method="L-BFGS-B",
                 options={"maxiter": config.max_iter, "gtol": config.tol, "ftol": 1e-12},
             ).nfev
-    assert counts[0] == scipy_evaluations
+    assert len(calls) == scipy_evaluations
 
 
 def test_minimize_equals_scipy_lbfgsb_on_every_exit():
@@ -516,7 +510,7 @@ def test_group_newton_cannot_finish_is_the_lbfgs_fit(caplog):
     batch = _sized_batch(rng, m, (40, 0, 300, 0, 0))
     config = FitConfig(lam=1e-2, max_iter=1)
     with caplog.at_level(logging.WARNING, logger="scanfisher.fit"):
-        outcome = fit_model_detailed(batch, config, collect_trace=True)
+        outcome = fit_model_detailed(batch, config)
     fitted = [g for g in outcome.groups if g.n_events]
     assert len(fitted) == 4
     for group in fitted:
@@ -563,7 +557,7 @@ def test_pooled_segments_equal_separate_fits(lam):
     batch = EventBatch.concat(segments)
     config = FitConfig(lam=lam)
     pooled = fit_model(batch, config, sizes)
-    detailed = _fit_segments(batch, sizes, config, collect_trace=True)
+    detailed = _fit_segments(batch, sizes, config)
     seen = set()
     for seg, params, outcome in zip(segments, pooled, detailed):
         alone = fit_model_detailed(seg, config)

@@ -381,6 +381,27 @@ def test_solver_raises_on_every_non_psd_gram():
     assert oracle == {"raised", "solved"}
 
 
+def test_tolerance_changes_only_the_converged_flag():
+    # the polished optimum does not depend on tol, so no caller needs to set it
+    rng = np.random.default_rng(24)
+    for trial in range(40):
+        n = int(rng.integers(10, 80))
+        classes = rng.integers(0, 3, n)
+        y = np.where(classes == 0, 1.0, -1.0)
+        if abs(y.sum()) == n:
+            y[0] = -y[0]
+        problem = KernelProblem(gram=_low_rank_gram(rng, classes, int(rng.integers(2, 30))), labels=y,
+                                C=(0.1, 1.0, 10.0)[trial % 3])
+        models = {tol: solve_dual(problem, tol=tol) for tol in (1e-1, 1e-3, 1e-8)}
+        first = models[1e-1]
+        for tol, model in models.items():
+            np.testing.assert_array_equal(model.alpha, first.alpha)
+            np.testing.assert_array_equal(model.support, first.support)
+            assert (model.bias, model.n_iterations, model.kkt_violation) == (
+                first.bias, first.n_iterations, first.kkt_violation)
+            assert model.converged == (model.kkt_violation < tol)
+
+
 def test_max_iter_exit_is_logged_with_problem_size(caplog):
     rng = np.random.default_rng(15)
     problem, _ = _separable_problem(rng, n_per_class=12, gap=0.5, C=5.0)
@@ -393,7 +414,7 @@ def test_max_iter_exit_is_logged_with_problem_size(caplog):
     assert "max_iter=3" in messages[0] and "N=24" in messages[0] and "C=5" in messages[0]
     assert "relative gap" in messages[0] and f"KKT violation {model.kkt_violation:.3g}" in messages[0]
     assert ((model.alpha >= 0) & (model.alpha <= 5.0)).all()
-    assert model.reused_at(10.0, 1e-3) is None
+    assert model.reused_at(10.0) is None
 
 
 # ---------------------------------------------------------------------------
@@ -525,7 +546,7 @@ def test_reused_models_match_the_oracle_at_their_new_c():
             models = {C: solve_dual(KernelProblem(gram=gram, labels=y, C=C)) for C in grid}
             for C_from, C_to in itertools.permutations(grid, 2):
                 previous = models[C_from]
-                carried = previous.reused_at(C_to, 1e-3)
+                carried = previous.reused_at(C_to)
                 if carried is None:
                     assert (previous.alpha >= min(C_from, C_to)).any()
                     refused += 1
@@ -541,7 +562,7 @@ def test_solve_that_touches_the_box_is_not_reused():
     problem, _ = _separable_problem(rng, n_per_class=10, gap=0.5, C=0.01)
     small = solve_dual(problem)
     assert (small.alpha == 0.01).any()
-    assert small.reused_at(1.0, 1e-3) is None
+    assert small.reused_at(1.0) is None
     larger = solve_dual(KernelProblem(gram=problem.gram, labels=problem.labels, C=1.0))
     assert not np.array_equal(larger.alpha, small.alpha)
 
@@ -552,13 +573,14 @@ def test_reuse_needs_every_alpha_inside_both_boxes():
     model = solve_dual(problem)
     largest = float(model.alpha.max())
     assert 0 < largest < model.C
-    assert model.reused_at(200.0, 1e-3).C == 200.0
-    assert model.reused_at(2 * largest, 1e-3).C == 2 * largest
-    assert model.reused_at(largest, 1e-3) is None
-    assert model.reused_at(0.5 * largest, 1e-3) is None
-    # a violation at or above tol, or none recorded (a model read from a file)
-    assert model.reused_at(200.0, model.kkt_violation) is None
-    assert SvmModel.from_dict(model.to_dict()).reused_at(200.0, 1e-3) is None
+    assert model.reused_at(200.0).C == 200.0
+    assert model.reused_at(2 * largest).C == 2 * largest
+    assert model.reused_at(largest) is None
+    assert model.reused_at(0.5 * largest) is None
+    # a violation at or above the solve's tol, or no solve (a model read from a file)
+    strict = solve_dual(problem, tol=model.kkt_violation)
+    assert not strict.converged and strict.reused_at(200.0) is None
+    assert SvmModel.from_dict(model.to_dict()).reused_at(200.0) is None
 
 
 def test_train_multiclass_reuses_qualifying_classes(monkeypatch):
@@ -582,7 +604,7 @@ def test_train_multiclass_reuses_qualifying_classes(monkeypatch):
         for model in mc.models:
             _assert_matches_oracle(model, KernelProblem(gram=gram, labels=model.y, C=C))
         expected = len(mc.classes) if previous is None else sum(
-            m.reused_at(C, 1e-3) is None for m in previous.models)
+            m.reused_at(C) is None for m in previous.models)
         assert len(solved) == expected
         previous = mc
     assert len(solved) < len(mc.classes)
