@@ -99,13 +99,14 @@ def _load_dataset(args) -> ReadingDataset:
 
 
 def _pipeline_config(args) -> PipelineConfig:
+    # comprehend takes neither identification setting and leaves both at their defaults
     return PipelineConfig(
         lambda_grid=args.lambda_grid,
         c_grid=args.c_grid,
         ridge_scales=args.ridge_grid,
-        inner_folds=args.inner_folds,
+        inner_folds=getattr(args, "inner_folds", PipelineConfig.inner_folds),
         feature_elimination=not args.no_elimination,
-        run_generative_baseline=not args.no_baseline,
+        run_generative_baseline=not getattr(args, "no_baseline", False),
         fit_tol=args.tol,
         fit_max_iter=args.max_iter,
         amp_floor=args.amp_floor,
@@ -275,14 +276,15 @@ def _add_data_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--scanpaths", required=True, help="scanpaths JSONL file")
 
 
-def _add_pipeline_args(p: argparse.ArgumentParser) -> None:
+def _add_pipeline_args(p: argparse.ArgumentParser, identification: bool) -> None:
     defaults = PipelineConfig()
     p.add_argument("--lambda-grid", type=_float_list, default=defaults.lambda_grid)
     p.add_argument("--c-grid", type=_float_list, default=defaults.c_grid)
     p.add_argument("--ridge-grid", type=_float_list, default=defaults.ridge_scales)
-    p.add_argument("--inner-folds", type=int, default=defaults.inner_folds)
+    if identification:
+        p.add_argument("--inner-folds", type=int, default=defaults.inner_folds)
+        p.add_argument("--no-baseline", action="store_true")
     p.add_argument("--no-elimination", action="store_true")
-    p.add_argument("--no-baseline", action="store_true")
     p.add_argument("--tol", type=float, default=defaults.fit_tol)
     p.add_argument("--max-iter", type=int, default=defaults.fit_max_iter)
     p.add_argument("--amp-floor", type=float, default=defaults.amp_floor)
@@ -350,7 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=about)
         _add_data_args(p)
         p.add_argument("--out", required=True)
-        _add_pipeline_args(p)
+        _add_pipeline_args(p, identification=experiment is loto_cv)
         p.set_defaults(func=cmd_evaluate, experiment=experiment)
 
     p = sub.add_parser("report", help="summarize a report JSON file")

@@ -16,9 +16,10 @@ gives the same floats as normalizing every word first.
 Every classifier goes through one tuner, `_tune`, and one fold runner,
 `_run_fold`.  Every outer fold and inner split is a `SplitPlan`, and a
 classifier is a lazy scan of its grid that yields every context's
-per-prefix predictions at each point: one-vs-rest SVMs predict the arg-max
-class of the prefix decision curves, one binary SVM the sign of a test
-group's mean decision, and the generative baseline the reader of highest
+per-prefix predictions at each point: `train_multiclass` SVMs predict the
+arg-max class of the prefix decision curves (identification) or the sign of
+a test group's mean decision under the positive label's model
+(comprehension), and the generative baseline the reader of highest
 cumulative log-likelihood.  All are scored by the same per-prefix accuracy.
 
 Each training set is fitted once per experiment.  Contexts whose plans train
@@ -51,7 +52,8 @@ from .fisher import (
 )
 from .fit import FitConfig, fit_model
 from .model import batch_loglik
-from .svm import KernelProblem, MulticlassSvm, SvmModel, prefix_decision_curve, solve_dual, train_multiclass
+# solve_dual only for perfbench/layertrace.py's hook, which test_benchmark_worker_prints_a_traced_result requires
+from .svm import MulticlassSvm, prefix_decision_curve, solve_dual, train_multiclass
 from .synth import SynthDataset
 
 logger = logging.getLogger(__name__)
@@ -242,6 +244,8 @@ def comprehension_splits(reader_ids: Sequence[str], text_ids: Sequence[str]) -> 
 
 @dataclass(frozen=True)
 class PipelineConfig:
+    """Tuning grids and fit settings; `inner_folds` and `run_generative_baseline` are identification settings."""
+
     lambda_grid: tuple[float, ...] = (0.0, 1e-4, 1e-2, 1.0)
     c_grid: tuple[float, ...] = (0.01, 0.1, 1.0, 10.0, 100.0)
     ridge_scales: tuple[float, ...] = (1e-8, 1e-6, 1e-4)
@@ -444,8 +448,9 @@ def _by_group(ctx: _Context, rows: np.ndarray) -> dict[tuple, np.ndarray]:
 
 @dataclass
 class _FisherStage:
+    ctx: _Context
     s_train: np.ndarray
-    s_groups: dict[tuple, np.ndarray]
+    s_test: np.ndarray     # the test lines' scores, in group order
     labels: list
 
 
@@ -469,9 +474,9 @@ def _fit_stage(ctx: _Context, config: PipelineConfig, lam: float, features: Sequ
     params = ctx.fits[key]
     s_train = score_matrix(train.split(train_lengths), params)
     test, test_lengths = ctx.table.gather(np.concatenate(list(ctx.groups.values())), ctx.stats, features)
-    s_groups = _by_group(ctx, score_matrix(test.split(test_lengths), params))
+    s_test = score_matrix(test.split(test_lengths), params)
     labels = [ctx.table.labels[i] for i in ctx.train]
-    return _FisherStage(s_train=s_train, s_groups=s_groups, labels=labels)
+    return _FisherStage(ctx=ctx, s_train=s_train, s_test=s_test, labels=labels)
 
 
 @dataclass
@@ -485,10 +490,7 @@ def _kernel_stage(stage: _FisherStage, ridge_scale: float) -> _KernelStage:
     metric = fisher_metric(stage.s_train, default_ridge(info, ridge_scale))
     return _KernelStage(
         gram=gram_matrix(metric, stage.s_train),
-        group_rows={
-            key: gram_matrix(metric, stage.s_train, other=s_test)
-            for key, s_test in stage.s_groups.items()
-        },
+        group_rows=_by_group(stage.ctx, gram_matrix(metric, stage.s_train, other=stage.s_test)),
     )
 
 
@@ -535,18 +537,18 @@ class _Tuned:
         }
 
 
-def _svm_scan(train, decide):
+def _svm_scan(decide):
     """A Fisher-kernel SVM as a scan for `_tune`.
 
-    `train(stage, kernels, C, previous)` fits a context's model, handed its
-    model at the largest C trained so far (or None) so that solves whose
-    answer is already known are reused; `decide(model, rows)` is as
+    A context's `MulticlassSvm` comes from `train_multiclass`, handed the
+    context's model at the largest C trained so far (or None) so that solves
+    whose answer is already known are reused; `decide(model, rows)` is as
     `_decide_groups` takes it.  Each lambda fits every context once and each
     ridge scale builds its kernels once; C values follow in grid order.
     """
     def decided(stage, kernels, models, C):
         if C not in models:
-            models[C] = train(stage, kernels, C, models[max(models)] if models else None)
+            models[C] = train_multiclass(kernels.gram, stage.labels, C, models[max(models)] if models else None)
         return _decide_groups(models[C], kernels, decide)
 
     def scan(contexts, config, features):
@@ -718,11 +720,10 @@ def loto_cv(dataset: ReadingDataset, config: PipelineConfig | None = None) -> Ev
     unread = sorted(set(dataset.text_ids()) - {sp.text_id for sp in dataset.scanpaths})
     if unread:
         raise EvalError(f"texts {unread} have no scanpaths to test on")
+    if len(dataset.reader_ids()) < 2:
+        raise EvalError(f"identification needs at least 2 readers, got {dataset.reader_ids()}")
     table = event_table(dataset, feature_layout(list(dataset.texts.values())), config.amp_floor,
                         lambda sp: sp.reader_id)
-
-    def train(stage, kernels, C, previous):
-        return train_multiclass(kernels.gram, stage.labels, C, previous=previous)
 
     results, shared = [], {}
     for fold in loto_folds(dataset.text_ids()):
@@ -731,7 +732,7 @@ def loto_cv(dataset: ReadingDataset, config: PipelineConfig | None = None) -> Ev
         if missing:
             raise EvalError(f"fold {fold.fold_id}: readers {sorted(missing)} absent from training data")
         inner = _inner_holdouts(table, fold, config.inner_folds)
-        result, _, _ = _run_fold(dataset, table, config, fold, inner, _svm_scan(train, _identify), shared)
+        result, _, _ = _run_fold(dataset, table, config, fold, inner, _svm_scan(_identify), shared)
         if config.run_generative_baseline:
             # one lambda leaves the baseline nothing to tune, so it fits no inner model
             base, _, _ = _run_fold(dataset, table, replace(config, feature_elimination=False), fold,
@@ -761,20 +762,6 @@ def loto_cv(dataset: ReadingDataset, config: PipelineConfig | None = None) -> Ev
 
 # ---------------------------------------------------------------------------
 # binary comprehension evaluation
-
-def _train_binary(
-    stage: _FisherStage,
-    kernels: _KernelStage,
-    C: float,
-    positive,
-    previous: SvmModel | None,
-) -> SvmModel:
-    model = previous.reused_at(C) if previous is not None else None
-    if model is not None:
-        return model
-    y = np.where(np.array(stage.labels, dtype=object) == positive, 1.0, -1.0)
-    return solve_dual(KernelProblem(gram=kernels.gram, labels=y, C=C))
-
 
 def _comprehension_inner_plans(table: EventTable, split: SplitPlan) -> list[SplitPlan]:
     """Split s0 of the training readers and texts, if it tests some lines and trains on both labels.
@@ -815,12 +802,10 @@ def binary_comprehension_eval(dataset: ReadingDataset, config: PipelineConfig | 
                     f"x texts {sorted(texts)} has no scanpaths"
                 )
 
-    def train(stage, kernels, C, previous):
-        return _train_binary(stage, kernels, C, positive, previous)
-
-    def decide(model, rows):
-        # a group predicts by the sign of its lines' mean decision, as one prefix
-        decision = float(model.decision_values(rows).mean())
+    def decide(mc, rows):
+        # a group predicts by the sign of its lines' mean decision under the
+        # positive label's model (the one train_multiclass solves), as one prefix
+        decision = float(mc.models[1].decision_values(rows).mean())
         return decision, [positive if decision >= 0 else negative]
 
     results, shared = [], {}
@@ -828,7 +813,7 @@ def binary_comprehension_eval(dataset: ReadingDataset, config: PipelineConfig | 
         if len({table.labels[i] for i in table.lines(split.train_texts, split.train_readers)}) < 2:
             raise EvalError(f"fold {split.fold_id}: single-class training split")
         result, ctx, decisions = _run_fold(
-            dataset, table, config, split, _comprehension_inner_plans(table, split), _svm_scan(train, decide), shared)
+            dataset, table, config, split, _comprehension_inner_plans(table, split), _svm_scan(decide), shared)
         group_labels = [key[0] for key in decisions]
         if len(set(group_labels)) == 2:
             result.auc = auc_score(group_labels, list(decisions.values()))

@@ -115,10 +115,12 @@ def empirical_information(scores: np.ndarray) -> np.ndarray:
 
 
 def fisher_metric(scores: np.ndarray, ridge: float) -> FisherMetric:
-    """Build the metric I + ridge*Id from score rows and factorize it."""
+    """Build the metric I + ridge*Id from score rows and factorize it; non-finite input raises MetricError."""
+    if not 0 <= ridge < np.inf:
+        raise MetricError(f"ridge must be finite and >= 0, got {ridge!r}")
     info = empirical_information(scores)
-    if ridge < 0:
-        raise MetricError("ridge must be >= 0")
+    if not np.isfinite(info).all():
+        raise MetricError("the Fisher information is not finite: a score is non-finite or too large")
     regularized = info + ridge * np.eye(info.shape[0])
     try:
         chol = np.linalg.cholesky(regularized)
@@ -149,7 +151,7 @@ def write_scores(path, scores: np.ndarray) -> None:
 
 
 def read_scores(path) -> np.ndarray:
-    """Read a `write_scores` file; a malformed one raises ValueError naming path and line."""
+    """Read a `write_scores` file; a malformed one, or a non-finite value, raises ValueError naming path and line."""
     raw = Path(path).read_text(encoding="utf-8").splitlines()
     header = raw[0].split() if raw else []
     if len(header) != 2 or not all(tok.isdigit() for tok in header):
@@ -164,6 +166,8 @@ def read_scores(path) -> np.ndarray:
             if len(tokens) != d:
                 raise ValueError(f"expected {d} values, got {len(tokens)}")
             scores[row] = [float(tok) for tok in tokens]
+            if not np.isfinite(scores[row]).all():
+                raise ValueError("non-finite value")
         except ValueError as exc:
             raise ValueError(f"{path}:{row + 2}: {exc}") from None
     return scores

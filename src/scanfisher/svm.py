@@ -10,8 +10,9 @@ JMLR 2001), each factoring Q + diag(z/a + w/(C - a)) once by Cholesky, with
 z and w the multipliers of a >= 0 and a <= C.  At a relative duality gap of
 1e-6 it crosses over to the exact optimum (`_polish`), else resumes to a gap
 100x tighter, a fixed number of times: zeros and C are then exact.
-One-vs-rest reduction handles multiclass reader identification over a
-single shared Gram matrix; `prefix_decision_curve` averages per-line
+`train_multiclass`, the one trainer above it for identification and
+comprehension alike, reduces to one-vs-rest over a shared Gram matrix (two
+classes take one solve); `prefix_decision_curve` averages per-line
 decision values over line prefixes, and its last row is the whole-text
 decision.  Along a grid of C values a solve need not be repeated
 (`SvmModel.reused_at`, `train_multiclass(previous=...)`).  A solve's `tol`
@@ -356,6 +357,9 @@ def train_multiclass(
 ) -> MulticlassSvm:
     """Train one binary SVM per class (class vs. rest) on a shared Gram matrix.
 
+    With two classes only the last class is solved: the first class's problem
+    is the same dual with every label negated, so its model is the mirror
+    (labels and bias negated, alpha shared) and decides by the negated values.
     `previous` is a set trained on the same gram and labels at another C.
     Each class whose model carries over to C (:meth:`SvmModel.reused_at`)
     is taken from it without a new solve.
@@ -367,13 +371,16 @@ def train_multiclass(
     if previous is not None and previous.classes != classes:
         raise SvmError(f"previous classes {previous.classes!r} != {classes!r}")
     label_arr = np.array(labels, dtype=object)
+    mirrored = len(classes) == 2
     models = []
-    for k, cls in enumerate(classes):
+    for k in range(int(mirrored), len(classes)):
         model = previous.models[k].reused_at(C) if previous is not None else None
         if model is None:
-            y = np.where(label_arr == cls, 1.0, -1.0)
+            y = np.where(label_arr == classes[k], 1.0, -1.0)
             model = solve_dual(KernelProblem(gram=gram, labels=y, C=C))
         models.append(model)
+    if mirrored:
+        models.insert(0, replace(models[0], y=-models[0].y, bias=-models[0].bias))
     return MulticlassSvm(classes=classes, models=models, C=C)
 
 

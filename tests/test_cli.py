@@ -302,6 +302,16 @@ def test_svm_tolerance_is_not_an_option(command, required, capsys):
     assert "unrecognized arguments: --svm-tol" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("option", [["--inner-folds", "1"], ["--no-baseline"]])
+def test_comprehend_takes_no_identification_options(option, capsys):
+    # comprehension tunes on one inner split and runs no generative baseline
+    with pytest.raises(SystemExit) as exc:
+        run_cli("comprehend", "--texts", "t.json", "--freq", "f.tsv", "--scanpaths", "s.jsonl", "--out", "report",
+                *option)
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {' '.join(option)}" in capsys.readouterr().err
+
+
 def test_fit_failure_exit_code(synth_dir, tmp_path):
     # scanpaths too short to produce events: fit fails with exit 3
     sp_path = tmp_path / "short.jsonl"

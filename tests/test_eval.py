@@ -33,7 +33,7 @@ from scanfisher.evaluate import (
 from scanfisher.events import EventBatch, Scanpath, extract_events
 from scanfisher.fit import FitConfig, fit_model
 from scanfisher.model import sample_events
-from scanfisher.svm import SvmModel
+from scanfisher.svm import KernelProblem, SvmModel
 from scanfisher.synth import SynthConfig, gen_dataset, gen_readers
 from scanfisher.util import read_json
 from model_reference import generative_classify
@@ -376,6 +376,19 @@ def test_loto_rejects_text_without_scanpaths(small_dataset):
     )
     with pytest.raises(EvalError, match="t02"):
         loto_cv(pruned, QUICK)
+
+
+def test_loto_rejects_one_reader_before_any_fold(monkeypatch):
+    # one class used to reach the SVM, as a bare "need at least 2 classes"
+    dataset = ReadingDataset.from_synth(gen_dataset(SynthConfig(
+        num_readers=1, num_texts=3, lines_per_text=2, words_per_line=10, seed=1)))
+
+    def no_fold(*args, **kwargs):
+        raise AssertionError("a fold ran")
+
+    monkeypatch.setattr(evaluate, "_run_fold", no_fold)
+    with pytest.raises(EvalError, match=r"^identification needs at least 2 readers, got \['r00'\]$"):
+        loto_cv(dataset, QUICK)
 
 
 def _slow_features(dataset, ctx):
@@ -836,22 +849,26 @@ def test_saturation_stops_choose_what_the_full_scan_chooses(monkeypatch):
         return real_solve(problem, **kwargs)
 
     # _tune serves the SVMs and the baseline, told apart by the scan it gets;
-    # the oracles take the SVM scan's protocol, and the baseline's oracle
-    # picks lambda alone, at the first ridge scale and C with every feature
+    # the oracles take the SVM scan's decision rule and train with
+    # train_multiclass, and the baseline's oracle picks lambda alone, at the
+    # first ridge scale and C with every feature
     real_tune, real_svm_scan = evaluate._tune, evaluate._svm_scan
-    protocols = {}
+    rules = {}
 
-    def svm_scan(train, decide):
-        scan = real_svm_scan(train, decide)
-        protocols[scan] = (train, decide)
+    def svm_scan(decide):
+        scan = real_svm_scan(decide)
+        rules[scan] = decide
         return scan
+
+    def train(stage, kernels, C, previous):
+        return evaluate.train_multiclass(kernels.gram, stage.labels, C, previous=previous)
 
     def full_baseline(contexts, config, layout, scan):
         return evaluate._Tuned(lam=tune_baseline_full_scan(contexts, config), ridge_scale=config.ridge_scales[0],
                                C=config.c_grid[0], keep=tuple(range(len(layout))), inner_accuracy=None)
 
     def full_svm(contexts, config, layout, scan):
-        return tune_full_scan(contexts, config, layout, *protocols[scan])
+        return tune_full_scan(contexts, config, layout, train, rules[scan])
 
     def recorded(tune, tune_baseline):
         def choose(contexts, config, layout, scan):
@@ -865,7 +882,6 @@ def test_saturation_stops_choose_what_the_full_scan_chooses(monkeypatch):
         return choose
 
     monkeypatch.setattr(evaluate, "_kernel_stage", counted)
-    monkeypatch.setattr(evaluate, "solve_dual", solve_counted)
     monkeypatch.setattr(svm, "solve_dual", solve_counted)
     monkeypatch.setattr(evaluate, "_svm_scan", svm_scan)
     tuners = {"stop": (real_tune, real_tune), "full": (full_svm, full_baseline)}
@@ -903,12 +919,50 @@ def _same_svm(a, b):
             and np.allclose(a.alpha, b.alpha, rtol=0, atol=1e-8 * a.C) and abs(a.bias - b.bias) <= 1e-8)
 
 
+def test_two_class_training_solves_the_last_class_and_mirrors_the_first(monkeypatch):
+    # class 0 against the rest is class 1's dual with every label negated, so
+    # train_multiclass solves once and mirrors that solution
+    rng = np.random.default_rng(6)
+    order = rng.permutation(16)
+    X = (rng.normal(0, 1, (16, 4)) + np.repeat([[2.0, 0, 0, 0], [-2.0, 0, 0, 0]], 8, axis=0))[order]
+    gram, rows = X @ X.T, rng.normal(0, 1, (5, 4)) @ X.T
+    labels = [["a", "b"][i // 8] for i in order]
+    y_last = np.where(np.array(labels) == "b", 1.0, -1.0)
+    solved = []
+    real_solve = svm.solve_dual
+
+    def counted(problem, **kwargs):
+        solved.append(problem)
+        return real_solve(problem, **kwargs)
+
+    monkeypatch.setattr(svm, "solve_dual", counted)
+    previous, reused = None, 0
+    for C in (0.01, 10.0, 100.0):
+        solved.clear()
+        mc = svm.train_multiclass(gram, labels, C, previous=previous)
+        first, last = mc.models
+        if previous is not None and previous.models[1].reused_at(C) is not None:
+            # reused_at carries the mirrored model along C
+            reused += 1
+            assert solved == [] and first.alpha is previous.models[0].alpha and first.C == last.C == C
+        else:
+            assert len(solved) == 1 and np.array_equal(solved[0].labels, y_last)
+            oracle = real_solve(KernelProblem(gram=gram, labels=y_last, C=C))
+            assert all(np.array_equal(getattr(last, name), getattr(oracle, name)) for name in (
+                "alpha", "y", "bias", "C", "support", "kkt_violation", "n_iterations", "converged"))
+        assert first.alpha is last.alpha and first.support is last.support and first.converged == last.converged
+        assert np.array_equal(first.y, -last.y) and first.bias == -last.bias
+        assert np.array_equal(first.decision_values(rows), -last.decision_values(rows))
+        assert _same_svm(first, real_solve(KernelProblem(gram=gram, labels=-y_last, C=C)))
+        previous = mc
+    assert reused == 1
+
+
 def test_c_grid_reuse_matches_fresh_training_in_both_tuners(small_dataset, monkeypatch):
     # The tuners hand each fit the context's model at a smaller C; every
     # model so obtained must be the optimum a fresh fit at its C finds.
     carried = []
     real_multiclass = evaluate.train_multiclass
-    real_binary = evaluate._train_binary
 
     def checked_multiclass(gram, labels, C, previous=None):
         mc = real_multiclass(gram, labels, C, previous=previous)
@@ -919,17 +973,10 @@ def test_c_grid_reuse_matches_fresh_training_in_both_tuners(small_dataset, monke
             carried.extend(m.alpha is old.alpha for m, old in zip(mc.models, previous.models))
         return mc
 
-    def checked_binary(stage, kernels, C, positive, previous):
-        model = real_binary(stage, kernels, C, positive, previous)
-        assert _same_svm(model, real_binary(stage, kernels, C, positive, None))
-        carried.append(previous is not None and model.alpha is previous.alpha)
-        return model
-
     monkeypatch.setattr(evaluate, "train_multiclass", checked_multiclass)
     loto_cv(small_dataset, C_PATH)
     assert any(carried)
     carried.clear()
-    monkeypatch.setattr(evaluate, "_train_binary", checked_binary)
     binary_comprehension_eval(_comprehension_dataset(seed=101, num_readers=8), C_PATH)
     assert any(carried)
 

@@ -302,6 +302,24 @@ def test_empirical_information_rejects_zero_score_rows():
     assert issubclass(MetricError, ValueError)
 
 
+@pytest.mark.parametrize("bad_score, ridge, message", [
+    (None, math.nan, "ridge must be finite and >= 0, got nan"),
+    (None, math.inf, "ridge must be finite and >= 0, got inf"),
+    (None, -1e-6, "ridge must be finite and >= 0, got -1e-06"),
+    (math.nan, 1e-6, "the Fisher information is not finite: a score is non-finite or too large"),
+    (math.inf, 1e-6, "the Fisher information is not finite: a score is non-finite or too large"),
+    (1e200, 1e-6, "the Fisher information is not finite: a score is non-finite or too large"),
+])
+@pytest.mark.filterwarnings("ignore:overflow encountered in matmul:RuntimeWarning")
+def test_metric_rejects_non_finite_scores_and_ridges(bad_score, ridge, message):
+    # without the checks the Cholesky factor comes back NaN and nothing is raised
+    scores = np.random.default_rng(21).normal(0, 1, (6, 4))
+    if bad_score is not None:
+        scores[2, 1] = bad_score
+    with pytest.raises(MetricError, match=f"^{re.escape(message)}$"):
+        fisher_metric(scores, ridge)
+
+
 def test_kernel_with_identity_metric_is_dot_product():
     rng = np.random.default_rng(17)
     metric = fisher_metric(np.zeros((5, 4)), ridge=1.0)  # I = 0, ridge 1 -> identity
@@ -380,6 +398,8 @@ def test_scores_file_round_trip(tmp_path):
     ("3 2\n1 2 3\n1 2\n", ":3: expected 3 values, got 2"),
     ("3 2\n1 2 3\n1 2 3 4\n", ":3: expected 3 values, got 4"),
     ("3 1\n1 two 3\n", ":2: could not convert string to float: 'two'"),
+    ("3 2\n1 2 3\n1 nan 3\n", ":3: non-finite value"),
+    ("3 1\n1 2 -inf\n", ":2: non-finite value"),
     ("3 1\n1 2 3\n4 5 6\n", "the header promises 1 rows, the file has 2"),
     ("3 2\n1 2 3\n", "the header promises 2 rows, the file has 1"),
 ])
