@@ -30,7 +30,6 @@ from .fit import FitConfig, fit_model, fit_pi
 from .model import (
     ModelParams,
     batch_loglik,
-    link,
     sample_events,
     sample_scanpath,
 )

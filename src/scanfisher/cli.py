@@ -39,6 +39,7 @@ from .evaluate import (
 from .events import DEFAULT_AMP_FLOOR, ScanpathError, load_scanpaths, save_scanpaths
 from .fisher import (
     MetricError,
+    ScoreFileError,
     default_ridge,
     empirical_information,
     fisher_metric,
@@ -49,14 +50,14 @@ from .fisher import (
 )
 from .fit import FitConfig, FitError, fit_model_detailed
 from .model import ModelError, ModelParams
-from .svm import SvmError, train_multiclass
+from .svm import KernelProblem, SvmError, train_multiclass
 from .synth import SynthConfig, gen_dataset
 from .util import canonical_json, read_json, sha256_file, write_json
 
 PARSE_ERROR = 2
 RUN_ERROR = 3
 
-_PARSE_EXCEPTIONS = (CorpusError, ScanpathError, FileNotFoundError, json.JSONDecodeError, KeyError)
+_PARSE_EXCEPTIONS = (CorpusError, ScanpathError, ScoreFileError, FileNotFoundError, json.JSONDecodeError, KeyError)
 _RUN_EXCEPTIONS = (FitError, EvalError, SvmError, MetricError, ModelError, LeakageError, ValueError)
 
 
@@ -205,7 +206,7 @@ def cmd_kernel(args) -> int:
     scores = read_scores(args.scores)
     info = empirical_information(scores)
     ridge = default_ridge(info, args.ridge_scale)
-    metric = fisher_metric(scores, ridge)
+    metric = fisher_metric(info, ridge)
     gram = gram_matrix(metric, scores)
     provenance = _provenance(args, {"scores": args.scores})
     lines = [f"# provenance: {canonical_json(provenance)}"]
@@ -232,9 +233,8 @@ def cmd_train_svm(args) -> int:
     labels = [inst["label"] if inst["label"] is not None else inst["reader_id"]
               for inst in meta["instances"]]
     info = empirical_information(scores)
-    metric = fisher_metric(scores, default_ridge(info, args.ridge_scale))
-    gram = gram_matrix(metric, scores)
-    mc = train_multiclass(gram, labels, C=args.C)
+    metric = fisher_metric(info, default_ridge(info, args.ridge_scale))
+    mc = train_multiclass(KernelProblem(gram_matrix(metric, scores)), labels, C=args.C)
     references = {"scores": sha256_file(args.scores), "meta": sha256_file(args.meta)}
     if args.model:
         references["model"] = sha256_file(args.model)

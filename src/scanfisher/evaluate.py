@@ -53,7 +53,7 @@ from .fisher import (
 from .fit import FitConfig, fit_model
 from .model import batch_loglik
 # solve_dual only for perfbench/layertrace.py's hook, which test_benchmark_worker_prints_a_traced_result requires
-from .svm import MulticlassSvm, prefix_decision_curve, solve_dual, train_multiclass
+from .svm import KernelProblem, MulticlassSvm, prefix_decision_curve, solve_dual, train_multiclass
 from .synth import SynthDataset
 
 logger = logging.getLogger(__name__)
@@ -481,15 +481,15 @@ def _fit_stage(ctx: _Context, config: PipelineConfig, lam: float, features: Sequ
 
 @dataclass
 class _KernelStage:
-    gram: np.ndarray
+    problem: KernelProblem     # the training Gram, checked once for every C and class
     group_rows: dict[tuple, np.ndarray]
 
 
 def _kernel_stage(stage: _FisherStage, ridge_scale: float) -> _KernelStage:
     info = empirical_information(stage.s_train)
-    metric = fisher_metric(stage.s_train, default_ridge(info, ridge_scale))
+    metric = fisher_metric(info, default_ridge(info, ridge_scale))
     return _KernelStage(
-        gram=gram_matrix(metric, stage.s_train),
+        problem=KernelProblem(gram_matrix(metric, stage.s_train)),
         group_rows=_by_group(stage.ctx, gram_matrix(metric, stage.s_train, other=stage.s_test)),
     )
 
@@ -548,7 +548,7 @@ def _svm_scan(decide):
     """
     def decided(stage, kernels, models, C):
         if C not in models:
-            models[C] = train_multiclass(kernels.gram, stage.labels, C, models[max(models)] if models else None)
+            models[C] = train_multiclass(kernels.problem, stage.labels, C, models[max(models)] if models else None)
         return _decide_groups(models[C], kernels, decide)
 
     def scan(contexts, config, features):

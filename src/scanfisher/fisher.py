@@ -40,6 +40,10 @@ class MetricError(ValueError):
     """Fisher information metric could not be factorized."""
 
 
+class ScoreFileError(ValueError):
+    """A score file that `read_scores` cannot read."""
+
+
 def score_dimension(num_features: int) -> int:
     return NUM_SACCADE_TYPES * (1 + 4 * num_features)
 
@@ -97,11 +101,13 @@ class FisherMetric:
 def default_ridge(information: np.ndarray, scale: float = 1e-6) -> float:
     """Ridge heuristic: scale * trace(I) / D (N < D makes I singular), at least 1e-12.
 
-    A negative or NaN scale raises MetricError.
+    A negative or NaN scale, and an information of no components (D = 0), raise MetricError.
     """
     if not scale >= 0:
         raise MetricError(f"ridge scale must be >= 0, got {scale!r}")
     d = information.shape[0]
+    if d == 0:
+        raise MetricError("the Fisher information has no components (D = 0)")
     return max(scale * float(np.trace(information)) / d, 1e-12)
 
 
@@ -114,11 +120,10 @@ def empirical_information(scores: np.ndarray) -> np.ndarray:
     return 0.5 * (info + info.T)
 
 
-def fisher_metric(scores: np.ndarray, ridge: float) -> FisherMetric:
-    """Build the metric I + ridge*Id from score rows and factorize it; non-finite input raises MetricError."""
+def fisher_metric(info: np.ndarray, ridge: float) -> FisherMetric:
+    """Build the metric I + ridge*Id from the information I and factorize it; non-finite input raises MetricError."""
     if not 0 <= ridge < np.inf:
         raise MetricError(f"ridge must be finite and >= 0, got {ridge!r}")
-    info = empirical_information(scores)
     if not np.isfinite(info).all():
         raise MetricError("the Fisher information is not finite: a score is non-finite or too large")
     regularized = info + ridge * np.eye(info.shape[0])
@@ -151,14 +156,16 @@ def write_scores(path, scores: np.ndarray) -> None:
 
 
 def read_scores(path) -> np.ndarray:
-    """Read a `write_scores` file; a malformed one, or a non-finite value, raises ValueError naming path and line."""
+    """Read a `write_scores` file; a malformed file or a non-finite value raises ScoreFileError naming path and line."""
     raw = Path(path).read_text(encoding="utf-8").splitlines()
     header = raw[0].split() if raw else []
     if len(header) != 2 or not all(tok.isdigit() for tok in header):
-        raise ValueError(f"{path}:1: expected the header 'D N' of two non-negative integers")
+        raise ScoreFileError(f"{path}:1: expected the header 'D N' of two non-negative integers")
     d, n = (int(tok) for tok in header)
+    if d == 0:
+        raise ScoreFileError(f"{path}:1: a score has at least one component, the header gives D = 0")
     if len(raw) - 1 != n:
-        raise ValueError(f"{path}: the header promises {n} rows, the file has {len(raw) - 1}")
+        raise ScoreFileError(f"{path}: the header promises {n} rows, the file has {len(raw) - 1}")
     scores = np.empty((n, d))
     for row, line in enumerate(raw[1:]):
         tokens = line.split()
@@ -169,5 +176,5 @@ def read_scores(path) -> np.ndarray:
             if not np.isfinite(scores[row]).all():
                 raise ValueError("non-finite value")
         except ValueError as exc:
-            raise ValueError(f"{path}:{row + 2}: {exc}") from None
+            raise ScoreFileError(f"{path}:{row + 2}: {exc}") from None
     return scores

@@ -12,7 +12,8 @@ degenerates to constant per-type gamma parameters.
 
 Every per-event gamma term of the log-likelihood, the fit and the Fisher
 score comes from `gamma_terms`, which clamps both linear predictors (W alpha_u
-etc.) to [ln 1e-8, ln 1e8] before `exp`.
+etc.) to [ln 1e-8, ln 1e8] before `exp`; the samplers draw with the shape
+and scale that clamp gives.
 """
 
 import math
@@ -33,21 +34,6 @@ _LOG_LINK_MAX = math.log(LINK_MAX)
 
 class ModelError(ValueError):
     """Invalid model parameters or density arguments."""
-
-
-def link(weights: np.ndarray, w: np.ndarray) -> float:
-    """exp(weights . w), clamped to [1e-8, 1e8] to keep densities finite."""
-    weights = np.asarray(weights, dtype=float)
-    w = np.asarray(w, dtype=float)
-    if weights.shape != w.shape:
-        raise ModelError(f"length mismatch: weights {weights.shape} vs features {w.shape}")
-    # cap the exponent first so exp never overflows, then clamp the value
-    return float(np.clip(np.exp(min(weights @ w, 709.0)), LINK_MIN, LINK_MAX))
-
-
-def link_many(W: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Row-wise clamped exponential link for a feature matrix W (N, M)."""
-    return np.clip(np.exp(np.minimum(W @ weights, 709.0)), LINK_MIN, LINK_MAX)
 
 
 def _clamp(eta: np.ndarray) -> np.ndarray:
@@ -191,6 +177,12 @@ def _reflect(pos: float, hi: float) -> float:
     return r if r <= hi else period - r
 
 
+def _check_width(params: ModelParams, rows: np.ndarray) -> None:
+    """Raise ModelError unless `rows` is a feature matrix (N, M) with the model's M."""
+    if rows.ndim != 2 or rows.shape[1] != params.num_features:
+        raise ModelError(f"feature rows of shape {rows.shape} do not match the model's M={params.num_features}")
+
+
 @dataclass
 class SampledScanpath:
     """A sampled scanpath plus its latent type draws.
@@ -232,23 +224,24 @@ def sample_scanpath(
     q, d = float(start[0]), float(start[1])
     if not (0 <= q < extent):
         raise ModelError(f"start position {q} outside line extent [0, {extent})")
+    rows = features.lines[line_id]
+    _check_width(params, rows)
     fixations = [(q, d)]
     drawn = np.empty(n_fixations - 1, dtype=np.int64)
-    rows = features.lines[line_id]
     for t in range(n_fixations - 1):
         u = int(rng.choice(NUM_SACCADE_TYPES, p=params.pi)) + 1
         drawn[t] = u
         w_launch = rows[word_at(text, line_id, q)]
         amp = rng.gamma(
-            link(params.alpha[u - 1], w_launch),
-            link(params.beta[u - 1], w_launch),
+            np.exp(_clamp(params.alpha[u - 1] @ w_launch)),
+            np.exp(_clamp(params.beta[u - 1] @ w_launch)),
         )
         signed = -amp if u in BACKWARD_TYPES else amp
         q = _reflect(q + signed, hi)
         w_land = rows[word_at(text, line_id, q)]
         dur = rng.gamma(
-            link(params.gamma[u - 1], w_land),
-            link(params.delta[u - 1], w_land),
+            np.exp(_clamp(params.gamma[u - 1] @ w_land)),
+            np.exp(_clamp(params.delta[u - 1] @ w_land)),
         )
         fixations.append((q, max(dur, 1e-9)))
     scanpath = Scanpath(
@@ -278,6 +271,7 @@ def sample_events(
     w_land = np.asarray(w_land, dtype=float)
     if w_launch.shape != w_land.shape:
         raise ModelError("w_launch and w_land must have the same shape")
+    _check_width(params, w_launch)
     n = w_launch.shape[0]
     u = rng.choice(NUM_SACCADE_TYPES, size=n, p=params.pi) + 1
     amp = np.empty(n)
@@ -288,14 +282,8 @@ def sample_events(
             continue
         wl = w_launch[mask]
         wd = w_land[mask]
-        amp[mask] = rng.gamma(
-            link_many(wl, params.alpha[t - 1]),
-            link_many(wl, params.beta[t - 1]),
-        )
-        dur[mask] = rng.gamma(
-            link_many(wd, params.gamma[t - 1]),
-            link_many(wd, params.delta[t - 1]),
-        )
+        amp[mask] = rng.gamma(np.exp(_clamp(wl @ params.alpha[t - 1])), np.exp(_clamp(wl @ params.beta[t - 1])))
+        dur[mask] = rng.gamma(np.exp(_clamp(wd @ params.gamma[t - 1])), np.exp(_clamp(wd @ params.delta[t - 1])))
     return EventBatch(
         u=u.astype(np.int64),
         amp=np.maximum(amp, 1e-12),

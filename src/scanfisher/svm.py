@@ -10,13 +10,16 @@ JMLR 2001), each factoring Q + diag(z/a + w/(C - a)) once by Cholesky, with
 z and w the multipliers of a >= 0 and a <= C.  At a relative duality gap of
 1e-6 it crosses over to the exact optimum (`_polish`), else resumes to a gap
 100x tighter, a fixed number of times: zeros and C are then exact.
+A `KernelProblem` is a training Gram checked once, when it is built (square,
+finite, symmetric, PSD); `solve_dual` checks only its labels, C and tol.
 `train_multiclass`, the one trainer above it for identification and
-comprehension alike, reduces to one-vs-rest over a shared Gram matrix (two
-classes take one solve); `prefix_decision_curve` averages per-line
-decision values over line prefixes, and its last row is the whole-text
-decision.  Along a grid of C values a solve need not be repeated
-(`SvmModel.reused_at`, `train_multiclass(previous=...)`).  A solve's `tol`
-does not move the polished optimum; it only marks the model `converged`.
+comprehension alike, reduces to one-vs-rest with every class, and every C
+of a grid, on one `KernelProblem` (two classes take one solve);
+`prefix_decision_curve` averages per-line decision values over line
+prefixes, and its last row is the whole-text decision.  Along a grid of C
+values a solve need not be repeated (`SvmModel.reused_at`,
+`train_multiclass(previous=...)`).  A solve's `tol` does not move the
+polished optimum; it only marks the model `converged`.
 """
 
 import logging
@@ -41,29 +44,26 @@ class SvmError(ValueError):
     """Invalid kernel problem or solver failure."""
 
 
-@dataclass
 class KernelProblem:
-    gram: np.ndarray
-    labels: np.ndarray
-    C: float
+    """A training Gram, checked once for every class and every C solved on it, else SvmError.
 
-    def __post_init__(self):
-        self.gram = np.asarray(self.gram, dtype=float)
-        self.labels = np.asarray(self.labels, dtype=float)
+    Square, finite, symmetric to 1e-8 (1 + max |K_ij|) and PSD: K + `_PSD_SLACK` `scale` Id
+    has a Cholesky factor, with `scale` = 1 + max |K_ii|, the order of the dual's gradient.
+    """
+
+    def __init__(self, gram: np.ndarray):
+        self.gram = np.asarray(gram, dtype=float)
         n = self.gram.shape[0]
         if self.gram.shape != (n, n):
             raise SvmError(f"gram must be square, got {self.gram.shape}")
-        if self.labels.shape != (n,):
-            raise SvmError("labels length must match gram size")
-        if not np.all(np.isin(self.labels, (-1.0, 1.0))):
-            raise SvmError("labels must be -1 or +1")
-        if not self.C > 0:
-            raise SvmError("C must be > 0")
         if not np.isfinite(self.gram).all():
             raise SvmError("gram matrix contains non-finite values")
-        scale = 1.0 + float(np.abs(self.gram).max(initial=0.0))
-        if float(np.abs(self.gram - self.gram.T).max(initial=0.0)) > 1e-8 * scale:
+        bound = 1e-8 * (1.0 + float(np.abs(self.gram).max(initial=0.0)))
+        if float(np.abs(self.gram - self.gram.T).max(initial=0.0)) > bound:
             raise SvmError("gram matrix is not symmetric")
+        self.scale = 1.0 + float(np.abs(np.diag(self.gram)).max(initial=0.0))
+        if dpotrf(self.gram + _PSD_SLACK * self.scale * np.eye(n), lower=1, overwrite_a=1)[1]:
+            raise SvmError("gram matrix is not positive semidefinite; increase the Fisher metric ridge")
 
     @property
     def n(self) -> int:
@@ -203,6 +203,8 @@ def _polish(Q: np.ndarray, y: np.ndarray, C: float, scale: float, alpha, s, z, w
 
 def solve_dual(
     problem: KernelProblem,
+    labels: np.ndarray,
+    C: float,
     tol: float = 1e-3,
     max_iter: int = 100,
 ) -> SvmModel:
@@ -213,23 +215,26 @@ def solve_dual(
     is `converged` if that violation is < tol.  When the steps stop (at
     `max_iter`, on a failed factorization or after the last retry) and no
     crossover is accepted, the iterate snapped to its active set is returned
-    with a warning.  A Gram with an eigenvalue below -`_PSD_SLACK`
-    (1 + max |K_ii|), and a tol that is not > 0, raise SvmError.
+    with a warning.  Labels that are not one +-1 per Gram row, a C that is
+    not > 0 and a tol that is not > 0 raise SvmError; the Gram was checked
+    when the problem was built.
     """
+    y = np.asarray(labels, dtype=float)
+    n = problem.n
+    if y.shape != (n,):
+        raise SvmError("labels length must match gram size")
+    if not np.all(np.isin(y, (-1.0, 1.0))):
+        raise SvmError("labels must be -1 or +1")
+    if not C > 0:
+        raise SvmError("C must be > 0")
     if not tol > 0:
         raise SvmError(f"tol must be > 0, got {tol!r}")
     K = problem.gram
-    y = problem.labels
-    C = problem.C
-    n = problem.n
-    scale = 1.0 + float(np.abs(np.diag(K)).max(initial=0.0))
-    shifted = K + _PSD_SLACK * scale * np.eye(n)
-    if dpotrf(shifted, lower=1, overwrite_a=1)[1]:
-        raise SvmError("gram matrix is not positive semidefinite; increase the Fisher metric ridge")
+    scale = problem.scale
     Q = y[:, None] * K * y
     if abs(y.sum()) == n:
         # one label: y^T alpha = 0 leaves alpha = 0 as the only feasible point
-        return _model(problem, Q, np.zeros(n), 0, tol)
+        return _model(Q, y, C, np.zeros(n), 0, tol)
 
     # primal alpha and s = C - alpha, multipliers z >= 0 of alpha >= 0 and
     # w >= 0 of s >= 0, and the bias b (the multiplier of y^T alpha = 0);
@@ -293,10 +298,10 @@ def solve_dual(
             it += 1
         polished = _polish(Q, y, C, scale, alpha, s, z, w)
         if polished is not None:
-            return _model(problem, Q, polished, it, tol)
+            return _model(Q, y, C, polished, it, tol)
         if gap > target:
             break
-    model = _model(problem, Q, _snapped(C, scale, alpha, s, z, w), it, tol)
+    model = _model(Q, y, C, _snapped(C, scale, alpha, s, z, w), it, tol)
     logger.warning(
         "interior-point SVM solver %s (N=%d, C=%g): no crossover passed the KKT check; relative gap %.3g, "
         "KKT violation %.3g (tol %.3g)", f"stopped at max_iter={max_iter}" if it >= max_iter else
@@ -305,13 +310,13 @@ def solve_dual(
     return model
 
 
-def _model(problem: KernelProblem, Q: np.ndarray, alpha: np.ndarray, iterations: int, tol: float) -> SvmModel:
-    violation, bias = _kkt(Q, problem.labels, problem.C, alpha)
+def _model(Q: np.ndarray, y: np.ndarray, C: float, alpha: np.ndarray, iterations: int, tol: float) -> SvmModel:
+    violation, bias = _kkt(Q, y, C, alpha)
     return SvmModel(
         alpha=alpha,
-        y=problem.labels,
+        y=y,
         bias=bias,
-        C=problem.C,
+        C=C,
         support=np.flatnonzero(alpha > SUPPORT_EPS),
         kkt_violation=violation,
         n_iterations=iterations,
@@ -350,17 +355,17 @@ class MulticlassSvm:
 
 
 def train_multiclass(
-    gram: np.ndarray,
+    problem: KernelProblem,
     labels: Sequence,
     C: float,
     previous: MulticlassSvm | None = None,
 ) -> MulticlassSvm:
-    """Train one binary SVM per class (class vs. rest) on a shared Gram matrix.
+    """Train one binary SVM per class (class vs. rest), every one on `problem`'s Gram.
 
     With two classes only the last class is solved: the first class's problem
     is the same dual with every label negated, so its model is the mirror
     (labels and bias negated, alpha shared) and decides by the negated values.
-    `previous` is a set trained on the same gram and labels at another C.
+    `previous` is a set trained on the same problem and labels at another C.
     Each class whose model carries over to C (:meth:`SvmModel.reused_at`)
     is taken from it without a new solve.
     """
@@ -377,7 +382,7 @@ def train_multiclass(
         model = previous.models[k].reused_at(C) if previous is not None else None
         if model is None:
             y = np.where(label_arr == classes[k], 1.0, -1.0)
-            model = solve_dual(KernelProblem(gram=gram, labels=y, C=C))
+            model = solve_dual(problem, y, C)
         models.append(model)
     if mirrored:
         models.insert(0, replace(models[0], y=-models[0].y, bias=-models[0].bias))

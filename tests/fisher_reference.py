@@ -16,7 +16,8 @@ from scipy.special import digamma
 
 from scanfisher.events import NUM_SACCADE_TYPES, EventBatch
 from scanfisher.fisher import FisherMetric, score_dimension, score_matrix
-from scanfisher.model import ModelParams, link_many
+from scanfisher.model import ModelParams
+from model_reference import link_many
 
 
 def fisher_score(events: EventBatch, params: ModelParams) -> np.ndarray:

@@ -1,8 +1,12 @@
 """Scalar log-likelihood and generative classifier, kept as test oracles.
 
+`link` and `link_many` are the exponential link as the package computed it
+before every shape and scale came from `gamma_terms`' predictor clamp: the
+exponent capped at 709, then the value clamped to [1e-8, 1e8] after
+``exp``.  Inside the link bounds they equal ``np.exp`` of the predictor.
 `gamma_logpdf` and `event_loglik` score one event (one row of an
-`EventBatch`) at a time with the scalar `scanfisher.model.link`; the
-vectorized `batch_loglik` must match their sum.  `loglik_parts_of_batch` is
+`EventBatch`) at a time with the scalar `link`; the vectorized
+`batch_loglik` must match their sum.  `loglik_parts_of_batch` is
 `scanfisher.model.loglik_parts` as it was before it scored segments and
 before it took its terms from `gamma_terms`: one call per batch, each term
 summed with ``np.sum``, densities from `log_gamma_density` with the link
@@ -19,7 +23,17 @@ from scipy.special import gammaln
 
 from scanfisher.evaluate import EvalError
 from scanfisher.events import NUM_SACCADE_TYPES, EventBatch
-from scanfisher.model import ModelError, ModelParams, batch_loglik, link, link_many
+from scanfisher.model import LINK_MAX, LINK_MIN, ModelError, ModelParams, batch_loglik
+
+
+def link(weights: np.ndarray, w: np.ndarray) -> float:
+    """exp(weights . w), clamped to [1e-8, 1e8] to keep densities finite."""
+    return float(np.clip(np.exp(min(weights @ w, 709.0)), LINK_MIN, LINK_MAX))
+
+
+def link_many(W: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Row-wise clamped exponential link for a feature matrix W (N, M)."""
+    return np.clip(np.exp(np.minimum(W @ weights, 709.0)), LINK_MIN, LINK_MAX)
 
 
 def gamma_logpdf(x: float, shape: float, scale: float) -> float:

@@ -16,7 +16,7 @@ import math
 
 import numpy as np
 
-from scanfisher.svm import SUPPORT_EPS, KernelProblem, SvmError, SvmModel
+from scanfisher.svm import SUPPORT_EPS, SvmError, SvmModel
 
 logger = logging.getLogger("scanfisher.svm")
 
@@ -33,7 +33,9 @@ def reference_decision_value(model: SvmModel, k_row: np.ndarray) -> float:
 
 
 def reference_solve_dual(
-    problem: KernelProblem,
+    gram: np.ndarray,
+    labels: np.ndarray,
+    C: float,
     tol: float = 1e-3,
     max_iter: int | None = None,
 ) -> SvmModel:
@@ -43,10 +45,9 @@ def reference_solve_dual(
     when the violation gap m(alpha) - M(alpha) < tol, which bounds every KKT
     violation by tol once the bias is set from the free support vectors.
     """
-    K = problem.gram
-    y = problem.labels
-    C = problem.C
-    n = problem.n
+    K = np.asarray(gram, dtype=float)
+    y = np.asarray(labels, dtype=float)
+    n = K.shape[0]
     if max_iter is None:
         max_iter = max(100_000, 200 * n)
 
@@ -164,7 +165,9 @@ def reference_solve_dual(
 
 
 def smo_solve_dual(
-    problem: KernelProblem,
+    gram: np.ndarray,
+    labels: np.ndarray,
+    C: float,
     tol: float = 1e-3,
     max_iter: int | None = None,
 ) -> SvmModel:
@@ -174,10 +177,9 @@ def smo_solve_dual(
     when the violation gap m(alpha) - M(alpha) < tol, which bounds every KKT
     violation by tol once the bias is set from the free support vectors.
     """
-    K = problem.gram
-    y = problem.labels
-    C = problem.C
-    n = problem.n
+    K = np.asarray(gram, dtype=float)
+    y = np.asarray(labels, dtype=float)
+    n = K.shape[0]
     if max_iter is None:
         max_iter = max(100_000, 200 * n)
 
@@ -326,11 +328,11 @@ def smo_solve_dual(
     )
 
 
-def kkt_violations(model: SvmModel, problem: KernelProblem, tol_alpha: float = SUPPORT_EPS) -> np.ndarray:
-    """Per-instance violation of the KKT optimality conditions."""
-    f = model.decision_values(problem.gram)
-    margin = problem.labels * f
-    v = np.zeros(problem.n)
+def kkt_violations(model: SvmModel, gram: np.ndarray, labels: np.ndarray, tol_alpha: float = SUPPORT_EPS) -> np.ndarray:
+    """Per-instance violation of the KKT optimality conditions of the dual on `gram` and `labels`."""
+    f = model.decision_values(gram)
+    margin = labels * f
+    v = np.zeros(len(labels))
     at_zero = model.alpha <= tol_alpha
     at_c = model.alpha >= model.C - tol_alpha
     free = ~at_zero & ~at_c
@@ -340,5 +342,5 @@ def kkt_violations(model: SvmModel, problem: KernelProblem, tol_alpha: float = S
     return v
 
 
-def max_kkt_violation(model: SvmModel, problem: KernelProblem) -> float:
-    return float(kkt_violations(model, problem).max(initial=0.0))
+def max_kkt_violation(model: SvmModel, gram: np.ndarray, labels: np.ndarray) -> float:
+    return float(kkt_violations(model, gram, labels).max(initial=0.0))

@@ -219,7 +219,7 @@ def test_c04_kernel_validity():
         d = info.shape[0]
 
         ridge = max(1e-6 * np.trace(info) / d, 1e-12)
-        metric = fisher_metric(scores, ridge)
+        metric = fisher_metric(info, ridge)
         gram = gram_matrix(metric, scores)
         assert np.abs(gram - gram.T).max() < 1e-12
         eigs = np.linalg.eigvalsh(gram)
@@ -227,7 +227,7 @@ def test_c04_kernel_validity():
 
         # dense-inverse oracle at the better-conditioned grid ridge
         ridge_oracle = 1e-4 * np.trace(info) / d
-        metric_oracle = fisher_metric(scores, ridge_oracle)
+        metric_oracle = fisher_metric(info, ridge_oracle)
         gram_oracle_path = gram_matrix(metric_oracle, scores)
         dense = scores @ np.linalg.inv(info + ridge_oracle * np.eye(d)) @ scores.T
         rel = np.abs(gram_oracle_path - dense).max() / np.abs(dense).max()
@@ -255,8 +255,7 @@ def test_c05_score_zero_mean_at_truth():
 def test_c06_svm_correctness():
     """Analytic 2-point dual solution plus KKT on every trained binary problem."""
     with criterion("C6 SVM correctness"):
-        problem = KernelProblem(gram=np.eye(2), labels=np.array([1.0, -1.0]), C=10.0)
-        model = solve_dual(problem)
+        model = solve_dual(KernelProblem(np.eye(2)), np.array([1.0, -1.0]), 10.0)
         np.testing.assert_array_equal(model.alpha, [1.0, 1.0])
         assert model.bias == 0.0
 
@@ -269,21 +268,20 @@ def test_c06_svm_correctness():
         labels = [f"r{i % 3}" for i in range(90)]
         scores = score_matrix(batches, params)
         info = empirical_information(scores)
-        metric = fisher_metric(scores, max(1e-6 * np.trace(info) / info.shape[0], 1e-12))
+        metric = fisher_metric(info, max(1e-6 * np.trace(info) / info.shape[0], 1e-12))
         gram = gram_matrix(metric, scores)
-        mc = train_multiclass(gram, labels, C=1.0)
+        mc = train_multiclass(KernelProblem(gram), labels, C=1.0)
         for cls, svm_model in zip(mc.classes, mc.models):
             y = np.where(np.array(labels) == cls, 1.0, -1.0)
-            viol = max_kkt_violation(svm_model, KernelProblem(gram=gram, labels=y, C=1.0))
+            viol = max_kkt_violation(svm_model, gram, y)
             assert viol <= 1e-3, f"class {cls}: KKT violation {viol:.2e}"
             checked += 1
         # plain dense problems
         for _ in range(5):
             X = rng.normal(0, 1, (50, 6))
             y = np.where(rng.random(50) < 0.5, 1.0, -1.0)
-            prob = KernelProblem(gram=X @ X.T, labels=y, C=1.0)
-            trained = solve_dual(prob, tol=1e-3)
-            assert max_kkt_violation(trained, prob) <= 1e-3
+            trained = solve_dual(KernelProblem(X @ X.T), y, 1.0, tol=1e-3)
+            assert max_kkt_violation(trained, X @ X.T, y) <= 1e-3
             checked += 1
         assert checked == 8
 

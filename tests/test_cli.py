@@ -179,6 +179,16 @@ def test_kernel_and_train_svm_reject_bad_ridge_scale(scores_file, tmp_path, caps
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("command, extra", [("kernel", []), ("train-svm", ["--meta", "m.json"])])
+def test_zero_width_score_file_is_a_parse_error(tmp_path, capsys, command, extra):
+    # a header "0 N" used to reach default_ridge and die there with a ZeroDivisionError
+    scores = tmp_path / "scores.txt"
+    scores.write_text("0 2\n\n\n")
+    assert run_cli(command, "--scores", scores, "--out", tmp_path / "out", *extra) == 2
+    assert capsys.readouterr().err == f"error: {scores}:1: a score has at least one component, the header gives D = 0\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_identify_pipeline(synth_dir, tmp_path, capsys):
     out = tmp_path / "report"
     code = run_cli(

@@ -844,9 +844,9 @@ def test_saturation_stops_choose_what_the_full_scan_chooses(monkeypatch):
         kernel_stages[side] += 1
         return real_kernel_stage(stage, ridge_scale)
 
-    def solve_counted(problem, **kwargs):
+    def solve_counted(problem, labels, C, **kwargs):
         solves[side] += 1
-        return real_solve(problem, **kwargs)
+        return real_solve(problem, labels, C, **kwargs)
 
     # _tune serves the SVMs and the baseline, told apart by the scan it gets;
     # the oracles take the SVM scan's decision rule and train with
@@ -861,7 +861,7 @@ def test_saturation_stops_choose_what_the_full_scan_chooses(monkeypatch):
         return scan
 
     def train(stage, kernels, C, previous):
-        return evaluate.train_multiclass(kernels.gram, stage.labels, C, previous=previous)
+        return evaluate.train_multiclass(kernels.problem, stage.labels, C, previous=previous)
 
     def full_baseline(contexts, config, layout, scan):
         return evaluate._Tuned(lam=tune_baseline_full_scan(contexts, config), ridge_scale=config.ridge_scales[0],
@@ -925,35 +925,35 @@ def test_two_class_training_solves_the_last_class_and_mirrors_the_first(monkeypa
     rng = np.random.default_rng(6)
     order = rng.permutation(16)
     X = (rng.normal(0, 1, (16, 4)) + np.repeat([[2.0, 0, 0, 0], [-2.0, 0, 0, 0]], 8, axis=0))[order]
-    gram, rows = X @ X.T, rng.normal(0, 1, (5, 4)) @ X.T
+    problem, rows = KernelProblem(X @ X.T), rng.normal(0, 1, (5, 4)) @ X.T
     labels = [["a", "b"][i // 8] for i in order]
     y_last = np.where(np.array(labels) == "b", 1.0, -1.0)
     solved = []
     real_solve = svm.solve_dual
 
-    def counted(problem, **kwargs):
-        solved.append(problem)
-        return real_solve(problem, **kwargs)
+    def counted(problem, labels, C, **kwargs):
+        solved.append(labels)
+        return real_solve(problem, labels, C, **kwargs)
 
     monkeypatch.setattr(svm, "solve_dual", counted)
     previous, reused = None, 0
     for C in (0.01, 10.0, 100.0):
         solved.clear()
-        mc = svm.train_multiclass(gram, labels, C, previous=previous)
+        mc = svm.train_multiclass(problem, labels, C, previous=previous)
         first, last = mc.models
         if previous is not None and previous.models[1].reused_at(C) is not None:
             # reused_at carries the mirrored model along C
             reused += 1
             assert solved == [] and first.alpha is previous.models[0].alpha and first.C == last.C == C
         else:
-            assert len(solved) == 1 and np.array_equal(solved[0].labels, y_last)
-            oracle = real_solve(KernelProblem(gram=gram, labels=y_last, C=C))
+            assert len(solved) == 1 and np.array_equal(solved[0], y_last)
+            oracle = real_solve(problem, y_last, C)
             assert all(np.array_equal(getattr(last, name), getattr(oracle, name)) for name in (
                 "alpha", "y", "bias", "C", "support", "kkt_violation", "n_iterations", "converged"))
         assert first.alpha is last.alpha and first.support is last.support and first.converged == last.converged
         assert np.array_equal(first.y, -last.y) and first.bias == -last.bias
         assert np.array_equal(first.decision_values(rows), -last.decision_values(rows))
-        assert _same_svm(first, real_solve(KernelProblem(gram=gram, labels=-y_last, C=C)))
+        assert _same_svm(first, real_solve(problem, -y_last, C))
         previous = mc
     assert reused == 1
 
@@ -964,9 +964,9 @@ def test_c_grid_reuse_matches_fresh_training_in_both_tuners(small_dataset, monke
     carried = []
     real_multiclass = evaluate.train_multiclass
 
-    def checked_multiclass(gram, labels, C, previous=None):
-        mc = real_multiclass(gram, labels, C, previous=previous)
-        fresh = real_multiclass(gram, labels, C)
+    def checked_multiclass(problem, labels, C, previous=None):
+        mc = real_multiclass(problem, labels, C, previous=previous)
+        fresh = real_multiclass(problem, labels, C)
         assert mc.classes == fresh.classes and mc.C == fresh.C
         assert all(_same_svm(a, b) for a, b in zip(mc.models, fresh.models))
         if previous is not None:
@@ -979,6 +979,44 @@ def test_c_grid_reuse_matches_fresh_training_in_both_tuners(small_dataset, monke
     carried.clear()
     binary_comprehension_eval(_comprehension_dataset(seed=101, num_readers=8), C_PATH)
     assert any(carried)
+
+
+def test_each_kernel_stage_checks_its_gram_once(small_dataset, monkeypatch):
+    # the training Gram is checked and PSD-factored when _kernel_stage builds
+    # its KernelProblem; every C and every class then solve on that problem
+    counts = {"stages": 0, "trainings": 0, "solves": 0, "built": 0, "built_in_training": 0}
+    training = []
+    real_init, real_stage = svm.KernelProblem.__init__, evaluate._kernel_stage
+    real_multiclass, real_solve = evaluate.train_multiclass, svm.solve_dual
+
+    def init(self, gram):
+        counts["built"] += 1
+        counts["built_in_training"] += bool(training)
+        real_init(self, gram)
+
+    def stage(*args):
+        counts["stages"] += 1
+        return real_stage(*args)
+
+    def multiclass(*args, **kwargs):
+        counts["trainings"] += 1
+        training.append(True)
+        try:
+            return real_multiclass(*args, **kwargs)
+        finally:
+            training.pop()
+
+    def solve(*args, **kwargs):
+        counts["solves"] += 1
+        return real_solve(*args, **kwargs)
+
+    monkeypatch.setattr(svm.KernelProblem, "__init__", init)
+    monkeypatch.setattr(evaluate, "_kernel_stage", stage)
+    monkeypatch.setattr(evaluate, "train_multiclass", multiclass)
+    monkeypatch.setattr(svm, "solve_dual", solve)
+    loto_cv(small_dataset, C_PATH)
+    assert counts["built"] == counts["stages"] > 0 and counts["built_in_training"] == 0
+    assert counts["solves"] > counts["trainings"] > counts["stages"], counts
 
 
 # ---------------------------------------------------------------------------

@@ -267,7 +267,7 @@ def test_feature_count_mismatch_names_instance_and_both_counts():
 def test_metric_rank_one():
     g = np.zeros(4)
     g[0] = 1.0
-    metric = fisher_metric(g[None, :], ridge=0.1)
+    metric = fisher_metric(empirical_information(g[None, :]), ridge=0.1)
     expected = np.diag([1.1, 0.1, 0.1, 0.1])
     np.testing.assert_allclose(metric.information + 0.1 * np.eye(4), expected, atol=1e-15)
 
@@ -287,9 +287,8 @@ def test_information_is_psd_and_matches_double_loop():
 
 
 def test_metric_failure_suggests_ridge():
-    scores = np.zeros((3, 4))
     with pytest.raises(MetricError, match="ridge"):
-        fisher_metric(scores, ridge=0.0)
+        fisher_metric(np.zeros((4, 4)), ridge=0.0)
 
 
 def test_empirical_information_rejects_zero_score_rows():
@@ -297,8 +296,6 @@ def test_empirical_information_rejects_zero_score_rows():
     for scores in (np.zeros((0, 4)), np.zeros((0, 0))):
         with pytest.raises(MetricError, match="at least one score row"):
             empirical_information(scores)
-        with pytest.raises(MetricError, match="at least one score row"):
-            fisher_metric(scores, ridge=1.0)
     assert issubclass(MetricError, ValueError)
 
 
@@ -317,12 +314,12 @@ def test_metric_rejects_non_finite_scores_and_ridges(bad_score, ridge, message):
     if bad_score is not None:
         scores[2, 1] = bad_score
     with pytest.raises(MetricError, match=f"^{re.escape(message)}$"):
-        fisher_metric(scores, ridge)
+        fisher_metric(empirical_information(scores), ridge)
 
 
 def test_kernel_with_identity_metric_is_dot_product():
     rng = np.random.default_rng(17)
-    metric = fisher_metric(np.zeros((5, 4)), ridge=1.0)  # I = 0, ridge 1 -> identity
+    metric = fisher_metric(np.zeros((4, 4)), ridge=1.0)  # I = 0, ridge 1 -> identity
     for _ in range(10):
         a = rng.normal(0, 1, 4)
         b = rng.normal(0, 1, 4)
@@ -334,7 +331,8 @@ def test_gram_entries_match_pairwise_kernel_oracle():
     rng = np.random.default_rng(21)
     scores = rng.normal(0, 2, (12, 6))
     other = rng.normal(0, 2, (3, 6))
-    metric = fisher_metric(scores, default_ridge(empirical_information(scores), 1e-3))
+    info = empirical_information(scores)
+    metric = fisher_metric(info, default_ridge(info, 1e-3))
     for left, gram in ((scores, gram_matrix(metric, scores)),
                        (other, gram_matrix(metric, scores, other=other))):
         oracle = [[kernel(a, b, metric) for b in scores] for a in left]
@@ -349,6 +347,9 @@ def test_default_ridge_scales_trace_with_floor():
     for scale in (-1.0, float("nan")):
         with pytest.raises(MetricError, match="ridge scale must be >= 0"):
             default_ridge(info, scale)
+    # scores of no components (a score file with header "0 N") give a 0 x 0 information
+    with pytest.raises(MetricError, match=re.escape("the Fisher information has no components (D = 0)")):
+        default_ridge(empirical_information(np.zeros((3, 0))), 1e-6)
 
 
 def test_kernel_matches_dense_inverse_oracle():
@@ -356,7 +357,7 @@ def test_kernel_matches_dense_inverse_oracle():
     scores = rng.normal(0, 3, (20, 10))
     info = empirical_information(scores)
     ridge = 1e-4 * np.trace(info) / 10
-    metric = fisher_metric(scores, ridge)
+    metric = fisher_metric(info, ridge)
     gram = gram_matrix(metric, scores)
     inv = np.linalg.inv(info + ridge * np.eye(10))
     oracle = scores @ inv @ scores.T
@@ -373,7 +374,7 @@ def test_gram_symmetric_psd():
     batches = [_random_batch(rng, params, 10, 2) for _ in range(30)]
     scores = score_matrix(batches, params)
     info = empirical_information(scores)
-    metric = fisher_metric(scores, max(1e-6 * np.trace(info) / info.shape[0], 1e-12))
+    metric = fisher_metric(info, max(1e-6 * np.trace(info) / info.shape[0], 1e-12))
     gram = gram_matrix(metric, scores)
     np.testing.assert_allclose(gram, gram.T, atol=1e-12)
     eigs = np.linalg.eigvalsh(gram)
@@ -395,6 +396,7 @@ def test_scores_file_round_trip(tmp_path):
     ("3\n1 2 3\n", ":1: expected the header 'D N'"),
     ("3 x\n1 2 3\n", ":1: expected the header 'D N'"),
     ("3 -1\n", ":1: expected the header 'D N'"),
+    ("0 2\n\n\n", ":1: a score has at least one component, the header gives D = 0"),
     ("3 2\n1 2 3\n1 2\n", ":3: expected 3 values, got 2"),
     ("3 2\n1 2 3\n1 2 3 4\n", ":3: expected 3 values, got 4"),
     ("3 1\n1 two 3\n", ":2: could not convert string to float: 'two'"),

@@ -10,14 +10,12 @@ from scanfisher.model import (
     ModelError,
     ModelParams,
     batch_loglik,
-    link,
-    link_many,
     loglik_parts,
     sample_events,
     sample_scanpath,
 )
 from scanfisher.synth import default_base_params
-from model_reference import event_loglik, gamma_logpdf, loglik_parts_of_batch
+from model_reference import event_loglik, gamma_logpdf, link, loglik_parts_of_batch
 
 
 def _uniform_params(m=1, pi=None):
@@ -37,7 +35,7 @@ def _random_params(rng, m):
 
 
 # ---------------------------------------------------------------------------
-# link
+# link (the oracles' value-clamped form)
 
 
 def test_link_zero_weights():
@@ -49,8 +47,16 @@ def test_link_bias_only():
 
 
 def test_link_length_mismatch():
-    with pytest.raises(ModelError, match="mismatch"):
-        link(np.zeros(2), np.zeros(3))
+    # the samplers check the feature width against the model's M once per call
+    params = _uniform_params(m=2)
+    rng = np.random.default_rng(0)
+    with pytest.raises(ModelError, match=r"^feature rows of shape \(4, 3\) do not match the model's M=2$"):
+        sample_events(params, np.ones((4, 3)), np.ones((4, 3)), rng)
+    text = Text("t0", (tuple(Word(f"w{i}", i * 4, i * 4 + 3, 1) for i in range(4)),))
+    feats, _ = compute_features([text], FrequencyTable(counts={}, total=100))
+    assert feats[0].lines[0].shape[1] != 2
+    with pytest.raises(ModelError, match="do not match the model's M=2"):
+        sample_scanpath(params, text, feats[0], line_id=0, start=(0.0, 200.0), n_fixations=3, rng=rng)
 
 
 def test_link_matches_scalar_oracle():

@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -20,13 +21,13 @@ def _linear_gram(X):
     return X @ X.T
 
 
-def _separable_problem(rng, n_per_class=10, gap=4.0, C=10.0):
+def _separable_problem(rng, n_per_class=10, gap=4.0):
     X = np.concatenate([
         rng.normal(0, 1, (n_per_class, 3)) + np.array([gap, 0, 0]),
         rng.normal(0, 1, (n_per_class, 3)) - np.array([gap, 0, 0]),
     ])
     y = np.concatenate([np.ones(n_per_class), -np.ones(n_per_class)])
-    return KernelProblem(gram=_linear_gram(X), labels=y, C=C), X
+    return KernelProblem(_linear_gram(X)), y, X
 
 
 # ---------------------------------------------------------------------------
@@ -34,8 +35,7 @@ def _separable_problem(rng, n_per_class=10, gap=4.0, C=10.0):
 
 
 def test_two_point_analytic_solution():
-    problem = KernelProblem(gram=np.eye(2), labels=np.array([1.0, -1.0]), C=10.0)
-    model = solve_dual(problem)
+    model = solve_dual(KernelProblem(np.eye(2)), np.array([1.0, -1.0]), 10.0)
     np.testing.assert_array_equal(model.alpha, [1.0, 1.0])
     assert model.bias == 0.0
     assert reference_decision_value(model, np.array([1.0, 0.0])) == pytest.approx(1.0)
@@ -44,11 +44,11 @@ def test_two_point_analytic_solution():
 
 def test_separable_problem_perfect_training_accuracy():
     rng = np.random.default_rng(0)
-    problem, _ = _separable_problem(rng)
-    model = solve_dual(problem, tol=1e-3)
+    problem, y, _ = _separable_problem(rng)
+    model = solve_dual(problem, y, 10.0, tol=1e-3)
     decisions = model.decision_values(problem.gram)
-    assert np.all(np.sign(decisions) == problem.labels)
-    assert max_kkt_violation(model, problem) <= 1e-3
+    assert np.all(np.sign(decisions) == y)
+    assert max_kkt_violation(model, problem.gram, y) <= 1e-3
 
 
 def test_kkt_conditions_hold_on_random_problems():
@@ -57,9 +57,9 @@ def test_kkt_conditions_hold_on_random_problems():
         n = 40
         X = rng.normal(0, 1.5, (n, 4))
         y = np.where(rng.random(n) < 0.5, 1.0, -1.0)
-        problem = KernelProblem(gram=_linear_gram(X), labels=y, C=1.0)
-        model = solve_dual(problem, tol=1e-3)
-        assert max_kkt_violation(model, problem) <= 1e-3
+        gram = _linear_gram(X)
+        model = solve_dual(KernelProblem(gram), y, 1.0, tol=1e-3)
+        assert max_kkt_violation(model, gram, y) <= 1e-3
         assert abs(float(model.alpha @ model.y)) <= 1e-8
         assert np.all(model.alpha >= 0) and np.all(model.alpha <= 1.0 + 1e-12)
 
@@ -67,16 +67,16 @@ def test_kkt_conditions_hold_on_random_problems():
 def test_objective_is_no_worse_than_the_smo_oracle():
     # the returned alpha is the optimum itself, not a point within tol of it
     rng = np.random.default_rng(2)
-    problem, _ = _separable_problem(rng, n_per_class=15, gap=1.0, C=2.0)
-    Q = problem.labels[:, None] * problem.gram * problem.labels
+    problem, y, _ = _separable_problem(rng, n_per_class=15, gap=1.0)
+    Q = y[:, None] * problem.gram * y
 
     def objective(alpha):
         return 0.5 * alpha @ Q @ alpha - alpha.sum()
 
-    model = solve_dual(problem, tol=1e-4)
-    oracle = smo_solve_dual(problem, tol=1e-4)
+    model = solve_dual(problem, y, 2.0, tol=1e-4)
+    oracle = smo_solve_dual(problem.gram, y, 2.0, tol=1e-4)
     assert objective(model.alpha) <= objective(oracle.alpha) + 1e-12
-    assert objective(model.alpha) <= objective(smo_solve_dual(problem, tol=1e-10).alpha) + 1e-12
+    assert objective(model.alpha) <= objective(smo_solve_dual(problem.gram, y, 2.0, tol=1e-10).alpha) + 1e-12
 
 
 def test_duplicated_instances_leave_decisions_unchanged():
@@ -88,24 +88,24 @@ def test_duplicated_instances_leave_decisions_unchanged():
     y = np.array([1.0, 1.0, 1.0, -1.0, -1.0, -1.0])
     test_points = rng.normal(0, 2, (5, 2))
 
-    single = solve_dual(KernelProblem(gram=_linear_gram(X), labels=y, C=50.0), tol=1e-6)
+    single = solve_dual(KernelProblem(_linear_gram(X)), y, 50.0, tol=1e-6)
     d1 = single.decision_values(test_points @ X.T)
 
     X2 = np.concatenate([X, X])
     y2 = np.concatenate([y, y])
-    doubled = solve_dual(KernelProblem(gram=_linear_gram(X2), labels=y2, C=50.0), tol=1e-6)
+    doubled = solve_dual(KernelProblem(_linear_gram(X2)), y2, 50.0, tol=1e-6)
     d2 = doubled.decision_values(test_points @ X2.T)
     np.testing.assert_allclose(d1, d2, atol=1e-3)
 
 
 def test_margin_support_vector_decision_is_one():
     rng = np.random.default_rng(4)
-    problem, _ = _separable_problem(rng, C=100.0)
-    model = solve_dual(problem, tol=1e-4)
+    problem, y, _ = _separable_problem(rng)
+    model = solve_dual(problem, y, 100.0, tol=1e-4)
     free = (model.alpha > 1e-8) & (model.alpha < model.C - 1e-8)
     decisions = model.decision_values(problem.gram)
     for i in np.flatnonzero(free):
-        assert problem.labels[i] * decisions[i] == pytest.approx(1.0, abs=1e-3)
+        assert y[i] * decisions[i] == pytest.approx(1.0, abs=1e-3)
 
 
 def test_decision_value_empty_expansion():
@@ -130,45 +130,58 @@ def test_decision_value_length_mismatch():
 
 def test_model_serialization_round_trip():
     rng = np.random.default_rng(5)
-    problem, X = _separable_problem(rng)
-    model = solve_dual(problem)
+    problem, y, X = _separable_problem(rng)
+    model = solve_dual(problem, y, 10.0)
     restored = SvmModel.from_dict(model.to_dict())
     rows = rng.normal(0, 1, (6, 3)) @ X.T
     np.testing.assert_allclose(restored.decision_values(rows), model.decision_values(rows), rtol=1e-12)
 
 
-def test_non_psd_gram_raises_with_ridge_hint():
-    # eigenvalues +-1.5: negative curvature along the selected working pair
-    gram = np.array([[0.0, 1.5], [1.5, 0.0]])
-    problem = KernelProblem(gram=gram, labels=np.array([1.0, -1.0]), C=1.0)
-    with pytest.raises(SvmError, match="ridge"):
-        solve_dual(problem)
+_PAIR = [1.0, -1.0]
 
 
-def test_asymmetric_gram_rejected():
-    gram = np.array([[1.0, 0.5], [0.2, 1.0]])
-    with pytest.raises(SvmError, match="symmetric"):
-        KernelProblem(gram=gram, labels=np.array([1.0, -1.0]), C=1.0)
+@pytest.mark.parametrize("step, gram, labels, C, tol, message", [
+    # a Gram is checked once, when its KernelProblem is built
+    pytest.param("problem", np.ones((2, 3)), _PAIR, 1.0, 1e-3, "gram must be square, got (2, 3)", id="non-square"),
+    pytest.param("problem", [[1.0, np.nan], [np.nan, 1.0]], _PAIR, 1.0, 1e-3,
+                 "gram matrix contains non-finite values", id="non-finite"),
+    pytest.param("problem", [[1.0, 0.5], [0.2, 1.0]], _PAIR, 1.0, 1e-3, "gram matrix is not symmetric",
+                 id="asymmetric"),
+    # eigenvalues +-1.5
+    pytest.param("problem", [[0.0, 1.5], [1.5, 0.0]], _PAIR, 1.0, 1e-3,
+                 "gram matrix is not positive semidefinite; increase the Fisher metric ridge", id="not-psd"),
+    # labels, C and tol are checked on every solve
+    pytest.param("solve", np.eye(2), [1.0, -1.0, 1.0], 1.0, 1e-3, "labels length must match gram size",
+                 id="label-length"),
+    pytest.param("solve", np.eye(2), [1.0, 2.0], 1.0, 1e-3, "labels must be -1 or +1", id="label-not-pm1"),
+    pytest.param("solve", np.eye(2), _PAIR, 0.0, 1e-3, "C must be > 0", id="C-zero"),
+    pytest.param("solve", np.eye(2), _PAIR, -1.0, 1e-3, "C must be > 0", id="C-negative"),
+    pytest.param("solve", np.eye(2), _PAIR, float("nan"), 1e-3, "C must be > 0", id="C-nan"),
+    pytest.param("solve", np.eye(2), _PAIR, 1.0, 0.0, "tol must be > 0, got 0.0", id="tol-zero"),
+    pytest.param("solve", np.eye(2), _PAIR, 1.0, float("nan"), "tol must be > 0, got nan", id="tol-nan"),
+])
+def test_every_check_raises_its_message(step, gram, labels, C, tol, message):
+    raised = pytest.raises(SvmError, match=f"^{re.escape(message)}$")
+    if step == "problem":
+        with raised:
+            KernelProblem(np.array(gram))
+    else:
+        problem = KernelProblem(np.array(gram))
+        with raised:
+            solve_dual(problem, np.array(labels), C, tol=tol)
 
 
 @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
 def test_non_finite_gram_rejected(bad):
-    labels = np.array([1.0, -1.0])
     for gram in ([[bad, 0.0], [0.0, 1.0]], [[1.0, bad], [bad, 1.0]]):
         with pytest.raises(SvmError, match="non-finite"):
-            KernelProblem(gram=np.array(gram), labels=labels, C=1.0)
+            KernelProblem(np.array(gram))
 
 
 @pytest.mark.parametrize("tol", [0.0, -1e-3, float("nan")])
 def test_non_positive_tolerance_rejected(tol):
-    problem = KernelProblem(gram=np.eye(2), labels=np.array([1.0, -1.0]), C=1.0)
     with pytest.raises(SvmError, match="^tol must be > 0"):
-        solve_dual(problem, tol=tol)
-
-
-def test_invalid_labels_rejected():
-    with pytest.raises(SvmError, match="labels"):
-        KernelProblem(gram=np.eye(2), labels=np.array([1.0, 2.0]), C=1.0)
+        solve_dual(KernelProblem(np.eye(2)), np.array([1.0, -1.0]), 1.0, tol=tol)
 
 
 # ---------------------------------------------------------------------------
@@ -188,7 +201,7 @@ def _clustered_scores(rng, n_classes, per_class, dim=6, gap=6.0):
 def test_two_class_decisions_negate_up_to_bias():
     rng = np.random.default_rng(6)
     X, labels = _clustered_scores(rng, 2, 12)
-    mc = train_multiclass(_linear_gram(X), labels, C=1.0)
+    mc = train_multiclass(KernelProblem(_linear_gram(X)), labels, C=1.0)
     assert mc.classes == ["c00", "c01"]
     values = mc.decision_matrix(_linear_gram(X))
     total = values[:, 0] + values[:, 1]
@@ -203,13 +216,13 @@ def test_multiclass_predicts_separable_training_set():
     rng = np.random.default_rng(7)
     X, labels = _clustered_scores(rng, 4, 10)
     gram = _linear_gram(X)
-    mc = train_multiclass(gram, labels, C=10.0)
+    mc = train_multiclass(KernelProblem(gram), labels, C=10.0)
     assert _line_predictions(mc, gram) == labels
 
 
 def test_multiclass_needs_two_classes():
     with pytest.raises(SvmError, match="classes"):
-        train_multiclass(np.eye(3), ["a", "a", "a"], C=1.0)
+        train_multiclass(KernelProblem(np.eye(3)), ["a", "a", "a"], C=1.0)
 
 
 def test_multiclass_paper_scale_62_readers():
@@ -217,7 +230,7 @@ def test_multiclass_paper_scale_62_readers():
     rng = np.random.default_rng(8)
     X, labels = _clustered_scores(rng, 62, 11, dim=10, gap=8.0)
     gram = _linear_gram(X)
-    mc = train_multiclass(gram, labels, C=1.0)
+    mc = train_multiclass(KernelProblem(gram), labels, C=1.0)
     assert len(mc.models) == 62
     preds = _line_predictions(mc, gram)
     assert np.mean([p == t for p, t in zip(preds, labels)]) > 0.95
@@ -227,7 +240,7 @@ def test_multiclass_serialization_round_trip():
     rng = np.random.default_rng(9)
     X, labels = _clustered_scores(rng, 3, 8)
     gram = _linear_gram(X)
-    mc = train_multiclass(gram, labels, C=1.0)
+    mc = train_multiclass(KernelProblem(gram), labels, C=1.0)
     restored = MulticlassSvm.from_dict(mc.to_dict(references={"scores": "sha256:x"}))
     np.testing.assert_allclose(
         restored.decision_matrix(gram), mc.decision_matrix(gram), rtol=1e-12
@@ -241,13 +254,13 @@ def test_multiclass_serialization_round_trip():
 def _toy_multiclass():
     rng = np.random.default_rng(10)
     X, labels = _clustered_scores(rng, 2, 6)
-    mc = train_multiclass(_linear_gram(X), labels, C=1.0)
+    mc = train_multiclass(KernelProblem(_linear_gram(X)), labels, C=1.0)
     return mc, X
 
 
 def _text_predictions(mc, rows):
     """Per-prefix predictions of one test group, as the identification pipeline makes them."""
-    kernels = _KernelStage(gram=np.zeros((0, 0)), group_rows={("g", "t"): rows})
+    kernels = _KernelStage(problem=None, group_rows={("g", "t"): rows})
     curves, decisions = _decide_groups(mc, kernels, _identify)
     assert np.array_equal(decisions[("g", "t")], prefix_decision_curve(mc, rows))
     return curves[("g", "t")]
@@ -296,11 +309,10 @@ def test_prefix_decision_curve_is_cumulative_mean():
 # the interior-point solver against the SMO oracle run to tol 1e-10
 
 
-def _assert_matches_oracle(model, problem):
+def _assert_matches_oracle(model, problem, y, C):
     """alpha, bias and decisions equal the SMO oracle's at tol 1e-10, with exact zeros and C."""
-    oracle = smo_solve_dual(problem, tol=1e-10)
-    C = problem.C
-    assert model.C == C and np.array_equal(model.y, problem.labels)
+    oracle = smo_solve_dual(problem.gram, y, C, tol=1e-10)
+    assert model.C == C and np.array_equal(model.y, y)
     np.testing.assert_array_equal(model.alpha == 0, oracle.alpha == 0)
     np.testing.assert_array_equal(model.alpha == C, oracle.alpha == C)
     np.testing.assert_allclose(model.alpha, oracle.alpha, rtol=0, atol=1e-6 * C)
@@ -326,16 +338,15 @@ def test_solver_matches_reference_on_low_rank_grams():
     solves = at_box = 0
     for n, rank in ((24, 5), (40, 12), (70, 20), (110, 85)):
         classes = rng.integers(0, 3, n)
-        gram = _low_rank_gram(rng, classes, rank)
+        problem = KernelProblem(_low_rank_gram(rng, classes, rank))
         for cls in range(3):
             y = np.where(classes == cls, 1.0, -1.0)
             for C in (0.01, 0.1, 1.0, 10.0):
-                problem = KernelProblem(gram=gram, labels=y, C=C)
-                model = solve_dual(problem)
-                _assert_matches_oracle(model, problem)
+                model = solve_dual(problem, y, C)
+                _assert_matches_oracle(model, problem, y, C)
                 assert 0 < model.n_iterations <= 20
                 # the oracle is the straightforward per-step SMO, bit for bit
-                fast, ref = smo_solve_dual(problem), reference_solve_dual(problem)
+                fast, ref = smo_solve_dual(problem.gram, y, C), reference_solve_dual(problem.gram, y, C)
                 assert np.array_equal(fast.alpha, ref.alpha) and fast.bias == ref.bias
                 assert fast.n_iterations == ref.n_iterations
                 solves += 1
@@ -345,18 +356,18 @@ def test_solver_matches_reference_on_low_rank_grams():
 
 
 def test_solver_matches_reference_on_two_point_problem():
+    problem, y = KernelProblem(np.eye(2)), np.array([1.0, -1.0])
     for C in (0.5, 1.0, 10.0):
-        problem = KernelProblem(gram=np.eye(2), labels=np.array([1.0, -1.0]), C=C)
-        model = solve_dual(problem)
-        _assert_matches_oracle(model, problem)
+        model = solve_dual(problem, y, C)
+        _assert_matches_oracle(model, problem, y, C)
         np.testing.assert_array_equal(model.alpha, [min(C, 1.0)] * 2)
 
 
 def test_solver_raises_on_every_non_psd_gram():
     # A separable problem plus one pair of points with negative curvature
     # between them (K_aa + K_bb - 2 K_ab < 0).  SMO raised only once such a
-    # pair was selected and solved the other problems; the interior-point
-    # solver checks the whole Gram up front and raises on every one.
+    # pair was selected and solved the other problems; KernelProblem checks
+    # the whole Gram before any solve and raises on every one.
     rng = np.random.default_rng(14)
     oracle = set()
     for trial in range(12):
@@ -370,11 +381,10 @@ def test_solver_raises_on_every_non_psd_gram():
         gram[n:, n:] = s
         gram[n, n + 1] = gram[n + 1, n] = s + rng.uniform(0.1, 1.0)
         pair_labels = [-1.0, -1.0] if trial % 2 == 0 else [1.0, -1.0]
-        problem = KernelProblem(gram=gram, labels=np.concatenate([y, pair_labels]), C=1.0)
         with pytest.raises(SvmError, match="increase the Fisher metric ridge"):
-            solve_dual(problem)
+            KernelProblem(gram)
         try:
-            reference_solve_dual(problem)
+            reference_solve_dual(gram, np.concatenate([y, pair_labels]), 1.0)
             oracle.add("solved")
         except SvmError:
             oracle.add("raised")
@@ -390,9 +400,9 @@ def test_tolerance_changes_only_the_converged_flag():
         y = np.where(classes == 0, 1.0, -1.0)
         if abs(y.sum()) == n:
             y[0] = -y[0]
-        problem = KernelProblem(gram=_low_rank_gram(rng, classes, int(rng.integers(2, 30))), labels=y,
-                                C=(0.1, 1.0, 10.0)[trial % 3])
-        models = {tol: solve_dual(problem, tol=tol) for tol in (1e-1, 1e-3, 1e-8)}
+        problem = KernelProblem(_low_rank_gram(rng, classes, int(rng.integers(2, 30))))
+        C = (0.1, 1.0, 10.0)[trial % 3]
+        models = {tol: solve_dual(problem, y, C, tol=tol) for tol in (1e-1, 1e-3, 1e-8)}
         first = models[1e-1]
         for tol, model in models.items():
             np.testing.assert_array_equal(model.alpha, first.alpha)
@@ -404,9 +414,9 @@ def test_tolerance_changes_only_the_converged_flag():
 
 def test_max_iter_exit_is_logged_with_problem_size(caplog):
     rng = np.random.default_rng(15)
-    problem, _ = _separable_problem(rng, n_per_class=12, gap=0.5, C=5.0)
+    problem, y, _ = _separable_problem(rng, n_per_class=12, gap=0.5)
     with caplog.at_level("WARNING", logger="scanfisher.svm"):
-        model = solve_dual(problem, tol=1e-3, max_iter=3)
+        model = solve_dual(problem, y, 5.0, tol=1e-3, max_iter=3)
     assert model.n_iterations == 3
     assert model.kkt_violation >= 1e-3
     messages = [r.getMessage() for r in caplog.records if r.name == "scanfisher.svm"]
@@ -426,12 +436,12 @@ def test_max_iter_exit_is_logged_with_problem_size(caplog):
 def test_one_label_problem_has_the_zero_solution(n, label):
     # y^T alpha = 0 leaves alpha = 0 as the only feasible point; the bias is
     # the end of [m, M] that exists, so every point sits on its margin
-    problem = KernelProblem(gram=np.eye(n) * 2.0, labels=np.full(n, label), C=1.0)
-    model = solve_dual(problem)
+    gram = np.eye(n) * 2.0
+    model = solve_dual(KernelProblem(gram), np.full(n, label), 1.0)
     np.testing.assert_array_equal(model.alpha, np.zeros(n))
     assert model.support.size == 0 and model.n_iterations == 0 and model.kkt_violation == 0.0
     assert model.bias == label
-    assert max_kkt_violation(model, problem) == 0.0
+    assert max_kkt_violation(model, gram, np.full(n, label)) == 0.0
 
 
 def test_duplicated_rows_return_an_unpolished_iterate_with_the_oracle_decisions(caplog):
@@ -443,17 +453,17 @@ def test_duplicated_rows_return_an_unpolished_iterate_with_the_oracle_decisions(
     X = rng.normal(0, 1, (20, 3))
     y = np.where(X[:, 0] + 0.3 * rng.normal(size=20) > 0, 1.0, -1.0)
     X2, y2 = np.concatenate([X, X]), np.concatenate([y, y])
+    problem, single = KernelProblem(X2 @ X2.T), KernelProblem(X @ X.T)
     for C in (0.01, 1.0, 100.0):
-        problem = KernelProblem(gram=X2 @ X2.T, labels=y2, C=C)
         caplog.clear()
         with caplog.at_level("WARNING", logger="scanfisher.svm"):
-            model = solve_dual(problem, tol=1e-3)
+            model = solve_dual(problem, y2, C, tol=1e-3)
         messages = [r.getMessage() for r in caplog.records if r.name == "scanfisher.svm"]
         assert len(messages) == 1
         assert "unpolished iterate" in messages[0] and "N=40" in messages[0] and f"C={C:g}" in messages[0]
         assert "relative gap" in messages[0] and f"KKT violation {model.kkt_violation:.3g}" in messages[0]
         assert model.kkt_violation < 1e-3
-        oracle = smo_solve_dual(problem, tol=1e-10)
+        oracle = smo_solve_dual(problem.gram, y2, C, tol=1e-10)
         np.testing.assert_allclose(model.decision_values(problem.gram), oracle.decision_values(problem.gram),
                                    rtol=0, atol=1e-8)
         # each pair's total is the optimum's
@@ -462,8 +472,7 @@ def test_duplicated_rows_return_an_unpolished_iterate_with_the_oracle_decisions(
         # without the duplicates the crossover is accepted
         with caplog.at_level("WARNING", logger="scanfisher.svm"):
             caplog.clear()
-            single = KernelProblem(gram=X @ X.T, labels=y, C=C)
-            _assert_matches_oracle(solve_dual(single), single)
+            _assert_matches_oracle(solve_dual(single, y, C), single, y, C)
         assert not caplog.records
 
 
@@ -477,7 +486,7 @@ def test_tiny_free_alpha_is_polished_at_the_first_crossover(monkeypatch):
     rng = np.random.default_rng(153)
     X = rng.normal(0, 100.0, (10, 3))
     y = np.where(np.arange(10) % 2 == 0, 1.0, -1.0)
-    problem = KernelProblem(gram=X @ X.T, labels=y, C=0.1)
+    problem = KernelProblem(X @ X.T)
     polished = []
     real_polish = svm_module._polish
 
@@ -487,27 +496,27 @@ def test_tiny_free_alpha_is_polished_at_the_first_crossover(monkeypatch):
         return point
 
     monkeypatch.setattr(svm_module, "_polish", counting)
-    model = solve_dual(problem)
+    model = solve_dual(problem, y, 0.1)
     assert polished == [True]
-    free = model.alpha[(model.alpha > 0) & (model.alpha < problem.C)]
+    free = model.alpha[(model.alpha > 0) & (model.alpha < 0.1)]
     assert 5e-5 < free.min() < 2e-4
-    _assert_matches_oracle(model, problem)
+    _assert_matches_oracle(model, problem, y, 0.1)
 
 
 def test_every_alpha_at_c_and_none_at_c():
     rng = np.random.default_rng(22)
     y = np.array([1.0] * 10 + [-1.0] * 10)
     overlapping = rng.normal(0, 1, (20, 3)) + 0.2 * y[:, None]
-    problem = KernelProblem(gram=overlapping @ overlapping.T, labels=y, C=1e-2)
-    model = solve_dual(problem)
+    problem = KernelProblem(overlapping @ overlapping.T)
+    model = solve_dual(problem, y, 1e-2)
     np.testing.assert_array_equal(model.alpha, np.full(20, 1e-2))
-    _assert_matches_oracle(model, problem)
+    _assert_matches_oracle(model, problem, y, 1e-2)
 
     separated = rng.normal(0, 1, (20, 3)) + np.outer(y, [4.0, 0.0, 0.0])
-    problem = KernelProblem(gram=separated @ separated.T, labels=y, C=1e2)
-    model = solve_dual(problem)
+    problem = KernelProblem(separated @ separated.T)
+    model = solve_dual(problem, y, 1e2)
     assert (model.alpha < 1e2).all() and (model.alpha == 0).any()
-    _assert_matches_oracle(model, problem)
+    _assert_matches_oracle(model, problem, y, 1e2)
 
 
 def test_gram_with_a_negative_eigenvalue_raises_the_ridge_hint():
@@ -518,15 +527,14 @@ def test_gram_with_a_negative_eigenvalue_raises_the_ridge_hint():
     values[0] = -1e-3 * scale
     gram = (vectors * values) @ vectors.T
     gram = 0.5 * (gram + gram.T)
-    y = np.where(np.arange(12) % 2 == 0, 1.0, -1.0)
-    for C in (0.01, 1.0, 100.0):
-        with pytest.raises(SvmError, match="not positive semidefinite; increase the Fisher metric ridge"):
-            solve_dual(KernelProblem(gram=gram, labels=y, C=C))
+    with pytest.raises(SvmError, match="not positive semidefinite; increase the Fisher metric ridge"):
+        KernelProblem(gram)
     # a rounding-level negative eigenvalue is accepted
     values[0] = -1e-12 * scale
     gram = (vectors * values) @ vectors.T
-    problem = KernelProblem(gram=0.5 * (gram + gram.T), labels=y, C=1.0)
-    _assert_matches_oracle(solve_dual(problem), problem)
+    problem = KernelProblem(0.5 * (gram + gram.T))
+    y = np.where(np.arange(12) % 2 == 0, 1.0, -1.0)
+    _assert_matches_oracle(solve_dual(problem, y, 1.0), problem, y, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -540,10 +548,10 @@ def test_reused_models_match_the_oracle_at_their_new_c():
     refused = 0
     for n, rank in ((30, 6), (60, 15), (110, 85)):
         classes = rng.integers(0, 3, n)
-        gram = _low_rank_gram(rng, classes, rank)
+        problem = KernelProblem(_low_rank_gram(rng, classes, rank))
         for cls in range(3):
             y = np.where(classes == cls, 1.0, -1.0)
-            models = {C: solve_dual(KernelProblem(gram=gram, labels=y, C=C)) for C in grid}
+            models = {C: solve_dual(problem, y, C) for C in grid}
             for C_from, C_to in itertools.permutations(grid, 2):
                 previous = models[C_from]
                 carried = previous.reused_at(C_to)
@@ -552,25 +560,25 @@ def test_reused_models_match_the_oracle_at_their_new_c():
                     refused += 1
                     continue
                 assert carried.alpha is previous.alpha and carried.C == C_to
-                _assert_matches_oracle(carried, KernelProblem(gram=gram, labels=y, C=C_to))
+                _assert_matches_oracle(carried, problem, y, C_to)
                 reused["larger" if C_to > C_from else "smaller"] += 1
     assert min(reused.values()) > 0 and refused > 0
 
 
 def test_solve_that_touches_the_box_is_not_reused():
     rng = np.random.default_rng(17)
-    problem, _ = _separable_problem(rng, n_per_class=10, gap=0.5, C=0.01)
-    small = solve_dual(problem)
+    problem, y, _ = _separable_problem(rng, n_per_class=10, gap=0.5)
+    small = solve_dual(problem, y, 0.01)
     assert (small.alpha == 0.01).any()
     assert small.reused_at(1.0) is None
-    larger = solve_dual(KernelProblem(gram=problem.gram, labels=problem.labels, C=1.0))
+    larger = solve_dual(problem, y, 1.0)
     assert not np.array_equal(larger.alpha, small.alpha)
 
 
 def test_reuse_needs_every_alpha_inside_both_boxes():
     rng = np.random.default_rng(18)
-    problem, _ = _separable_problem(rng, C=100.0)
-    model = solve_dual(problem)
+    problem, y, _ = _separable_problem(rng)
+    model = solve_dual(problem, y, 100.0)
     largest = float(model.alpha.max())
     assert 0 < largest < model.C
     assert model.reused_at(200.0).C == 200.0
@@ -578,7 +586,7 @@ def test_reuse_needs_every_alpha_inside_both_boxes():
     assert model.reused_at(largest) is None
     assert model.reused_at(0.5 * largest) is None
     # a violation at or above the solve's tol, or no solve (a model read from a file)
-    strict = solve_dual(problem, tol=model.kkt_violation)
+    strict = solve_dual(problem, y, 100.0, tol=model.kkt_violation)
     assert not strict.converged and strict.reused_at(200.0) is None
     assert SvmModel.from_dict(model.to_dict()).reused_at(200.0) is None
 
@@ -588,21 +596,21 @@ def test_train_multiclass_reuses_qualifying_classes(monkeypatch):
 
     rng = np.random.default_rng(19)
     X, labels = _clustered_scores(rng, 4, 10, gap=3.0)
-    gram = _linear_gram(X)
+    problem = KernelProblem(_linear_gram(X))
     solved = []
     real_solve = svm_module.solve_dual
 
-    def counting(problem, tol=1e-3, **kwargs):
-        solved.append(problem.C)
-        return real_solve(problem, tol=tol, **kwargs)
+    def counting(problem, labels, C, tol=1e-3, **kwargs):
+        solved.append(C)
+        return real_solve(problem, labels, C, tol=tol, **kwargs)
 
     monkeypatch.setattr(svm_module, "solve_dual", counting)
     previous = None
     for C in (0.01, 1.0, 10.0, 100.0):
         solved.clear()
-        mc = train_multiclass(gram, labels, C, previous=previous)
+        mc = train_multiclass(problem, labels, C, previous=previous)
         for model in mc.models:
-            _assert_matches_oracle(model, KernelProblem(gram=gram, labels=model.y, C=C))
+            _assert_matches_oracle(model, problem, model.y, C)
         expected = len(mc.classes) if previous is None else sum(
             m.reused_at(C) is None for m in previous.models)
         assert len(solved) == expected
@@ -611,7 +619,7 @@ def test_train_multiclass_reuses_qualifying_classes(monkeypatch):
 
 
 def test_train_multiclass_rejects_previous_with_other_classes():
-    gram = np.eye(4)
-    previous = train_multiclass(gram, ["a", "a", "b", "b"], C=1.0)
+    problem = KernelProblem(np.eye(4))
+    previous = train_multiclass(problem, ["a", "a", "b", "b"], C=1.0)
     with pytest.raises(SvmError, match="previous classes"):
-        train_multiclass(gram, ["a", "a", "c", "c"], C=10.0, previous=previous)
+        train_multiclass(problem, ["a", "a", "c", "c"], C=10.0, previous=previous)
