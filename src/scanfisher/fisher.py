@@ -98,34 +98,47 @@ class FisherMetric:
         return solve_triangular(self.chol, scores.T, lower=True).T
 
 
+def _check_finite(information: np.ndarray) -> None:
+    if not np.isfinite(information).all():
+        raise MetricError("the Fisher information is not finite: a score is non-finite or too large")
+
+
 def default_ridge(information: np.ndarray, scale: float = 1e-6) -> float:
     """Ridge heuristic: scale * trace(I) / D (N < D makes I singular), at least 1e-12.
 
-    A negative or NaN scale, and an information of no components (D = 0), raise MetricError.
+    A negative or NaN scale, an information of no components (D = 0) and a
+    non-finite information raise MetricError.
     """
     if not scale >= 0:
         raise MetricError(f"ridge scale must be >= 0, got {scale!r}")
     d = information.shape[0]
     if d == 0:
         raise MetricError("the Fisher information has no components (D = 0)")
+    _check_finite(information)
     return max(scale * float(np.trace(information)) / d, 1e-12)
 
 
 def empirical_information(scores: np.ndarray) -> np.ndarray:
+    """Mean outer product of the score rows.
+
+    Scores so large that their products overflow give non-finite entries,
+    without a floating-point warning; `default_ridge` and `fisher_metric`
+    reject them.
+    """
     scores = np.atleast_2d(np.asarray(scores, dtype=float))
     n = scores.shape[0]
     if n < 1:
         raise MetricError("empirical Fisher information needs at least one score row")
-    info = scores.T @ scores / n
-    return 0.5 * (info + info.T)
+    with np.errstate(over="ignore", invalid="ignore"):
+        info = scores.T @ scores / n
+        return 0.5 * (info + info.T)
 
 
 def fisher_metric(info: np.ndarray, ridge: float) -> FisherMetric:
     """Build the metric I + ridge*Id from the information I and factorize it; non-finite input raises MetricError."""
     if not 0 <= ridge < np.inf:
         raise MetricError(f"ridge must be finite and >= 0, got {ridge!r}")
-    if not np.isfinite(info).all():
-        raise MetricError("the Fisher information is not finite: a score is non-finite or too large")
+    _check_finite(info)
     regularized = info + ridge * np.eye(info.shape[0])
     try:
         chol = np.linalg.cholesky(regularized)

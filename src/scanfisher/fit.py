@@ -28,17 +28,19 @@ minima.  From an iterate whose Hessian is not positive definite, second-order
 steps (those of the expected information too) can leave the basin that
 L-BFGS-B from the same start settles in.  So such a group, like any group
 Newton cannot finish (no Armijo decrease, a non-finite value or `max_iter`
-steps), is refitted by one `minimize` call: L-BFGS-B (Byrd, Lu, Nocedal &
-Zhu, SIAM J. Sci. Comput. 1995) on `_objective` with analytic gradients, from
-the same moment start restricted to the weights the group uses, and that
-result is used as it is.  `minimize` drives scipy's L-BFGS-B routine
-(`setulb`) directly, as ``scipy.optimize.minimize(method="L-BFGS-B")`` does
-but without its function wrappers, and equals that call bit for bit.  It
-stops on the projected-gradient test (|g| <= `tol`) or on the
-relative-reduction test (``ftol = 1e-12``).  Every group, empty, bias-only,
-Newton or L-BFGS-B, is set up and recorded in one loop (`_fit_segments`).
-No value is shared between groups, so each group's fit, and each segment's
-model, is the one it would get alone.
+steps), is refitted by L-BFGS-B (Byrd, Lu, Nocedal & Zhu, SIAM J. Sci.
+Comput. 1995) with analytic gradients, from the same moment start restricted
+to the weights the group uses, and that result is used as it is.  One
+`minimize` call refits all such groups of a fit, one L-BFGS-B run each, in
+lockstep: each round, one `gamma_terms` pass evaluates the points every
+running run asks for (`_Objectives`).  `minimize` drives scipy's L-BFGS-B
+routine (`setulb`) directly, as ``scipy.optimize.minimize(method="L-BFGS-B")``
+does but without its function wrappers, and each run equals that call on
+its own group bit for bit.  A run stops on the projected-gradient test
+(|g| <= `tol`) or on the relative-reduction test (``ftol = 1e-12``).  Every
+group, empty, bias-only, Newton or L-BFGS-B, is set up and recorded in one
+loop (`_fit_segments`).  No value is shared between groups, so each group's
+fit, and each segment's model, is the one it would get alone.
 """
 
 import logging
@@ -113,22 +115,6 @@ def fit_pi(events: EventBatch) -> np.ndarray:
     return pi / pi.sum()
 
 
-def _objective(theta: np.ndarray, x: np.ndarray, W: np.ndarray, lam: float):
-    """Negative regularized gamma log-likelihood and its gradient.
-
-    theta = [shape weights (M), scale weights (M)].  The per-event terms are
-    `gamma_terms` of the linear predictors W a and W b.
-    """
-    m = W.shape[1]
-    loglik, shape_term, scale_term = gamma_terms(x, np.log(x), W @ theta[:m], W @ theta[m:], order=1)
-    reg = np.exp(np.minimum(theta, 500.0))
-    reg_shape, reg_scale = reg[:m], reg[m:]
-    value = -float(np.sum(loglik)) + lam * float(reg_shape.sum() + reg_scale.sum())
-    grad_shape = -(W.T @ shape_term) + lam * reg_shape
-    grad_scale = -(W.T @ scale_term) + lam * reg_scale
-    return value, np.concatenate([grad_shape, grad_scale])
-
-
 def _moment_init(x: np.ndarray, m: int) -> np.ndarray:
     """Bias weights from method-of-moments, all feature weights zero."""
     mean = float(x.mean())
@@ -151,8 +137,8 @@ class GroupFit:
     `objective_trace` holds the objective at the start and at each iterate.
     For a Newton group `converged` means the stopping rule was met (|g| <=
     `tol` or the Newton decrement test); for an L-BFGS-B group it is the
-    ``success`` flag of `minimize` (scipy's), which a fit ended by the
-    relative-reduction test also sets.
+    ``success`` flag of its `minimize` run (scipy's), which a run ended by
+    the relative-reduction test also sets.
     """
 
     kind: str           # "amplitude" or "duration"
@@ -204,25 +190,15 @@ def _check_setulb(setulb) -> None:
 _check_setulb(_lbfgsb.setulb)
 
 
-def minimize(fun, x0: np.ndarray, tol: float, max_iter: int) -> OptimizeResult:
-    """L-BFGS-B on `fun`, which returns the objective and its gradient, from `x0`.
+def _lbfgsb_run(x0: np.ndarray, tol: float, max_iter: int):
+    """One L-BFGS-B run from `x0`, as a generator.
 
-    A loop over scipy's L-BFGS-B routine `setulb` that equals
-    ``scipy.optimize.minimize(fun, x0, jac=True, method="L-BFGS-B",
-    options={"maxiter": max_iter, "gtol": tol, "ftol": 1e-12})`` bit for bit:
-    it mirrors scipy 1.17's ``_minimize_lbfgsb`` without its function
-    wrappers, and the fit's tests check it against the installed scipy.  As
-    there, `fun` is evaluated at `x0` first and then only where the routine
-    asks for a point that differs from the last one, always on a copy; the
-    gradient is copied before every routine call; and the iteration limit,
-    then the evaluation limit (15000), is checked at each new iterate.  `fun`
-    must not modify its argument.  The result has scipy's `x`, `fun`, `jac`,
-    `nit`, `nfev`, `success` and `message`, and `trace`: the objective at the
-    start, then at each iterate.
+    It yields each point to evaluate, is sent that point's objective and
+    gradient, and returns its result; `minimize` drives it.
     """
     x = np.array(x0, dtype=np.float64)
     at = x.copy()           # the point of the last evaluation
-    f_at, g_at = fun(at)
+    f_at, g_at = yield at
     nfev, nit, trace = 1, 0, [f_at]
     lower, upper, nbd, wa, iwa, task, lsave, isave, dsave, ln_task = _setulb_state(x.size)
     f, g = 0.0, np.zeros(x.size)
@@ -231,9 +207,9 @@ def minimize(fun, x0: np.ndarray, tol: float, max_iter: int) -> OptimizeResult:
         _lbfgsb.setulb(_MAXCOR, x, lower, upper, nbd, f, g, _FACTR, tol, wa, iwa, task, lsave, isave,
                        dsave, _MAXLS, ln_task)
         if task[0] == _FG:
-            if not np.array_equal(x, at):
+            if not (x == at).all():     # np.array_equal of two same-shape arrays
                 at = x.copy()
-                f_at, g_at = fun(at)
+                f_at, g_at = yield at
                 nfev += 1
             f, g = f_at, g_at
         elif task[0] == _NEW_X:
@@ -248,6 +224,114 @@ def minimize(fun, x0: np.ndarray, tol: float, max_iter: int) -> OptimizeResult:
     message = _STATUS[task[0]] + ": " + _TASK[task[1]]
     return OptimizeResult(x=x, fun=f, jac=g, nit=nit, nfev=nfev, success=bool(task[0] == _CONVERGENCE),
                           message=message, trace=trace)
+
+
+def minimize(fun, starts, tol: float, max_iter: int) -> OptimizeResult:
+    """L-BFGS-B from each of `starts`, the runs in lockstep.
+
+    Each run loops over scipy's L-BFGS-B routine `setulb` and equals
+    ``scipy.optimize.minimize(f, start, jac=True, method="L-BFGS-B",
+    options={"maxiter": max_iter, "gtol": tol, "ftol": 1e-12})`` on its own
+    objective f bit for bit: it mirrors scipy 1.17's ``_minimize_lbfgsb``
+    without its function wrappers (the fit's tests check it against the
+    installed scipy).  As there, a run evaluates its start first, then only
+    points that differ from its last one, always on a copy; it copies the
+    gradient before every routine call, and checks the iteration limit, then
+    the evaluation limit (15000), at each new iterate.
+
+    Each round, every running run calls the routine until it asks for a new
+    point or stops, and one call ``fun(indices, points)`` evaluates all the
+    points asked for, returning an (objective, gradient) pair per point;
+    `indices` are the asking runs' positions in `starts`.  `fun` must not
+    modify the points.  The result's `runs` holds a scipy-shaped result per
+    start (`x`, `fun`, `jac`, `nit`, `nfev`, `success`, `message`, and
+    `trace`: the objective at the start and at each iterate); its `nit` and
+    `nfev` are their totals, and its `success` is true only if every run
+    succeeded.
+    """
+    runs = [_lbfgsb_run(x0, tol, max_iter) for x0 in starts]
+    results = [None] * len(runs)
+    asking = list(range(len(runs)))
+    points = [next(run) for run in runs]
+    while asking:
+        evaluated = fun(asking, points)
+        still, points = [], []
+        for i, value_and_gradient in zip(asking, evaluated):
+            try:
+                points.append(runs[i].send(value_and_gradient))
+                still.append(i)
+            except StopIteration as stop:
+                results[i] = stop.value
+        asking = still
+    return OptimizeResult(runs=results, nit=sum(r.nit for r in results), nfev=sum(r.nfev for r in results),
+                          success=all(r.success for r in results))
+
+
+class _Objectives:
+    """The fit objectives of several groups, whose points `minimize` evaluates a round at a time.
+
+    Problem i is a group's events `x` and feature rows `W`, the weights it
+    uses; its objective is the negative regularized gamma log-likelihood
+
+        -sum gamma_terms(x, ln x, W a, W b) + lam * sum_m exp(min(a_m, 500)) + exp(min(b_m, 500))
+
+    of theta = [a, b], with the gradient taken at the clamped predictors.  A
+    call evaluates a round's points with one `gamma_terms` pass over their
+    events.  The matrix products and log-likelihood sums stay per problem,
+    and each regularizer sum runs over the problem's own terms followed by
+    zeros, so each value and gradient has the bits of that problem evaluated
+    alone (the fit's tests check this against `_objective` in
+    `tests/fit_reference.py`).
+    """
+
+    def __init__(self, problems, lam: float):
+        self.lam = lam
+        self.x = [x for x, _ in problems]
+        self.log_x = [np.log(x) for x in self.x]
+        self.W = [W for _, W in problems]
+        self.width = max(W.shape[1] for W in self.W)
+        self._indices = self._layout = None
+
+    def _layout_of(self, indices):
+        """What a round over the problems `indices` needs apart from the points.
+
+        Their feature rows, pooled events and ln x, the (start, end) of each
+        one's events and of its weights in the round, and the positions of
+        its weights in zero-padded (2, width) row pairs, one pair each.
+        """
+        Ws = [self.W[i] for i in indices]
+        widths = [W.shape[1] for W in Ws]
+        event_ends = np.cumsum([len(self.x[i]) for i in indices]).tolist()
+        weight_ends = (2 * np.cumsum(widths)).tolist()
+        padded_at = np.concatenate([2 * self.width * k + np.r_[:m, self.width:self.width + m]
+                                    for k, m in enumerate(widths)])
+        return (Ws, np.concatenate([self.x[i] for i in indices]), np.concatenate([self.log_x[i] for i in indices]),
+                list(zip([0] + event_ends[:-1], event_ends)), list(zip([0] + weight_ends[:-1], weight_ends)),
+                padded_at)
+
+    def __call__(self, indices, points):
+        if indices != self._indices:   # the asking runs change only when one stops
+            self._indices, self._layout = list(indices), self._layout_of(indices)
+        Ws, x, log_x, events, weights, padded_at = self._layout
+        eta_shape, eta_scale = [], []
+        for W, theta in zip(Ws, points):
+            m = W.shape[1]
+            eta_shape.append(W @ theta[:m])
+            eta_scale.append(W @ theta[m:])
+        loglik, shape_term, scale_term = gamma_terms(x, log_x, np.concatenate(eta_shape),
+                                                     np.concatenate(eta_scale), order=1)
+        loglik_sums, data_grad = [], []
+        for W, (start, end) in zip(Ws, events):
+            loglik_sums.append(np.add.reduce(loglik[start:end]))
+            data_grad.append(W.T @ shape_term[start:end])
+            data_grad.append(W.T @ scale_term[start:end])
+        reg = np.exp(np.minimum(np.concatenate(points), 500.0))
+        grad = -np.concatenate(data_grad) + self.lam * reg
+        padded = np.zeros((len(Ws), 2, self.width))
+        padded.reshape(-1)[padded_at] = reg
+        reg_sums = padded.sum(axis=2)
+        values = -np.array(loglik_sums) + self.lam * (reg_sums[:, 0] + reg_sums[:, 1])
+        return [(value, grad[start:end]) for value, (start, end) in zip(values.tolist(), weights)]
 
 
 @dataclass
@@ -284,7 +368,7 @@ def _pooled_terms(pool: _Pool, theta: np.ndarray, mask: np.ndarray, lam: float, 
 
     Row g of `theta` holds group g's [shape weights, scale weights]; `mask`
     is 0 on the padded weights of bias-only groups, whose Hessian rows are
-    the identity there.  The per-event terms are `gamma_terms`, as in `_objective`.
+    the identity there.  The per-event terms are `gamma_terms`, as in `_Objectives`.
     """
     m = pool.W.shape[1]
     per_event = theta[pool.gid]
@@ -403,8 +487,9 @@ def _fit_segments(batch: EventBatch, sizes, config: FitConfig) -> list[FitOutcom
     """One model per segment of `batch`: its events are the segments' events, `sizes[s]` each, in order.
 
     The ten (kind, u) groups of every segment are solved by one `_newton`
-    call, and every fallback is refitted alone by `minimize`, so each
-    segment's model and diagnostics are those it gets when fitted alone.
+    call, and every fallback by one `minimize` call, whose runs do not
+    interact, so each segment's model and diagnostics are those it gets when
+    fitted alone.
     Empty groups keep zero weights.
     """
     if sum(sizes) != batch.n:
@@ -432,8 +517,17 @@ def _fit_segments(batch: EventBatch, sizes, config: FitConfig) -> list[FitOutcom
     result = _newton(pool, theta0, mask[pooled], config)
 
     row_of = dict(zip(pooled, range(len(pooled))))
+    refits = {}   # group -> (the weights it uses, its L-BFGS-B run)
+    failed = [i for i in pooled if result.failure[row_of[i]] is not None]
+    if failed:
+        # refit from the same start, on the weights each group uses
+        used = [np.flatnonzero(mask[i]) for i in failed]
+        problems = [(groups[i][2], groups[i][3][:, :len(cols) // 2]) for i, cols in zip(failed, used)]
+        starts = [theta0[row_of[i], cols] for i, cols in zip(failed, used)]
+        runs = minimize(_Objectives(problems, config.lam), starts, config.tol, config.max_iter).runs
+        refits = dict(zip(failed, zip(used, runs)))
     fits = []     # ([shape weights, scale weights], GroupFit) per group
-    for i, (kind, u, x, W) in enumerate(groups):
+    for i, (kind, u, _, _) in enumerate(groups):
         if not n_events[i]:
             logger.warning("no %s events of type %d; keeping zero weights", kind, u)
             fits.append((np.zeros(2 * m), GroupFit(kind, u, 0, True, 0.0, 0.0, 0, 0.0, True)))
@@ -453,11 +547,7 @@ def _fit_segments(batch: EventBatch, sizes, config: FitConfig) -> list[FitOutcom
                                                  result.iterations[k], result.grad_norm[k])
         converged, solver = True, "newton"
         if failure is not None:
-            # refit from the same start, on the weights the group uses
-            used = np.flatnonzero(mask[i])
-            W_used = W[:, :len(used) // 2]
-            refit = minimize(lambda theta: _objective(theta, x, W_used, config.lam), theta0[k, used],
-                             config.tol, config.max_iter)
+            used, refit = refits[i]
             if not refit.success:
                 logger.warning(
                     "L-BFGS did not converge for %s events of type %d (n_events=%d, nit=%d): %s",

@@ -1,12 +1,15 @@
 """Fit objectives kept as test oracles.
 
-`objective_before_minimum` is `scanfisher.fit._objective` as it was written
-with ``np.clip`` and one ``exp`` per weight block; the faster one must give
-the same bits.  The per-type wrappers over `scanfisher.fit._objective` take
-the shape and scale weights of one saccade type separately and an event
-batch, so gradient checks can address the amplitude and duration objectives
-by name.  `_fit_group` is the whole-group L-BFGS-B fit from the moment start,
-the fitter `scanfisher.fit` refits with when Newton cannot finish a group.
+`_objective` is one group's fit objective and gradient, evaluated alone: the
+evaluator `scanfisher.fit` refits with (`_Objectives`, which evaluates many
+groups' points at once) must give its bits.  `objective_before_minimum` is
+`_objective` as it was written with ``np.clip`` and one ``exp`` per weight
+block; the faster one must give the same bits.  The per-type wrappers over
+`_objective` take the shape and scale weights of one saccade type separately
+and an event batch, so gradient checks can address the amplitude and
+duration objectives by name.  `_fit_group` is the whole-group L-BFGS-B fit
+from the moment start, the fitter `scanfisher.fit` refits with when Newton
+cannot finish a group.
 """
 
 import logging
@@ -16,10 +19,26 @@ from scipy.optimize import minimize
 from scipy.special import digamma, gammaln
 
 from scanfisher.events import EventBatch
-from scanfisher.fit import FitConfig, GroupFit, _bias_only, _moment_init, _objective
-from scanfisher.model import _LOG_LINK_MAX, _LOG_LINK_MIN
+from scanfisher.fit import FitConfig, GroupFit, _bias_only, _moment_init
+from scanfisher.model import _LOG_LINK_MAX, _LOG_LINK_MIN, gamma_terms
 
 logger = logging.getLogger(__name__)
+
+
+def _objective(theta: np.ndarray, x: np.ndarray, W: np.ndarray, lam: float):
+    """Negative regularized gamma log-likelihood and its gradient.
+
+    theta = [shape weights (M), scale weights (M)].  The per-event terms are
+    `gamma_terms` of the linear predictors W a and W b.
+    """
+    m = W.shape[1]
+    loglik, shape_term, scale_term = gamma_terms(x, np.log(x), W @ theta[:m], W @ theta[m:], order=1)
+    reg = np.exp(np.minimum(theta, 500.0))
+    reg_shape, reg_scale = reg[:m], reg[m:]
+    value = -float(np.sum(loglik)) + lam * float(reg_shape.sum() + reg_scale.sum())
+    grad_shape = -(W.T @ shape_term) + lam * reg_shape
+    grad_scale = -(W.T @ scale_term) + lam * reg_scale
+    return value, np.concatenate([grad_shape, grad_scale])
 
 
 def objective_before_minimum(theta: np.ndarray, x: np.ndarray, W: np.ndarray, lam: float):

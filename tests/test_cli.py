@@ -3,6 +3,7 @@ import logging
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -177,6 +178,17 @@ def test_kernel_and_train_svm_reject_bad_ridge_scale(scores_file, tmp_path, caps
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 2 and all(line.startswith("error: ridge scale must be >= 0") for line in err)
     assert list(tmp_path.iterdir()) == []
+
+
+def test_kernel_reports_an_overflowing_score_as_a_non_finite_information(tmp_path, capsys):
+    scores = tmp_path / "scores.txt"
+    scores.write_text("2 1\n1e200 1\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli("kernel", "--scores", scores, "--out", tmp_path / "gram.csv") == 3
+    assert capsys.readouterr().err == (
+        "error: the Fisher information is not finite: a score is non-finite or too large\n")
+    assert not (tmp_path / "gram.csv").exists()
 
 
 @pytest.mark.parametrize("command, extra", [("kernel", []), ("train-svm", ["--meta", "m.json"])])

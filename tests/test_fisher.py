@@ -1,9 +1,11 @@
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
 from fisher_reference import fisher_score, kernel, reference_fisher_score, score_contributions, score_layout
+from fit_reference import _objective
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import gammaln
@@ -20,7 +22,6 @@ from scanfisher.fisher import (
     score_matrix,
     write_scores,
 )
-from scanfisher.fit import _objective
 from scanfisher.model import ModelError, ModelParams, loglik_parts, sample_events
 
 
@@ -307,7 +308,6 @@ def test_empirical_information_rejects_zero_score_rows():
     (math.inf, 1e-6, "the Fisher information is not finite: a score is non-finite or too large"),
     (1e200, 1e-6, "the Fisher information is not finite: a score is non-finite or too large"),
 ])
-@pytest.mark.filterwarnings("ignore:overflow encountered in matmul:RuntimeWarning")
 def test_metric_rejects_non_finite_scores_and_ridges(bad_score, ridge, message):
     # without the checks the Cholesky factor comes back NaN and nothing is raised
     scores = np.random.default_rng(21).normal(0, 1, (6, 4))
@@ -315,6 +315,18 @@ def test_metric_rejects_non_finite_scores_and_ridges(bad_score, ridge, message):
         scores[2, 1] = bad_score
     with pytest.raises(MetricError, match=f"^{re.escape(message)}$"):
         fisher_metric(empirical_information(scores), ridge)
+
+
+@pytest.mark.parametrize("rows", [[[1e200, 1.0]], [[1e200, 1e200], [1e200, -1e200]], [[math.inf, 1.0]]])
+def test_default_ridge_reports_a_non_finite_information_as_such(rows):
+    # the ridge it computed from such an information used to be inf or NaN,
+    # which fisher_metric then reported as a bad ridge
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        info = empirical_information(np.array(rows))
+    assert not np.isfinite(info).all()
+    with pytest.raises(MetricError, match="^the Fisher information is not finite: a score is non-finite or too large$"):
+        default_ridge(info, 1e-6)
 
 
 def test_kernel_with_identity_metric_is_dot_product():

@@ -17,7 +17,6 @@ from scanfisher.fit import (
     FitError,
     _fit_segments,
     _moment_init,
-    _objective,
     fit_model,
     fit_model_detailed,
     fit_pi,
@@ -26,6 +25,7 @@ from scanfisher.model import ModelParams, sample_events
 from scanfisher.synth import default_base_params
 from fit_reference import (
     _fit_group,
+    _objective,
     neg_loglik_and_grad_amplitude,
     neg_loglik_and_grad_duration,
     objective_before_minimum,
@@ -421,64 +421,155 @@ def test_fallback_trace_costs_no_objective_evaluations(monkeypatch):
     rng = np.random.default_rng(410)
     batch = _sized_batch(rng, 4, (8, 7, 3, 600, 150))
     config = FitConfig(lam=1e-2)
-    objective = fit_module._objective
-    calls = []
+    evaluated = []
 
-    def counted(*args):
-        calls.append(args)
-        return objective(*args)
+    class Counted(fit_module._Objectives):
+        def __call__(self, indices, points):
+            evaluated.extend(points)
+            return super().__call__(indices, points)
 
-    monkeypatch.setattr(fit_module, "_objective", counted)
+    monkeypatch.setattr(fit_module, "_Objectives", Counted)
     outcome = fit_model_detailed(batch, config)
     traced = outcome.groups[0]
     assert traced.solver == "lbfgs" and traced.n_iterations > 50
     assert len(traced.objective_trace) == traced.n_iterations + 1
     assert traced.objective_trace[-1] == traced.final_objective
-    # the start is evaluated once: each fallback costs the evaluations scipy's
-    # L-BFGS-B makes on its problem, one per point it asks for
+    # each start is evaluated once: each fallback costs the evaluations
+    # scipy's L-BFGS-B makes on its problem, one per point it asks for
     scipy_evaluations = 0
     for group in outcome.groups:
         if group.solver == "lbfgs":
             x, W = _group_data(batch, group.kind, group.u)
             W_used = W[:, :1] if group.bias_only else W
             scipy_evaluations += scipy_minimize(
-                lambda theta: objective(theta, x, W_used, config.lam), _moment_init(x, W_used.shape[1]),
+                lambda theta: _objective(theta, x, W_used, config.lam), _moment_init(x, W_used.shape[1]),
                 jac=True, method="L-BFGS-B",
                 options={"maxiter": config.max_iter, "gtol": config.tol, "ftol": 1e-12},
             ).nfev
-    assert len(calls) == scipy_evaluations
+    assert len(evaluated) == scipy_evaluations
+
+
+def _assert_same_run(ours, ref):
+    np.testing.assert_array_equal(ours.x, ref.x)
+    np.testing.assert_array_equal(ours.jac, ref.jac)
+    assert (ours.fun, ours.nit, ours.nfev, ours.success, ours.message) \
+        == (ref.fun, ref.nit, ref.nfev, ref.success, ref.message)
+
+
+def _problems(rng, count, m):
+    """`count` fit problems (x, W) with M = m, a third of them bias-only views W[:, :1] when m > 1."""
+    problems = []
+    for _ in range(count):
+        n = int(rng.integers(2, 40))
+        W = np.column_stack([np.ones(n), rng.normal(0, 1, (n, m - 1))])
+        if m > 1 and rng.random() < 1 / 3:
+            W = W[:, :1]
+        problems.append((rng.gamma(rng.uniform(0.5, 5.0), 1.5, n), W))
+    return problems
 
 
 def test_minimize_equals_scipy_lbfgsb_on_every_exit():
-    """`fit.minimize` gives scipy's L-BFGS-B result bit for bit, whichever test ends the fit."""
+    """Each run of `fit.minimize` gives scipy's L-BFGS-B result bit for bit, whichever test ends it."""
     rng = np.random.default_rng(5)
-    exits = collections.Counter()
+    problems, starts = [], []
     for trial in range(150):
         m, n = int(rng.integers(1, 5)), int(rng.integers(2, 40))
         W = np.column_stack([np.ones(n), rng.normal(0, 1, (n, m - 1))])
         x = rng.gamma(rng.uniform(0.5, 5.0), 1.5, n)
-        lam = (0.0, 1e-2, 1.0)[trial % 3]
-        max_iter = 3 if trial % 10 == 0 else 500
-        start = _moment_init(x, m) + rng.normal(0, 0.3, 2 * m)
+        problems.append((x, W, (0.0, 1e-2, 1.0)[trial % 3]))
+        starts.append(_moment_init(x, m) + rng.normal(0, 0.3, 2 * m))
 
-        def fun(theta):
-            return _objective(theta, x, W, lam)
+    exits = collections.Counter()
+    for max_iter, batch in ((3, range(0, 150, 10)), (500, [t for t in range(150) if t % 10])):
 
-        ours = fit_module.minimize(fun, start, 1e-6, max_iter)
-        ref = scipy_minimize(fun, start, jac=True, method="L-BFGS-B",
-                             options={"maxiter": max_iter, "gtol": 1e-6, "ftol": 1e-12})
-        np.testing.assert_array_equal(ours.x, ref.x)
-        np.testing.assert_array_equal(ours.jac, ref.jac)
-        assert (ours.fun, ours.nit, ours.nfev, ours.success, ours.message) \
-            == (ref.fun, ref.nit, ref.nfev, ref.success, ref.message)
-        assert ours.trace[0] == fun(start)[0] and len(ours.trace) == ours.nit + 1
-        exits[ours.message] += 1
+        def fun(indices, points):
+            return [_objective(theta, *problems[batch[i]]) for i, theta in zip(indices, points)]
+
+        result = fit_module.minimize(fun, [starts[t] for t in batch], 1e-6, max_iter)
+        assert len(result.runs) == len(batch)
+        for t, ours in zip(batch, result.runs):
+            ref = scipy_minimize(lambda theta: _objective(theta, *problems[t]), starts[t], jac=True,
+                                 method="L-BFGS-B", options={"maxiter": max_iter, "gtol": 1e-6, "ftol": 1e-12})
+            _assert_same_run(ours, ref)
+            assert ours.trace[0] == _objective(starts[t], *problems[t])[0] and len(ours.trace) == ours.nit + 1
+            exits[ours.message] += 1
+        assert result.nit == sum(run.nit for run in result.runs)
+        assert result.nfev == sum(run.nfev for run in result.runs)
+        assert result.success == all(run.success for run in result.runs)
     assert set(exits) == {
         "CONVERGENCE: NORM OF PROJECTED GRADIENT <= PGTOL",
         "CONVERGENCE: RELATIVE REDUCTION OF F <= FACTR*EPSMCH",
         "ABNORMAL: ",
         "STOP: TOTAL NO. OF ITERATIONS REACHED LIMIT",
     }, exits
+
+
+def test_a_start_gives_the_same_run_alone_and_in_a_batch():
+    rng = np.random.default_rng(8)
+    problems = _problems(rng, 12, 4)
+    fun = fit_module._Objectives(problems, 1e-2)
+    starts = [_moment_init(x, W.shape[1]) + rng.normal(0, 0.3, 2 * W.shape[1]) for x, W in problems]
+    batched = fit_module.minimize(fun, starts, 1e-6, 500).runs
+    assert len({run.nit for run in batched}) > 3   # the runs stop at different rounds
+    for i, (x, W) in enumerate(problems):
+        alone = fit_module.minimize(fit_module._Objectives([(x, W)], 1e-2), [starts[i]], 1e-6, 500).runs[0]
+        _assert_same_run(batched[i], alone)
+        assert batched[i].trace == alone.trace
+
+
+@pytest.mark.parametrize("lam", [0.0, 1e-2, 1.0])
+@pytest.mark.parametrize("m", [1, 4, 5])
+def test_objectives_equal_the_objective_of_each_problem_alone(m, lam):
+    """`_Objectives` gives each point the bits of `_objective`, past the link bounds and the exp cap too."""
+    rng = np.random.default_rng(10 * m + int(100 * lam))
+    problems = _problems(rng, 10, m)
+    fun = fit_module._Objectives(problems, lam)
+    clamped = capped = strided = 0
+    for trial in range(60):
+        if trial % 2 == 0:   # odd rounds ask for the same problems as the round before
+            indices = rng.permutation(len(problems))[:int(rng.integers(1, 9))].tolist()
+        points = []
+        for i in indices:
+            k = problems[i][1].shape[1]
+            theta = rng.normal(0, float(rng.choice([0.5, 5.0, 50.0])), 2 * k)
+            if rng.random() < 0.3:
+                theta[int(rng.integers(2 * k))] = float(rng.uniform(500.0, 800.0))
+            points.append(theta)
+        for i, theta, (value, grad) in zip(indices, points, fun(indices, [p.copy() for p in points])):
+            x, W = problems[i]
+            want_value, want_grad = _objective(theta, x, W, lam)
+            assert value == want_value and type(value) is float
+            assert np.array_equal(grad, want_grad)
+            k = W.shape[1]
+            clamped += bool(np.abs(W @ theta[:k]).max() > 18.5 or np.abs(W @ theta[k:]).max() > 18.5)
+            capped += bool(theta.max() > 500.0)
+            strided += not W.flags.c_contiguous
+    assert clamped > 50 and capped > 50
+    assert strided > 20 or m == 1
+
+
+def test_a_fit_calls_minimize_once_for_all_its_fallbacks(monkeypatch):
+    """The `fit.minimize` result a layer trace reads sums the fit's L-BFGS-B groups."""
+    calls = []
+    minimize = fit_module.minimize
+
+    def recorded(*args):
+        calls.append(minimize(*args))
+        return calls[-1]
+
+    monkeypatch.setattr(fit_module, "minimize", recorded)
+    rng = np.random.default_rng(410)
+    for batch, config in ((_sized_batch(rng, 4, (8, 7, 3, 600, 150)), FitConfig(lam=1e-2)),
+                          (_sized_batch(rng, 2, (40, 0, 300, 0, 0)), FitConfig(lam=1e-2, max_iter=1))):
+        calls.clear()
+        fallbacks = [g for g in fit_model_detailed(batch, config).groups if g.solver == "lbfgs"]
+        assert len(fallbacks) >= 2 and len(calls) == 1
+        assert calls[0].nit == sum(g.n_iterations for g in fallbacks)
+        assert calls[0].success == all(g.converged for g in fallbacks)
+    assert not calls[0].success
+    calls.clear()
+    groups = fit_model_detailed(_sized_batch(rng, 2, (300, 300, 300, 300, 300)), FitConfig()).groups
+    assert {g.solver for g in groups} == {"newton"} and not calls
 
 
 def test_setulb_without_the_reverse_communication_form_is_refused():
@@ -581,7 +672,7 @@ def test_segment_sizes_must_cover_the_batch():
 
 
 def test_objective_equals_the_clip_reference():
-    """`_objective` gives the bits of its np.clip form, past the link bounds and the exp cap too."""
+    """The oracle `_objective` gives the bits of its np.clip form, past the link bounds and the exp cap too."""
     rng = np.random.default_rng(17)
     clamped = capped = 0
     for _ in range(300):
