@@ -125,21 +125,22 @@ def word_at(text: Text, line_id: int, q: float) -> int:
     return int(_word_indices(text, line_id, np.array([q]))[0])
 
 
-def _saccade_types(w_from, w_to, q_from, q_to) -> np.ndarray:
+# saccade type by word step w_to - w_from, clipped to -1..2; a same-word move to the left is type 1
+_TYPE_OF_STEP = np.array([5, 2, 3, 4], dtype=np.int64)
+
+
+def _saccade_types(w_from: np.ndarray, w_to: np.ndarray, q_from: np.ndarray, q_to: np.ndarray) -> np.ndarray:
     """Saccade type of each move from its launch and landing words and positions."""
-    same = w_to == w_from
-    return np.select(
-        [same & (q_to < q_from), same, w_to == w_from + 1, w_to >= w_from + 2],
-        [1, 2, 3, 4],
-        default=5,
-    )
+    types = _TYPE_OF_STEP[np.clip(w_to - w_from, -1, 2) + 1]
+    types[(w_to == w_from) & (q_to < q_from)] = 1
+    return types
 
 
 def classify_saccade(text: Text, line_id: int, q_from: float, q_to: float) -> int:
     """Saccade type of the move q_from -> q_to (see module docstring)."""
     q = np.array([q_from, q_to])
     w = _word_indices(text, line_id, q)
-    return int(_saccade_types(w[0], w[1], q[0], q[1]))
+    return int(_saccade_types(w[:1], w[1:], q[:1], q[1:])[0])
 
 
 @dataclass
@@ -217,7 +218,7 @@ def extract_events(
     line_id = scanpath.line_id
     q, d = np.array(scanpath.fixations, dtype=float).reshape(-1, 2).T
     words = _word_indices(text, line_id, q)
-    u = _saccade_types(words[:-1], words[1:], q[:-1], q[1:]).astype(np.int64)
+    u = _saccade_types(words[:-1], words[1:], q[:-1], q[1:])
     amp = np.abs(np.diff(q))
     amp[amp < amp_floor] = amp_floor
     rows = features.lines[line_id]

@@ -17,11 +17,12 @@ over their pooled events; `fit_model` given segment sizes fits several
 training sets of one batch (the generative baseline's readers) in the same
 loop, ten groups each.  Each iteration evaluates the per-event objective,
 gradient and closed-form Hessian terms (trigamma in the shape block) once,
-sums them per group with `np.add.reduceat`, solves the stacked 2M x 2M
-systems in one call and backtracks each group's step until the Armijo
-condition holds.  A group stops when its gradient infinity norm is at most
-`FitConfig.tol` or its Newton decrement g^T H^-1 g is at most
-1e-12 * max(|f|, 1).
+sums the objective per group with `np.add.reduceat`, takes each group's
+gradient and Hessian from one product W_g^T [shape term, scale term, W_g c_1,
+W_g c_2, W_g c_3] over its own events, solves the stacked 2M x 2M systems in
+one call and backtracks each group's step until the Armijo condition holds.
+A group stops when its gradient infinity norm is at most `FitConfig.tol` or
+its Newton decrement g^T H^-1 g is at most 1e-12 * max(|f|, 1).
 
 The objective is not convex, and small groups can have several local
 minima.  From an iterate whose Hessian is not positive definite, second-order
@@ -369,6 +370,8 @@ def _pooled_terms(pool: _Pool, theta: np.ndarray, mask: np.ndarray, lam: float, 
     Row g of `theta` holds group g's [shape weights, scale weights]; `mask`
     is 0 on the padded weights of bias-only groups, whose Hessian rows are
     the identity there.  The per-event terms are `gamma_terms`, as in `_Objectives`.
+    Each group's data gradient and Hessian come from one product of its own
+    events' rows, so no group's values depend on another's.
     """
     m = pool.W.shape[1]
     per_event = theta[pool.gid]
@@ -379,17 +382,19 @@ def _pooled_terms(pool: _Pool, theta: np.ndarray, mask: np.ndarray, lam: float, 
     if not derivatives:
         return value
     _, shape_term, scale_term, curvature = terms
-    per_event_grad = np.hstack([pool.W * shape_term[:, None], pool.W * scale_term[:, None]])
-    grad = lam * reg - np.add.reduceat(per_event_grad, pool.starts)
-    # second derivatives of each event's term by (eta_shape, eta_scale), times w w^T
-    shape_shape, cross, scale_scale = (
-        np.add.reduceat(pool.W[:, :, None] * (pool.W * c[:, None])[:, None, :], pool.starts)
-        for c in curvature
-    )
-    hessian = np.empty((len(theta), 2 * m, 2 * m))
-    hessian[:, :m, :m] = shape_shape
-    hessian[:, :m, m:] = hessian[:, m:, :m] = cross
-    hessian[:, m:, m:] = scale_scale
+    # per event [shape_term, scale_term, w c_1, w c_2, w c_3], with c the second derivatives of
+    # its term by (eta_shape, eta_scale): W_g^T times group g's rows is [its data gradient |
+    # shape-shape block | cross block | scale-scale block]
+    block = np.empty((len(pool.x), 2 + 3 * m))
+    block[:, 0] = shape_term
+    block[:, 1] = scale_term
+    for j, c in enumerate(curvature):
+        np.multiply(pool.W, c[:, None], out=block[:, 2 + j * m:2 + (j + 1) * m])
+    products = np.empty((len(theta), m, 2 + 3 * m))
+    for g, (start, end) in enumerate(zip(pool.starts.tolist(), (pool.starts + pool.sizes).tolist())):
+        np.matmul(pool.W[start:end].T, block[start:end], out=products[g])
+    grad = lam * reg - np.concatenate([products[:, :, 0], products[:, :, 1]], axis=1)
+    hessian = np.concatenate([products[:, :, 2:2 + 2 * m], products[:, :, 2 + m:]], axis=1)
     diagonal = np.arange(2 * m)
     hessian[:, diagonal, diagonal] += lam * reg + (1.0 - mask)
     return value, grad, hessian

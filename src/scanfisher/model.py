@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
-from scipy.special import digamma, gammaln, polygamma
+from scipy.special import digamma, gammaln
 
 from .corpus import Text, TextFeatures
 from .events import BACKWARD_TYPES, NUM_SACCADE_TYPES, EventBatch, Scanpath, word_at
@@ -41,12 +41,39 @@ def _clamp(eta: np.ndarray) -> np.ndarray:
     return np.minimum(np.maximum(eta, _LOG_LINK_MIN), _LOG_LINK_MAX)
 
 
+# Bernoulli coefficients B_2k of the trigamma series in 1/z^(2k+1), k = 1..7
+_TRIGAMMA_SERIES = (1.0 / 6.0, -1.0 / 30.0, 1.0 / 42.0, -1.0 / 30.0, 5.0 / 66.0, -691.0 / 2730.0, 7.0 / 6.0)
+_TRIGAMMA_SHIFT = 10
+
+
+def _trigamma(x: np.ndarray) -> np.ndarray:
+    """psi'(x) for x > 0: ``polygamma(1, x)`` within about 1e-15 relative, several times faster.
+
+    The recurrence psi'(x) = 1/x^2 + psi'(x + 1) moves the argument to
+    z = x + 10, where the asymptotic series 1/z + 1/(2 z^2) + sum B_2k / z^(2k+1)
+    (Abramowitz & Stegun 6.4.12) is summed up to z^-15; its first omitted
+    term is below 1e-15 of the result.  The terms are added smallest first,
+    the series' leading 1/z last.
+    """
+    inv = 1.0 / (x + _TRIGAMMA_SHIFT)
+    inv2 = inv * inv
+    series = _TRIGAMMA_SERIES[-1]
+    for coefficient in _TRIGAMMA_SERIES[-2::-1]:
+        series = coefficient + inv2 * series
+    total = inv2 * (0.5 + inv * series)
+    for k in range(_TRIGAMMA_SHIFT - 1, -1, -1):
+        shifted = x + k
+        total += 1.0 / (shifted * shifted)
+    return total + inv
+
+
 def gamma_terms(x: np.ndarray, log_x: np.ndarray, eta_shape: np.ndarray, eta_scale: np.ndarray, order: int = 0):
     """ln Gamma_pdf(x ; exp(eta_shape), exp(eta_scale)) per event, both predictors clamped first.
 
     Order 1 returns `(loglik, shape_term, scale_term)`, adding the derivatives
     by eta_shape and eta_scale at the clamped predictors; order 2 appends the
-    (shape-shape, cross, scale-scale) entries of the negated Hessian.
+    (shape-shape, cross, scale-scale) entries of the negated Hessian, whose
+    shape-shape entry takes the trigamma from `_trigamma`.
     """
     eta_shape = _clamp(eta_shape)
     eta_scale = _clamp(eta_scale)
@@ -59,7 +86,7 @@ def gamma_terms(x: np.ndarray, log_x: np.ndarray, eta_shape: np.ndarray, eta_sca
     scale_term = x_over_scale - shape
     if order == 1:
         return loglik, shape_term, scale_term
-    return loglik, shape_term, scale_term, (shape * shape * polygamma(1, shape) - shape_term, shape, x_over_scale)
+    return loglik, shape_term, scale_term, (shape * shape * _trigamma(shape) - shape_term, shape, x_over_scale)
 
 
 @dataclass(frozen=True)

@@ -9,18 +9,21 @@ block; the faster one must give the same bits.  The per-type wrappers over
 and an event batch, so gradient checks can address the amplitude and
 duration objectives by name.  `_fit_group` is the whole-group L-BFGS-B fit
 from the moment start, the fitter `scanfisher.fit` refits with when Newton
-cannot finish a group.
+cannot finish a group.  `pooled_terms_before_product` is the Newton pass's
+`_pooled_terms` as it was written with ``polygamma(1, .)`` and per-event
+products summed by ``np.add.reduceat``; the faster one must give its value
+bit for bit and its gradient and Hessian to rounding.
 """
 
 import logging
 
 import numpy as np
 from scipy.optimize import minimize
-from scipy.special import digamma, gammaln
+from scipy.special import digamma, gammaln, polygamma
 
 from scanfisher.events import EventBatch
-from scanfisher.fit import FitConfig, GroupFit, _bias_only, _moment_init
-from scanfisher.model import _LOG_LINK_MAX, _LOG_LINK_MIN, gamma_terms
+from scanfisher.fit import FitConfig, GroupFit, _bias_only, _moment_init, _Pool
+from scanfisher.model import _LOG_LINK_MAX, _LOG_LINK_MIN, _clamp, gamma_terms
 
 logger = logging.getLogger(__name__)
 
@@ -62,6 +65,42 @@ def objective_before_minimum(theta: np.ndarray, x: np.ndarray, W: np.ndarray, la
     grad_shape = -(W.T @ (shape * (log_x - digamma(shape) - eta_scale))) + lam * reg_shape
     grad_scale = -(W.T @ (x_over_scale - shape)) + lam * reg_scale
     return value, np.concatenate([grad_shape, grad_scale])
+
+
+def pooled_terms_before_product(pool: _Pool, theta: np.ndarray, mask: np.ndarray, lam: float,
+                                derivatives: bool = True):
+    """Objective (G,) of every pooled group, then gradient (G, 2M) and Hessian (G, 2M, 2M).
+
+    Row g of `theta` holds group g's [shape weights, scale weights]; `mask`
+    is 0 on the padded weights of bias-only groups, whose Hessian rows are
+    the identity there.  The trigamma is ``polygamma(1, shape)``, and every
+    sum over a group's events is ``np.add.reduceat`` of per-event products.
+    """
+    m = pool.W.shape[1]
+    per_event = theta[pool.gid]
+    eta_shape = np.einsum("ij,ij->i", pool.W, per_event[:, :m])
+    eta_scale = np.einsum("ij,ij->i", pool.W, per_event[:, m:])
+    reg = mask * np.exp(np.minimum(theta, 500.0))
+    if not derivatives:
+        return lam * reg.sum(axis=1) - np.add.reduceat(gamma_terms(pool.x, pool.log_x, eta_shape, eta_scale),
+                                                       pool.starts)
+    loglik, shape_term, scale_term = gamma_terms(pool.x, pool.log_x, eta_shape, eta_scale, order=1)
+    shape = np.exp(_clamp(eta_shape))
+    curvature = (shape * shape * polygamma(1, shape) - shape_term, shape, pool.x * np.exp(-_clamp(eta_scale)))
+    value = lam * reg.sum(axis=1) - np.add.reduceat(loglik, pool.starts)
+    per_event_grad = np.hstack([pool.W * shape_term[:, None], pool.W * scale_term[:, None]])
+    grad = lam * reg - np.add.reduceat(per_event_grad, pool.starts)
+    shape_shape, cross, scale_scale = (
+        np.add.reduceat(pool.W[:, :, None] * (pool.W * c[:, None])[:, None, :], pool.starts)
+        for c in curvature
+    )
+    hessian = np.empty((len(theta), 2 * m, 2 * m))
+    hessian[:, :m, :m] = shape_shape
+    hessian[:, :m, m:] = hessian[:, m:, :m] = cross
+    hessian[:, m:, m:] = scale_scale
+    diagonal = np.arange(2 * m)
+    hessian[:, diagonal, diagonal] += lam * reg + (1.0 - mask)
+    return value, grad, hessian
 
 
 def neg_loglik_and_grad_amplitude(alpha_u, beta_u, batch: EventBatch, lam: float):

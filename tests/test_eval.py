@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import itertools
 import logging
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from scanfisher import evaluate, svm
+from scanfisher import evaluate, fit, svm
 from scanfisher.corpus import FrequencyTable, Text, Word, compute_features, feature_layout
 from scanfisher.evaluate import (
     WILCOXON_EXACT_MAX_N,
@@ -36,6 +37,7 @@ from scanfisher.model import sample_events
 from scanfisher.svm import KernelProblem, SvmModel
 from scanfisher.synth import SynthConfig, gen_dataset, gen_readers
 from scanfisher.util import read_json
+from fit_reference import pooled_terms_before_product
 from model_reference import generative_classify
 from tune_reference import tune_baseline_full_scan, tune_full_scan
 
@@ -802,6 +804,69 @@ def test_feature_elimination_choices_are_pinned(small_dataset):
         ("s2", 0.25, 0.25, _chosen([0, 2, 3], 1.0)),
         ("s3", 0.75, 0.5, _chosen([0, 1, 2, 3], 0.5)),
     ]
+
+
+def _group_problem(segment, group, params):
+    """A fitted group's events, the feature columns and weights it uses, and its model's weights there."""
+    in_type = segment.u == group.u
+    amplitude = group.kind == "amplitude"
+    x = (segment.amp if amplitude else segment.dur)[in_type]
+    W = (segment.w_launch if amplitude else segment.w_land)[in_type]
+    used = 1 if group.bias_only else W.shape[1]
+    blocks = ("alpha", "beta") if amplitude else ("gamma", "delta")
+    return x, W[:, :used], np.concatenate([getattr(params, b)[group.u - 1][:used] for b in blocks])
+
+
+def test_reference_newton_pass_fits_the_elimination_data_alike(small_dataset, monkeypatch):
+    """Every fit of the pinned elimination runs, redone with the polygamma-and-reduceat Newton pass.
+
+    Solvers, stops and step counts are equal, and L-BFGS-B fits bit for bit.
+    Newton weights agree within 1e-12 (relative, floor 1) where the group's
+    Hessian at the reference's weights has condition number at most 1e3, and
+    within 1e-15 times that condition number above it: a group whose events
+    share one feature row is determined only by the regularizer in the other
+    directions (condition number 1.8e9 on one such group here).
+    """
+    calls, failures = [], []
+    fit_segments, newton = fit._fit_segments, fit._newton
+
+    def recorded_fit_segments(batch, sizes, config):
+        outcomes = fit_segments(batch, sizes, config)
+        calls.append((batch, sizes, config, outcomes, failures[-1]))
+        return outcomes
+
+    def recorded_newton(*args):
+        result = newton(*args)
+        failures.append(result.failure)
+        return result
+
+    monkeypatch.setattr(fit, "_newton", recorded_newton)
+    monkeypatch.setattr(fit, "_fit_segments", recorded_fit_segments)
+    loto_cv(small_dataset, ELIMINATION)
+    binary_comprehension_eval(_comprehension_dataset(seed=101, num_readers=8), ELIMINATION)
+    monkeypatch.setattr(fit, "_pooled_terms", pooled_terms_before_product)
+    solvers = collections.Counter()
+    for batch, sizes, config, outcomes, failure in calls:
+        reference = fit_segments(batch, sizes, config)
+        assert failures[-1] == failure
+        for segment, outcome, want in zip(batch.split(sizes), outcomes, reference):
+            for group, want_group in zip(outcome.groups, want.groups):
+                assert ((group.solver, group.converged, group.n_iterations)
+                        == (want_group.solver, want_group.converged, want_group.n_iterations))
+                solvers[group.solver] += 1
+                if not group.n_events:
+                    continue
+                x, W, theta = _group_problem(segment, group, outcome.params)
+                _, _, want_theta = _group_problem(segment, want_group, want.params)
+                if group.solver == "lbfgs":
+                    np.testing.assert_array_equal(theta, want_theta)
+                    continue
+                _, _, hessian = pooled_terms_before_product(
+                    fit._Pool.of([x], [W]), want_theta[None], np.ones((1, theta.size)), config.lam)
+                eig = np.linalg.eigvalsh(hessian[0])
+                bound = max(1e-12, 1e-15 * eig[-1] / eig[0])
+                np.testing.assert_allclose(theta, want_theta, rtol=0, atol=bound * max(1.0, np.abs(want_theta).max()))
+    assert len(calls) > 20 and solvers["newton"] > 100 and solvers["lbfgs"] > 100
 
 
 # ---------------------------------------------------------------------------

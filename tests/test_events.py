@@ -11,6 +11,7 @@ from scanfisher.events import (
     EventBatch,
     Scanpath,
     ScanpathError,
+    _saccade_types,
     classify_saccade,
     extract_events,
     load_scanpaths,
@@ -179,6 +180,35 @@ def _scan_type(w_from, w_to, q_from, q_to):
     if w_to == w_from:
         return 1 if q_to < q_from else 2
     return 3 if w_to == w_from + 1 else 4 if w_to > w_from else 5
+
+
+def _select_types(w_from, w_to, q_from, q_to):
+    """The saccade types as `np.select` over the four rules, the form the lookup replaced."""
+    same = w_to == w_from
+    return np.select(
+        [same & (q_to < q_from), same, w_to == w_from + 1, w_to >= w_from + 2],
+        [1, 2, 3, 4],
+        default=5,
+    )
+
+
+def test_saccade_types_equal_the_select_form():
+    steps = np.arange(-3, 4)
+    w_from = np.full(2 * steps.size, 5)
+    w_to = w_from + np.concatenate([steps, steps])
+    q_from = np.concatenate([np.full(steps.size, 20.0), np.full(steps.size, 21.0)])
+    q_to = np.full(2 * steps.size, 20.5)   # both position orders at every word step
+    types = _saccade_types(w_from, w_to, q_from, q_to)
+    assert types.dtype == np.int64
+    assert types.tolist() == _select_types(w_from, w_to, q_from, q_to).tolist()
+    assert set(types.tolist()) == {1, 2, 3, 4, 5}
+    rng = np.random.default_rng(29)
+    for _ in range(200):
+        n = int(rng.integers(2, 30))
+        words = rng.integers(0, 12, n)
+        q = words * 6.0 + rng.uniform(0, 5, n)
+        types = _saccade_types(words[:-1], words[1:], q[:-1], q[1:])
+        assert types.tolist() == _select_types(words[:-1], words[1:], q[:-1], q[1:]).tolist()
 
 
 def test_extract_types_and_rows_match_linear_scan_oracle():

@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from scipy.optimize import minimize as scipy_minimize
+from scipy.special import polygamma
 
 import scanfisher.fit as fit_module
 from scanfisher.events import EventBatch
@@ -17,11 +18,13 @@ from scanfisher.fit import (
     FitError,
     _fit_segments,
     _moment_init,
+    _pooled_terms,
+    _Pool,
     fit_model,
     fit_model_detailed,
     fit_pi,
 )
-from scanfisher.model import ModelParams, sample_events
+from scanfisher.model import ModelParams, _trigamma, sample_events
 from scanfisher.synth import default_base_params
 from fit_reference import (
     _fit_group,
@@ -29,6 +32,7 @@ from fit_reference import (
     neg_loglik_and_grad_amplitude,
     neg_loglik_and_grad_duration,
     objective_before_minimum,
+    pooled_terms_before_product,
 )
 
 
@@ -691,3 +695,79 @@ def test_objective_equals_the_clip_reference():
         clamped += bool(np.abs(W @ theta[:m]).max() > 18.5 or np.abs(W @ theta[m:]).max() > 18.5)
         capped += bool(theta.max() > 500.0)
     assert clamped > 50 and capped > 50
+
+
+# ---------------------------------------------------------------------------
+# the Newton pass against its polygamma-and-reduceat form
+
+
+def test_trigamma_equals_polygamma():
+    x = np.array([1e-8, 1e8, 10.0, np.nextafter(10.0, 0.0), np.nextafter(10.0, 20.0), 0.5, 1.0, 3.7])
+    x = np.concatenate([x, np.exp(np.random.default_rng(29).uniform(np.log(1e-8), np.log(1e8), 200_000))])
+    want = polygamma(1, x)
+    assert (np.abs(_trigamma(x) - want) <= 2e-15 * want).all()
+
+
+def _pool_case(rng, m, sizes, bias_only, spread):
+    """A pool of groups of the given sizes, bias-only groups' feature columns zeroed, and its mask."""
+    feature_mask = np.ones((len(sizes), m))
+    feature_mask[np.asarray(bias_only), 1:] = 0.0
+    xs, Ws = [], []
+    for n, keep in zip(sizes, feature_mask):
+        W = np.column_stack([np.ones(n), rng.normal(0, 1, (n, m - 1))])
+        xs.append(rng.gamma(3.0, 2.0, n))
+        Ws.append(W * keep)
+    theta = rng.normal(0, spread, (len(sizes), 2 * m))
+    return _Pool.of(xs, Ws), theta, np.hstack([feature_mask, feature_mask])
+
+
+POOL_CASES = [
+    # (M, group sizes, bias-only groups)
+    (1, (1, 7, 40), (True, False, False)),
+    (4, (3, 8, 9, 60, 250), (True, False, False, False, False)),
+    (5, (10, 4, 31, 120), (False, True, False, False)),
+]
+
+
+@pytest.mark.parametrize("lam", [0.0, 1e-2, 1.0])
+@pytest.mark.parametrize("m,sizes,bias_only", POOL_CASES)
+def test_pooled_terms_equal_the_reduceat_reference(m, sizes, bias_only, lam):
+    """Value bit for bit; gradient and Hessian within 1e-12 of each group's largest entry, past the link bounds too."""
+    rng = np.random.default_rng(7 * m + int(100 * lam))
+    clamped = 0
+    for spread in (0.3, 3.0, 40.0):
+        pool, theta, mask = _pool_case(rng, m, sizes, bias_only, spread)
+        value, grad, hessian = _pooled_terms(pool, theta, mask, lam)
+        want_value, want_grad, want_hessian = pooled_terms_before_product(pool, theta, mask, lam)
+        assert np.array_equal(value, want_value)
+        assert np.array_equal(_pooled_terms(pool, theta, mask, lam, derivatives=False), want_value)
+        # at the lower link bound shape^2 psi'(shape) and the shape term are both near 1 and the
+        # shape-shape entry is their difference, so each group's scale is its largest entry of both
+        want_both = np.hstack([want_grad, want_hessian.reshape(len(sizes), -1)])
+        got_both = np.hstack([grad, hessian.reshape(len(sizes), -1)])
+        assert (np.abs(got_both - want_both).max(axis=1) <= 1e-12 * np.abs(want_both).max(axis=1)).all()
+        per_event = theta[pool.gid]
+        eta = np.concatenate([(pool.W * per_event[:, :m]).sum(axis=1), (pool.W * per_event[:, m:]).sum(axis=1)])
+        clamped += int((eta > 18.5).any()) + int((eta < -18.5).any())
+    assert clamped >= 2   # predictors past both link bounds
+
+
+@pytest.mark.parametrize("lam", [0.0, 1e-2, 1.0])
+@pytest.mark.parametrize("m,sizes,bias_only", POOL_CASES)
+def test_pooled_hessian_is_the_derivative_of_the_gradient(m, sizes, bias_only, lam):
+    rng = np.random.default_rng(11 * m + int(100 * lam))
+    pool, theta, mask = _pool_case(rng, m, sizes, bias_only, 0.3)
+    _, _, hessian = _pooled_terms(pool, theta, mask, lam)
+    h = 1e-6
+    for g in range(len(sizes)):
+        used = np.flatnonzero(mask[g])
+        fd = np.empty((used.size, used.size))
+        for k, i in enumerate(used):
+            step = np.zeros_like(theta)
+            step[g, i] = h
+            diff = _pooled_terms(pool, theta + step, mask, lam)[1] - _pooled_terms(pool, theta - step, mask, lam)[1]
+            fd[:, k] = diff[g, used] / (2 * h)
+        got = hessian[g][np.ix_(used, used)]
+        np.testing.assert_allclose(got, fd, rtol=0, atol=1e-6 * np.abs(got).max())
+        padded = np.flatnonzero(mask[g] == 0)
+        np.testing.assert_array_equal(hessian[g][np.ix_(padded, padded)], np.eye(padded.size))
