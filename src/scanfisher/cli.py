@@ -36,7 +36,7 @@ from .evaluate import (
     write_report_csv,
     write_report_json,
 )
-from .events import DEFAULT_AMP_FLOOR, ScanpathError, load_scanpaths, save_scanpaths
+from .events import AMP_FLOOR, ScanpathError, load_scanpaths, save_scanpaths
 from .fisher import (
     MetricError,
     ScoreFileError,
@@ -108,9 +108,6 @@ def _pipeline_config(args) -> PipelineConfig:
         inner_folds=getattr(args, "inner_folds", PipelineConfig.inner_folds),
         feature_elimination=not args.no_elimination,
         run_generative_baseline=not getattr(args, "no_baseline", False),
-        fit_tol=args.tol,
-        fit_max_iter=args.max_iter,
-        amp_floor=args.amp_floor,
     )
 
 
@@ -158,12 +155,12 @@ def cmd_synth(args) -> int:
 def cmd_fit(args) -> int:
     dataset = _load_dataset(args)
     stats = norm_stats([dataset.texts[t] for t in dataset.text_ids()], dataset.freq)
-    table = event_table(dataset, stats.layout, args.amp_floor)
+    table = event_table(dataset, stats.layout)
     config = FitConfig(lam=args.reg_lambda, tol=args.tol, max_iter=args.max_iter)
     outcome = fit_model_detailed(table.gather(range(len(table.scanpaths)), stats)[0], config)
     payload = replace(outcome.params, feature_layout=stats.layout).to_dict()
     payload["norm_stats"] = stats.to_dict()
-    payload["amp_floor"] = args.amp_floor
+    payload["amp_floor"] = AMP_FLOOR
     payload["_provenance"] = _provenance(
         args,
         {"texts": args.texts, "freq": args.freq, "scanpaths": args.scanpaths},
@@ -177,10 +174,13 @@ def cmd_fit(args) -> int:
 
 def cmd_score(args) -> int:
     payload = read_json(args.model)
+    if payload.get("amp_floor", AMP_FLOOR) != AMP_FLOOR:
+        raise ScanpathError(f"{args.model}: amp_floor {payload['amp_floor']!r} is not {AMP_FLOOR}, "
+                            "the amplitude floor every model is fitted with")
     params = ModelParams.from_dict(payload)
     stats = NormStats.from_dict(payload["norm_stats"])
     dataset = _load_dataset(args)
-    table = event_table(dataset, stats.layout, float(payload.get("amp_floor", DEFAULT_AMP_FLOOR)))
+    table = event_table(dataset, stats.layout)
     events, lengths = table.gather(range(len(table.scanpaths)), stats)
     scores = score_matrix(events.split(lengths), params)
     write_scores(args.out, scores)
@@ -285,9 +285,6 @@ def _add_pipeline_args(p: argparse.ArgumentParser, identification: bool) -> None
         p.add_argument("--inner-folds", type=int, default=defaults.inner_folds)
         p.add_argument("--no-baseline", action="store_true")
     p.add_argument("--no-elimination", action="store_true")
-    p.add_argument("--tol", type=float, default=defaults.fit_tol)
-    p.add_argument("--max-iter", type=int, default=defaults.fit_max_iter)
-    p.add_argument("--amp-floor", type=float, default=defaults.amp_floor)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -319,7 +316,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--reg-lambda", "--lambda", dest="reg_lambda", type=float, default=fit_defaults.lam)
     p.add_argument("--tol", type=float, default=fit_defaults.tol)
     p.add_argument("--max-iter", type=int, default=fit_defaults.max_iter)
-    p.add_argument("--amp-floor", type=float, default=DEFAULT_AMP_FLOOR)
     p.set_defaults(func=cmd_fit)
 
     p = sub.add_parser("score", help="emit per-line Fisher scores for a fitted model")

@@ -178,30 +178,27 @@ def save_texts(path, texts: Sequence[Text]) -> None:
 
 @dataclass(frozen=True)
 class FrequencyTable:
-    """Token occurrence counts; unknown or sub-floor counts resolve to `floor`."""
+    """Token occurrence counts; an unknown token or a zero count counts as 1."""
 
     counts: Mapping[str, int]
     total: int
-    floor: int = 1
 
     def __post_init__(self):
         if self.total < 1:
             raise CorpusError("frequency table total must be >= 1")
-        if self.floor < 1:
-            raise CorpusError("frequency floor must be >= 1")
         for token, count in self.counts.items():
             if count < 0:
                 raise CorpusError(f"negative count for token {token!r}")
 
     def per_million(self, token: str) -> float:
-        count = max(self.counts.get(token, 0), self.floor)
+        count = max(self.counts.get(token, 0), 1)
         return 1e6 * count / self.total
 
     def log_per_million(self, token: str) -> float:
         return math.log(self.per_million(token))
 
 
-def load_frequency_table(path, floor: int = 1) -> FrequencyTable:
+def load_frequency_table(path) -> FrequencyTable:
     counts: dict[str, int] = {}
     total = None
     for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
@@ -221,7 +218,7 @@ def load_frequency_table(path, floor: int = 1) -> FrequencyTable:
             counts[key] = n
     if total is None:
         raise CorpusError(f"{path}: missing '#total<TAB>N' header line")
-    return FrequencyTable(counts=counts, total=total, floor=floor)
+    return FrequencyTable(counts=counts, total=total)
 
 
 def save_frequency_table(path, table: FrequencyTable) -> None:

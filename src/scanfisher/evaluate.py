@@ -25,12 +25,12 @@ cumulative log-likelihood.  All are scored by the same per-prefix accuracy.
 Each training set is fitted once per experiment.  Contexts whose plans train
 on the same texts and readers (in nested LOTO, fold i's inner split that
 holds out text j and fold j's that holds out text i) share their statistics,
-training lines and fits: Fisher-stage fits are kept by fit setting and
-feature subset, and the generative baseline's per-reader models by fit
-setting.  The cache lives in a dict the experiment
-call makes; a shared fit has the same inputs, so reuse is exact.  The
-baseline fits every reader of a context in one pooled `fit_model` call and
-scores every test line under each reader's model in one `batch_loglik` pass.
+training lines and fits: Fisher-stage fits are kept by lambda and feature
+subset, and the generative baseline's per-reader models by lambda.  The cache
+lives in a dict the experiment call makes; a shared fit has the same inputs,
+so reuse is exact.  The baseline fits every reader of a context in one pooled
+`fit_model` call and scores every test line under each reader's model in one
+`batch_loglik` pass.
 """
 
 import logging
@@ -42,7 +42,7 @@ from typing import Sequence
 import numpy as np
 
 from .corpus import FrequencyTable, NormStats, Text, apply_stats, compute_features, feature_layout, norm_stats
-from .events import DEFAULT_AMP_FLOOR, EventBatch, Scanpath, extract_events
+from .events import EventBatch, Scanpath, extract_events
 from .fisher import (
     default_ridge,
     empirical_information,
@@ -244,7 +244,7 @@ def comprehension_splits(reader_ids: Sequence[str], text_ids: Sequence[str]) -> 
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    """Tuning grids and fit settings; `inner_folds` and `run_generative_baseline` are identification settings."""
+    """Tuning grids and switches; `inner_folds` and `run_generative_baseline` are identification settings."""
 
     lambda_grid: tuple[float, ...] = (0.0, 1e-4, 1e-2, 1.0)
     c_grid: tuple[float, ...] = (0.01, 0.1, 1.0, 10.0, 100.0)
@@ -252,9 +252,6 @@ class PipelineConfig:
     inner_folds: int = 2
     feature_elimination: bool = True
     run_generative_baseline: bool = True
-    fit_tol: float = 1e-6
-    fit_max_iter: int = 500
-    amp_floor: float = DEFAULT_AMP_FLOOR
 
     def __post_init__(self):
         # NaN fails every comparison, so it is rejected too
@@ -269,12 +266,8 @@ class PipelineConfig:
             bad = [v for v in values if not in_range(v)]
             if bad:
                 raise EvalError(f"{name} values must be {bound}, got {bad}")
-        for name in ("fit_tol", "amp_floor"):
-            if not getattr(self, name) > 0:
-                raise EvalError(f"{name} must be > 0, got {getattr(self, name)!r}")
-        for name, least in (("inner_folds", 0), ("fit_max_iter", 1)):
-            if not getattr(self, name) >= least:
-                raise EvalError(f"{name} must be >= {least}, got {getattr(self, name)!r}")
+        if not self.inner_folds >= 0:
+            raise EvalError(f"inner_folds must be >= 0, got {self.inner_folds!r}")
 
 
 @dataclass
@@ -370,8 +363,7 @@ class EventTable:
         return batch, lengths
 
 
-def event_table(dataset: ReadingDataset, layout: Sequence[str], amp_floor: float,
-                label_of=lambda sp: sp.label) -> EventTable:
+def event_table(dataset: ReadingDataset, layout: Sequence[str], label_of=lambda sp: sp.label) -> EventTable:
     """Extract every scanpath of `dataset` once, with raw features over `layout`.
 
     `label_of` maps a scanpath to its line's class label.
@@ -381,10 +373,7 @@ def event_table(dataset: ReadingDataset, layout: Sequence[str], amp_floor: float
     texts = [dataset.texts[t] for t in dataset.text_ids()]
     featmap = {f.text_id: f for f in compute_features(texts, dataset.freq, NormStats.raw(layout))[0]}
     scanpaths = sorted(dataset.scanpaths, key=lambda s: (s.text_id, s.reader_id, s.line_id))
-    batches = [
-        extract_events(sp, dataset.texts[sp.text_id], featmap[sp.text_id], amp_floor=amp_floor)
-        for sp in scanpaths
-    ]
+    batches = [extract_events(sp, dataset.texts[sp.text_id], featmap[sp.text_id]) for sp in scanpaths]
     return EventTable(scanpaths, [label_of(sp) for sp in scanpaths], tuple(layout),
                       EventBatch.concat(batches), np.cumsum([0] + [b.n for b in batches]))
 
@@ -394,7 +383,7 @@ class _Context:
     """A fold's leak-free statistics plus its index sets into the event table.
 
     `fits` holds the models fitted on the training lines, keyed by
-    ("fisher", FitConfig, features) or ("baseline", FitConfig).
+    ("fisher", lam, features) or ("baseline", lam).
     """
 
     table: EventTable
@@ -426,6 +415,7 @@ def _build_context(dataset: ReadingDataset, table: EventTable, plan: SplitPlan,
         shared[key] = (norm_stats([dataset.texts[t] for t in sorted(plan.train_texts)], dataset.freq),
                        table.lines(plan.train_texts, plan.train_readers), {})
     stats, train, fits = shared[key]
+    _assert_no_leakage(stats, plan.test_texts)
     test = table.lines(plan.test_texts, plan.test_readers)
     groups: dict[tuple, list[int]] = {}
     for i in sorted(test, key=lambda i: table.scanpaths[i].line_id):
@@ -454,23 +444,17 @@ class _FisherStage:
     labels: list
 
 
-def _fit_config(config: PipelineConfig, lam: float) -> FitConfig:
-    return FitConfig(lam=lam, tol=config.fit_tol, max_iter=config.fit_max_iter)
-
-
-def _fit_stage(ctx: _Context, config: PipelineConfig, lam: float, features: Sequence[str]) -> _FisherStage:
+def _fit_stage(ctx: _Context, lam: float, features: Sequence[str]) -> _FisherStage:
     """Fit, then score the training lines and test groups, on `features`.
 
     Features outside the context's layout (flags none of its training texts
-    carry) are left out.  The fit is made once per fit setting and feature
+    carry) are left out.  The fit is made once per lambda and feature
     subset, and kept in the context's `fits`.
     """
-    _assert_no_leakage(ctx.stats, ctx.test_text_ids)
-    fit_config = _fit_config(config, lam)
-    key = ("fisher", fit_config, tuple(features))
+    key = ("fisher", lam, tuple(features))
     train, train_lengths = ctx.table.gather(ctx.train, ctx.stats, features)
     if key not in ctx.fits:
-        ctx.fits[key] = fit_model(train, fit_config)
+        ctx.fits[key] = fit_model(train, FitConfig(lam=lam))
     params = ctx.fits[key]
     s_train = score_matrix(train.split(train_lengths), params)
     test, test_lengths = ctx.table.gather(np.concatenate(list(ctx.groups.values())), ctx.stats, features)
@@ -553,7 +537,7 @@ def _svm_scan(decide):
 
     def scan(contexts, config, features):
         for lam in config.lambda_grid:
-            stages = [_fit_stage(ctx, config, lam, features) for ctx in contexts]
+            stages = [_fit_stage(ctx, lam, features) for ctx in contexts]
             for ridge_scale in config.ridge_scales:
                 trained = [(stage, _kernel_stage(stage, ridge_scale), {}) for stage in stages]
                 for C in config.c_grid:
@@ -611,23 +595,22 @@ def _tune(contexts: list[_Context], config: PipelineConfig, layout: Sequence[str
 # ---------------------------------------------------------------------------
 # generative baseline
 
-def _baseline_curves(ctx: _Context, config: PipelineConfig, lam: float) -> dict[tuple, list]:
+def _baseline_curves(ctx: _Context, lam: float) -> dict[tuple, list]:
     """Per test group, the reader whose model gives each line prefix the highest log-likelihood.
 
     Every training reader's model comes from one `fit_model` call on their
-    pooled lines, made once per fit setting and kept in the context's
-    `fits`; each model scores all test lines in one `batch_loglik` pass.
+    pooled lines, made once per lambda and kept in the context's `fits`; each
+    model scores all test lines in one `batch_loglik` pass.
     Ties break toward the lowest reader id.
     """
-    fit_config = _fit_config(config, lam)
-    key = ("baseline", fit_config)
+    key = ("baseline", lam)
     if key not in ctx.fits:
         readers = sorted({ctx.table.labels[i] for i in ctx.train})
         lines = [[i for i in ctx.train if ctx.table.labels[i] == reader] for reader in readers]
         events_per_line = np.diff(ctx.table.offsets)
         sizes = [int(events_per_line[part].sum()) for part in lines]
         batch, _ = ctx.table.gather(np.concatenate(lines), ctx.stats)
-        ctx.fits[key] = dict(zip(readers, fit_model(batch, fit_config, sizes)))
+        ctx.fits[key] = dict(zip(readers, fit_model(batch, FitConfig(lam=lam), sizes)))
     models = ctx.fits[key]
     keys = sorted(models)
     batch, lengths = ctx.table.gather(np.concatenate(list(ctx.groups.values())), ctx.stats)
@@ -647,7 +630,7 @@ def _baseline_scan(contexts: list[_Context], config: PipelineConfig, features):
     """
     for lam in config.lambda_grid:
         yield (lam, config.ridge_scales[0], config.c_grid[0]), [
-            (_baseline_curves(ctx, config, lam), None) for ctx in contexts]
+            (_baseline_curves(ctx, lam), None) for ctx in contexts]
 
 
 # ---------------------------------------------------------------------------
@@ -722,8 +705,7 @@ def loto_cv(dataset: ReadingDataset, config: PipelineConfig | None = None) -> Ev
         raise EvalError(f"texts {unread} have no scanpaths to test on")
     if len(dataset.reader_ids()) < 2:
         raise EvalError(f"identification needs at least 2 readers, got {dataset.reader_ids()}")
-    table = event_table(dataset, feature_layout(list(dataset.texts.values())), config.amp_floor,
-                        lambda sp: sp.reader_id)
+    table = event_table(dataset, feature_layout(list(dataset.texts.values())), lambda sp: sp.reader_id)
 
     results, shared = [], {}
     for fold in loto_folds(dataset.text_ids()):
@@ -789,10 +771,14 @@ def binary_comprehension_eval(dataset: ReadingDataset, config: PipelineConfig | 
     labels = {sp.label for sp in dataset.scanpaths}
     if len(labels) != 2 or None in labels:
         raise EvalError(f"comprehension mode needs exactly 2 scanpath labels, got {sorted(map(str, labels))}")
-    classes = sorted(labels)
+    try:
+        classes = sorted(labels)
+    except TypeError:
+        raise EvalError(f"comprehension labels {' and '.join(sorted(map(repr, labels)))} "
+                        "cannot be ordered: their types differ") from None
     negative, positive = classes
     splits = comprehension_splits(dataset.reader_ids(), dataset.text_ids())
-    table = event_table(dataset, feature_layout(list(dataset.texts.values())), config.amp_floor)
+    table = event_table(dataset, feature_layout(list(dataset.texts.values())))
     for split in splits:
         for role, readers, texts in (("training", split.train_readers, split.train_texts),
                                      ("test", split.test_readers, split.test_texts)):

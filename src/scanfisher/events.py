@@ -28,7 +28,7 @@ logger = logging.getLogger(__name__)
 
 NUM_SACCADE_TYPES = 5
 BACKWARD_TYPES = (1, 5)
-DEFAULT_AMP_FLOOR = 0.5
+AMP_FLOOR = 0.5
 
 
 class ScanpathError(ValueError):
@@ -57,12 +57,15 @@ class Scanpath:
 def scanpath_from_dict(obj: dict) -> Scanpath:
     try:
         fixations = tuple((float(q), float(d)) for q, d in obj["fixations"])
+        label = obj.get("label")
+        if not isinstance(label, (str, int, float, bool, type(None))):
+            raise TypeError(f"label {label!r} is not a string, number or boolean")
         return Scanpath(
             reader_id=str(obj["reader_id"]),
             text_id=str(obj["text_id"]),
             line_id=int(obj["line_id"]),
             fixations=fixations,
-            label=obj.get("label"),
+            label=label,
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ScanpathError(f"malformed scanpath record: {exc}") from None
@@ -196,20 +199,13 @@ class EventBatch:
         return np.bincount(self.u, minlength=NUM_SACCADE_TYPES + 1)[1:].astype(float)
 
 
-def extract_events(
-    scanpath: Scanpath,
-    text: Text,
-    features: TextFeatures,
-    amp_floor: float = DEFAULT_AMP_FLOOR,
-) -> EventBatch:
+def extract_events(scanpath: Scanpath, text: Text, features: TextFeatures) -> EventBatch:
     """Saccade events for every consecutive fixation pair, as one batch.
 
     The initial fixation (q_1, d_1) contributes no event.  Amplitudes with
-    magnitude below `amp_floor` are clamped to the floor so the gamma
-    densities stay finite; a floor that is not > 0 raises ScanpathError.
+    magnitude below `AMP_FLOOR` are clamped to the floor so the gamma
+    densities stay finite.
     """
-    if not amp_floor > 0:
-        raise ScanpathError(f"amp_floor must be > 0, got {amp_floor!r}")
     if len(scanpath) < 2:
         logger.warning(
             "scanpath %s/%s/line%d has %d fixation(s); no events extracted",
@@ -220,7 +216,7 @@ def extract_events(
     words = _word_indices(text, line_id, q)
     u = _saccade_types(words[:-1], words[1:], q[:-1], q[1:])
     amp = np.abs(np.diff(q))
-    amp[amp < amp_floor] = amp_floor
+    amp[amp < AMP_FLOOR] = AMP_FLOOR
     rows = features.lines[line_id]
     return EventBatch(
         u=u,

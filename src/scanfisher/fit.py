@@ -344,24 +344,25 @@ class _Pool:
     """
 
     x: np.ndarray       # (N,)
+    log_x: np.ndarray   # (N,) log x, taken once when the pool is built
     W: np.ndarray       # (N, M)
     sizes: np.ndarray   # (G,) events per group
 
     def __post_init__(self):
-        self.log_x = np.log(self.x)
         self.gid = np.repeat(np.arange(len(self.sizes)), self.sizes)  # each event's group
         self.starts = np.cumsum(self.sizes) - self.sizes                # each group's first event
 
     @staticmethod
     def of(xs: list[np.ndarray], Ws: list[np.ndarray]) -> "_Pool":
-        return _Pool(np.concatenate(xs), np.concatenate(Ws, axis=0), np.array([len(x) for x in xs]))
+        x = np.concatenate(xs)
+        return _Pool(x, np.log(x), np.concatenate(Ws, axis=0), np.array([len(part) for part in xs]))
 
     def take(self, keep: np.ndarray) -> "_Pool":
         """The pool of the groups where the boolean `keep` is true, in order."""
         if keep.all():
             return self
         events = keep[self.gid]
-        return _Pool(self.x[events], self.W[events], self.sizes[keep])
+        return _Pool(self.x[events], self.log_x[events], self.W[events], self.sizes[keep])
 
 
 def _pooled_terms(pool: _Pool, theta: np.ndarray, mask: np.ndarray, lam: float, derivatives: bool = True):

@@ -370,7 +370,11 @@ def train_multiclass(
     is taken from it without a new solve.
     """
     labels = list(labels)
-    classes = sorted(set(labels))
+    try:
+        classes = sorted(set(labels))
+    except TypeError:
+        types = sorted({type(label).__name__ for label in labels})
+        raise SvmError(f"labels must be hashable and of types that compare, got types {types}") from None
     if len(classes) < 2:
         raise SvmError(f"need at least 2 classes, got {classes!r}")
     if previous is not None and previous.classes != classes:

@@ -302,6 +302,44 @@ def test_comprehend_warns_when_a_split_cannot_be_tuned(tmp_path, capsys):
     assert [(fold["chosen"]["C"], fold["chosen"]["inner_accuracy"]) for fold in folds] == [(0.1, None)] * 4
 
 
+def test_scanpath_label_that_is_no_scalar_fails_loading(synth_dir, fitted_model, tmp_path, capsys):
+    labeled = _relabeled(synth_dir, tmp_path, lambda row: [int(row["reader_id"][1:]) % 2])
+    data = ["--texts", synth_dir / "texts.json", "--freq", synth_dir / "freq.tsv", "--scanpaths", labeled]
+    want = f"error: {labeled}:1: malformed scanpath record: label [0] is not a string, number or boolean\n"
+    assert run_cli("comprehend", *data, "--out", tmp_path / "report") == 2
+    assert capsys.readouterr().err == want
+    # train-svm takes its labels from the score step's meta file
+    assert run_cli("score", *data, "--model", fitted_model, "--out", tmp_path / "scores.txt") == 2
+    assert capsys.readouterr().err == want
+    assert not (tmp_path / "report").exists() and not (tmp_path / "scores.txt").exists()
+
+
+def test_train_svm_rejects_unhashable_labels_in_meta(scores_file, tmp_path, capsys):
+    meta = read_json(str(scores_file) + ".meta.json")
+    for inst in meta["instances"]:
+        inst["label"] = [inst["reader_id"]]
+    meta_path = tmp_path / "meta.json"
+    meta_path.write_text(json.dumps(meta))
+    assert run_cli("train-svm", "--scores", scores_file, "--meta", meta_path, "--out", tmp_path / "svm.json") == 3
+    assert capsys.readouterr().err == (
+        "error: labels must be hashable and of types that compare, got types ['list']\n")
+
+
+def test_labels_of_two_types_fail_by_name(synth_dir, fitted_model, tmp_path, capsys):
+    labeled = _relabeled(synth_dir, tmp_path, lambda row: 1 if int(row["reader_id"][1:]) % 2 else "a")
+    data = ["--texts", synth_dir / "texts.json", "--freq", synth_dir / "freq.tsv", "--scanpaths", labeled]
+    assert run_cli("comprehend", *data, "--out", tmp_path / "report") == 3
+    assert capsys.readouterr().err == (
+        "error: comprehension labels 'a' and 1 cannot be ordered: their types differ\n")
+    scores = tmp_path / "scores.txt"
+    assert run_cli("score", *data, "--model", fitted_model, "--out", scores) == 0
+    assert run_cli("train-svm", "--scores", scores, "--meta", str(scores) + ".meta.json",
+                   "--out", tmp_path / "svm.json") == 3
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        "error: labels must be hashable and of types that compare, got types ['int', 'str']")
+    assert not (tmp_path / "svm.json").exists()
+
+
 def test_parse_error_exit_code(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
@@ -360,19 +398,43 @@ def test_empty_scanpath_file_fails_with_exit_3(synth_dir, fitted_model, tmp_path
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("command", ["fit", "score"])
-def test_non_positive_amp_floor_fails_extraction(synth_dir, fitted_model, tmp_path, capsys, command):
-    args = [command, "--texts", synth_dir / "texts.json", "--freq", synth_dir / "freq.tsv",
-            "--scanpaths", synth_dir / "scanpaths.jsonl", "--out", tmp_path / "out"]
-    if command == "fit":
-        args += ["--amp-floor", 0]
-    else:
-        model = read_json(fitted_model)
-        model["amp_floor"] = 0.0
-        (tmp_path / "model.json").write_text(json.dumps(model))
-        args += ["--model", tmp_path / "model.json"]
-    assert run_cli(*args) == 2
-    assert "amp_floor must be > 0" in capsys.readouterr().err
+@pytest.mark.parametrize("floor", [0.0, 2.0])
+def test_score_refuses_a_model_of_another_amp_floor(synth_dir, fitted_model, tmp_path, capsys, floor):
+    # fit always writes amp_floor 0.5; a model fitted with another floor
+    # would score events it was not fitted on
+    model = read_json(fitted_model)
+    assert model["amp_floor"] == 0.5
+    model["amp_floor"] = floor
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(model))
+    assert run_cli("score", "--texts", synth_dir / "texts.json", "--freq", synth_dir / "freq.tsv",
+                   "--scanpaths", synth_dir / "scanpaths.jsonl", "--out", tmp_path / "out", "--model", path) == 2
+    assert capsys.readouterr().err == (
+        f"error: {path}: amp_floor {floor!r} is not 0.5, the amplitude floor every model is fitted with\n")
+    assert list(tmp_path.iterdir()) == [path]
+
+
+def test_score_takes_a_model_without_amp_floor(synth_dir, fitted_model, scores_file, tmp_path):
+    model = read_json(fitted_model)
+    del model["amp_floor"]
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(model))
+    out = tmp_path / "scores.txt"
+    assert run_cli("score", "--texts", synth_dir / "texts.json", "--freq", synth_dir / "freq.tsv",
+                   "--scanpaths", synth_dir / "scanpaths.jsonl", "--out", out, "--model", path) == 0
+    assert out.read_bytes() == Path(scores_file).read_bytes()
+
+
+@pytest.mark.parametrize("command, option", [
+    (command, option) for command in ("identify", "comprehend") for option in ("--amp-floor", "--tol", "--max-iter")
+] + [("fit", "--amp-floor")])
+def test_fixed_settings_are_not_options(command, option, capsys):
+    # the amplitude floor is events.AMP_FLOOR, and the experiments fit with FitConfig's defaults
+    with pytest.raises(SystemExit) as exc:
+        run_cli(command, "--texts", "t.json", "--freq", "f.tsv", "--scanpaths", "s.jsonl", "--out", "out",
+                option, "1")
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {option} 1" in capsys.readouterr().err
 
 
 def test_fit_rejects_nan_tolerance_by_name(synth_dir, tmp_path, capsys):

@@ -124,8 +124,8 @@ def test_paper_scale_corpus_loads(tmp_path):
 
 
 def test_frequency_floor_and_log():
-    table = FrequencyTable(counts={}, total=10**6, floor=1)
-    # unknown token with floor 1 in a million-token corpus: log fpm = log(1) = 0
+    table = FrequencyTable(counts={}, total=10**6)
+    # an unknown token counts as 1; in a million-token corpus, log fpm = log(1) = 0
     assert table.log_per_million("cat") == 0.0
     table2 = FrequencyTable(counts={"cat": 100}, total=10**6)
     assert table2.per_million("cat") == 100.0

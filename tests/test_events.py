@@ -262,14 +262,6 @@ def test_short_scanpath_warns_and_returns_empty(caplog):
     assert "no events extracted" in caplog.text
 
 
-@pytest.mark.parametrize("floor", [0.0, -1.0, float("nan")])
-def test_non_positive_amp_floor_rejected(floor):
-    # a repeated position gives a zero amplitude, which only a floor > 0 keeps finite
-    sp = Scanpath("r", "t0", 0, ((1.0, 100.0), (1.0, 120.0)))
-    with pytest.raises(ScanpathError, match="^amp_floor must be > 0"):
-        extract_events(sp, TEXT, _features(TEXT), amp_floor=floor)
-
-
 def test_scanpath_validation():
     with pytest.raises(ScanpathError):
         Scanpath("r", "t", 0, ((0.0, 0.0),))  # non-positive duration

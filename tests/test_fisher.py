@@ -380,6 +380,63 @@ def test_kernel_matches_dense_inverse_oracle():
     np.testing.assert_allclose(rows, other @ inv @ scores.T, rtol=1e-8, atol=1e-8)
 
 
+def _kernel_regime(seed, n, d, scale):
+    """Random scores of columns scaled 1 to 100, with the pipeline's information, ridge and metric."""
+    rng = np.random.default_rng(seed)
+    scores = rng.normal(size=(n, d)) * np.logspace(0, 2, d)
+    info = empirical_information(scores)
+    ridge = default_ridge(info, scale)
+    return rng, scores, info, ridge, fisher_metric(info, ridge)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("scale", [1e-6, 1e-4])
+def test_whitened_scores_are_sphered_up_to_the_ridge(seed, scale):
+    # N > D: Z^T Z / N has the eigenvalues of Id - r (I + r Id)^{-1}, so its
+    # distance from Id is r / (lambda_min(I) + r); the training Gram over N
+    # is as far from the projector onto the span of the training scores
+    n, d = 60, 12
+    _, scores, info, ridge, metric = _kernel_regime(seed, n, d, scale)
+    lam = np.linalg.eigvalsh(info)
+    bound = ridge / (lam[0] + ridge)
+    z = metric.whiten(scores)
+    sphered = z.T @ z / n
+    np.testing.assert_allclose(np.linalg.eigvalsh(sphered), lam / (lam + ridge), rtol=0, atol=1e-12)
+    assert np.linalg.norm(sphered - np.eye(d), 2) == pytest.approx(bound, rel=1e-8)
+    projector = scores @ np.linalg.solve(scores.T @ scores, scores.T)
+    gram = gram_matrix(metric, scores)
+    assert np.linalg.norm(gram / n - projector, 2) == pytest.approx(bound, rel=1e-8)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("scale", [1e-6, 1e-4])
+def test_test_rows_are_the_least_squares_projection_up_to_the_ridge(seed, scale):
+    # N > D: a test row is N s_test (S^T S)^{-1} S^T within r / (lambda_min(I) + r)
+    # of its norm, since the ridge shrinks each eigendirection of I by at most that
+    n, d = 60, 12
+    rng, scores, info, ridge, metric = _kernel_regime(seed, n, d, scale)
+    bound = ridge / (np.linalg.eigvalsh(info)[0] + ridge)
+    other = rng.normal(size=(7, d)) * np.logspace(0, 2, d)
+    rows = gram_matrix(metric, scores, other=other)
+    reference = n * other @ np.linalg.solve(scores.T @ scores, scores.T)
+    error = np.linalg.norm(rows - reference, axis=1) / np.linalg.norm(reference, axis=1)
+    assert error.max() <= bound * (1 + 1e-8)
+    assert error.min() > 0.01 * bound   # the ridge does move every row
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("scale", [1e-6, 1e-4])
+def test_training_gram_is_n_times_identity_when_lines_are_fewer_than_components(seed, scale):
+    # N < D: the training Gram is N U diag(lambda / (lambda + r)) U^T over the N
+    # nonzero eigenvalues lambda of I, so its distance from N Id_N is
+    # N r / (lambda+_min(I) + r)
+    n, d = 8, 20
+    _, scores, info, ridge, metric = _kernel_regime(seed, n, d, scale)
+    bound = n * ridge / (np.linalg.eigvalsh(info)[-n] + ridge)
+    gram = gram_matrix(metric, scores)
+    assert np.linalg.norm(gram - n * np.eye(n), 2) == pytest.approx(bound, rel=1e-7)
+
+
 def test_gram_symmetric_psd():
     rng = np.random.default_rng(19)
     params = _random_params(rng, 2)

@@ -31,7 +31,7 @@ def tune_full_scan(contexts: list, config, layout: Sequence[str], train, decide)
     def grid(keep):
         best = None
         for lam in config.lambda_grid:
-            stages = [evaluate._fit_stage(ctx, config, lam, [layout[i] for i in keep]) for ctx in contexts]
+            stages = [evaluate._fit_stage(ctx, lam, [layout[i] for i in keep]) for ctx in contexts]
             for ridge_scale in config.ridge_scales:
                 per_context = [accuracies(stage, evaluate._kernel_stage(stage, ridge_scale)) for stage in stages]
                 for C, accs in zip(config.c_grid, zip(*per_context)):
@@ -60,7 +60,7 @@ def tune_baseline_full_scan(contexts: list, config) -> float:
         return config.lambda_grid[0]
     best = None
     for lam in config.lambda_grid:
-        accs = [evaluate._accuracy_from_curves(evaluate._baseline_curves(ctx, config, lam))[0]
+        accs = [evaluate._accuracy_from_curves(evaluate._baseline_curves(ctx, lam))[0]
                 for ctx in contexts]
         if best is None or float(np.mean(accs)) > best[0]:
             best = (float(np.mean(accs)), lam)
