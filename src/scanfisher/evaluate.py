@@ -15,10 +15,10 @@ gives the same floats as normalizing every word first.
 
 Every classifier goes through one tuner, `_tune`, and one fold runner,
 `_run_fold`.  Every outer fold and inner split is a `SplitPlan`, and a
-classifier is a lazy scan of its grid that yields every context's
-per-prefix predictions at each point: `train_multiclass` SVMs predict the
-arg-max class of the prefix decision curves (identification) or the sign of
-a test group's mean decision under the positive label's model
+classifier is a lazy scan of its grid that hands every context's
+per-prefix predictions at each point to a visitor: `train_multiclass` SVMs
+predict the arg-max class of the prefix decision curves (identification) or
+the sign of a test group's mean decision under the positive label's model
 (comprehension), and the generative baseline the reader of highest
 cumulative log-likelihood.  All are scored by the same per-prefix accuracy.
 
@@ -28,9 +28,17 @@ holds out text j and fold j's that holds out text i) share their statistics,
 training lines and fits: Fisher-stage fits are kept by lambda and feature
 subset, and the generative baseline's per-reader models by lambda.  The cache
 lives in a dict the experiment call makes; a shared fit has the same inputs,
-so reuse is exact.  The baseline fits every reader of a context in one pooled
-`fit_model` call and scores every test line under each reader's model in one
-`batch_loglik` pass.
+so reuse is exact.  The baseline scores every test line under each reader's
+model in one `batch_loglik` pass.
+
+The folds of an experiment run in lockstep.  Each (fold, classifier) run is
+a generator that yields the fits it lacks as `_FitRequest`s and goes on once
+they are in the context's `fits`; `_run_fold`, `_tune` and the scans pass
+requests up with ``yield from``.  `_lockstep` advances every run until it
+asks for fits or finishes, and serves each step's requests, one per (fits
+dict, key), with one pooled `fit_model` call, one segment per model and each
+at its own lambda.  Pooled groups share no values, so every model is the one
+a fit of its training set alone gives, bit for bit.
 """
 
 import logging
@@ -386,11 +394,11 @@ class _Context:
     ("fisher", lam, features) or ("baseline", lam).
     """
 
+    fold_id: str
     table: EventTable
     stats: NormStats
     train: np.ndarray                  # training lines, in table order
     groups: dict[tuple, np.ndarray]    # (label, text_id) -> test lines, by line id
-    test_text_ids: frozenset[str]
     fits: dict                         # shared with every context that trains on the same lines
 
 
@@ -421,11 +429,11 @@ def _build_context(dataset: ReadingDataset, table: EventTable, plan: SplitPlan,
     for i in sorted(test, key=lambda i: table.scanpaths[i].line_id):
         groups.setdefault((table.labels[i], table.scanpaths[i].text_id), []).append(i)
     return _Context(
+        fold_id=plan.fold_id,
         table=table,
         stats=stats,
         train=train,
         groups={key: np.array(groups[key]) for key in sorted(groups)},
-        test_text_ids=plan.test_texts,
         fits=fits,
     )
 
@@ -436,6 +444,63 @@ def _by_group(ctx: _Context, rows: np.ndarray) -> dict[tuple, np.ndarray]:
     return dict(zip(ctx.groups, np.split(rows, bounds)))
 
 
+@dataclass(frozen=True)
+class _FitRequest:
+    """A fit a run waits for: `fits[key]` becomes the list of models, at `lam`, of the training sets in `batch`.
+
+    The batch holds the training sets one after another, `sizes[s]` events each.
+    """
+
+    fits: dict
+    key: tuple
+    batch: EventBatch
+    sizes: list[int]
+    lam: float
+
+
+def _serve(requests: list[_FitRequest]) -> None:
+    """Fit the requests, one pooled `fit_model` call per feature count, and keep each result in its `fits`.
+
+    Requests differ in feature count where contexts' layouts differ (a flag
+    only some training texts carry) or feature subsets do (elimination).
+    """
+    by_width: dict[int, list[_FitRequest]] = {}
+    for r in requests:
+        by_width.setdefault(r.batch.num_features, []).append(r)
+    for pooled in by_width.values():
+        models = fit_model(EventBatch.concat([r.batch for r in pooled]),
+                           [FitConfig(lam=r.lam) for r in pooled for _ in r.sizes], [n for r in pooled for n in r.sizes])
+        start = 0
+        for r in pooled:
+            r.fits[r.key] = models[start:start + len(r.sizes)]
+            start += len(r.sizes)
+
+
+def _lockstep(runs: list) -> list:
+    """Run generators side by side and return what each returns.
+
+    A run yields lists of `_FitRequest`s and is resumed once they are
+    served.  Each step advances every unfinished run until it yields or
+    returns, then serves the step's requests, the first of each (fits dict,
+    key), with one `_serve` call.
+    """
+    results = [None] * len(runs)
+    waiting = list(range(len(runs)))
+    while waiting:
+        requests, still = {}, []
+        for i in waiting:
+            try:
+                for request in runs[i].send(None):
+                    requests.setdefault((id(request.fits), request.key), request)
+                still.append(i)
+            except StopIteration as stop:
+                results[i] = stop.value
+        if requests:
+            _serve(list(requests.values()))
+        waiting = still
+    return results
+
+
 @dataclass
 class _FisherStage:
     ctx: _Context
@@ -444,23 +509,30 @@ class _FisherStage:
     labels: list
 
 
-def _fit_stage(ctx: _Context, lam: float, features: Sequence[str]) -> _FisherStage:
-    """Fit, then score the training lines and test groups, on `features`.
+def _fit_stages(contexts: list[_Context], lam: float, features: Sequence[str]):
+    """Fit, then score each context's training lines and test groups, on `features`.
 
-    Features outside the context's layout (flags none of its training texts
-    carry) are left out.  The fit is made once per lambda and feature
-    subset, and kept in the context's `fits`.
+    Features outside a context's layout (flags none of its training texts
+    carry) are left out.  The fit is made once per lambda and feature subset,
+    and kept in the context's `fits`.  A generator for `_lockstep`: it yields
+    the fits its contexts lack as one list of requests, then returns one
+    `_FisherStage` per context.
     """
     key = ("fisher", lam, tuple(features))
-    train, train_lengths = ctx.table.gather(ctx.train, ctx.stats, features)
-    if key not in ctx.fits:
-        ctx.fits[key] = fit_model(train, FitConfig(lam=lam))
-    params = ctx.fits[key]
-    s_train = score_matrix(train.split(train_lengths), params)
-    test, test_lengths = ctx.table.gather(np.concatenate(list(ctx.groups.values())), ctx.stats, features)
-    s_test = score_matrix(test.split(test_lengths), params)
-    labels = [ctx.table.labels[i] for i in ctx.train]
-    return _FisherStage(ctx=ctx, s_train=s_train, s_test=s_test, labels=labels)
+    trains = [ctx.table.gather(ctx.train, ctx.stats, features) for ctx in contexts]
+    missing = [_FitRequest(ctx.fits, key, train, [train.n], lam)
+               for ctx, (train, _) in zip(contexts, trains) if key not in ctx.fits]
+    if missing:
+        yield missing
+    stages = []
+    for ctx, (train, train_lengths) in zip(contexts, trains):
+        [params] = ctx.fits[key]
+        s_train = score_matrix(train.split(train_lengths), params)
+        test, test_lengths = ctx.table.gather(np.concatenate(list(ctx.groups.values())), ctx.stats, features)
+        s_test = score_matrix(test.split(test_lengths), params)
+        stages.append(_FisherStage(ctx=ctx, s_train=s_train, s_test=s_test,
+                                   labels=[ctx.table.labels[i] for i in ctx.train]))
+    return stages
 
 
 @dataclass
@@ -535,22 +607,25 @@ def _svm_scan(decide):
             models[C] = train_multiclass(kernels.problem, stage.labels, C, models[max(models)] if models else None)
         return _decide_groups(models[C], kernels, decide)
 
-    def scan(contexts, config, features):
+    def scan(contexts, config, features, visit):
         for lam in config.lambda_grid:
-            stages = [_fit_stage(ctx, lam, features) for ctx in contexts]
+            stages = yield from _fit_stages(contexts, lam, features)
             for ridge_scale in config.ridge_scales:
                 trained = [(stage, _kernel_stage(stage, ridge_scale), {}) for stage in stages]
                 for C in config.c_grid:
-                    yield (lam, ridge_scale, C), [decided(*context, C) for context in trained]
+                    if visit((lam, ridge_scale, C), [decided(*context, C) for context in trained]):
+                        return
     return scan
 
 
-def _tune(contexts: list[_Context], config: PipelineConfig, layout: Sequence[str], scan) -> _Tuned:
+def _tune(contexts: list[_Context], config: PipelineConfig, layout: Sequence[str], scan):
     """Grid search over a classifier's scan with greedy feature elimination.
 
-    `scan(contexts, config, features)` lazily yields each (lambda, ridge
-    scale, C) point, with every context's (curves, decisions) there; a point
-    scores the mean of the contexts' accuracies.
+    `scan(contexts, config, features, visit)` is a generator for `_lockstep`
+    that calls `visit(point, decided)` at each (lambda, ridge scale, C)
+    point in turn, with every context's (curves, decisions) there, and stops
+    when `visit` returns true; a point scores the mean of the contexts'
+    accuracies.  `_tune` is such a generator too, and returns the `_Tuned`.
     Deterministic: grid points are scanned in grid order, feature drops in
     index order, and only a strictly better accuracy replaces the incumbent.
     So nothing can replace an incumbent of accuracy 1.0: the grid scan stops
@@ -559,6 +634,8 @@ def _tune(contexts: list[_Context], config: PipelineConfig, layout: Sequence[str
     ends at the first candidate that reaches it.  The bias is never dropped.
     Feature subsets are index tuples into `layout`, the outer fold's layout.
     Without inner contexts the first grid point is taken, with accuracy None.
+    When every point of the grid the choice comes from ties, a warning names
+    the inner splits and the points.
     """
     keep = tuple(range(len(layout)))
     if not contexts:
@@ -566,62 +643,77 @@ def _tune(contexts: list[_Context], config: PipelineConfig, layout: Sequence[str
                       C=config.c_grid[0], keep=keep, inner_accuracy=None)
 
     def grid(keep):
-        best = None
-        for point, decided in scan(contexts, config, [layout[i] for i in keep]):
-            acc = float(np.mean([_accuracy_from_curves(curves)[0] for curves, _ in decided]))
-            if best is None or acc > best[0]:
-                best = (acc, *point)
-            if best[0] >= 1.0:
-                return best
-        return best
+        """The first most accurate point on the features `keep`, and every point scanned.
 
-    acc, lam, ridge_scale, C = grid(keep)
+        Points are (accuracy, lambda, ridge scale, C).
+        """
+        scored = []
+
+        def visit(point, decided):
+            scored.append((float(np.mean([_accuracy_from_curves(curves)[0] for curves, _ in decided])), *point))
+            return scored[-1][0] >= 1.0
+
+        yield from scan(contexts, config, [layout[i] for i in keep], visit)
+        return max(scored, key=lambda point: point[0]), scored
+
+    (acc, lam, ridge_scale, C), scored = yield from grid(keep)
     while config.feature_elimination and len(keep) > 1 and acc < 1.0:
-        best = None
+        winner = None
         for drop in keep[1:]:
             cand = tuple(i for i in keep if i != drop)
-            result = grid(cand)
-            if best is None or result[0] > best[0][0]:
-                best = (result, cand)
-            if result[0] >= 1.0:
+            top, points = yield from grid(cand)
+            if winner is None or top[0] > winner[0][0]:
+                winner = (top, points, cand)
+            if top[0] >= 1.0:
                 break
-        if best[0][0] <= acc:
+        if winner[0][0] <= acc:
             break
-        (acc, lam, ridge_scale, C), keep = best
+        (acc, lam, ridge_scale, C), scored, keep = winner
         logger.debug("eliminated features down to %s (inner acc %.3f)", keep, acc)
+    if len(scored) > 1 and all(point[0] == acc for point in scored):
+        logger.warning("inner tuning on %s ties at accuracy %.3f at every grid point, so it takes the first; "
+                       "tied (lambda, ridge scale, C): %s", ", ".join(ctx.fold_id for ctx in contexts), acc,
+                       ", ".join(f"({p[1]:g}, {p[2]:g}, {p[3]:g})" for p in scored))
     return _Tuned(lam=lam, ridge_scale=ridge_scale, C=C, keep=keep, inner_accuracy=acc)
 
 
 # ---------------------------------------------------------------------------
 # generative baseline
 
-def _baseline_curves(ctx: _Context, lam: float) -> dict[tuple, list]:
-    """Per test group, the reader whose model gives each line prefix the highest log-likelihood.
+def _baseline_curves(contexts: list[_Context], lam: float):
+    """Per context and test group, the reader whose model gives each line prefix the highest log-likelihood.
 
-    Every training reader's model comes from one `fit_model` call on their
-    pooled lines, made once per lambda and kept in the context's `fits`; each
-    model scores all test lines in one `batch_loglik` pass.
-    Ties break toward the lowest reader id.
+    A context's training readers are fitted by one request, one segment per
+    reader, made once per lambda and kept in its `fits`; each model scores
+    all test lines in one `batch_loglik` pass.  Ties break toward the lowest
+    reader id.  A generator for `_lockstep`, as `_fit_stages` is; it returns
+    one dict of curves per context.
     """
     key = ("baseline", lam)
-    if key not in ctx.fits:
-        readers = sorted({ctx.table.labels[i] for i in ctx.train})
-        lines = [[i for i in ctx.train if ctx.table.labels[i] == reader] for reader in readers]
-        events_per_line = np.diff(ctx.table.offsets)
-        sizes = [int(events_per_line[part].sum()) for part in lines]
-        batch, _ = ctx.table.gather(np.concatenate(lines), ctx.stats)
-        ctx.fits[key] = dict(zip(readers, fit_model(batch, FitConfig(lam=lam), sizes)))
-    models = ctx.fits[key]
-    keys = sorted(models)
-    batch, lengths = ctx.table.gather(np.concatenate(list(ctx.groups.values())), ctx.stats)
-    per_line = np.column_stack([batch_loglik(batch, models[k], lengths) for k in keys])
-    return {
-        gkey: [keys[int(row.argmax())] for row in np.cumsum(rows, axis=0)]
-        for gkey, rows in _by_group(ctx, per_line).items()
-    }
+    readers = [sorted({ctx.table.labels[i] for i in ctx.train}) for ctx in contexts]
+    missing = []
+    for ctx, names in zip(contexts, readers):
+        if key not in ctx.fits:
+            lines = [[i for i in ctx.train if ctx.table.labels[i] == reader] for reader in names]
+            events_per_line = np.diff(ctx.table.offsets)
+            batch, _ = ctx.table.gather(np.concatenate(lines), ctx.stats)
+            missing.append(_FitRequest(ctx.fits, key, batch, [int(events_per_line[part].sum()) for part in lines],
+                                       lam))
+    if missing:
+        yield missing
+    curves = []
+    for ctx, names in zip(contexts, readers):
+        models = ctx.fits[key]
+        batch, lengths = ctx.table.gather(np.concatenate(list(ctx.groups.values())), ctx.stats)
+        per_line = np.column_stack([batch_loglik(batch, model, lengths) for model in models])
+        curves.append({
+            gkey: [names[int(row.argmax())] for row in np.cumsum(rows, axis=0)]
+            for gkey, rows in _by_group(ctx, per_line).items()
+        })
+    return curves
 
 
-def _baseline_scan(contexts: list[_Context], config: PipelineConfig, features):
+def _baseline_scan(contexts: list[_Context], config: PipelineConfig, features, visit):
     """The generative baseline as a scan for `_tune`: one point per lambda.
 
     It models every feature, so it is tuned without elimination and ignores
@@ -629,27 +721,32 @@ def _baseline_scan(contexts: list[_Context], config: PipelineConfig, features):
     ridge scale and C, and no decisions beyond its curves.
     """
     for lam in config.lambda_grid:
-        yield (lam, config.ridge_scales[0], config.c_grid[0]), [
-            (_baseline_curves(ctx, lam), None) for ctx in contexts]
+        curves = yield from _baseline_curves(contexts, lam)
+        if visit((lam, config.ridge_scales[0], config.c_grid[0]), [(c, None) for c in curves]):
+            return
 
 
 # ---------------------------------------------------------------------------
 # the fold runner
 
 def _run_fold(dataset: ReadingDataset, table: EventTable, config: PipelineConfig, fold: SplitPlan,
-              inner: list[SplitPlan], scan, shared: dict) -> tuple[FoldResult, _Context, dict]:
+              inner: list[SplitPlan], scan, shared: dict):
     """Tune a classifier's `scan` on the `inner` splits, then decide the fold's test groups.
 
     The fold is decided by the same scan, run on its context over the chosen
     point alone.  `shared` is the experiment's `_build_context` dict, so that
-    contexts that train on the same lines share their fits.  Returns the
-    fold's result, its context, and each test group's decisions.
+    contexts that train on the same lines share their fits.  A generator for
+    `_lockstep`; it returns the fold's result, its context, and each test
+    group's decisions.
     """
     inner_contexts = [_build_context(dataset, table, plan, shared) for plan in inner]
     ctx = _build_context(dataset, table, fold, shared)
-    tuned = _tune(inner_contexts, config, ctx.stats.layout, scan)
+    tuned = yield from _tune(inner_contexts, config, ctx.stats.layout, scan)
     chosen = replace(config, lambda_grid=(tuned.lam,), ridge_scales=(tuned.ridge_scale,), c_grid=(tuned.C,))
-    [(_, [(curves, decisions)])] = scan([ctx], chosen, [ctx.stats.layout[i] for i in tuned.keep])
+    outer = []
+    yield from scan([ctx], chosen, [ctx.stats.layout[i] for i in tuned.keep],
+                    lambda point, decided: outer.extend(decided))
+    [(curves, decisions)] = outer
     accuracy, by_lines = _accuracy_from_curves(curves)
     result = FoldResult(fold_id=fold.fold_id, accuracy=accuracy, accuracy_by_lines=by_lines,
                         n_test_groups=len(curves), chosen=tuned.to_dict())
@@ -707,18 +804,24 @@ def loto_cv(dataset: ReadingDataset, config: PipelineConfig | None = None) -> Ev
         raise EvalError(f"identification needs at least 2 readers, got {dataset.reader_ids()}")
     table = event_table(dataset, feature_layout(list(dataset.texts.values())), lambda sp: sp.reader_id)
 
-    results, shared = [], {}
-    for fold in loto_folds(dataset.text_ids()):
+    folds, runs, shared = loto_folds(dataset.text_ids()), [], {}
+    for fold in folds:
         trained = {table.scanpaths[i].reader_id for i in table.lines(fold.train_texts)}
         missing = set(dataset.reader_ids()) - trained
         if missing:
             raise EvalError(f"fold {fold.fold_id}: readers {sorted(missing)} absent from training data")
         inner = _inner_holdouts(table, fold, config.inner_folds)
-        result, _, _ = _run_fold(dataset, table, config, fold, inner, _svm_scan(_identify), shared)
+        runs.append(_run_fold(dataset, table, config, fold, inner, _svm_scan(_identify), shared))
         if config.run_generative_baseline:
             # one lambda leaves the baseline nothing to tune, so it fits no inner model
-            base, _, _ = _run_fold(dataset, table, replace(config, feature_elimination=False), fold,
-                                   inner if len(config.lambda_grid) > 1 else [], _baseline_scan, shared)
+            runs.append(_run_fold(dataset, table, replace(config, feature_elimination=False), fold,
+                                  inner if len(config.lambda_grid) > 1 else [], _baseline_scan, shared))
+    outcomes = iter(_lockstep(runs))
+    results = []
+    for _ in folds:
+        result, _, _ = next(outcomes)
+        if config.run_generative_baseline:
+            base, _, _ = next(outcomes)
             result.baseline_accuracy, result.baseline_by_lines = base.accuracy, base.accuracy_by_lines
         results.append(result)
 
@@ -754,7 +857,8 @@ def _comprehension_inner_plans(table: EventTable, split: SplitPlan) -> list[Spli
     if readers < 2 or texts < 2:
         reason = f"an inner split needs 2 training readers and 2 training texts, and it has {readers} and {texts}"
     else:
-        inner = comprehension_splits(split.train_readers, split.train_texts)[0]
+        inner = replace(comprehension_splits(split.train_readers, split.train_texts)[0],
+                        fold_id=f"{split.fold_id}/s0")
         if not len(table.lines(inner.test_texts, inner.test_readers)):
             reason = "its inner split has no test lines"
         elif len({table.labels[i] for i in table.lines(inner.train_texts, inner.train_readers)}) < 2:
@@ -794,12 +898,14 @@ def binary_comprehension_eval(dataset: ReadingDataset, config: PipelineConfig | 
         decision = float(mc.models[1].decision_values(rows).mean())
         return decision, [positive if decision >= 0 else negative]
 
-    results, shared = [], {}
+    runs, shared = [], {}
     for split in splits:
         if len({table.labels[i] for i in table.lines(split.train_texts, split.train_readers)}) < 2:
             raise EvalError(f"fold {split.fold_id}: single-class training split")
-        result, ctx, decisions = _run_fold(
-            dataset, table, config, split, _comprehension_inner_plans(table, split), _svm_scan(decide), shared)
+        runs.append(_run_fold(dataset, table, config, split, _comprehension_inner_plans(table, split),
+                              _svm_scan(decide), shared))
+    results = []
+    for result, ctx, decisions in _lockstep(runs):
         group_labels = [key[0] for key in decisions]
         if len(set(group_labels)) == 2:
             result.auc = auc_score(group_labels, list(decisions.values()))

@@ -16,6 +16,7 @@ columnwise in an `EventBatch`.
 
 import json
 import logging
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -37,6 +38,8 @@ class ScanpathError(ValueError):
 
 @dataclass(frozen=True)
 class Scanpath:
+    """One reader's fixations on one line of a text; `label` is a string, real number, boolean or None."""
+
     reader_id: str
     text_id: str
     line_id: int
@@ -44,6 +47,9 @@ class Scanpath:
     label: object = None
 
     def __post_init__(self):
+        # experiments key sets and dicts by the label, so it must be a hashable scalar
+        if not isinstance(self.label, (str, numbers.Real, np.bool_, type(None))):
+            raise ScanpathError(f"label {self.label!r} is not a string, number or boolean")
         for i, (q, d) in enumerate(self.fixations):
             if not (q >= 0 and np.isfinite(q)):
                 raise ScanpathError(f"fixation {i}: position {q!r} must be finite and >= 0")
@@ -57,15 +63,12 @@ class Scanpath:
 def scanpath_from_dict(obj: dict) -> Scanpath:
     try:
         fixations = tuple((float(q), float(d)) for q, d in obj["fixations"])
-        label = obj.get("label")
-        if not isinstance(label, (str, int, float, bool, type(None))):
-            raise TypeError(f"label {label!r} is not a string, number or boolean")
         return Scanpath(
             reader_id=str(obj["reader_id"]),
             text_id=str(obj["text_id"]),
             line_id=int(obj["line_id"]),
             fixations=fixations,
-            label=label,
+            label=obj.get("label"),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ScanpathError(f"malformed scanpath record: {exc}") from None

@@ -14,13 +14,15 @@ log-likelihood use too; the gradient is taken at the clamped predictors.
 
 All ten (kind, u) groups of a batch are solved by one damped Newton loop
 over their pooled events; `fit_model` given segment sizes fits several
-training sets of one batch (the generative baseline's readers) in the same
-loop, ten groups each.  Each iteration evaluates the per-event objective,
-gradient and closed-form Hessian terms (trigamma in the shape block) once,
-sums the objective per group with `np.add.reduceat`, takes each group's
-gradient and Hessian from one product W_g^T [shape term, scale term, W_g c_1,
-W_g c_2, W_g c_3] over its own events, solves the stacked 2M x 2M systems in
-one call and backtracks each group's step until the Armijo condition holds.
+training sets of one batch (every fit the folds of an experiment ask for at
+one step, the generative baseline's readers among them) in the same loop,
+ten groups each, each training set at its own lambda.  Each iteration
+evaluates the per-event objective, gradient and closed-form Hessian terms
+(trigamma in the shape block) once, sums the objective per group with
+`np.add.reduceat`, takes each group's gradient and Hessian from one product
+W_g^T [shape term, scale term, W_g c_1, W_g c_2, W_g c_3] over its own
+events, solves the stacked 2M x 2M systems in one call and backtracks each
+group's step until the Armijo condition holds.
 A group stops when its gradient infinity norm is at most `FitConfig.tol` or
 its Newton decrement g^T H^-1 g is at most 1e-12 * max(|f|, 1).
 
@@ -40,7 +42,8 @@ does but without its function wrappers, and each run equals that call on
 its own group bit for bit.  A run stops on the projected-gradient test
 (|g| <= `tol`) or on the relative-reduction test (``ftol = 1e-12``).  Every
 group, empty, bias-only, Newton or L-BFGS-B, is set up and recorded in one
-loop (`_fit_segments`).  No value is shared between groups, so each group's
+loop (`_fit_segments`).  No value is shared between groups, and lambda
+enters only elementwise products, as one value per group, so each group's
 fit, and each segment's model, is the one it would get alone.
 """
 
@@ -272,9 +275,11 @@ class _Objectives:
     """The fit objectives of several groups, whose points `minimize` evaluates a round at a time.
 
     Problem i is a group's events `x` and feature rows `W`, the weights it
-    uses; its objective is the negative regularized gamma log-likelihood
+    uses, and `lam` is one regularizer weight for all problems or one per
+    problem; problem i's objective is the negative regularized gamma
+    log-likelihood
 
-        -sum gamma_terms(x, ln x, W a, W b) + lam * sum_m exp(min(a_m, 500)) + exp(min(b_m, 500))
+        -sum gamma_terms(x, ln x, W a, W b) + lam_i * sum_m exp(min(a_m, 500)) + exp(min(b_m, 500))
 
     of theta = [a, b], with the gradient taken at the clamped predictors.  A
     call evaluates a round's points with one `gamma_terms` pass over their
@@ -285,8 +290,8 @@ class _Objectives:
     `tests/fit_reference.py`).
     """
 
-    def __init__(self, problems, lam: float):
-        self.lam = lam
+    def __init__(self, problems, lam):
+        self.lam = np.broadcast_to(np.asarray(lam, dtype=float), (len(problems),))
         self.x = [x for x, _ in problems]
         self.log_x = [np.log(x) for x in self.x]
         self.W = [W for _, W in problems]
@@ -297,8 +302,9 @@ class _Objectives:
         """What a round over the problems `indices` needs apart from the points.
 
         Their feature rows, pooled events and ln x, the (start, end) of each
-        one's events and of its weights in the round, and the positions of
-        its weights in zero-padded (2, width) row pairs, one pair each.
+        one's events and of its weights in the round, the positions of its
+        weights in zero-padded (2, width) row pairs, one pair each, and its
+        lambda, once and once per weight.
         """
         Ws = [self.W[i] for i in indices]
         widths = [W.shape[1] for W in Ws]
@@ -306,14 +312,15 @@ class _Objectives:
         weight_ends = (2 * np.cumsum(widths)).tolist()
         padded_at = np.concatenate([2 * self.width * k + np.r_[:m, self.width:self.width + m]
                                     for k, m in enumerate(widths)])
+        lam = self.lam[indices]
         return (Ws, np.concatenate([self.x[i] for i in indices]), np.concatenate([self.log_x[i] for i in indices]),
                 list(zip([0] + event_ends[:-1], event_ends)), list(zip([0] + weight_ends[:-1], weight_ends)),
-                padded_at)
+                padded_at, lam, np.repeat(lam, 2 * np.array(widths)))
 
     def __call__(self, indices, points):
         if indices != self._indices:   # the asking runs change only when one stops
             self._indices, self._layout = list(indices), self._layout_of(indices)
-        Ws, x, log_x, events, weights, padded_at = self._layout
+        Ws, x, log_x, events, weights, padded_at, lam, lam_per_weight = self._layout
         eta_shape, eta_scale = [], []
         for W, theta in zip(Ws, points):
             m = W.shape[1]
@@ -327,11 +334,11 @@ class _Objectives:
             data_grad.append(W.T @ shape_term[start:end])
             data_grad.append(W.T @ scale_term[start:end])
         reg = np.exp(np.minimum(np.concatenate(points), 500.0))
-        grad = -np.concatenate(data_grad) + self.lam * reg
+        grad = -np.concatenate(data_grad) + lam_per_weight * reg
         padded = np.zeros((len(Ws), 2, self.width))
         padded.reshape(-1)[padded_at] = reg
         reg_sums = padded.sum(axis=2)
-        values = -np.array(loglik_sums) + self.lam * (reg_sums[:, 0] + reg_sums[:, 1])
+        values = -np.array(loglik_sums) + lam * (reg_sums[:, 0] + reg_sums[:, 1])
         return [(value, grad[start:end]) for value, (start, end) in zip(values.tolist(), weights)]
 
 
@@ -365,12 +372,13 @@ class _Pool:
         return _Pool(self.x[events], self.log_x[events], self.W[events], self.sizes[keep])
 
 
-def _pooled_terms(pool: _Pool, theta: np.ndarray, mask: np.ndarray, lam: float, derivatives: bool = True):
+def _pooled_terms(pool: _Pool, theta: np.ndarray, mask: np.ndarray, lam, derivatives: bool = True):
     """Objective (G,) of every pooled group, then gradient (G, 2M) and Hessian (G, 2M, 2M).
 
     Row g of `theta` holds group g's [shape weights, scale weights]; `mask`
     is 0 on the padded weights of bias-only groups, whose Hessian rows are
-    the identity there.  The per-event terms are `gamma_terms`, as in `_Objectives`.
+    the identity there.  `lam` is one regularizer weight for every group or
+    one per group.  The per-event terms are `gamma_terms`, as in `_Objectives`.
     Each group's data gradient and Hessian come from one product of its own
     events' rows, so no group's values depend on another's.
     """
@@ -378,8 +386,9 @@ def _pooled_terms(pool: _Pool, theta: np.ndarray, mask: np.ndarray, lam: float, 
     per_event = theta[pool.gid]
     terms = gamma_terms(pool.x, pool.log_x, np.einsum("ij,ij->i", pool.W, per_event[:, :m]),
                         np.einsum("ij,ij->i", pool.W, per_event[:, m:]), order=2 if derivatives else 0)
+    lam = np.reshape(lam, (-1, 1))
     reg = mask * np.exp(np.minimum(theta, 500.0))
-    value = lam * reg.sum(axis=1) - np.add.reduceat(terms[0] if derivatives else terms, pool.starts)
+    value = lam[:, 0] * reg.sum(axis=1) - np.add.reduceat(terms[0] if derivatives else terms, pool.starts)
     if not derivatives:
         return value
     _, shape_term, scale_term, curvature = terms
@@ -416,14 +425,14 @@ class _NewtonResult:
     traces: list              # accepted objectives per group
 
 
-def _newton(pool: _Pool, theta: np.ndarray, mask: np.ndarray, config: FitConfig) -> _NewtonResult:
-    """Damped Newton on every pooled group from `theta` until each stops or fails.
+def _newton(pool: _Pool, theta: np.ndarray, mask: np.ndarray, lam: np.ndarray, tol: float,
+            max_iter: int) -> _NewtonResult:
+    """Damped Newton on every pooled group from `theta`, each at its `lam`, until each stops or fails.
 
     Each pass evaluates every still-active group once with derivatives; the
     backtracking trials evaluate only the objective of the groups still
     searching.
     """
-    lam = config.lam
     n_groups = len(theta)
     theta = theta.copy()
     value = np.zeros(n_groups)
@@ -434,7 +443,7 @@ def _newton(pool: _Pool, theta: np.ndarray, mask: np.ndarray, config: FitConfig)
     active = np.arange(n_groups)
     with np.errstate(over="ignore", invalid="ignore"):
         while active.size:
-            f, g, hessian = _pooled_terms(pool, theta[active], mask[active], lam)
+            f, g, hessian = _pooled_terms(pool, theta[active], mask[active], lam[active])
             value[active] = f
             grad_norm[active] = np.abs(g).max(axis=1)
             if traces is None:
@@ -447,17 +456,17 @@ def _newton(pool: _Pool, theta: np.ndarray, mask: np.ndarray, config: FitConfig)
             step *= mask[active]
             decrement = -(g * step).sum(axis=1)
             converged = solvable & (
-                (grad_norm[active] <= config.tol)
+                (grad_norm[active] <= tol)
                 | (decrement <= _DECREMENT_RTOL * np.maximum(np.abs(f), 1.0))
             )
-            at_limit = iterations[active] >= config.max_iter
+            at_limit = iterations[active] >= max_iter
             for i, group in enumerate(active):
                 if not finite[i]:
                     failure[group] = "non-finite objective, gradient or Hessian"
                 elif not solvable[i]:
                     failure[group] = "Hessian not positive definite"
                 elif at_limit[i] and not converged[i]:
-                    failure[group] = f"{config.max_iter} Newton steps reached"
+                    failure[group] = f"{max_iter} Newton steps reached"
             going = solvable & ~converged & ~at_limit
             if not going.any():
                 break
@@ -470,7 +479,7 @@ def _newton(pool: _Pool, theta: np.ndarray, mask: np.ndarray, config: FitConfig)
             for _ in range(_MAX_HALVINGS + 1):
                 rows = active[searching]
                 trial = theta[rows] + t[searching, None] * step[searching]
-                f_new = _pooled_terms(search_pool, trial, mask[rows], lam, derivatives=False)
+                f_new = _pooled_terms(search_pool, trial, mask[rows], lam[rows], derivatives=False)
                 ok = f_new <= value[rows] + _ARMIJO * t[searching] * slope[searching]
                 theta[rows[ok]] = trial[ok]
                 iterations[rows[ok]] += 1
@@ -489,20 +498,27 @@ def _newton(pool: _Pool, theta: np.ndarray, mask: np.ndarray, config: FitConfig)
     return _NewtonResult(theta, value, grad_norm, iterations, failure, traces)
 
 
-def _fit_segments(batch: EventBatch, sizes, config: FitConfig) -> list[FitOutcome]:
+def _fit_segments(batch: EventBatch, sizes, configs: list[FitConfig]) -> list[FitOutcome]:
     """One model per segment of `batch`: its events are the segments' events, `sizes[s]` each, in order.
 
-    The ten (kind, u) groups of every segment are solved by one `_newton`
-    call, and every fallback by one `minimize` call, whose runs do not
-    interact, so each segment's model and diagnostics are those it gets when
-    fitted alone.
+    Segment s is fitted at `configs[s].lam`; the configs must agree on `tol`
+    and `max_iter`.  The ten (kind, u) groups of every segment are solved by
+    one `_newton` call, and every fallback by one `minimize` call, whose runs
+    do not interact, so each segment's model and diagnostics are those it
+    gets when fitted alone.
     Empty groups keep zero weights.
     """
     if sum(sizes) != batch.n:
         raise FitError(f"segment sizes sum to {sum(sizes)}, but the batch has {batch.n} events")
+    if len(configs) != len(sizes):
+        raise FitError(f"{len(configs)} fit configs for {len(sizes)} segments")
+    stops = sorted({(c.tol, c.max_iter) for c in configs})
+    if len(stops) > 1:
+        raise FitError(f"the segments' fit configs must share tol and max_iter, got (tol, max_iter) = {stops}")
     segments = batch.split(sizes)
     if not segments or any(seg.n == 0 for seg in segments):
         raise FitError("cannot fit a model from an empty event set")
+    tol, max_iter = configs[0].tol, configs[0].max_iter
 
     m = batch.num_features
     groups = []   # (kind, u, x, W), segment by segment, each in the order of its diagnostics
@@ -513,6 +529,7 @@ def _fit_segments(batch: EventBatch, sizes, config: FitConfig) -> list[FitOutcom
             groups.append(("duration", u, seg.dur[in_type], seg.w_land[in_type]))
 
     n_events = np.array([len(x) for _, _, x, _ in groups])
+    lam = np.repeat([c.lam for c in configs], 2 * NUM_SACCADE_TYPES)   # the lambda of each group
     pooled = np.flatnonzero(n_events)
     bias_only = _bias_only(n_events, m)
     feature_mask = np.ones((len(groups), m))
@@ -520,7 +537,7 @@ def _fit_segments(batch: EventBatch, sizes, config: FitConfig) -> list[FitOutcom
     mask = np.hstack([feature_mask, feature_mask])   # the weights each group uses
     pool = _Pool.of([groups[i][2] for i in pooled], [groups[i][3] * feature_mask[i] for i in pooled])
     theta0 = np.array([_moment_init(groups[i][2], m) for i in pooled])
-    result = _newton(pool, theta0, mask[pooled], config)
+    result = _newton(pool, theta0, mask[pooled], lam[pooled], tol, max_iter)
 
     row_of = dict(zip(pooled, range(len(pooled))))
     refits = {}   # group -> (the weights it uses, its L-BFGS-B run)
@@ -530,7 +547,7 @@ def _fit_segments(batch: EventBatch, sizes, config: FitConfig) -> list[FitOutcom
         used = [np.flatnonzero(mask[i]) for i in failed]
         problems = [(groups[i][2], groups[i][3][:, :len(cols) // 2]) for i, cols in zip(failed, used)]
         starts = [theta0[row_of[i], cols] for i, cols in zip(failed, used)]
-        runs = minimize(_Objectives(problems, config.lam), starts, config.tol, config.max_iter).runs
+        runs = minimize(_Objectives(problems, lam[failed]), starts, tol, max_iter).runs
         refits = dict(zip(failed, zip(used, runs)))
     fits = []     # ([shape weights, scale weights], GroupFit) per group
     for i, (kind, u, _, _) in enumerate(groups):
@@ -585,18 +602,22 @@ def _fit_segments(batch: EventBatch, sizes, config: FitConfig) -> list[FitOutcom
 
 def fit_model_detailed(batch: EventBatch, config: FitConfig) -> FitOutcome:
     """Fit pi and all per-type gamma GLMs; returns parameters plus diagnostics."""
-    return _fit_segments(batch, [batch.n], config)[0]
+    return _fit_segments(batch, [batch.n], [config])[0]
 
 
-def fit_model(events: EventBatch, config: FitConfig, sizes=None):
+def fit_model(events: EventBatch, config: FitConfig | list[FitConfig], sizes=None):
     """Regularized maximum-likelihood parameters for an event batch.
 
     Given `sizes`, the batch holds several training sets one after another,
     `sizes[s]` events each, and the result is the list of their models, all
     fitted in one pooled Newton call; each equals, bit for bit, the model
-    `fit_model` gives that training set alone.
+    `fit_model` gives that training set alone.  `config` is one `FitConfig`
+    for every training set or, with `sizes`, a list of one per training
+    set; such a list may vary `lam` but not `tol` or `max_iter`.
     """
-    outcomes = _fit_segments(events, [events.n] if sizes is None else sizes, config)
+    segment_sizes = [events.n] if sizes is None else sizes
+    configs = [config] * len(segment_sizes) if isinstance(config, FitConfig) else list(config)
+    outcomes = _fit_segments(events, segment_sizes, configs)
     if sizes is None:
         return outcomes[0].params
     return [outcome.params for outcome in outcomes]

@@ -67,27 +67,29 @@ def objective_before_minimum(theta: np.ndarray, x: np.ndarray, W: np.ndarray, la
     return value, np.concatenate([grad_shape, grad_scale])
 
 
-def pooled_terms_before_product(pool: _Pool, theta: np.ndarray, mask: np.ndarray, lam: float,
+def pooled_terms_before_product(pool: _Pool, theta: np.ndarray, mask: np.ndarray, lam,
                                 derivatives: bool = True):
     """Objective (G,) of every pooled group, then gradient (G, 2M) and Hessian (G, 2M, 2M).
 
     Row g of `theta` holds group g's [shape weights, scale weights]; `mask`
     is 0 on the padded weights of bias-only groups, whose Hessian rows are
-    the identity there.  The trigamma is ``polygamma(1, shape)``, and every
+    the identity there; `lam` is one weight for every group or one per
+    group.  The trigamma is ``polygamma(1, shape)``, and every
     sum over a group's events is ``np.add.reduceat`` of per-event products.
     """
     m = pool.W.shape[1]
     per_event = theta[pool.gid]
     eta_shape = np.einsum("ij,ij->i", pool.W, per_event[:, :m])
     eta_scale = np.einsum("ij,ij->i", pool.W, per_event[:, m:])
+    lam = np.reshape(lam, (-1, 1))
     reg = mask * np.exp(np.minimum(theta, 500.0))
     if not derivatives:
-        return lam * reg.sum(axis=1) - np.add.reduceat(gamma_terms(pool.x, pool.log_x, eta_shape, eta_scale),
+        return lam[:, 0] * reg.sum(axis=1) - np.add.reduceat(gamma_terms(pool.x, pool.log_x, eta_shape, eta_scale),
                                                        pool.starts)
     loglik, shape_term, scale_term = gamma_terms(pool.x, pool.log_x, eta_shape, eta_scale, order=1)
     shape = np.exp(_clamp(eta_shape))
     curvature = (shape * shape * polygamma(1, shape) - shape_term, shape, pool.x * np.exp(-_clamp(eta_scale)))
-    value = lam * reg.sum(axis=1) - np.add.reduceat(loglik, pool.starts)
+    value = lam[:, 0] * reg.sum(axis=1) - np.add.reduceat(loglik, pool.starts)
     per_event_grad = np.hstack([pool.W * shape_term[:, None], pool.W * scale_term[:, None]])
     grad = lam * reg - np.add.reduceat(per_event_grad, pool.starts)
     shape_shape, cross, scale_scale = (

@@ -31,7 +31,7 @@ from scanfisher.evaluate import (
     write_report_csv,
     write_report_json,
 )
-from scanfisher.events import EventBatch, Scanpath, extract_events
+from scanfisher.events import EventBatch, Scanpath, ScanpathError, extract_events
 from scanfisher.fit import FitConfig, fit_model
 from scanfisher.model import sample_events
 from scanfisher.svm import KernelProblem, SvmModel
@@ -396,11 +396,11 @@ def test_loto_rejects_one_reader_before_any_fold(monkeypatch):
         loto_cv(dataset, QUICK)
 
 
-def _slow_features(dataset, ctx):
-    """Word features of a context's training and test texts, as per-text z-scoring gives them."""
+def _slow_features(dataset, ctx, plan):
+    """Word features of a context's training texts and its plan's test texts, as per-text z-scoring gives them."""
     train, stats = compute_features([dataset.texts[t] for t in sorted(ctx.stats.source_text_ids)],
                                     dataset.freq)
-    test, _ = compute_features([dataset.texts[t] for t in sorted(ctx.test_text_ids)], dataset.freq, stats)
+    test, _ = compute_features([dataset.texts[t] for t in sorted(plan.test_texts)], dataset.freq, stats)
     return {f.text_id: f for f in train + test}, stats
 
 
@@ -424,8 +424,8 @@ def test_baseline_full_group_prediction_equals_generative_classify(small_dataset
     for fold in loto_folds(texts):
         (held_out,) = fold.test_texts
         ctx = evaluate._build_context(small_dataset, table, fold)
-        curves = evaluate._baseline_curves(ctx, lam)
-        featmap, _ = _slow_features(small_dataset, ctx)
+        [[curves]] = evaluate._lockstep([evaluate._baseline_curves([ctx], lam)])
+        featmap, _ = _slow_features(small_dataset, ctx, fold)
         train_sps = sorted((sp for sp in small_dataset.scanpaths if sp.text_id != held_out),
                            key=lambda sp: (sp.text_id, sp.reader_id, sp.line_id))
         class_params = {
@@ -495,9 +495,9 @@ def _same_bits(got: EventBatch, want: EventBatch) -> bool:
     )
 
 
-def _check_context_against_extraction(dataset, ctx, crossed):
+def _check_context_against_extraction(dataset, ctx, plan, crossed):
     table = ctx.table
-    featmap, stats = _slow_features(dataset, ctx)
+    featmap, stats = _slow_features(dataset, ctx, plan)
     assert stats.layout == ctx.stats.layout
     assert stats.mean.tobytes() == ctx.stats.mean.tobytes()
     assert stats.std.tobytes() == ctx.stats.std.tobytes()
@@ -513,7 +513,7 @@ def _check_context_against_extraction(dataset, ctx, crossed):
         assert all(table.labels[i] == label and table.scanpaths[i].text_id == text_id for i in lines)
         test.extend(table.scanpaths[i] for i in lines)
     assert len(test) == len(set(test))
-    for sps, texts in ((train, ctx.stats.source_text_ids), (test, ctx.test_text_ids)):
+    for sps, texts in ((train, ctx.stats.source_text_ids), (test, plan.test_texts)):
         readers = {sp.reader_id for sp in sps}
         if not crossed:
             readers = set(dataset.reader_ids())
@@ -539,11 +539,12 @@ def test_event_table_gathers_what_per_context_extraction_gives(monkeypatch, capl
     real_build_context = evaluate._build_context
 
     def recorded(dataset, table, plan, shared=None):
-        contexts.append(real_build_context(dataset, table, plan, shared))
+        ctx = real_build_context(dataset, table, plan, shared)
         # statistics come from the plan's training texts only
-        assert contexts[-1].stats.source_text_ids == plan.train_texts
-        assert contexts[-1].test_text_ids == plan.test_texts
-        return contexts[-1]
+        assert ctx.stats.source_text_ids == plan.train_texts
+        assert ctx.fold_id == plan.fold_id
+        contexts.append((ctx, plan))
+        return ctx
 
     monkeypatch.setattr(evaluate, "_build_context", recorded)
     for experiment, crossed, n_outer in ((loto_cv, False, 4), (binary_comprehension_eval, True, 4)):
@@ -556,8 +557,8 @@ def test_event_table_gathers_what_per_context_extraction_gives(monkeypatch, capl
             == ["r00/t01/line0", "r01/t02/line1"]
         assert len(contexts) > n_outer
         layouts = set()
-        for ctx in contexts:
-            _check_context_against_extraction(dataset, ctx, crossed)
+        for ctx, plan in contexts:
+            _check_context_against_extraction(dataset, ctx, plan, crossed)
             layouts.add(ctx.stats.layout)
         # the flag of t03 is absent from the layouts that t03 does not train;
         # comprehension's inner context then trains on t02 alone and tunes
@@ -569,21 +570,21 @@ def test_single_lambda_baseline_skips_tuning_fits(monkeypatch):
     dataset = ReadingDataset.from_synth(gen_dataset(SynthConfig(
         num_readers=3, num_texts=3, lines_per_text=3, words_per_line=12, seed=7)))
     calls = []
-    real_fit_model = evaluate.fit_model
+    real_serve = evaluate._serve
 
-    def counted(events, config, sizes=None):
-        calls.append(config.lam)
-        return real_fit_model(events, config, sizes)
+    def counted(requests):
+        calls.extend(request.lam for request in requests)
+        return real_serve(requests)
 
-    # one Fisher-stage fit per training set (folds t00 and t01 both tune on
-    # t02 alone, so 2 inner and 3 outer) and one pooled per-reader fit per
-    # outer fold
-    monkeypatch.setattr(evaluate, "fit_model", counted)
+    # fits served, each in the segments of a pooled fit_model call: one
+    # Fisher-stage fit per training set (folds t00 and t01 both tune on t02
+    # alone, so 2 inner and 3 outer) and one per-reader fit per outer fold
+    monkeypatch.setattr(evaluate, "_serve", counted)
     report = loto_cv(dataset, QUICK)
     assert len(calls) == 8
     calls.clear()
-    # the search adds one pooled per-reader fit per inner training set; a
-    # grid that holds the one lambda twice forces it without adding a fit
+    # the search adds one per-reader fit per inner training set; a grid that
+    # holds the one lambda twice forces it without adding a fit
     searched = loto_cv(dataset, dataclasses.replace(QUICK, lambda_grid=QUICK.lambda_grid * 2))
     assert len(calls) == 10
     assert report.to_dict() == searched.to_dict()
@@ -597,7 +598,7 @@ def test_folds_that_share_a_training_set_fit_it_once(monkeypatch):
         num_readers=3, num_texts=3, lines_per_text=3, words_per_line=12, seed=7)))
     config = dataclasses.replace(QUICK, lambda_grid=(1e-2, 1e-1), c_grid=(0.1, 1.0))
     calls = []
-    real_fit_model = evaluate.fit_model
+    real_serve = evaluate._serve
     real_build_context = evaluate._build_context
 
     class Forgetful(dict):
@@ -609,12 +610,13 @@ def test_folds_that_share_a_training_set_fit_it_once(monkeypatch):
     def unshared(dataset, table, plan, shared=None):
         return dataclasses.replace(real_build_context(dataset, table, plan), fits=Forgetful())
 
-    def counted(events, config, sizes=None):
-        calls.append((config, None if sizes is None else tuple(sizes),
-                      events.amp.tobytes(), events.w_land.tobytes()))
-        return real_fit_model(events, config, sizes)
+    def counted(requests):
+        # each fit served, one or more segments of the step's pooled fit_model call
+        calls.extend((request.key[0], request.lam, tuple(request.sizes),
+                      request.batch.amp.tobytes(), request.batch.w_land.tobytes()) for request in requests)
+        return real_serve(requests)
 
-    monkeypatch.setattr(evaluate, "fit_model", counted)
+    monkeypatch.setattr(evaluate, "_serve", counted)
     shared = loto_cv(dataset, config)
     reused = list(calls)
     calls.clear()
@@ -623,10 +625,10 @@ def test_folds_that_share_a_training_set_fit_it_once(monkeypatch):
     assert shared.to_dict() == alone.to_dict()
     assert len(set(reused)) == len(reused)
     assert set(reused) == set(calls)
-    # without sharing, Fisher-stage fits (no sizes) and pooled per-reader
-    # fits on t02 are each made twice
+    # without sharing, Fisher-stage fits and per-reader fits on t02 are each
+    # made twice
     repeated = {key for key in calls if calls.count(key) > 1}
-    assert {key[1] is None for key in repeated} == {True, False}
+    assert {key[0] for key in repeated} == {"fisher", "baseline"}
     assert all(calls.count(key) == 2 for key in repeated)
 
 
@@ -656,15 +658,23 @@ def test_inner_splits_test_only_readers_they_train_on(monkeypatch, caplog):
             assert {key[0] for key in ctx.groups} <= {ctx.table.labels[i] for i in ctx.train}, fold_id
         return [r.getMessage() for r in caplog.records if r.name == "scanfisher.evaluate"]
 
+    def tie(splits, acc):
+        return (f"inner tuning on {splits} ties at accuracy {acc} at every grid point, so it takes the first; "
+                "tied (lambda, ridge scale, C): (0.01, 1e-06, 1), (0.1, 1e-06, 1)")
+
     monkeypatch.setattr(evaluate, "_build_context", recorded)
     warnings = [f"inner split {split} does not test readers ['r00']: its training texts have no lines of them"
                 for split in ("t00/t01", "t01/t00")]
-    assert run() == warnings
+    # the SVM and the baseline tie on folds t00 and t01; on t03 only the baseline does
+    assert run() == warnings + [tie("t00/t01, t00/t03", "0.500")] * 2 + [tie("t01/t00, t01/t03", "0.250")] * 2 + [
+        tie("t03/t00, t03/t02", "0.333")]
     # each fold's SVM and baseline tune on both of its inner splits
     assert len({fold_id for fold_id, _ in contexts if "/" in fold_id}) == 8
     # when t01 is read by r00 alone, split t00/t01 has nothing left to test and is dropped
     dataset.scanpaths = [sp for sp in dataset.scanpaths if sp.reader_id == "r00" or sp.text_id != "t01"]
-    assert run() == warnings
+    # the SVM and the baseline tie on folds t00 and t01; on t03 only the SVM does
+    assert run() == warnings + [tie("t00/t03", "0.000")] * 2 + [tie("t01/t00, t01/t03", "0.250")] * 2 + [
+        tie("t03/t00, t03/t02", "0.167")]
     inner = {fold_id for fold_id, _ in contexts if "/" in fold_id}
     assert len(inner) == 7 and "t00/t01" not in inner
 
@@ -704,6 +714,15 @@ def test_comprehension_eval_structure():
 def test_comprehension_requires_binary_labels(small_dataset):
     with pytest.raises(EvalError, match="2 scanpath labels"):
         binary_comprehension_eval(small_dataset, QUICK)
+
+
+def test_list_label_fails_when_the_scanpath_is_built():
+    # a dataset relabeled in Python used to reach binary_comprehension_eval
+    # and fail there with a bare TypeError: unhashable type: 'list'
+    dataset = ReadingDataset.from_synth(gen_dataset(SynthConfig(num_readers=4, num_texts=4, lines_per_text=2,
+                                                                seed=7)))
+    with pytest.raises(ScanpathError, match=r"^label \[0\] is not a string, number or boolean$"):
+        dataset.scanpaths = [dataclasses.replace(sp, label=[int(sp.reader_id[1:]) % 2]) for sp in dataset.scanpaths]
 
 
 def test_comprehension_zero_mean_decision_predicts_positive(monkeypatch):
@@ -833,9 +852,9 @@ def test_reference_newton_pass_fits_the_elimination_data_alike(small_dataset, mo
     calls, failures = [], []
     fit_segments, newton = fit._fit_segments, fit._newton
 
-    def recorded_fit_segments(batch, sizes, config):
-        outcomes = fit_segments(batch, sizes, config)
-        calls.append((batch, sizes, config, outcomes, failures[-1]))
+    def recorded_fit_segments(batch, sizes, configs):
+        outcomes = fit_segments(batch, sizes, configs)
+        calls.append((batch, sizes, configs, outcomes, failures[-1]))
         return outcomes
 
     def recorded_newton(*args):
@@ -849,10 +868,10 @@ def test_reference_newton_pass_fits_the_elimination_data_alike(small_dataset, mo
     binary_comprehension_eval(_comprehension_dataset(seed=101, num_readers=8), ELIMINATION)
     monkeypatch.setattr(fit, "_pooled_terms", pooled_terms_before_product)
     solvers = collections.Counter()
-    for batch, sizes, config, outcomes, failure in calls:
-        reference = fit_segments(batch, sizes, config)
+    for batch, sizes, configs, outcomes, failure in calls:
+        reference = fit_segments(batch, sizes, configs)
         assert failures[-1] == failure
-        for segment, outcome, want in zip(batch.split(sizes), outcomes, reference):
+        for segment, outcome, want, config in zip(batch.split(sizes), outcomes, reference, configs):
             for group, want_group in zip(outcome.groups, want.groups):
                 assert ((group.solver, group.converged, group.n_iterations)
                         == (want_group.solver, want_group.converged, want_group.n_iterations))
@@ -869,7 +888,53 @@ def test_reference_newton_pass_fits_the_elimination_data_alike(small_dataset, mo
                 eig = np.linalg.eigvalsh(hessian[0])
                 bound = max(1e-12, 1e-15 * eig[-1] / eig[0])
                 np.testing.assert_allclose(theta, want_theta, rtol=0, atol=bound * max(1.0, np.abs(want_theta).max()))
-    assert len(calls) > 20 and solvers["newton"] > 100 and solvers["lbfgs"] > 100
+    # fits are pooled across folds, so count the segments, one per model fitted
+    assert sum(len(sizes) for _, sizes, _, _, _ in calls) > 20 and solvers["newton"] > 100 and solvers["lbfgs"] > 100
+
+
+# ---------------------------------------------------------------------------
+# tunings that cannot choose
+
+
+def _fake_scan(accuracy):
+    """A scan whose every context scores `accuracy(features, point)`, over groups of 4 test lines."""
+    def scan(contexts, config, features, visit):
+        for point in itertools.product(config.lambda_grid, config.ridge_scales, config.c_grid):
+            hits = round(4 * accuracy(tuple(features), point))
+            curves = {("a", i): ["a" if i < hits else "b"] for i in range(4)}
+            if visit(point, [(curves, None) for _ in contexts]):
+                return
+        yield from ()
+    return scan
+
+
+@pytest.mark.parametrize("case", ["all tie", "one point better", "one point", "elimination breaks the tie"])
+def test_tuning_that_ties_at_every_grid_point_says_so(case, caplog):
+    contexts = [evaluate._Context(fold_id=name, table=None, stats=None, train=None, groups={}, fits={})
+                for name in ("t00/t01", "t00/t03")]
+    config = dataclasses.replace(QUICK, lambda_grid=(1e-2, 1e-1), c_grid=(0.1, 1.0))
+    accuracy = {
+        "all tie": lambda features, point: 0.5,
+        "one point better": lambda features, point: 0.75 if point[2] == 1.0 else 0.5,
+        "one point": lambda features, point: 0.5,
+        "elimination breaks the tie": lambda features, point: 0.5 if len(features) == 3 or point[0] == 1e-2 else 0.75,
+    }[case]
+    if case == "one point":
+        config = dataclasses.replace(config, lambda_grid=(1e-2,), c_grid=(1.0,))
+    if case == "elimination breaks the tie":
+        config = dataclasses.replace(config, feature_elimination=True)
+    with caplog.at_level(logging.WARNING, logger="scanfisher.evaluate"):
+        [tuned] = evaluate._lockstep([evaluate._tune(contexts, config, ("bias", "f1", "f2"), _fake_scan(accuracy))])
+    warned = [r.getMessage() for r in caplog.records if r.name == "scanfisher.evaluate"]
+    if case == "all tie":
+        assert (tuned.lam, tuned.C, tuned.inner_accuracy) == (1e-2, 0.1, 0.5)
+        assert warned == ["inner tuning on t00/t01, t00/t03 ties at accuracy 0.500 at every grid point, so it takes "
+                          "the first; tied (lambda, ridge scale, C): (0.01, 1e-06, 0.1), (0.01, 1e-06, 1), "
+                          "(0.1, 1e-06, 0.1), (0.1, 1e-06, 1)"]
+    else:
+        assert warned == []
+    if case == "elimination breaks the tie":
+        assert (tuned.lam, tuned.C, tuned.keep, tuned.inner_accuracy) == (1e-1, 0.1, (0, 2), 0.75)
 
 
 # ---------------------------------------------------------------------------
@@ -932,20 +997,25 @@ def test_saturation_stops_choose_what_the_full_scan_chooses(monkeypatch):
         return evaluate.train_multiclass(kernels.problem, stage.labels, C, previous=previous)
 
     def full_baseline(contexts, config, layout, scan):
-        return evaluate._Tuned(lam=tune_baseline_full_scan(contexts, config), ridge_scale=config.ridge_scales[0],
+        lam = yield from tune_baseline_full_scan(contexts, config)
+        return evaluate._Tuned(lam=lam, ridge_scale=config.ridge_scales[0],
                                C=config.c_grid[0], keep=tuple(range(len(layout))), inner_accuracy=None)
 
     def full_svm(contexts, config, layout, scan):
-        return tune_full_scan(contexts, config, layout, train, rules[scan])
+        return (yield from tune_full_scan(contexts, config, layout, train, rules[scan]))
 
     def recorded(tune, tune_baseline):
+        # folds run in lockstep and tuners that scan more finish later, so a
+        # choice is recorded in the order the tunings start
         def choose(contexts, config, layout, scan):
+            at = len(choices[side])
+            choices[side].append(None)
             if scan is evaluate._baseline_scan:
-                tuned = tune_baseline(contexts, config, layout, scan)
-                choices[side].append(tuned.lam)
+                tuned = yield from tune_baseline(contexts, config, layout, scan)
+                choices[side][at] = tuned.lam
             else:
-                tuned = tune(contexts, config, layout, scan)
-                choices[side].append(tuned)
+                tuned = yield from tune(contexts, config, layout, scan)
+                choices[side][at] = tuned
             return tuned
         return choose
 
@@ -1085,6 +1155,84 @@ def test_each_kernel_stage_checks_its_gram_once(small_dataset, monkeypatch):
     loto_cv(small_dataset, C_PATH)
     assert counts["built"] == counts["stages"] > 0 and counts["built_in_training"] == 0
     assert counts["solves"] > counts["trainings"] > counts["stages"], counts
+
+
+# ---------------------------------------------------------------------------
+# folds in lockstep
+
+
+def _model_bytes(models):
+    return b"".join(np.asarray(part).tobytes() for params in models
+                    for block in ("pi", "alpha", "beta", "gamma", "delta") for part in getattr(params, block))
+
+
+def test_lockstep_folds_report_and_fit_what_folds_run_one_by_one_do(small_dataset, monkeypatch, tmp_path):
+    # identification with the baseline, two lambdas, two inner splits and
+    # elimination; then comprehension, whose folds tune one inner split each
+    config = dataclasses.replace(ELIMINATION, lambda_grid=(1e-2, 1e-1), inner_folds=2,
+                                 run_generative_baseline=True)
+    real_serve, real_fit_model, real_build_context = evaluate._serve, evaluate.fit_model, evaluate._build_context
+    folds_of = collections.defaultdict(set)   # id of a fits dict -> the outer folds whose contexts use it
+    fitted, steps = [], []
+
+    def build_context(dataset, table, plan, shared=None):
+        ctx = real_build_context(dataset, table, plan, shared)
+        folds_of[id(ctx.fits)].add(plan.fold_id.split("/")[0])
+        return ctx
+
+    def fit_counted(events, config, sizes=None):
+        steps[-1]["calls"] += 1
+        return real_fit_model(events, config, sizes)
+
+    def record(request):
+        fitted.append((id(request.fits), request.key, request.lam, tuple(request.sizes), request.batch.amp.tobytes(),
+                       request.batch.w_land.tobytes(), _model_bytes(request.fits[request.key])))
+
+    def serve(requests):
+        steps.append({"calls": 0, "folds": set().union(*(folds_of[id(r.fits)] for r in requests))})
+        real_serve(requests)
+        for request in requests:
+            record(request)
+
+    def serve_each_alone(runs):
+        """The folds as they ran before lockstep: each run to its end in turn, each fit by its own call."""
+        results = []
+        for run in runs:
+            try:
+                requests = run.send(None)
+                while True:
+                    for request in requests:
+                        request.fits[request.key] = fit_model(request.batch, FitConfig(lam=request.lam),
+                                                              request.sizes)
+                        record(request)
+                    requests = run.send(None)
+            except StopIteration as stop:
+                results.append(stop.value)
+        return results
+
+    monkeypatch.setattr(evaluate, "_build_context", build_context)
+    monkeypatch.setattr(evaluate, "fit_model", fit_counted)
+    monkeypatch.setattr(evaluate, "_serve", serve)
+    for experiment, dataset in ((loto_cv, small_dataset),
+                                (binary_comprehension_eval, _comprehension_dataset(seed=101, num_readers=8))):
+        fits = {}
+        for serving in ("lockstep", "alone"):
+            fitted.clear()
+            steps.clear()
+            with monkeypatch.context() as patched:
+                if serving == "alone":
+                    patched.setattr(evaluate, "_lockstep", serve_each_alone)
+                write_report_json(tmp_path / f"{serving}.json", experiment(dataset, config))
+            # each training set and key is fitted once
+            assert len({(fits_id, key) for fits_id, key, *_ in fitted}) == len(fitted)
+            fits[serving] = collections.Counter(tuple(entry[1:]) for entry in fitted)
+            if serving == "lockstep":
+                # a step's fits of one feature count, from several folds, are one fit_model call
+                assert any(step["calls"] == 1 and len(step["folds"]) >= 2 for step in steps)
+                assert sum(step["calls"] for step in steps) < len(fitted)
+        # the same report bytes, and the same fits, every model bit for bit
+        assert (tmp_path / "lockstep.json").read_bytes() == (tmp_path / "alone.json").read_bytes()
+        assert fits["lockstep"] == fits["alone"]
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import json
 import logging
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -267,6 +268,17 @@ def test_scanpath_validation():
         Scanpath("r", "t", 0, ((0.0, 0.0),))  # non-positive duration
     with pytest.raises(ScanpathError):
         Scanpath("r", "t", 0, ((-1.0, 10.0),))
+
+
+@pytest.mark.parametrize("label", [[0], {"a": 1}, (0, 1), {0}, b"r1", 1j, Decimal("1")])
+def test_scanpath_label_must_be_a_scalar(label):
+    with pytest.raises(ScanpathError, match=r"^label .* is not a string, number or boolean$"):
+        Scanpath("r", "t", 0, ((0.0, 10.0),), label=label)
+
+
+@pytest.mark.parametrize("label", ["r1", 0, 1.5, True, None, np.int64(1), np.float64(0.5), np.bool_(False)])
+def test_scanpath_takes_scalar_labels(label):
+    assert Scanpath("r", "t", 0, ((0.0, 10.0),), label=label).label is label
 
 
 def test_scanpath_jsonl_round_trip(tmp_path):

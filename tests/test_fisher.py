@@ -23,6 +23,7 @@ from scanfisher.fisher import (
     write_scores,
 )
 from scanfisher.model import ModelError, ModelParams, loglik_parts, sample_events
+from scanfisher.svm import KernelProblem, solve_dual
 
 
 def _euler_mascheroni():
@@ -435,6 +436,76 @@ def test_training_gram_is_n_times_identity_when_lines_are_fewer_than_components(
     bound = n * ridge / (np.linalg.eigvalsh(info)[-n] + ridge)
     gram = gram_matrix(metric, scores)
     assert np.linalg.norm(gram - n * np.eye(n), 2) == pytest.approx(bound, rel=1e-7)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("scale", [1e-6, 1e-4])
+def test_kernel_is_invariant_under_a_reparametrization_up_to_the_ridge(seed, scale):
+    # scores S A of the parameters reparametrized by an invertible A give the
+    # information A^T I A, and S A (A^T I A)^{-1} A^T S^T = S I^{-1} S^T: the
+    # kernel does not depend on the parametrization; each ridge moves its
+    # kernel over N, and its test rows relative to their norm, by at most
+    # r / (lambda_min(I) + r) from the shared projection
+    n, d = 60, 12
+    rng, scores, info, ridge, metric = _kernel_regime(seed, n, d, scale)
+    q1, _ = np.linalg.qr(rng.normal(size=(d, d)))
+    q2, _ = np.linalg.qr(rng.normal(size=(d, d)))
+    A = q1 @ np.diag(np.logspace(0, 1, d)) @ q2
+    assert np.linalg.cond(A) == pytest.approx(10.0, rel=1e-9)
+    other = rng.normal(size=(7, d)) * np.logspace(0, 2, d)
+    info_a = empirical_information(scores @ A)
+    ridge_a = default_ridge(info_a, scale)
+    metric_a = fisher_metric(info_a, ridge_a)
+    bound = ridge / (np.linalg.eigvalsh(info)[0] + ridge) + ridge_a / (np.linalg.eigvalsh(info_a)[0] + ridge_a)
+
+    gram, gram_a = gram_matrix(metric, scores), gram_matrix(metric_a, scores @ A)
+    assert np.linalg.norm(gram - gram_a, 2) / n <= bound * (1 + 1e-8)
+    rows, rows_a = gram_matrix(metric, scores, other=other), gram_matrix(metric_a, scores @ A, other=other @ A)
+    assert (np.linalg.norm(rows - rows_a, axis=1) / np.linalg.norm(rows, axis=1)).max() <= bound * (1 + 1e-6)
+    # without a ridge the two kernels are one, to rounding in I's condition number
+    exact, exact_a = fisher_metric(info, 0.0), fisher_metric(info_a, 0.0)
+    tol = 1e-16 * np.linalg.cond(info_a)
+    np.testing.assert_allclose(gram_matrix(exact_a, scores @ A), gram_matrix(exact, scores),
+                               rtol=0, atol=tol * n)
+    np.testing.assert_allclose(gram_matrix(exact_a, scores @ A, other=other @ A),
+                               gram_matrix(exact, scores, other=other), rtol=0, atol=tol * np.abs(rows).max())
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("scale", [1e-6, 1e-4])
+def test_dual_has_the_closed_form_of_a_scaled_identity_gram_above_its_c_threshold(seed, scale):
+    # N < D: K = N (Id + F) with ||F|| = eps = ||K / N - Id||.  At K = N Id the
+    # dual's optimum is alpha0 = (1 - y (n+ - n-) / N) / N, bias b0 = (n+ - n-) / N,
+    # with every alpha free once C >= 2 max(n+, n-) / N^2 <= 2 / N; there the
+    # optimum solves (P Q P) alpha = P 1 on y-perp, so ||alpha - alpha0|| <=
+    # eps / (1 - eps) ||alpha0||, |b - b0| = |y^T F alpha| <= sqrt(N) eps ||alpha||,
+    # and it does not depend on C
+    n, d = 8, 20
+    rng, scores, _, _, metric = _kernel_regime(seed, n, d, scale)
+    gram = gram_matrix(metric, scores)
+    rows = gram_matrix(metric, scores, other=rng.normal(size=(5, d)) * np.logspace(0, 2, d))
+    eps = np.linalg.norm(gram / n - np.eye(n), 2)
+    assert eps < 0.01
+    y = np.array([1.0, -1.0, -1.0, 1.0, -1.0, 1.0, -1.0, -1.0])
+    n_pos, n_neg = int((y > 0).sum()), int((y < 0).sum())
+    alpha0 = (1.0 - y * (n_pos - n_neg) / n) / n
+    b0 = (n_pos - n_neg) / n
+    threshold = 2 * max(n_pos, n_neg) / n ** 2
+    problem = KernelProblem(gram)
+    models = [solve_dual(problem, y, C) for C in (1.5 * threshold, 2.0 / n, 1.0, 100.0)]
+    for model in models:
+        assert model.converged and (model.alpha < model.C).all()
+        assert np.linalg.norm(model.alpha - alpha0) <= eps / (1 - eps) * np.linalg.norm(alpha0) + 1e-12
+        assert abs(model.bias - b0) <= math.sqrt(n) * eps * np.linalg.norm(model.alpha) + 1e-12
+        decisions0 = rows @ (alpha0 * y) + b0
+        bound = np.linalg.norm(rows, axis=1) * np.linalg.norm(model.alpha - alpha0) + abs(model.bias - b0)
+        assert (np.abs(model.decision_values(rows) - decisions0) <= bound + 1e-12).all()
+        np.testing.assert_allclose(model.alpha, models[-1].alpha, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(model.decision_values(rows), models[-1].decision_values(rows),
+                                   rtol=1e-12, atol=1e-12)
+    # below the threshold the larger class-balance alphas sit at C
+    below = solve_dual(problem, y, 0.5 * threshold)
+    assert np.isclose(below.alpha, below.C, rtol=0, atol=1e-12).any()
 
 
 def test_gram_symmetric_psd():

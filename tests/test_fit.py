@@ -641,20 +641,20 @@ def test_pooled_groups_do_not_couple():
         assert [g for g in alone.groups if g.u == u] == [g for g in full.groups if g.u == u]
 
 
-@pytest.mark.parametrize("lam", [0.0, 1e-2, 1.0])
+@pytest.mark.parametrize("lam", [0.0, 1e-2, 1.0, pytest.param((1.0, 0.0, 1e-2), id="mixed")])
 def test_pooled_segments_equal_separate_fits(lam):
-    """Each segment's model and diagnostics equal the fit of that segment alone, bit for bit."""
+    """Each segment's model and diagnostics equal the fit of that segment alone at its lambda, bit for bit."""
     rng = np.random.default_rng(410)
     m = 4
     segments = [_sized_batch(rng, m, sizes) for sizes in
                 ((8, 7, 3, 600, 150), (40, 0, 300, 0, 5), (2, 90, 0, 12, 60))]
     sizes = [seg.n for seg in segments]
     batch = EventBatch.concat(segments)
-    config = FitConfig(lam=lam)
-    pooled = fit_model(batch, config, sizes)
-    detailed = _fit_segments(batch, sizes, config)
+    configs = [FitConfig(lam=value) for value in (lam if isinstance(lam, tuple) else (lam,) * len(segments))]
+    pooled = fit_model(batch, configs if isinstance(lam, tuple) else configs[0], sizes)
+    detailed = _fit_segments(batch, sizes, configs)
     seen = set()
-    for seg, params, outcome in zip(segments, pooled, detailed):
+    for seg, config, params, outcome in zip(segments, configs, pooled, detailed):
         alone = fit_model_detailed(seg, config)
         for block in ("pi", "alpha", "beta", "gamma", "delta"):
             np.testing.assert_array_equal(getattr(params, block), getattr(alone.params, block))
@@ -664,6 +664,21 @@ def test_pooled_segments_equal_separate_fits(lam):
     # Newton groups, L-BFGS-B fallbacks, bias-only groups and empty groups all occur
     assert {("newton", False), ("lbfgs", False), ("none", True)} <= seen
     assert {("newton", True), ("lbfgs", True)} & seen
+    if isinstance(lam, tuple):
+        # fallbacks at two lambdas share one lockstep L-BFGS-B call
+        assert len({c.lam for c, o in zip(configs, detailed) if any(g.solver == "lbfgs" for g in o.groups)}) >= 2
+
+
+def test_segments_must_share_their_stopping_rule():
+    rng = np.random.default_rng(3)
+    batch = _sized_batch(rng, 2, (20, 20, 20, 20, 20))
+    with pytest.raises(FitError, match=r"must share tol and max_iter, got \(tol, max_iter\) = "
+                                       r"\[\(1e-06, 1\), \(1e-06, 500\)\]"):
+        fit_model(batch, [FitConfig(lam=0.0), FitConfig(lam=1.0, max_iter=1)], [50, 50])
+    with pytest.raises(FitError, match=r"must share tol and max_iter"):
+        fit_model(batch, [FitConfig(tol=1e-3), FitConfig()], [50, 50])
+    with pytest.raises(FitError, match=r"^1 fit configs for 2 segments$"):
+        fit_model(batch, [FitConfig()], [50, 50])
 
 
 def test_segment_sizes_must_cover_the_batch():

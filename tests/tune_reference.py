@@ -4,7 +4,8 @@
 at inner accuracy 1.0: it scores every grid point of every feature subset it
 tries and runs every elimination round to the end.  `tune_baseline_full_scan`
 scores every lambda of the baseline's grid, even a grid of one.  Both must
-choose what the stopping tuners choose.
+choose what the stopping tuners choose.  Both are generators that pass the
+fits they lack up to `scanfisher.evaluate._lockstep`, as `_tune` does.
 """
 
 from typing import Sequence
@@ -31,7 +32,7 @@ def tune_full_scan(contexts: list, config, layout: Sequence[str], train, decide)
     def grid(keep):
         best = None
         for lam in config.lambda_grid:
-            stages = [evaluate._fit_stage(ctx, lam, [layout[i] for i in keep]) for ctx in contexts]
+            stages = yield from evaluate._fit_stages(contexts, lam, [layout[i] for i in keep])
             for ridge_scale in config.ridge_scales:
                 per_context = [accuracies(stage, evaluate._kernel_stage(stage, ridge_scale)) for stage in stages]
                 for C, accs in zip(config.c_grid, zip(*per_context)):
@@ -40,12 +41,12 @@ def tune_full_scan(contexts: list, config, layout: Sequence[str], train, decide)
                         best = (acc, lam, ridge_scale, C)
         return best
 
-    acc, lam, ridge_scale, C = grid(keep)
+    acc, lam, ridge_scale, C = yield from grid(keep)
     while config.feature_elimination and len(keep) > 1:
         best = None
         for drop in keep[1:]:
             cand = tuple(i for i in keep if i != drop)
-            result = grid(cand)
+            result = yield from grid(cand)
             if best is None or result[0] > best[0][0]:
                 best = (result, cand)
         if best[0][0] <= acc:
@@ -54,14 +55,14 @@ def tune_full_scan(contexts: list, config, layout: Sequence[str], train, decide)
     return evaluate._Tuned(lam=lam, ridge_scale=ridge_scale, C=C, keep=keep, inner_accuracy=acc)
 
 
-def tune_baseline_full_scan(contexts: list, config) -> float:
+def tune_baseline_full_scan(contexts: list, config):
     """The baseline's lambda search, run over the whole grid even when it leaves no choice."""
     if not contexts:
         return config.lambda_grid[0]
     best = None
     for lam in config.lambda_grid:
-        accs = [evaluate._accuracy_from_curves(evaluate._baseline_curves(ctx, lam))[0]
-                for ctx in contexts]
+        accs = [evaluate._accuracy_from_curves(curves)[0]
+                for curves in (yield from evaluate._baseline_curves(contexts, lam))]
         if best is None or float(np.mean(accs)) > best[0]:
             best = (float(np.mean(accs)), lam)
     return best[1]
