@@ -41,27 +41,66 @@ routine (`setulb`) directly, as ``scipy.optimize.minimize(method="L-BFGS-B")``
 does but without its function wrappers, and each run equals that call on
 its own group bit for bit.  A run stops on the projected-gradient test
 (|g| <= `tol`) or on the relative-reduction test (``ftol = 1e-12``).  Every
-group, empty, bias-only, Newton or L-BFGS-B, is set up and recorded in one
-loop (`_fit_segments`).  No value is shared between groups, and lambda
-enters only elementwise products, as one value per group, so each group's
-fit, and each segment's model, is the one it would get alone.
+group, empty, bias-only, Newton or L-BFGS-B, is recorded in one loop
+(`_fit_segments`).  No value is shared between groups, and lambda enters
+only elementwise products, as one value per group, so each group's fit, and
+each segment's model, is the one it would get alone.  The pooled events are
+gathered from the batch once per kind (`_Pool.of`); a fallback's events and
+moment start are slices of that pool.
+
+`setulb` lives in scipy's compiled module `scipy.optimize._lbfgsb`, which
+`_load_lbfgsb` loads from its file instead of importing `scipy.optimize`:
+that package's `__init__` loads over 200 modules the fit does not use (with
+scipy 1.17, 17 MB of a process's peak memory, and about a third of the
+package's import time).  The module is registered under its own name, so a
+later ``import scipy.optimize`` shares it, and a scipy without the file
+fails the import.
 """
 
+import importlib.machinery
+import importlib.util
 import logging
+import sys
 from dataclasses import dataclass, field
+from pathlib import Path
+
 import numpy as np
-from scipy.optimize import OptimizeResult
+import scipy
 
 from .events import NUM_SACCADE_TYPES, EventBatch
 from .model import ModelParams, gamma_terms
 
 _NEEDS_SCIPY = ("scanfisher.fit drives scipy's L-BFGS-B routine through its reverse-communication "
                 "form setulb(..., ln_task), which scipy>=1.15 provides")
-try:
-    from scipy.optimize import _lbfgsb
-    from scipy.optimize._lbfgsb_py import status_messages as _STATUS, task_messages as _TASK
-except ImportError as exc:
-    raise ImportError(_NEEDS_SCIPY) from exc
+
+
+def _load_lbfgsb():
+    """scipy's compiled L-BFGS-B module, loaded without importing the `scipy.optimize` package.
+
+    The module is registered in `sys.modules` under its own name, so a later
+    ``import scipy.optimize`` uses this module object; if that name is
+    already there, that module is used.
+    """
+    name = "scipy.optimize._lbfgsb"
+    if name in sys.modules:
+        return sys.modules[name]
+    folder = Path(scipy.__file__).parent / "optimize"
+    candidates = [folder / f"_lbfgsb{suffix}" for suffix in importlib.machinery.EXTENSION_SUFFIXES]
+    path = next((path for path in candidates if path.is_file()), None)
+    if path is None:
+        raise ImportError(f"{_NEEDS_SCIPY}; {folder} has no compiled _lbfgsb module")
+    spec = importlib.util.spec_from_file_location(name, path)
+    try:
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[name] = module
+        spec.loader.exec_module(module)
+    except ImportError as exc:
+        sys.modules.pop(name, None)
+        raise ImportError(_NEEDS_SCIPY) from exc
+    return module
+
+
+_lbfgsb = _load_lbfgsb()
 
 logger = logging.getLogger(__name__)
 
@@ -75,9 +114,23 @@ _MAXCOR = 10            # stored correction pairs
 _MAXLS = 20             # line-search steps per iteration
 _MAXFUN = 15000         # objective evaluations
 _FACTR = 1e-12 / np.finfo(float).eps   # ftol = 1e-12, in units of the machine epsilon
-# setulb's task codes
+# setulb's task codes, and scipy's messages for them (scipy.optimize._lbfgsb_py's tables)
 _FG, _NEW_X, _CONVERGENCE, _STOP = 3, 1, 4, 5
 _ITERATION_LIMIT, _EVALUATION_LIMIT = 504, 502
+_STATUS = {0: "START", 1: "NEW_X", 2: "RESTART", 3: "FG", 4: "CONVERGENCE", 5: "STOP", 6: "WARNING",
+           7: "ERROR", 8: "ABNORMAL"}
+_TASK = {
+    0: "", 301: "", 302: "",
+    401: "NORM OF PROJECTED GRADIENT <= PGTOL", 402: "RELATIVE REDUCTION OF F <= FACTR*EPSMCH",
+    501: "CPU EXCEEDING THE TIME LIMIT", 502: "TOTAL NO. OF F,G EVALUATIONS EXCEEDS LIMIT",
+    503: "PROJECTED GRADIENT IS SUFFICIENTLY SMALL", 504: "TOTAL NO. OF ITERATIONS REACHED LIMIT",
+    505: "CALLBACK REQUESTED HALT",
+    601: "ROUNDING ERRORS PREVENT PROGRESS", 602: "STP = STPMAX", 603: "STP = STPMIN",
+    604: "XTOL TEST SATISFIED",
+    701: "NO FEASIBLE SOLUTION", 702: "FACTR < 0", 703: "FTOL < 0", 704: "GTOL < 0", 705: "XTOL < 0",
+    706: "STP < STPMIN", 707: "STP > STPMAX", 708: "STPMIN < 0", 709: "STPMAX < STPMIN",
+    710: "INITIAL G >= 0", 711: "M <= 0", 712: "N <= 0", 713: "INVALID NBD",
+}
 
 
 class FitError(ValueError):
@@ -194,6 +247,30 @@ def _check_setulb(setulb) -> None:
 _check_setulb(_lbfgsb.setulb)
 
 
+@dataclass
+class LbfgsRun:
+    """One L-BFGS-B run: the fields scipy's result of the same run has, and `trace`."""
+
+    x: np.ndarray
+    fun: float
+    jac: np.ndarray
+    nit: int
+    nfev: int
+    success: bool
+    message: str
+    trace: list[float]   # the objective at the start and at each iterate
+
+
+@dataclass
+class LbfgsResult:
+    """`minimize`'s runs, one per start, and their totals."""
+
+    runs: list[LbfgsRun]
+    nit: int
+    nfev: int
+    success: bool   # every run succeeded
+
+
 def _lbfgsb_run(x0: np.ndarray, tol: float, max_iter: int):
     """One L-BFGS-B run from `x0`, as a generator.
 
@@ -226,11 +303,11 @@ def _lbfgsb_run(x0: np.ndarray, tol: float, max_iter: int):
         else:
             break
     message = _STATUS[task[0]] + ": " + _TASK[task[1]]
-    return OptimizeResult(x=x, fun=f, jac=g, nit=nit, nfev=nfev, success=bool(task[0] == _CONVERGENCE),
-                          message=message, trace=trace)
+    return LbfgsRun(x=x, fun=f, jac=g, nit=nit, nfev=nfev, success=bool(task[0] == _CONVERGENCE),
+                    message=message, trace=trace)
 
 
-def minimize(fun, starts, tol: float, max_iter: int) -> OptimizeResult:
+def minimize(fun, starts, tol: float, max_iter: int) -> LbfgsResult:
     """L-BFGS-B from each of `starts`, the runs in lockstep.
 
     Each run loops over scipy's L-BFGS-B routine `setulb` and equals
@@ -247,11 +324,9 @@ def minimize(fun, starts, tol: float, max_iter: int) -> OptimizeResult:
     point or stops, and one call ``fun(indices, points)`` evaluates all the
     points asked for, returning an (objective, gradient) pair per point;
     `indices` are the asking runs' positions in `starts`.  `fun` must not
-    modify the points.  The result's `runs` holds a scipy-shaped result per
-    start (`x`, `fun`, `jac`, `nit`, `nfev`, `success`, `message`, and
-    `trace`: the objective at the start and at each iterate); its `nit` and
-    `nfev` are their totals, and its `success` is true only if every run
-    succeeded.
+    modify the points.  The result's `runs` holds an `LbfgsRun` per start;
+    its `nit` and `nfev` are their totals, and its `success` is true only if
+    every run succeeded.
     """
     runs = [_lbfgsb_run(x0, tol, max_iter) for x0 in starts]
     results = [None] * len(runs)
@@ -267,8 +342,8 @@ def minimize(fun, starts, tol: float, max_iter: int) -> OptimizeResult:
             except StopIteration as stop:
                 results[i] = stop.value
         asking = still
-    return OptimizeResult(runs=results, nit=sum(r.nit for r in results), nfev=sum(r.nfev for r in results),
-                          success=all(r.success for r in results))
+    return LbfgsResult(runs=results, nit=sum(r.nit for r in results), nfev=sum(r.nfev for r in results),
+                       success=all(r.success for r in results))
 
 
 class _Objectives:
@@ -360,9 +435,23 @@ class _Pool:
         self.starts = np.cumsum(self.sizes) - self.sizes                # each group's first event
 
     @staticmethod
-    def of(xs: list[np.ndarray], Ws: list[np.ndarray]) -> "_Pool":
-        x = np.concatenate(xs)
-        return _Pool(x, np.log(x), np.concatenate(Ws, axis=0), np.array([len(part) for part in xs]))
+    def of(batch: EventBatch, order: np.ndarray, sizes: np.ndarray, bias_only: np.ndarray) -> "_Pool":
+        """The amplitude groups, then the duration groups, each kind's events `batch`'s in `order`.
+
+        `sizes` splits each kind's events into its groups; the feature
+        columns of the groups where `bias_only` is true are zeroed.
+        """
+        n = len(order)
+        x, W = np.empty(2 * n), np.empty((2 * n, batch.num_features))
+        for half, (values, rows) in zip((slice(0, n), slice(n, 2 * n)),
+                                        ((batch.amp, batch.w_launch), (batch.dur, batch.w_land))):
+            # mode "clip" (the indices are in range) writes straight into the pool, unbuffered
+            np.take(values, order, out=x[half], mode="clip")
+            np.take(rows, order, axis=0, out=W[half], mode="clip")
+        pool = _Pool(x, np.log(x), W, sizes)
+        for start, size in zip(pool.starts[bias_only], sizes[bias_only]):
+            W[start:start + size, 1:] = 0.0
+        return pool
 
     def take(self, keep: np.ndarray) -> "_Pool":
         """The pool of the groups where the boolean `keep` is true, in order."""
@@ -518,39 +607,40 @@ def _fit_segments(batch: EventBatch, sizes, configs: list[FitConfig]) -> list[Fi
     segments = batch.split(sizes)
     if not segments or any(seg.n == 0 for seg in segments):
         raise FitError("cannot fit a model from an empty event set")
+    if batch.u.min() < 1 or batch.u.max() > NUM_SACCADE_TYPES:
+        raise FitError(f"saccade types must lie in 1..{NUM_SACCADE_TYPES}, got {batch.u.min()}..{batch.u.max()}")
     tol, max_iter = configs[0].tol, configs[0].max_iter
 
     m = batch.num_features
-    groups = []   # (kind, u, x, W), segment by segment, each in the order of its diagnostics
-    for seg in segments:
-        for u in range(1, NUM_SACCADE_TYPES + 1):
-            in_type = seg.u == u
-            groups.append(("amplitude", u, seg.amp[in_type], seg.w_launch[in_type]))
-            groups.append(("duration", u, seg.dur[in_type], seg.w_land[in_type]))
-
-    n_events = np.array([len(x) for _, _, x, _ in groups])
-    lam = np.repeat([c.lam for c in configs], 2 * NUM_SACCADE_TYPES)   # the lambda of each group
+    # groups (kind, segment, type), amplitude then duration, each kind's ordered by (segment, type)
+    per_kind = len(segments) * NUM_SACCADE_TYPES
+    group_of_event = np.repeat(np.arange(len(segments)), sizes) * NUM_SACCADE_TYPES + batch.u - 1
+    n_events = np.tile(np.bincount(group_of_event, minlength=per_kind), 2)
+    lam = np.tile(np.repeat([c.lam for c in configs], NUM_SACCADE_TYPES), 2)   # the lambda of each group
     pooled = np.flatnonzero(n_events)
     bias_only = _bias_only(n_events, m)
-    feature_mask = np.ones((len(groups), m))
+    feature_mask = np.ones((len(n_events), m))
     feature_mask[bias_only, 1:] = 0.0
     mask = np.hstack([feature_mask, feature_mask])   # the weights each group uses
-    pool = _Pool.of([groups[i][2] for i in pooled], [groups[i][3] * feature_mask[i] for i in pooled])
-    theta0 = np.array([_moment_init(groups[i][2], m) for i in pooled])
+    pool = _Pool.of(batch, np.argsort(group_of_event, kind="stable"), n_events[pooled], bias_only[pooled])
+    spans = [slice(start, start + size) for start, size in zip(pool.starts.tolist(), pool.sizes.tolist())]
+    theta0 = np.array([_moment_init(pool.x[span], m) for span in spans])
     result = _newton(pool, theta0, mask[pooled], lam[pooled], tol, max_iter)
 
-    row_of = dict(zip(pooled, range(len(pooled))))
+    row_of = dict(zip(pooled.tolist(), range(len(pooled))))
     refits = {}   # group -> (the weights it uses, its L-BFGS-B run)
-    failed = [i for i in pooled if result.failure[row_of[i]] is not None]
+    failed = [i for i in pooled.tolist() if result.failure[row_of[i]] is not None]
     if failed:
         # refit from the same start, on the weights each group uses
         used = [np.flatnonzero(mask[i]) for i in failed]
-        problems = [(groups[i][2], groups[i][3][:, :len(cols) // 2]) for i, cols in zip(failed, used)]
+        problems = [(pool.x[spans[row_of[i]]], pool.W[spans[row_of[i]], :len(cols) // 2])
+                    for i, cols in zip(failed, used)]
         starts = [theta0[row_of[i], cols] for i, cols in zip(failed, used)]
         runs = minimize(_Objectives(problems, lam[failed]), starts, tol, max_iter).runs
         refits = dict(zip(failed, zip(used, runs)))
-    fits = []     # ([shape weights, scale weights], GroupFit) per group
-    for i, (kind, u, _, _) in enumerate(groups):
+    fits = []     # ([shape weights, scale weights], GroupFit) per group, segment by segment, type by type
+    for i in [i for q in range(per_kind) for i in (q, per_kind + q)]:
+        kind, u = ("amplitude", "duration")[i // per_kind], i % NUM_SACCADE_TYPES + 1
         if not n_events[i]:
             logger.warning("no %s events of type %d; keeping zero weights", kind, u)
             fits.append((np.zeros(2 * m), GroupFit(kind, u, 0, True, 0.0, 0.0, 0, 0.0, True)))

@@ -12,7 +12,8 @@ from the moment start, the fitter `scanfisher.fit` refits with when Newton
 cannot finish a group.  `pooled_terms_before_product` is the Newton pass's
 `_pooled_terms` as it was written with ``polygamma(1, .)`` and per-event
 products summed by ``np.add.reduceat``; the faster one must give its value
-bit for bit and its gradient and Hessian to rounding.
+bit for bit and its gradient and Hessian to rounding.  `pool_of` pools
+groups given one by one, for the tests that call the Newton pass's parts.
 """
 
 import logging
@@ -65,6 +66,12 @@ def objective_before_minimum(theta: np.ndarray, x: np.ndarray, W: np.ndarray, la
     grad_shape = -(W.T @ (shape * (log_x - digamma(shape) - eta_scale))) + lam * reg_shape
     grad_scale = -(W.T @ (x_over_scale - shape)) + lam * reg_scale
     return value, np.concatenate([grad_shape, grad_scale])
+
+
+def pool_of(xs: list[np.ndarray], Ws: list[np.ndarray]) -> _Pool:
+    """The pool of groups given as their events and feature rows, concatenated group by group."""
+    x = np.concatenate(xs)
+    return _Pool(x, np.log(x), np.concatenate(Ws, axis=0), np.array([len(part) for part in xs]))
 
 
 def pooled_terms_before_product(pool: _Pool, theta: np.ndarray, mask: np.ndarray, lam,

@@ -37,7 +37,7 @@ from scanfisher.model import sample_events
 from scanfisher.svm import KernelProblem, SvmModel
 from scanfisher.synth import SynthConfig, gen_dataset, gen_readers
 from scanfisher.util import read_json
-from fit_reference import pooled_terms_before_product
+from fit_reference import pool_of, pooled_terms_before_product
 from model_reference import generative_classify
 from tune_reference import tune_baseline_full_scan, tune_full_scan
 
@@ -884,7 +884,7 @@ def test_reference_newton_pass_fits_the_elimination_data_alike(small_dataset, mo
                     np.testing.assert_array_equal(theta, want_theta)
                     continue
                 _, _, hessian = pooled_terms_before_product(
-                    fit._Pool.of([x], [W]), want_theta[None], np.ones((1, theta.size)), config.lam)
+                    pool_of([x], [W]), want_theta[None], np.ones((1, theta.size)), config.lam)
                 eig = np.linalg.eigvalsh(hessian[0])
                 bound = max(1e-12, 1e-15 * eig[-1] / eig[0])
                 np.testing.assert_allclose(theta, want_theta, rtol=0, atol=bound * max(1.0, np.abs(want_theta).max()))

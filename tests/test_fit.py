@@ -19,7 +19,6 @@ from scanfisher.fit import (
     _fit_segments,
     _moment_init,
     _pooled_terms,
-    _Pool,
     fit_model,
     fit_model_detailed,
     fit_pi,
@@ -32,6 +31,7 @@ from fit_reference import (
     neg_loglik_and_grad_amplitude,
     neg_loglik_and_grad_duration,
     objective_before_minimum,
+    pool_of,
     pooled_terms_before_product,
 )
 
@@ -599,6 +599,60 @@ def test_old_setulb_fails_the_import_not_the_first_fit():
     assert "scipy>=1.15" in proc.stderr
 
 
+def _run_python(code: str, *path: str) -> subprocess.CompletedProcess:
+    """`code` in a fresh interpreter that imports the package under test, with `path` before it."""
+    src = str(Path(fit_module.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [*path, src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+
+
+def test_message_tables_are_scipys():
+    from scipy.optimize._lbfgsb_py import status_messages, task_messages
+
+    assert fit_module._STATUS == status_messages
+    assert fit_module._TASK == task_messages
+
+
+def test_scipy_optimize_imported_after_the_fit_shares_its_routine():
+    code = ("import sys, numpy as np, scanfisher.fit as fit\n"
+            "assert 'scipy.optimize' not in sys.modules\n"
+            "import scipy.optimize\n"
+            "from scipy.optimize import _lbfgsb\n"
+            "assert _lbfgsb is fit._lbfgsb is sys.modules['scipy.optimize._lbfgsb']\n"
+            "assert scipy.optimize._lbfgsb_py._lbfgsb is fit._lbfgsb\n"
+            "result = scipy.optimize.minimize(lambda x: ((x - [1.0, -2.0]) ** 2).sum(), np.zeros(2),"
+            " method='L-BFGS-B')\n"
+            "assert result.success and np.allclose(result.x, [1.0, -2.0]), result\n")
+    proc = _run_python(code)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_scipy_without_the_compiled_routine_fails_the_import(tmp_path):
+    """A scipy tree whose optimize folder lacks the `_lbfgsb` extension: the import names scipy>=1.15."""
+    import scipy
+
+    installed = Path(scipy.__file__).parent
+    tree = tmp_path / "scipy"
+    tree.mkdir()
+    for entry in installed.iterdir():
+        if entry.name != "optimize":
+            (tree / entry.name).symlink_to(entry)
+    (tree / "optimize").mkdir()
+    for entry in (installed / "optimize").iterdir():
+        if not entry.name.startswith("_lbfgsb."):
+            (tree / "optimize" / entry.name).symlink_to(entry)
+    # the wheel's shared libraries, if any, sit beside the package
+    for libs in installed.parent.glob("scipy.libs"):
+        (tmp_path / libs.name).symlink_to(libs)
+    proc = _run_python("import scipy, scipy.special, scipy.linalg\n"
+                       "print(scipy.__file__)\n"
+                       "import scanfisher.fit\n", str(tmp_path))
+    assert proc.stdout.strip() == str(tree / "__init__.py"), proc.stderr
+    assert proc.returncode != 0
+    assert "ImportError: scanfisher.fit drives scipy's L-BFGS-B routine" in proc.stderr
+    assert "scipy>=1.15" in proc.stderr and "has no compiled _lbfgsb module" in proc.stderr
+
+
 def test_group_newton_cannot_finish_is_the_lbfgs_fit(caplog):
     rng = np.random.default_rng(12)
     m = 2
@@ -669,6 +723,59 @@ def test_pooled_segments_equal_separate_fits(lam):
         assert len({c.lam for c, o in zip(configs, detailed) if any(g.solver == "lbfgs" for g in o.groups)}) >= 2
 
 
+def test_pool_holds_each_group_boolean_indexed_out_of_its_segment(monkeypatch):
+    """The pool, moment starts and fallback problems `_fit_segments` builds by gathering from the batch.
+
+    They equal, bit for bit, each group's events and feature rows indexed out
+    of its segment by type, as the fit built them before, concatenated
+    amplitude groups first, bias-only groups' feature columns zeroed in the
+    pool only.
+    """
+    rng = np.random.default_rng(23)
+    m = 3
+    segments = []
+    for sizes in ((30, 0, 4, 60, 9), (5, 40, 0, 25, 70), (12, 3, 8, 0, 44)):
+        seg = _sized_batch(rng, m, sizes)
+        order = rng.permutation(seg.n)   # the types interleave, as in extracted scanpaths
+        segments.append(EventBatch(seg.u[order], seg.amp[order], seg.dur[order], seg.w_launch[order],
+                                   seg.w_land[order]))
+    seen = {}
+    newton, objectives = fit_module._newton, fit_module._Objectives
+
+    def recorded_newton(pool, theta0, *args):
+        seen.update(pool=pool, theta0=theta0.copy(), result=newton(pool, theta0, *args))
+        return seen["result"]
+
+    def recorded_objectives(problems, lam):
+        seen["problems"] = problems
+        return objectives(problems, lam)
+
+    monkeypatch.setattr(fit_module, "_newton", recorded_newton)
+    monkeypatch.setattr(fit_module, "_Objectives", recorded_objectives)
+    _fit_segments(EventBatch.concat(segments), [seg.n for seg in segments], [FitConfig(max_iter=2)] * 3)
+
+    xs, Ws, problems = [], [], []
+    for values, rows in (("amp", "w_launch"), ("dur", "w_land")):
+        for seg in segments:
+            for u in range(1, 6):
+                in_type = seg.u == u
+                if in_type.any():
+                    xs.append(getattr(seg, values)[in_type])
+                    Ws.append(getattr(seg, rows)[in_type])
+    bias_only = [len(x) < 2 * m for x in xs]
+    want = pool_of(xs, [W * np.r_[1.0, [0.0 if b else 1.0] * (m - 1)] for W, b in zip(Ws, bias_only)])
+    pool = seen["pool"]
+    for name in ("x", "log_x", "W", "sizes", "gid", "starts"):
+        np.testing.assert_array_equal(getattr(pool, name), getattr(want, name))
+    np.testing.assert_array_equal(seen["theta0"], [_moment_init(x, m) for x in xs])
+    failed = [g for g, failure in enumerate(seen["result"].failure) if failure is not None]
+    assert len(failed) >= 10 and any(bias_only[g] for g in failed) and not all(bias_only[g] for g in failed)
+    assert len(seen["problems"]) == len(failed)
+    for g, (x, W) in zip(failed, seen["problems"]):
+        np.testing.assert_array_equal(x, xs[g])
+        np.testing.assert_array_equal(W, Ws[g][:, :1] if bias_only[g] else Ws[g])
+
+
 def test_segments_must_share_their_stopping_rule():
     rng = np.random.default_rng(3)
     batch = _sized_batch(rng, 2, (20, 20, 20, 20, 20))
@@ -679,6 +786,16 @@ def test_segments_must_share_their_stopping_rule():
         fit_model(batch, [FitConfig(tol=1e-3), FitConfig()], [50, 50])
     with pytest.raises(FitError, match=r"^1 fit configs for 2 segments$"):
         fit_model(batch, [FitConfig()], [50, 50])
+
+
+@pytest.mark.parametrize("bad", [0, 6])
+def test_saccade_types_must_lie_in_1_to_5(bad):
+    # a type outside 1..5 would otherwise count as a type of the neighbouring segment
+    rng = np.random.default_rng(3)
+    batch = _sized_batch(rng, 2, (20, 20, 20, 20, 20))
+    batch.u[60] = bad
+    with pytest.raises(FitError, match=rf"saccade types must lie in 1\.\.5, got {min(bad, 1)}\.\.{max(bad, 5)}"):
+        fit_model(batch, FitConfig(), [50, 50])
 
 
 def test_segment_sizes_must_cover_the_batch():
@@ -733,7 +850,7 @@ def _pool_case(rng, m, sizes, bias_only, spread):
         xs.append(rng.gamma(3.0, 2.0, n))
         Ws.append(W * keep)
     theta = rng.normal(0, spread, (len(sizes), 2 * m))
-    return _Pool.of(xs, Ws), theta, np.hstack([feature_mask, feature_mask])
+    return pool_of(xs, Ws), theta, np.hstack([feature_mask, feature_mask])
 
 
 POOL_CASES = [
