@@ -26,7 +26,7 @@ from .fisher import (
     gram_matrix,
     score_matrix,
 )
-from .fit import FitConfig, fit_model, fit_pi
+from .fit import fit_model, fit_pi
 from .model import (
     ModelParams,
     batch_loglik,

@@ -48,7 +48,7 @@ from .fisher import (
     score_matrix,
     write_scores,
 )
-from .fit import FitConfig, FitError, fit_model_detailed
+from .fit import FitError, fit_model
 from .model import ModelError, ModelParams
 from .svm import KernelProblem, SvmError, train_multiclass
 from .synth import SynthConfig, gen_dataset
@@ -57,7 +57,13 @@ from .util import canonical_json, read_json, sha256_file, write_json
 PARSE_ERROR = 2
 RUN_ERROR = 3
 
-_PARSE_EXCEPTIONS = (CorpusError, ScanpathError, ScoreFileError, FileNotFoundError, json.JSONDecodeError, KeyError)
+
+class InputFileError(ValueError):
+    """A JSON input file that is not the object its command reads."""
+
+
+_PARSE_EXCEPTIONS = (CorpusError, ScanpathError, ScoreFileError, InputFileError, FileNotFoundError,
+                     json.JSONDecodeError, KeyError)
 _RUN_EXCEPTIONS = (FitError, EvalError, SvmError, MetricError, ModelError, LeakageError, ValueError)
 
 
@@ -79,6 +85,18 @@ def _provenance(args: argparse.Namespace, inputs: dict[str, str], seed=None) -> 
         "seed": seed,
         "input_hashes": {name: sha256_file(path) for name, path in sorted(inputs.items())},
     }
+
+
+@contextmanager
+def _json_object(path):
+    """The JSON object in `path`; a key the block misses in it raises `InputFileError` naming the file."""
+    obj = read_json(path)
+    if not isinstance(obj, dict):
+        raise InputFileError(f"{path}: expected a JSON object, got {type(obj).__name__}")
+    try:
+        yield obj
+    except KeyError as exc:
+        raise InputFileError(f"{path}: missing key {exc.args[0]!r}") from None
 
 
 def _float_list(text: str) -> tuple[float, ...]:
@@ -156,8 +174,7 @@ def cmd_fit(args) -> int:
     dataset = _load_dataset(args)
     stats = norm_stats([dataset.texts[t] for t in dataset.text_ids()], dataset.freq)
     table = event_table(dataset, stats.layout)
-    config = FitConfig(lam=args.reg_lambda, tol=args.tol, max_iter=args.max_iter)
-    outcome = fit_model_detailed(table.gather(range(len(table.scanpaths)), stats)[0], config)
+    [outcome] = fit_model(table.gather(range(len(table.scanpaths)), stats)[0], args.reg_lambda)
     payload = replace(outcome.params, feature_layout=stats.layout).to_dict()
     payload["norm_stats"] = stats.to_dict()
     payload["amp_floor"] = AMP_FLOOR
@@ -173,12 +190,12 @@ def cmd_fit(args) -> int:
 
 
 def cmd_score(args) -> int:
-    payload = read_json(args.model)
-    if payload.get("amp_floor", AMP_FLOOR) != AMP_FLOOR:
-        raise ScanpathError(f"{args.model}: amp_floor {payload['amp_floor']!r} is not {AMP_FLOOR}, "
-                            "the amplitude floor every model is fitted with")
-    params = ModelParams.from_dict(payload)
-    stats = NormStats.from_dict(payload["norm_stats"])
+    with _json_object(args.model) as payload:
+        if payload.get("amp_floor", AMP_FLOOR) != AMP_FLOOR:
+            raise ScanpathError(f"{args.model}: amp_floor {payload['amp_floor']!r} is not {AMP_FLOOR}, "
+                                "the amplitude floor every model is fitted with")
+        params = ModelParams.from_dict(payload)
+        stats = NormStats.from_dict(payload["norm_stats"])
     dataset = _load_dataset(args)
     table = event_table(dataset, stats.layout)
     events, lengths = table.gather(range(len(table.scanpaths)), stats)
@@ -229,9 +246,14 @@ def cmd_kernel(args) -> int:
 
 def cmd_train_svm(args) -> int:
     scores = read_scores(args.scores)
-    meta = read_json(args.meta)
-    labels = [inst["label"] if inst["label"] is not None else inst["reader_id"]
-              for inst in meta["instances"]]
+    with _json_object(args.meta) as meta:
+        instances = meta["instances"]
+        labelled = sum(inst["label"] is not None for inst in instances)
+        # a class is a label or a reader, never a mix of both
+        if 0 < labelled < len(instances):
+            raise InputFileError(f"{args.meta}: {labelled} instances have a label and "
+                                 f"{len(instances) - labelled} have none")
+        labels = [inst["label"] if labelled else inst["reader_id"] for inst in instances]
     info = empirical_information(scores)
     metric = fisher_metric(info, default_ridge(info, args.ridge_scale))
     mc = train_multiclass(KernelProblem(gram_matrix(metric, scores)), labels, C=args.C)
@@ -263,7 +285,8 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_report(args) -> int:
-    print(summarize_report(read_json(args.report)))
+    with _json_object(args.report) as report:
+        print(summarize_report(report))
     return 0
 
 
@@ -312,10 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fit", help="fit model parameters by regularized ML")
     _add_data_args(p)
     p.add_argument("--out", required=True)
-    fit_defaults = FitConfig()
-    p.add_argument("--reg-lambda", "--lambda", dest="reg_lambda", type=float, default=fit_defaults.lam)
-    p.add_argument("--tol", type=float, default=fit_defaults.tol)
-    p.add_argument("--max-iter", type=int, default=fit_defaults.max_iter)
+    p.add_argument("--reg-lambda", "--lambda", dest="reg_lambda", type=float, default=1e-2)
     p.set_defaults(func=cmd_fit)
 
     p = sub.add_parser("score", help="emit per-line Fisher scores for a fitted model")

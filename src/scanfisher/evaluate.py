@@ -58,7 +58,7 @@ from .fisher import (
     gram_matrix,
     score_matrix,
 )
-from .fit import FitConfig, fit_model
+from .fit import fit_model
 from .model import batch_loglik
 # solve_dual only for perfbench/layertrace.py's hook, which test_benchmark_worker_prints_a_traced_result requires
 from .svm import KernelProblem, MulticlassSvm, prefix_decision_curve, solve_dual, train_multiclass
@@ -468,8 +468,9 @@ def _serve(requests: list[_FitRequest]) -> None:
     for r in requests:
         by_width.setdefault(r.batch.num_features, []).append(r)
     for pooled in by_width.values():
-        models = fit_model(EventBatch.concat([r.batch for r in pooled]),
-                           [FitConfig(lam=r.lam) for r in pooled for _ in r.sizes], [n for r in pooled for n in r.sizes])
+        models = [outcome.params for outcome in fit_model(EventBatch.concat([r.batch for r in pooled]),
+                                                          [r.lam for r in pooled for _ in r.sizes],
+                                                          [n for r in pooled for n in r.sizes])]
         start = 0
         for r in pooled:
             r.fits[r.key] = models[start:start + len(r.sizes)]

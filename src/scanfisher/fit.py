@@ -16,21 +16,22 @@ All ten (kind, u) groups of a batch are solved by one damped Newton loop
 over their pooled events; `fit_model` given segment sizes fits several
 training sets of one batch (every fit the folds of an experiment ask for at
 one step, the generative baseline's readers among them) in the same loop,
-ten groups each, each training set at its own lambda.  Each iteration
-evaluates the per-event objective, gradient and closed-form Hessian terms
-(trigamma in the shape block) once, sums the objective per group with
-`np.add.reduceat`, takes each group's gradient and Hessian from one product
-W_g^T [shape term, scale term, W_g c_1, W_g c_2, W_g c_3] over its own
-events, solves the stacked 2M x 2M systems in one call and backtracks each
-group's step until the Armijo condition holds.
-A group stops when its gradient infinity norm is at most `FitConfig.tol` or
-its Newton decrement g^T H^-1 g is at most 1e-12 * max(|f|, 1).
+ten groups each, each training set at its own lambda.  Lambda is the fit's
+only setting; the stopping tolerance `_TOL` and the step cap `_MAX_ITER` are
+constants.  Each iteration evaluates the per-event objective, gradient and
+closed-form Hessian terms (trigamma in the shape block) once, sums the
+objective per group with `np.add.reduceat`, takes each group's gradient and
+Hessian from one product W_g^T [shape term, scale term, W_g c_1, W_g c_2,
+W_g c_3] over its own events, solves the stacked 2M x 2M systems in one call
+and backtracks each group's step until the Armijo condition holds.
+A group stops when its gradient infinity norm is at most `_TOL` or its
+Newton decrement g^T H^-1 g is at most 1e-12 * max(|f|, 1).
 
 The objective is not convex, and small groups can have several local
 minima.  From an iterate whose Hessian is not positive definite, second-order
 steps (those of the expected information too) can leave the basin that
 L-BFGS-B from the same start settles in.  So such a group, like any group
-Newton cannot finish (no Armijo decrease, a non-finite value or `max_iter`
+Newton cannot finish (no Armijo decrease, a non-finite value or `_MAX_ITER`
 steps), is refitted by L-BFGS-B (Byrd, Lu, Nocedal & Zhu, SIAM J. Sci.
 Comput. 1995) with analytic gradients, from the same moment start restricted
 to the weights the group uses, and that result is used as it is.  One
@@ -40,13 +41,13 @@ running run asks for (`_Objectives`).  `minimize` drives scipy's L-BFGS-B
 routine (`setulb`) directly, as ``scipy.optimize.minimize(method="L-BFGS-B")``
 does but without its function wrappers, and each run equals that call on
 its own group bit for bit.  A run stops on the projected-gradient test
-(|g| <= `tol`) or on the relative-reduction test (``ftol = 1e-12``).  Every
-group, empty, bias-only, Newton or L-BFGS-B, is recorded in one loop
-(`_fit_segments`).  No value is shared between groups, and lambda enters
-only elementwise products, as one value per group, so each group's fit, and
-each segment's model, is the one it would get alone.  The pooled events are
-gathered from the batch once per kind (`_Pool.of`); a fallback's events and
-moment start are slices of that pool.
+(|g| <= `_TOL`) or on the relative-reduction test (``ftol = 1e-12``), or
+after `_MAX_ITER` iterations.  Every group, empty, bias-only, Newton or
+L-BFGS-B, is recorded in one loop (`fit_model`).  No value is shared between
+groups, and lambda enters only elementwise products, as one value per group,
+so each group's fit, and each segment's model, is the one it would get
+alone.  The pooled events are gathered from the batch once per kind
+(`_Pool.of`); a fallback's events and moment start are slices of that pool.
 
 `setulb` lives in scipy's compiled module `scipy.optimize._lbfgsb`, which
 `_load_lbfgsb` loads from its file instead of importing `scipy.optimize`:
@@ -105,6 +106,8 @@ _lbfgsb = _load_lbfgsb()
 logger = logging.getLogger(__name__)
 
 PI_SMOOTHING = 1e-6
+_TOL = 1e-6             # gradient infinity norm at which a Newton group, or an L-BFGS-B run, stops
+_MAX_ITER = 500         # Newton steps of a group and, separately, L-BFGS-B iterations of a fallback
 _ARMIJO = 1e-4          # sufficient-decrease constant of the backtracking search
 _MAX_HALVINGS = 40      # step halvings before the search gives up
 _DECREMENT_RTOL = 1e-12  # Newton decrement stop, relative to max(|f|, 1)
@@ -137,32 +140,6 @@ class FitError(ValueError):
     """Fitting preconditions violated (e.g. no events at all)."""
 
 
-@dataclass(frozen=True)
-class FitConfig:
-    """Fit settings.
-
-    `tol` bounds the gradient infinity norm at which a Newton group stops; a
-    group also stops when its Newton decrement is at most 1e-12 * max(|f|, 1).
-    `max_iter` caps the Newton steps of a group and, separately, the L-BFGS-B
-    iterations of a fallback fit (`minimize`), where `tol` bounds the
-    projected gradient as scipy's ``gtol`` does and a relative reduction
-    below ``1e-12`` (``ftol``) also ends the fit.
-    """
-
-    lam: float = 1e-2
-    tol: float = 1e-6
-    max_iter: int = 500
-
-    def __post_init__(self):
-        # NaN fails every comparison, so it is rejected too
-        if not self.lam >= 0:
-            raise FitError(f"lam must be >= 0, got {self.lam!r}")
-        if not self.tol > 0:
-            raise FitError(f"tol must be > 0, got {self.tol!r}")
-        if self.max_iter < 1:
-            raise FitError(f"max_iter must be >= 1, got {self.max_iter!r}")
-
-
 def fit_pi(events: EventBatch) -> np.ndarray:
     """Multinomial MLE over saccade types with zero-count smoothing."""
     if events.n == 0:
@@ -193,7 +170,7 @@ class GroupFit:
     "lbfgs" for one refitted by L-BFGS-B and "none" for an empty group.
     `objective_trace` holds the objective at the start and at each iterate.
     For a Newton group `converged` means the stopping rule was met (|g| <=
-    `tol` or the Newton decrement test); for an L-BFGS-B group it is the
+    `_TOL` or the Newton decrement test); for an L-BFGS-B group it is the
     ``success`` flag of its `minimize` run (scipy's), which a run ended by
     the relative-reduction test also sets.
     """
@@ -514,8 +491,7 @@ class _NewtonResult:
     traces: list              # accepted objectives per group
 
 
-def _newton(pool: _Pool, theta: np.ndarray, mask: np.ndarray, lam: np.ndarray, tol: float,
-            max_iter: int) -> _NewtonResult:
+def _newton(pool: _Pool, theta: np.ndarray, mask: np.ndarray, lam: np.ndarray) -> _NewtonResult:
     """Damped Newton on every pooled group from `theta`, each at its `lam`, until each stops or fails.
 
     Each pass evaluates every still-active group once with derivatives; the
@@ -545,17 +521,17 @@ def _newton(pool: _Pool, theta: np.ndarray, mask: np.ndarray, lam: np.ndarray, t
             step *= mask[active]
             decrement = -(g * step).sum(axis=1)
             converged = solvable & (
-                (grad_norm[active] <= tol)
+                (grad_norm[active] <= _TOL)
                 | (decrement <= _DECREMENT_RTOL * np.maximum(np.abs(f), 1.0))
             )
-            at_limit = iterations[active] >= max_iter
+            at_limit = iterations[active] >= _MAX_ITER
             for i, group in enumerate(active):
                 if not finite[i]:
                     failure[group] = "non-finite objective, gradient or Hessian"
                 elif not solvable[i]:
                     failure[group] = "Hessian not positive definite"
                 elif at_limit[i] and not converged[i]:
-                    failure[group] = f"{max_iter} Newton steps reached"
+                    failure[group] = f"{_MAX_ITER} Newton steps reached"
             going = solvable & ~converged & ~at_limit
             if not going.any():
                 break
@@ -587,45 +563,51 @@ def _newton(pool: _Pool, theta: np.ndarray, mask: np.ndarray, lam: np.ndarray, t
     return _NewtonResult(theta, value, grad_norm, iterations, failure, traces)
 
 
-def _fit_segments(batch: EventBatch, sizes, configs: list[FitConfig]) -> list[FitOutcome]:
-    """One model per segment of `batch`: its events are the segments' events, `sizes[s]` each, in order.
+def fit_model(events: EventBatch, lam, sizes=None) -> list[FitOutcome]:
+    """Regularized maximum-likelihood parameters and diagnostics, one `FitOutcome` per training set.
 
-    Segment s is fitted at `configs[s].lam`; the configs must agree on `tol`
-    and `max_iter`.  The ten (kind, u) groups of every segment are solved by
-    one `_newton` call, and every fallback by one `minimize` call, whose runs
-    do not interact, so each segment's model and diagnostics are those it
-    gets when fitted alone.
-    Empty groups keep zero weights.
+    `events` holds the training sets one after another, `sizes[s]` events
+    each; with no `sizes` it is one training set.  `lam` is one regularizer
+    weight for every training set or a sequence of one per training set; a
+    negative or NaN lambda, or a sequence of another length, raises
+    `FitError`.  The ten (kind, u) groups of every training set are solved
+    by one `_newton` call, and every fallback by one `minimize` call, whose
+    runs do not interact, so each training set's model and diagnostics are,
+    bit for bit, those it gets when fitted alone.  Empty groups keep zero
+    weights.
     """
-    if sum(sizes) != batch.n:
-        raise FitError(f"segment sizes sum to {sum(sizes)}, but the batch has {batch.n} events")
-    if len(configs) != len(sizes):
-        raise FitError(f"{len(configs)} fit configs for {len(sizes)} segments")
-    stops = sorted({(c.tol, c.max_iter) for c in configs})
-    if len(stops) > 1:
-        raise FitError(f"the segments' fit configs must share tol and max_iter, got (tol, max_iter) = {stops}")
-    segments = batch.split(sizes)
+    sizes = [events.n] if sizes is None else sizes
+    if sum(sizes) != events.n:
+        raise FitError(f"segment sizes sum to {sum(sizes)}, but the batch has {events.n} events")
+    lam = np.asarray(lam, dtype=float)
+    if lam.ndim and lam.shape != (len(sizes),):
+        raise FitError(f"lam must be one value or one per segment, got shape {lam.shape} "
+                       f"for {len(sizes)} segments")
+    for s, value in enumerate(np.atleast_1d(lam).tolist()):
+        # NaN fails every comparison, so it is rejected too
+        if not value >= 0:
+            raise FitError(f"{f'lam[{s}]' if lam.ndim else 'lam'} must be >= 0, got {value!r}")
+    segments = events.split(sizes)
     if not segments or any(seg.n == 0 for seg in segments):
         raise FitError("cannot fit a model from an empty event set")
-    if batch.u.min() < 1 or batch.u.max() > NUM_SACCADE_TYPES:
-        raise FitError(f"saccade types must lie in 1..{NUM_SACCADE_TYPES}, got {batch.u.min()}..{batch.u.max()}")
-    tol, max_iter = configs[0].tol, configs[0].max_iter
+    if events.u.min() < 1 or events.u.max() > NUM_SACCADE_TYPES:
+        raise FitError(f"saccade types must lie in 1..{NUM_SACCADE_TYPES}, got {events.u.min()}..{events.u.max()}")
 
-    m = batch.num_features
+    m = events.num_features
     # groups (kind, segment, type), amplitude then duration, each kind's ordered by (segment, type)
     per_kind = len(segments) * NUM_SACCADE_TYPES
-    group_of_event = np.repeat(np.arange(len(segments)), sizes) * NUM_SACCADE_TYPES + batch.u - 1
+    group_of_event = np.repeat(np.arange(len(segments)), sizes) * NUM_SACCADE_TYPES + events.u - 1
     n_events = np.tile(np.bincount(group_of_event, minlength=per_kind), 2)
-    lam = np.tile(np.repeat([c.lam for c in configs], NUM_SACCADE_TYPES), 2)   # the lambda of each group
+    lam = np.tile(np.repeat(np.broadcast_to(lam, len(sizes)), NUM_SACCADE_TYPES), 2)   # the lambda of each group
     pooled = np.flatnonzero(n_events)
     bias_only = _bias_only(n_events, m)
     feature_mask = np.ones((len(n_events), m))
     feature_mask[bias_only, 1:] = 0.0
     mask = np.hstack([feature_mask, feature_mask])   # the weights each group uses
-    pool = _Pool.of(batch, np.argsort(group_of_event, kind="stable"), n_events[pooled], bias_only[pooled])
+    pool = _Pool.of(events, np.argsort(group_of_event, kind="stable"), n_events[pooled], bias_only[pooled])
     spans = [slice(start, start + size) for start, size in zip(pool.starts.tolist(), pool.sizes.tolist())]
     theta0 = np.array([_moment_init(pool.x[span], m) for span in spans])
-    result = _newton(pool, theta0, mask[pooled], lam[pooled], tol, max_iter)
+    result = _newton(pool, theta0, mask[pooled], lam[pooled])
 
     row_of = dict(zip(pooled.tolist(), range(len(pooled))))
     refits = {}   # group -> (the weights it uses, its L-BFGS-B run)
@@ -636,7 +618,7 @@ def _fit_segments(batch: EventBatch, sizes, configs: list[FitConfig]) -> list[Fi
         problems = [(pool.x[spans[row_of[i]]], pool.W[spans[row_of[i]], :len(cols) // 2])
                     for i, cols in zip(failed, used)]
         starts = [theta0[row_of[i], cols] for i, cols in zip(failed, used)]
-        runs = minimize(_Objectives(problems, lam[failed]), starts, tol, max_iter).runs
+        runs = minimize(_Objectives(problems, lam[failed]), starts, _TOL, _MAX_ITER).runs
         refits = dict(zip(failed, zip(used, runs)))
     fits = []     # ([shape weights, scale weights], GroupFit) per group, segment by segment, type by type
     for i in [i for q in range(per_kind) for i in (q, per_kind + q)]:
@@ -688,26 +670,3 @@ def _fit_segments(batch: EventBatch, sizes, configs: list[FitConfig]) -> list[Fi
         )
         outcomes.append(FitOutcome(params=params, groups=[f[1] for f in mine]))
     return outcomes
-
-
-def fit_model_detailed(batch: EventBatch, config: FitConfig) -> FitOutcome:
-    """Fit pi and all per-type gamma GLMs; returns parameters plus diagnostics."""
-    return _fit_segments(batch, [batch.n], [config])[0]
-
-
-def fit_model(events: EventBatch, config: FitConfig | list[FitConfig], sizes=None):
-    """Regularized maximum-likelihood parameters for an event batch.
-
-    Given `sizes`, the batch holds several training sets one after another,
-    `sizes[s]` events each, and the result is the list of their models, all
-    fitted in one pooled Newton call; each equals, bit for bit, the model
-    `fit_model` gives that training set alone.  `config` is one `FitConfig`
-    for every training set or, with `sizes`, a list of one per training
-    set; such a list may vary `lam` but not `tol` or `max_iter`.
-    """
-    segment_sizes = [events.n] if sizes is None else sizes
-    configs = [config] * len(segment_sizes) if isinstance(config, FitConfig) else list(config)
-    outcomes = _fit_segments(events, segment_sizes, configs)
-    if sizes is None:
-        return outcomes[0].params
-    return [outcome.params for outcome in outcomes]

@@ -22,8 +22,9 @@ import numpy as np
 from scipy.optimize import minimize
 from scipy.special import digamma, gammaln, polygamma
 
+import scanfisher.fit as fit_module
 from scanfisher.events import EventBatch
-from scanfisher.fit import FitConfig, GroupFit, _bias_only, _moment_init, _Pool
+from scanfisher.fit import GroupFit, _bias_only, _moment_init, _Pool
 from scanfisher.model import _LOG_LINK_MAX, _LOG_LINK_MIN, _clamp, gamma_terms
 
 logger = logging.getLogger(__name__)
@@ -136,10 +137,13 @@ def _fit_group(
     u: int,
     x: np.ndarray,
     W: np.ndarray,
-    config: FitConfig,
+    lam: float,
     collect_trace: bool = False,
 ) -> tuple[np.ndarray, np.ndarray, GroupFit]:
-    """L-BFGS-B fit of one group from the moment start (the Newton loop's fallback)."""
+    """L-BFGS-B fit of one group from the moment start (the Newton loop's fallback).
+
+    Its stopping settings are `scanfisher.fit`'s `_TOL` and `_MAX_ITER` at the time of the call.
+    """
     m_full = W.shape[1]
     n = len(x)
     shape_w = np.zeros(m_full)
@@ -156,14 +160,14 @@ def _fit_group(
     m = W_used.shape[1]
 
     theta0 = _moment_init(x, m)
-    f0, _ = _objective(theta0, x, W_used, config.lam)
+    f0, _ = _objective(theta0, x, W_used, lam)
     trace = [f0]
     callback = None
     if collect_trace:
-        callback = lambda xk: trace.append(_objective(xk, x, W_used, config.lam)[0])
+        callback = lambda xk: trace.append(_objective(xk, x, W_used, lam)[0])
 
     def fun(theta):
-        return _objective(theta, x, W_used, config.lam)
+        return _objective(theta, x, W_used, lam)
 
     result = minimize(
         fun,
@@ -171,7 +175,7 @@ def _fit_group(
         jac=True,
         method="L-BFGS-B",
         callback=callback,
-        options={"maxiter": config.max_iter, "gtol": config.tol, "ftol": 1e-12},
+        options={"maxiter": fit_module._MAX_ITER, "gtol": fit_module._TOL, "ftol": 1e-12},
     )
     if not result.success:
         logger.warning(

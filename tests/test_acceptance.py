@@ -33,7 +33,7 @@ from scanfisher.fisher import (
     score_dimension,
     score_matrix,
 )
-from scanfisher.fit import FitConfig, fit_model
+from scanfisher.fit import fit_model
 from scanfisher.model import ModelParams, batch_loglik, sample_events
 from scanfisher.svm import KernelProblem, solve_dual, train_multiclass
 from scanfisher.synth import SynthConfig, gen_dataset
@@ -194,7 +194,7 @@ def test_c03_parameter_recovery():
         batch = _random_batch(rng, truth, 25_000, m)
         assert np.bincount(batch.u, minlength=6)[1:].min() > 4600
 
-        fitted = fit_model(batch, FitConfig(lam=0.0, tol=1e-6, max_iter=500))
+        fitted = fit_model(batch, 0.0)[0].params
         for name in ("alpha", "beta", "gamma", "delta"):
             dev = float(np.abs(getattr(fitted, name) - getattr(truth, name)).max())
             assert dev < 0.1, f"{name} deviates by {dev:.3f}"

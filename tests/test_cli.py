@@ -87,12 +87,13 @@ def test_fit_emits_valid_model_and_log(fitted_model):
 
 
 @pytest.mark.parametrize("level,shown", [("debug", True), ("warning", True), ("error", False)])
-def test_log_level_flag_filters_fit_warnings(synth_dir, tmp_path, capsys, level, shown):
-    # max_iter 1 stops every Newton group, so each one logs its L-BFGS-B refit
+def test_log_level_flag_filters_fit_warnings(synth_dir, tmp_path, capsys, monkeypatch, level, shown):
+    # a step cap of 1 stops every Newton group, so each one logs its L-BFGS-B refit
+    monkeypatch.setattr("scanfisher.fit._MAX_ITER", 1)
     code = run_cli(
         "--log-level", level, "fit",
         "--texts", synth_dir / "texts.json", "--freq", synth_dir / "freq.tsv",
-        "--scanpaths", synth_dir / "scanpaths.jsonl", "--out", tmp_path / "m.json", "--max-iter", 1,
+        "--scanpaths", synth_dir / "scanpaths.jsonl", "--out", tmp_path / "m.json",
     )
     assert code == 0
     err = capsys.readouterr().err
@@ -325,6 +326,63 @@ def test_train_svm_rejects_unhashable_labels_in_meta(scores_file, tmp_path, caps
         "error: labels must be hashable and of types that compare, got types ['list']\n")
 
 
+def test_train_svm_takes_labels_from_all_instances_or_none(scores_file, tmp_path, capsys):
+    meta = read_json(str(scores_file) + ".meta.json")
+    meta_path, svm_path = tmp_path / "meta.json", tmp_path / "svm.json"
+    args = ["train-svm", "--scores", scores_file, "--meta", meta_path, "--out", svm_path]
+    for i, inst in enumerate(meta["instances"]):
+        inst["label"] = "slow" if i < 2 else None
+    meta_path.write_text(json.dumps(meta))
+    assert run_cli(*args) == 2
+    assert capsys.readouterr().err == f"error: {meta_path}: 2 instances have a label and 22 have none\n"
+    assert not svm_path.exists()
+    # a file labelled throughout trains on its labels, one labelled nowhere on its readers
+    for labels, classes in ((lambda inst: None, ["r00", "r01", "r02"]),
+                            (lambda inst: "slow" if inst["reader_id"] == "r00" else "fast", ["fast", "slow"])):
+        for inst in meta["instances"]:
+            inst["label"] = labels(inst)
+        meta_path.write_text(json.dumps(meta))
+        assert run_cli(*args) == 0
+        assert read_json(svm_path)["classes"] == classes
+
+
+def _dropped(obj, *path):
+    """`obj` without the entry at `path`, one key or index per level."""
+    *parents, last = path
+    inner = obj
+    for key in parents:
+        inner = inner[key]
+    del inner[last]
+    return obj
+
+
+@pytest.mark.parametrize("command, path, problem", [
+    ("report", None, "expected a JSON object, got list"),
+    ("score", None, "expected a JSON object, got list"),
+    ("train-svm", None, "expected a JSON object, got list"),
+    ("report", ("mode",), "missing key 'mode'"),
+    ("score", ("pi",), "missing key 'pi'"),
+    ("score", ("norm_stats", "mean"), "missing key 'mean'"),
+    ("train-svm", ("instances", 3, "label"), "missing key 'label'"),
+], ids=["report-list", "score-list", "train-svm-list", "report-mode", "score-pi", "score-mean", "train-svm-label"])
+def test_json_input_errors_name_the_file(synth_dir, fitted_model, scores_file, tmp_path, capsys, command, path,
+                                         problem):
+    report = {"mode": "identification", "mean_accuracy": 0.5, "stderr_accuracy": 0.1, "folds": []}
+    read, args = {
+        "report": (report, ["--report"]),
+        "score": (read_json(fitted_model), ["--texts", synth_dir / "texts.json", "--freq", synth_dir / "freq.tsv",
+                                            "--scanpaths", synth_dir / "scanpaths.jsonl", "--out",
+                                            tmp_path / "scores.txt", "--model"]),
+        "train-svm": (read_json(str(scores_file) + ".meta.json"),
+                      ["--scores", scores_file, "--out", tmp_path / "svm.json", "--meta"]),
+    }[command]
+    bad = tmp_path / "input.json"
+    bad.write_text(json.dumps([1] if path is None else _dropped(read, *path)))
+    assert run_cli(command, *args, bad) == 2
+    assert capsys.readouterr().err == f"error: {bad}: {problem}\n"
+    assert list(tmp_path.iterdir()) == [bad]
+
+
 def test_labels_of_two_types_fail_by_name(synth_dir, fitted_model, tmp_path, capsys):
     labeled = _relabeled(synth_dir, tmp_path, lambda row: 1 if int(row["reader_id"][1:]) % 2 else "a")
     data = ["--texts", synth_dir / "texts.json", "--freq", synth_dir / "freq.tsv", "--scanpaths", labeled]
@@ -427,9 +485,9 @@ def test_score_takes_a_model_without_amp_floor(synth_dir, fitted_model, scores_f
 
 @pytest.mark.parametrize("command, option", [
     (command, option) for command in ("identify", "comprehend") for option in ("--amp-floor", "--tol", "--max-iter")
-] + [("fit", "--amp-floor")])
+] + [("fit", option) for option in ("--amp-floor", "--tol", "--max-iter")])
 def test_fixed_settings_are_not_options(command, option, capsys):
-    # the amplitude floor is events.AMP_FLOOR, and the experiments fit with FitConfig's defaults
+    # the amplitude floor is events.AMP_FLOOR, and every fit stops at fit._TOL and fit._MAX_ITER
     with pytest.raises(SystemExit) as exc:
         run_cli(command, "--texts", "t.json", "--freq", "f.tsv", "--scanpaths", "s.jsonl", "--out", "out",
                 option, "1")
@@ -437,12 +495,13 @@ def test_fixed_settings_are_not_options(command, option, capsys):
     assert f"unrecognized arguments: {option} 1" in capsys.readouterr().err
 
 
-def test_fit_rejects_nan_tolerance_by_name(synth_dir, tmp_path, capsys):
+@pytest.mark.parametrize("value", ["nan", "-1"])
+def test_fit_rejects_bad_lambda_by_name(synth_dir, tmp_path, capsys, value):
     code = run_cli("fit", "--texts", synth_dir / "texts.json", "--freq", synth_dir / "freq.tsv",
                    "--scanpaths", synth_dir / "scanpaths.jsonl", "--out", tmp_path / "model.json",
-                   "--tol", "nan")
+                   "--lambda", value)
     assert code == 3
-    assert capsys.readouterr().err == "error: tol must be > 0, got nan\n"
+    assert capsys.readouterr().err == f"error: lam must be >= 0, got {float(value)!r}\n"
     assert list(tmp_path.iterdir()) == []
 
 

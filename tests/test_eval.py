@@ -32,7 +32,7 @@ from scanfisher.evaluate import (
     write_report_json,
 )
 from scanfisher.events import EventBatch, Scanpath, ScanpathError, extract_events
-from scanfisher.fit import FitConfig, fit_model
+from scanfisher.fit import fit_model
 from scanfisher.model import sample_events
 from scanfisher.svm import KernelProblem, SvmModel
 from scanfisher.synth import SynthConfig, gen_dataset, gen_readers
@@ -416,7 +416,6 @@ def test_baseline_full_group_prediction_equals_generative_classify(small_dataset
     # applied to the group's pooled events, under per-reader models fitted
     # as the baseline fits them; events come from per-scanpath extraction
     lam = QUICK.lambda_grid[0]
-    fit_config = FitConfig(lam=lam)
     texts = small_dataset.text_ids()
     table = evaluate.event_table(small_dataset, feature_layout(list(small_dataset.texts.values())),
                                  lambda sp: sp.reader_id)
@@ -430,9 +429,8 @@ def test_baseline_full_group_prediction_equals_generative_classify(small_dataset
                            key=lambda sp: (sp.text_id, sp.reader_id, sp.line_id))
         class_params = {
             reader: fit_model(
-                _slow_events(small_dataset, featmap, [sp for sp in train_sps if sp.reader_id == reader]),
-                fit_config,
-            )
+                _slow_events(small_dataset, featmap, [sp for sp in train_sps if sp.reader_id == reader]), lam,
+            )[0].params
             for reader in small_dataset.reader_ids()
         }
         assert list(curves) == list(ctx.groups)
@@ -850,11 +848,11 @@ def test_reference_newton_pass_fits_the_elimination_data_alike(small_dataset, mo
     directions (condition number 1.8e9 on one such group here).
     """
     calls, failures = [], []
-    fit_segments, newton = fit._fit_segments, fit._newton
+    newton = fit._newton
 
-    def recorded_fit_segments(batch, sizes, configs):
-        outcomes = fit_segments(batch, sizes, configs)
-        calls.append((batch, sizes, configs, outcomes, failures[-1]))
+    def recorded_fit_model(batch, lam, sizes):
+        outcomes = fit_model(batch, lam, sizes)
+        calls.append((batch, sizes, lam, outcomes, failures[-1]))
         return outcomes
 
     def recorded_newton(*args):
@@ -863,15 +861,15 @@ def test_reference_newton_pass_fits_the_elimination_data_alike(small_dataset, mo
         return result
 
     monkeypatch.setattr(fit, "_newton", recorded_newton)
-    monkeypatch.setattr(fit, "_fit_segments", recorded_fit_segments)
+    monkeypatch.setattr(evaluate, "fit_model", recorded_fit_model)
     loto_cv(small_dataset, ELIMINATION)
     binary_comprehension_eval(_comprehension_dataset(seed=101, num_readers=8), ELIMINATION)
     monkeypatch.setattr(fit, "_pooled_terms", pooled_terms_before_product)
     solvers = collections.Counter()
-    for batch, sizes, configs, outcomes, failure in calls:
-        reference = fit_segments(batch, sizes, configs)
+    for batch, sizes, lams, outcomes, failure in calls:
+        reference = fit_model(batch, lams, sizes)
         assert failures[-1] == failure
-        for segment, outcome, want, config in zip(batch.split(sizes), outcomes, reference, configs):
+        for segment, outcome, want, lam in zip(batch.split(sizes), outcomes, reference, lams):
             for group, want_group in zip(outcome.groups, want.groups):
                 assert ((group.solver, group.converged, group.n_iterations)
                         == (want_group.solver, want_group.converged, want_group.n_iterations))
@@ -884,7 +882,7 @@ def test_reference_newton_pass_fits_the_elimination_data_alike(small_dataset, mo
                     np.testing.assert_array_equal(theta, want_theta)
                     continue
                 _, _, hessian = pooled_terms_before_product(
-                    pool_of([x], [W]), want_theta[None], np.ones((1, theta.size)), config.lam)
+                    pool_of([x], [W]), want_theta[None], np.ones((1, theta.size)), lam)
                 eig = np.linalg.eigvalsh(hessian[0])
                 bound = max(1e-12, 1e-15 * eig[-1] / eig[0])
                 np.testing.assert_allclose(theta, want_theta, rtol=0, atol=bound * max(1.0, np.abs(want_theta).max()))
@@ -1180,9 +1178,9 @@ def test_lockstep_folds_report_and_fit_what_folds_run_one_by_one_do(small_datase
         folds_of[id(ctx.fits)].add(plan.fold_id.split("/")[0])
         return ctx
 
-    def fit_counted(events, config, sizes=None):
+    def fit_counted(events, lam, sizes=None):
         steps[-1]["calls"] += 1
-        return real_fit_model(events, config, sizes)
+        return real_fit_model(events, lam, sizes)
 
     def record(request):
         fitted.append((id(request.fits), request.key, request.lam, tuple(request.sizes), request.batch.amp.tobytes(),
@@ -1202,8 +1200,8 @@ def test_lockstep_folds_report_and_fit_what_folds_run_one_by_one_do(small_datase
                 requests = run.send(None)
                 while True:
                     for request in requests:
-                        request.fits[request.key] = fit_model(request.batch, FitConfig(lam=request.lam),
-                                                              request.sizes)
+                        request.fits[request.key] = [outcome.params for outcome in
+                                                     fit_model(request.batch, request.lam, request.sizes)]
                         record(request)
                     requests = run.send(None)
             except StopIteration as stop:

@@ -14,13 +14,10 @@ from scipy.special import polygamma
 import scanfisher.fit as fit_module
 from scanfisher.events import EventBatch
 from scanfisher.fit import (
-    FitConfig,
     FitError,
-    _fit_segments,
     _moment_init,
     _pooled_terms,
     fit_model,
-    fit_model_detailed,
     fit_pi,
 )
 from scanfisher.model import ModelParams, _trigamma, sample_events
@@ -187,7 +184,7 @@ def _mixed_batch(rng, n, m, params=None):
 def test_fit_model_descends_from_initialization():
     rng = np.random.default_rng(4)
     batch = _mixed_batch(rng, 600, 3)
-    outcome = fit_model_detailed(batch, FitConfig(lam=0.01))
+    [outcome] = fit_model(batch, 0.01)
     for group in outcome.groups:
         if group.n_events:
             assert group.final_objective <= group.initial_objective + 1e-9
@@ -199,8 +196,8 @@ def test_fit_model_descends_from_initialization():
 def test_fit_model_deterministic():
     rng = np.random.default_rng(5)
     batch = _mixed_batch(rng, 400, 2)
-    a = fit_model(batch, FitConfig(lam=0.01))
-    b = fit_model(batch, FitConfig(lam=0.01))
+    a = fit_model(batch, 0.01)[0].params
+    b = fit_model(batch, 0.01)[0].params
     np.testing.assert_array_equal(a.alpha, b.alpha)
     np.testing.assert_array_equal(a.delta, b.delta)
     np.testing.assert_array_equal(a.pi, b.pi)
@@ -210,7 +207,7 @@ def test_fit_model_per_type_independence():
     """Reordering other types' events leaves a type's fitted weights unchanged."""
     rng = np.random.default_rng(6)
     batch = _mixed_batch(rng, 500, 2)
-    fitted = fit_model(batch, FitConfig(lam=0.01))
+    fitted = fit_model(batch, 0.01)[0].params
 
     order = np.arange(batch.n)
     other = order[batch.u != 3]
@@ -220,7 +217,7 @@ def test_fit_model_per_type_independence():
         w_launch=batch.w_launch[moved], w_land=batch.w_land[moved],
     )
     # type-3 events kept in their original relative order
-    refit = fit_model(shuffled, FitConfig(lam=0.01))
+    refit = fit_model(shuffled, 0.01)[0].params
     np.testing.assert_array_equal(refit.alpha[2], fitted.alpha[2])
     np.testing.assert_array_equal(refit.beta[2], fitted.beta[2])
 
@@ -237,18 +234,19 @@ def test_fit_model_bias_only_fallback(caplog):
         w_launch=batch.w_launch[keep], w_land=batch.w_land[keep],
     )
     with caplog.at_level(logging.WARNING):
-        params = fit_model(small, FitConfig(lam=0.01))
+        params = fit_model(small, 0.01)[0].params
     assert "bias-only" in caplog.text
     # non-bias weights of the starved type stay zero
     np.testing.assert_array_equal(params.alpha[4, 1:], 0.0)
     np.testing.assert_array_equal(params.delta[4, 1:], 0.0)
 
 
-def test_fit_model_reports_lbfgs_non_convergence(caplog):
+def test_fit_model_reports_lbfgs_non_convergence(caplog, monkeypatch):
     rng = np.random.default_rng(10)
     batch = _mixed_batch(rng, 300, 2)
-    with caplog.at_level(logging.WARNING, logger="scanfisher.fit"):
-        outcome = fit_model_detailed(batch, FitConfig(lam=0.01, max_iter=1))
+    with caplog.at_level(logging.WARNING, logger="scanfisher.fit"), monkeypatch.context() as patched:
+        patched.setattr(fit_module, "_MAX_ITER", 1)
+        [outcome] = fit_model(batch, 0.01)
     stopped = [g for g in outcome.groups if not g.converged]
     assert stopped
     messages = [r.getMessage() for r in caplog.records if "did not converge" in r.getMessage()]
@@ -258,13 +256,13 @@ def test_fit_model_reports_lbfgs_non_convergence(caplog):
         assert (f"{group.kind} events of type {group.u} "
                 f"(n_events={group.n_events}, nit=1)") in message
         assert "ITERATIONS REACHED LIMIT" in message.upper()
-    assert all(g.converged for g in fit_model_detailed(batch, FitConfig(lam=0.01)).groups)
+    assert all(g.converged for g in fit_model(batch, 0.01)[0].groups)
 
 
 def test_fit_model_large_lambda_still_descends():
     rng = np.random.default_rng(8)
     batch = _mixed_batch(rng, 300, 2)
-    outcome = fit_model_detailed(batch, FitConfig(lam=1e6))
+    [outcome] = fit_model(batch, 1e6)
     for group in outcome.groups:
         if group.n_events:
             assert group.final_objective <= group.initial_objective + 1e-6
@@ -282,29 +280,29 @@ def test_fit_model_small_recovery():
         w_launch=np.ones((n, 1)),
         w_land=np.ones((n, 1)),
     )
-    params = fit_model(batch, FitConfig(lam=0.0))
+    params = fit_model(batch, 0.0)[0].params
     assert math.exp(params.alpha[1, 0]) == pytest.approx(true_shape, rel=0.1)
     assert math.exp(params.beta[1, 0]) == pytest.approx(true_scale, rel=0.1)
 
 
 def test_fit_config_validation():
-    with pytest.raises(FitError, match="^lam must be >= 0"):
-        FitConfig(lam=-1.0)
-    with pytest.raises(FitError, match="^tol must be > 0"):
-        FitConfig(tol=0.0)
-    with pytest.raises(FitError, match="^max_iter must be >= 1"):
-        FitConfig(max_iter=0)
+    # lambda is the fit's one setting
+    batch = _mixed_batch(np.random.default_rng(4), 100, 2)
+    with pytest.raises(FitError, match=r"^lam must be >= 0, got -1\.0$"):
+        fit_model(batch, -1.0)
 
 
-@pytest.mark.parametrize("field, bound", [("lam", ">= 0"), ("tol", "> 0")])
+@pytest.mark.parametrize("field, bound", [("lam", ">= 0")])
 def test_fit_config_rejects_nan(field, bound):
-    with pytest.raises(FitError, match=f"^{field} must be {bound}, got nan"):
-        FitConfig(**{field: math.nan})
+    # NaN fails every comparison, so it needs its own check
+    batch = _mixed_batch(np.random.default_rng(4), 100, 2)
+    with pytest.raises(FitError, match=f"^{field} must be {bound}, got nan$"):
+        fit_model(batch, math.nan)
 
 
 def test_fit_model_empty_errors():
     with pytest.raises(FitError):
-        fit_model(_of_types([]), FitConfig())
+        fit_model(_of_types([]), 1e-2)
 
 
 # ---------------------------------------------------------------------------
@@ -364,12 +362,11 @@ ORACLE_CASES = [
 def test_newton_groups_match_lbfgs_oracle(m, sizes, lam):
     rng = np.random.default_rng(100 * m + int(1e3 * lam))
     batch = _sized_batch(rng, m, sizes)
-    config = FitConfig(lam=lam)
-    outcome = fit_model_detailed(batch, config)
+    [outcome] = fit_model(batch, lam)
     newton = 0
     for group in outcome.groups:
         x, W = _group_data(batch, group.kind, group.u)
-        ref_shape, ref_scale, ref = _fit_group(group.kind, group.u, x, W, config)
+        ref_shape, ref_scale, ref = _fit_group(group.kind, group.u, x, W, lam)
         shape_w, scale_w = _weights(outcome.params, group.kind, group.u)
         assert group.n_events == ref.n_events
         assert group.bias_only == ref.bias_only
@@ -388,7 +385,7 @@ def test_newton_groups_match_lbfgs_oracle(m, sizes, lam):
         assert group.final_objective == pytest.approx(f, rel=1e-12, abs=1e-12)
         # the stopping rule: |g| <= tol, or a Newton decrement <= 1e-12 max(|f|, 1)
         assert f <= ref.final_objective + 1e-9 * max(1.0, abs(f))
-        if np.abs(g).max() > config.tol * (1 + 1e-6):
+        if np.abs(g).max() > fit_module._TOL * (1 + 1e-6):
             assert g @ np.linalg.solve(_fd_hessian(x, used, lam, theta), g) <= 1e-11 * max(abs(f), 1.0)
         # scipy's success flag also covers relative-reduction stops far from a
         # stationary point (|g| = 1.2 on the 8-event duration group at M=4)
@@ -405,12 +402,11 @@ def test_group_with_indefinite_hessian_keeps_the_lbfgs_basin(caplog):
     # L-BFGS-B's f = -0.787 (|g| = 0.11 after 90 iterations)
     rng = np.random.default_rng(410)
     batch = _sized_batch(rng, 4, (8, 7, 3, 600, 150))
-    config = FitConfig(lam=1e-2)
     with caplog.at_level(logging.WARNING, logger="scanfisher.fit"):
-        outcome = fit_model_detailed(batch, config)
+        [outcome] = fit_model(batch, 1e-2)
     group = outcome.groups[0]
     x, W = _group_data(batch, "amplitude", 1)
-    ref_shape, ref_scale, ref = _fit_group("amplitude", 1, x, W, config, collect_trace=True)
+    ref_shape, ref_scale, ref = _fit_group("amplitude", 1, x, W, 1e-2, collect_trace=True)
     assert group.solver == "lbfgs" and group == ref
     assert ref.final_objective == pytest.approx(-0.787, abs=1e-3)
     np.testing.assert_array_equal(outcome.params.alpha[0], ref_shape)
@@ -424,7 +420,7 @@ def test_fallback_trace_costs_no_objective_evaluations(monkeypatch):
     """The L-BFGS-B trace is read from scipy's iterates, not recomputed at each one."""
     rng = np.random.default_rng(410)
     batch = _sized_batch(rng, 4, (8, 7, 3, 600, 150))
-    config = FitConfig(lam=1e-2)
+    lam = 1e-2
     evaluated = []
 
     class Counted(fit_module._Objectives):
@@ -433,7 +429,7 @@ def test_fallback_trace_costs_no_objective_evaluations(monkeypatch):
             return super().__call__(indices, points)
 
     monkeypatch.setattr(fit_module, "_Objectives", Counted)
-    outcome = fit_model_detailed(batch, config)
+    [outcome] = fit_model(batch, lam)
     traced = outcome.groups[0]
     assert traced.solver == "lbfgs" and traced.n_iterations > 50
     assert len(traced.objective_trace) == traced.n_iterations + 1
@@ -446,9 +442,9 @@ def test_fallback_trace_costs_no_objective_evaluations(monkeypatch):
             x, W = _group_data(batch, group.kind, group.u)
             W_used = W[:, :1] if group.bias_only else W
             scipy_evaluations += scipy_minimize(
-                lambda theta: _objective(theta, x, W_used, config.lam), _moment_init(x, W_used.shape[1]),
+                lambda theta: _objective(theta, x, W_used, lam), _moment_init(x, W_used.shape[1]),
                 jac=True, method="L-BFGS-B",
-                options={"maxiter": config.max_iter, "gtol": config.tol, "ftol": 1e-12},
+                options={"maxiter": fit_module._MAX_ITER, "gtol": fit_module._TOL, "ftol": 1e-12},
             ).nfev
     assert len(evaluated) == scipy_evaluations
 
@@ -563,16 +559,18 @@ def test_a_fit_calls_minimize_once_for_all_its_fallbacks(monkeypatch):
 
     monkeypatch.setattr(fit_module, "minimize", recorded)
     rng = np.random.default_rng(410)
-    for batch, config in ((_sized_batch(rng, 4, (8, 7, 3, 600, 150)), FitConfig(lam=1e-2)),
-                          (_sized_batch(rng, 2, (40, 0, 300, 0, 0)), FitConfig(lam=1e-2, max_iter=1))):
+    for batch, max_iter in ((_sized_batch(rng, 4, (8, 7, 3, 600, 150)), fit_module._MAX_ITER),
+                            (_sized_batch(rng, 2, (40, 0, 300, 0, 0)), 1)):
         calls.clear()
-        fallbacks = [g for g in fit_model_detailed(batch, config).groups if g.solver == "lbfgs"]
+        with monkeypatch.context() as patched:
+            patched.setattr(fit_module, "_MAX_ITER", max_iter)
+            fallbacks = [g for g in fit_model(batch, 1e-2)[0].groups if g.solver == "lbfgs"]
         assert len(fallbacks) >= 2 and len(calls) == 1
         assert calls[0].nit == sum(g.n_iterations for g in fallbacks)
         assert calls[0].success == all(g.converged for g in fallbacks)
     assert not calls[0].success
     calls.clear()
-    groups = fit_model_detailed(_sized_batch(rng, 2, (300, 300, 300, 300, 300)), FitConfig()).groups
+    groups = fit_model(_sized_batch(rng, 2, (300, 300, 300, 300, 300)), 1e-2)[0].groups
     assert {g.solver for g in groups} == {"newton"} and not calls
 
 
@@ -653,18 +651,18 @@ def test_scipy_without_the_compiled_routine_fails_the_import(tmp_path):
     assert "scipy>=1.15" in proc.stderr and "has no compiled _lbfgsb module" in proc.stderr
 
 
-def test_group_newton_cannot_finish_is_the_lbfgs_fit(caplog):
+def test_group_newton_cannot_finish_is_the_lbfgs_fit(caplog, monkeypatch):
     rng = np.random.default_rng(12)
     m = 2
     batch = _sized_batch(rng, m, (40, 0, 300, 0, 0))
-    config = FitConfig(lam=1e-2, max_iter=1)
+    monkeypatch.setattr(fit_module, "_MAX_ITER", 1)
     with caplog.at_level(logging.WARNING, logger="scanfisher.fit"):
-        outcome = fit_model_detailed(batch, config)
+        [outcome] = fit_model(batch, 1e-2)
     fitted = [g for g in outcome.groups if g.n_events]
     assert len(fitted) == 4
     for group in fitted:
         x, W = _group_data(batch, group.kind, group.u)
-        ref_shape, ref_scale, ref = _fit_group(group.kind, group.u, x, W, config, collect_trace=True)
+        ref_shape, ref_scale, ref = _fit_group(group.kind, group.u, x, W, 1e-2, collect_trace=True)
         shape_w, scale_w = _weights(outcome.params, group.kind, group.u)
         assert group.solver == "lbfgs"
         assert group == ref
@@ -682,13 +680,13 @@ def test_pooled_groups_do_not_couple():
     rng = np.random.default_rng(13)
     m = 3
     batch = _sized_batch(rng, m, (5, 60, 200, 40, 9))
-    full = fit_model_detailed(batch, FitConfig(lam=1e-2))
+    [full] = fit_model(batch, 1e-2)
     for u in range(1, 6):
         keep = batch.u == u
-        alone = fit_model_detailed(EventBatch(
+        [alone] = fit_model(EventBatch(
             u=batch.u[keep], amp=batch.amp[keep], dur=batch.dur[keep],
             w_launch=batch.w_launch[keep], w_land=batch.w_land[keep],
-        ), FitConfig(lam=1e-2))
+        ), 1e-2)
         for block in ("alpha", "beta", "gamma", "delta"):
             np.testing.assert_array_equal(getattr(alone.params, block)[u - 1],
                                           getattr(full.params, block)[u - 1])
@@ -704,14 +702,12 @@ def test_pooled_segments_equal_separate_fits(lam):
                 ((8, 7, 3, 600, 150), (40, 0, 300, 0, 5), (2, 90, 0, 12, 60))]
     sizes = [seg.n for seg in segments]
     batch = EventBatch.concat(segments)
-    configs = [FitConfig(lam=value) for value in (lam if isinstance(lam, tuple) else (lam,) * len(segments))]
-    pooled = fit_model(batch, configs if isinstance(lam, tuple) else configs[0], sizes)
-    detailed = _fit_segments(batch, sizes, configs)
+    lams = lam if isinstance(lam, tuple) else (lam,) * len(segments)
+    pooled = fit_model(batch, lam, sizes)
     seen = set()
-    for seg, config, params, outcome in zip(segments, configs, pooled, detailed):
-        alone = fit_model_detailed(seg, config)
+    for seg, seg_lam, outcome in zip(segments, lams, pooled):
+        [alone] = fit_model(seg, seg_lam)
         for block in ("pi", "alpha", "beta", "gamma", "delta"):
-            np.testing.assert_array_equal(getattr(params, block), getattr(alone.params, block))
             np.testing.assert_array_equal(getattr(outcome.params, block), getattr(alone.params, block))
         assert outcome.groups == alone.groups
         seen.update((g.solver, g.bias_only) for g in alone.groups)
@@ -720,11 +716,17 @@ def test_pooled_segments_equal_separate_fits(lam):
     assert {("newton", True), ("lbfgs", True)} & seen
     if isinstance(lam, tuple):
         # fallbacks at two lambdas share one lockstep L-BFGS-B call
-        assert len({c.lam for c, o in zip(configs, detailed) if any(g.solver == "lbfgs" for g in o.groups)}) >= 2
+        assert len({value for value, o in zip(lams, pooled) if any(g.solver == "lbfgs" for g in o.groups)}) >= 2
+    else:
+        # a scalar lambda fits every segment as a list of that lambda, one per segment, does
+        for outcome, listed in zip(pooled, fit_model(batch, list(lams), sizes), strict=True):
+            for block in ("pi", "alpha", "beta", "gamma", "delta"):
+                np.testing.assert_array_equal(getattr(outcome.params, block), getattr(listed.params, block))
+            assert outcome.groups == listed.groups
 
 
 def test_pool_holds_each_group_boolean_indexed_out_of_its_segment(monkeypatch):
-    """The pool, moment starts and fallback problems `_fit_segments` builds by gathering from the batch.
+    """The pool, moment starts and fallback problems `fit_model` builds by gathering from the batch.
 
     They equal, bit for bit, each group's events and feature rows indexed out
     of its segment by type, as the fit built them before, concatenated
@@ -752,7 +754,8 @@ def test_pool_holds_each_group_boolean_indexed_out_of_its_segment(monkeypatch):
 
     monkeypatch.setattr(fit_module, "_newton", recorded_newton)
     monkeypatch.setattr(fit_module, "_Objectives", recorded_objectives)
-    _fit_segments(EventBatch.concat(segments), [seg.n for seg in segments], [FitConfig(max_iter=2)] * 3)
+    monkeypatch.setattr(fit_module, "_MAX_ITER", 2)
+    fit_model(EventBatch.concat(segments), 1e-2, [seg.n for seg in segments])
 
     xs, Ws, problems = [], [], []
     for values, rows in (("amp", "w_launch"), ("dur", "w_land")):
@@ -776,16 +779,19 @@ def test_pool_holds_each_group_boolean_indexed_out_of_its_segment(monkeypatch):
         np.testing.assert_array_equal(W, Ws[g][:, :1] if bias_only[g] else Ws[g])
 
 
-def test_segments_must_share_their_stopping_rule():
+@pytest.mark.parametrize("lam, message", [
+    ([1e-2], r"^lam must be one value or one per segment, got shape \(1,\) for 3 segments$"),
+    ([1e-2, 1.0], r"^lam must be one value or one per segment, got shape \(2,\) for 3 segments$"),
+    ([1e-2] * 4, r"^lam must be one value or one per segment, got shape \(4,\) for 3 segments$"),
+    ([[1e-2] * 3], r"^lam must be one value or one per segment, got shape \(1, 3\) for 3 segments$"),
+    ([1e-2, -1.0, 0.0], r"^lam\[1\] must be >= 0, got -1\.0$"),
+    ([1e-2, 0.0, math.nan], r"^lam\[2\] must be >= 0, got nan$"),
+])
+def test_per_segment_lambdas_are_checked(lam, message):
     rng = np.random.default_rng(3)
     batch = _sized_batch(rng, 2, (20, 20, 20, 20, 20))
-    with pytest.raises(FitError, match=r"must share tol and max_iter, got \(tol, max_iter\) = "
-                                       r"\[\(1e-06, 1\), \(1e-06, 500\)\]"):
-        fit_model(batch, [FitConfig(lam=0.0), FitConfig(lam=1.0, max_iter=1)], [50, 50])
-    with pytest.raises(FitError, match=r"must share tol and max_iter"):
-        fit_model(batch, [FitConfig(tol=1e-3), FitConfig()], [50, 50])
-    with pytest.raises(FitError, match=r"^1 fit configs for 2 segments$"):
-        fit_model(batch, [FitConfig()], [50, 50])
+    with pytest.raises(FitError, match=message):
+        fit_model(batch, lam, [50, 30, 20])
 
 
 @pytest.mark.parametrize("bad", [0, 6])
@@ -795,16 +801,16 @@ def test_saccade_types_must_lie_in_1_to_5(bad):
     batch = _sized_batch(rng, 2, (20, 20, 20, 20, 20))
     batch.u[60] = bad
     with pytest.raises(FitError, match=rf"saccade types must lie in 1\.\.5, got {min(bad, 1)}\.\.{max(bad, 5)}"):
-        fit_model(batch, FitConfig(), [50, 50])
+        fit_model(batch, 1e-2, [50, 50])
 
 
 def test_segment_sizes_must_cover_the_batch():
     rng = np.random.default_rng(3)
     batch = _sized_batch(rng, 2, (20, 20, 20, 20, 20))
     with pytest.raises(FitError, match="segment sizes sum to 99, but the batch has 100 events"):
-        fit_model(batch, FitConfig(), [50, 49])
+        fit_model(batch, 1e-2, [50, 49])
     with pytest.raises(FitError, match="empty event set"):
-        fit_model(batch, FitConfig(), [100, 0])
+        fit_model(batch, 1e-2, [100, 0])
 
 
 def test_objective_equals_the_clip_reference():
